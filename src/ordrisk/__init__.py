@@ -28,7 +28,6 @@ from .bounds import (
     prob_upper,
     prob_upper_unconstrained,
     worst_es_constrained,
-    worst_es_unconstrained,
     worst_ess_inf_constrained,
     worst_ess_inf_unconstrained,
     worst_rvar_constrained,
@@ -57,7 +56,6 @@ from .dist import (
     Pareto,
     QuantileGrid,
     Uniform,
-    cdf_eval,
     check_ss,
     check_st,
     empirical_from_samples,
@@ -65,8 +63,6 @@ from .dist import (
     isotonic_pair_projection,
     lower_tail,
     negate_dist,
-    quantile_left,
-    quantile_right,
     read_empirical_csv,
     rvar_eval,
     to_grid,

@@ -21,16 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._search import refine_max, refine_min
-from .coupling import (
-    DEFAULT_SCAN_N,
-    TransportEvaluator,
-    dl_plan_discrete,
-)
+from .coupling import TransportEvaluator, dl_plan_discrete
 from .dist import (
     DEFAULT_GRID_N,
     DEFAULT_TRUNC,
     Dist,
     Empirical,
+    _midpoints,
     es_eval,
     lower_tail,
     negate_dist,
@@ -49,7 +46,6 @@ __all__ = [
     "worst_var_unconstrained",
     "best_var_unconstrained",
     "worst_es_constrained",
-    "worst_es_unconstrained",
     "best_es_constrained",
     "best_es_unconstrained",
     "worst_rvar_constrained",
@@ -90,10 +86,6 @@ def _check_pq(p: float, q: float, *, allow_p0: bool) -> tuple[float, float]:
     return p, q
 
 
-def _midlevels(n: int) -> np.ndarray:
-    return (np.arange(int(n)) + 0.5) / int(n)
-
-
 # ---------------------------------------------------------------------------
 # fractional order-statistic means over sorted plan sums
 
@@ -124,9 +116,7 @@ def worst_ess_inf_constrained(
     g: Dist,
     *,
     grid_n: int = DEFAULT_GRID_N,
-    scan_n: int = _X_SCAN_N,
     trunc: float = DEFAULT_TRUNC,
-    evaluator: TransportEvaluator | None = None,
 ) -> float:
     """Largest essential infimum of X + Y over couplings with X <= Y.
 
@@ -147,10 +137,8 @@ def worst_ess_inf_constrained(
         a = float(f.quantile_left(1.0 - trunc))
     if a > b:
         a = b
-    ev = evaluator or TransportEvaluator(
-        f, g, scan_n=max(scan_n, DEFAULT_SCAN_N), trunc=trunc
-    )
-    xs = np.linspace(a, b, scan_n + 1)
+    ev = TransportEvaluator(f, g, trunc=trunc)
+    xs = np.linspace(a, b, _X_SCAN_N + 1)
     obj = ev.upper_many(xs) + xs
     inner = refine_min(
         lambda x: ev.upper(float(x)) + float(x),
@@ -166,7 +154,6 @@ def best_ess_sup_constrained(
     g: Dist,
     *,
     grid_n: int = DEFAULT_GRID_N,
-    scan_n: int = _X_SCAN_N,
     trunc: float = DEFAULT_TRUNC,
 ) -> float:
     """Smallest essential supremum of X + Y over couplings with X <= Y.
@@ -181,33 +168,33 @@ def best_ess_sup_constrained(
         return math.inf
     fr = negate_dist(g, grid_n=grid_n, trunc=trunc)
     gr = negate_dist(f, grid_n=grid_n, trunc=trunc)
-    return -worst_ess_inf_constrained(
-        fr, gr, grid_n=grid_n, scan_n=scan_n, trunc=trunc
+    return -worst_ess_inf_constrained(fr, gr, grid_n=grid_n, trunc=trunc)
+
+
+def _countermonotone_scan(f: Dist, g: Dist, a: float, c: float, w: float, refine) -> float:
+    """Refined extreme of F^{-1}(a + x) + G^{-1}(c - x) over x in [0, w].
+
+    ``refine`` is ``refine_min`` or ``refine_max``; both levels are
+    clipped to [0, 1].
+    """
+    xs = np.linspace(0.0, w, _X_SCAN_N + 1)
+    obj = np.asarray(f.quantile_left(np.clip(a + xs, 0.0, 1.0))) + np.asarray(
+        g.quantile_left(np.clip(c - xs, 0.0, 1.0))
     )
+    fn = lambda x: float(f.quantile_left(min(1.0, max(0.0, a + float(x))))) + float(
+        g.quantile_left(min(1.0, max(0.0, c - float(x))))
+    )
+    return float(refine(fn, xs, obj, tol=1e-10))
 
 
-def worst_ess_inf_unconstrained(
-    f: Dist, g: Dist, *, scan_n: int = _X_SCAN_N
-) -> float:
+def worst_ess_inf_unconstrained(f: Dist, g: Dist) -> float:
     """Largest essential infimum over all couplings: countermonotone value."""
-    us = np.linspace(0.0, 1.0, scan_n + 1)
-    obj = np.asarray(f.quantile_left(us)) + np.asarray(g.quantile_left(1.0 - us))
-    fn = lambda u: float(f.quantile_left(float(u))) + float(
-        g.quantile_left(1.0 - float(u))
-    )
-    return float(refine_min(fn, us, obj, tol=1e-10))
+    return _countermonotone_scan(f, g, 0.0, 1.0, 1.0, refine_min)
 
 
-def best_ess_sup_unconstrained(
-    f: Dist, g: Dist, *, scan_n: int = _X_SCAN_N
-) -> float:
+def best_ess_sup_unconstrained(f: Dist, g: Dist) -> float:
     """Smallest essential supremum over all couplings: countermonotone value."""
-    us = np.linspace(0.0, 1.0, scan_n + 1)
-    obj = np.asarray(f.quantile_left(us)) + np.asarray(g.quantile_left(1.0 - us))
-    fn = lambda u: float(f.quantile_left(float(u))) + float(
-        g.quantile_left(1.0 - float(u))
-    )
-    return float(refine_max(fn, us, obj, tol=1e-10))
+    return _countermonotone_scan(f, g, 0.0, 1.0, 1.0, refine_max)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +207,6 @@ def worst_var_constrained(
     p: float,
     *,
     grid_n: int = DEFAULT_GRID_N,
-    scan_n: int = _X_SCAN_N,
     trunc: float = DEFAULT_TRUNC,
 ) -> float:
     """Worst-case VaR at level p under the order constraint.
@@ -234,9 +220,7 @@ def worst_var_constrained(
         return float(plan.sums_sorted[0])
     fp = upper_tail(f, p, grid_n=grid_n, trunc=trunc)
     gp = upper_tail(g, p, grid_n=grid_n, trunc=trunc)
-    return worst_ess_inf_constrained(
-        fp, gp, grid_n=grid_n, scan_n=scan_n, trunc=trunc
-    )
+    return worst_ess_inf_constrained(fp, gp, grid_n=grid_n, trunc=trunc)
 
 
 def best_var_constrained(
@@ -245,7 +229,6 @@ def best_var_constrained(
     p: float,
     *,
     grid_n: int = DEFAULT_GRID_N,
-    scan_n: int = _X_SCAN_N,
     trunc: float = DEFAULT_TRUNC,
 ) -> float:
     """Best-case VaR at level p under the order constraint.
@@ -260,44 +243,26 @@ def best_var_constrained(
     if _has_atoms(f) or _has_atoms(g):
         plan = dl_plan_discrete(fl, gl, grid_n, 0.0, trunc=trunc)
         return float(plan.sums_sorted[-1])
-    return best_ess_sup_constrained(fl, gl, grid_n=grid_n, scan_n=scan_n, trunc=trunc)
+    return best_ess_sup_constrained(fl, gl, grid_n=grid_n, trunc=trunc)
 
 
-def worst_var_unconstrained(
-    f: Dist, g: Dist, p: float, *, scan_n: int = _X_SCAN_N
-) -> float:
+def worst_var_unconstrained(f: Dist, g: Dist, p: float) -> float:
     """Worst-case VaR over all couplings: countermonotone upper tails."""
     p = _check_p(p)
-    xs = np.linspace(0.0, 1.0 - p, scan_n + 1)
-    obj = np.asarray(f.quantile_left(np.clip(p + xs, 0.0, 1.0))) + np.asarray(
-        g.quantile_left(1.0 - xs)
-    )
-    fn = lambda x: float(f.quantile_left(min(1.0, p + float(x)))) + float(
-        g.quantile_left(1.0 - float(x))
-    )
-    return float(refine_min(fn, xs, obj, tol=1e-10))
+    return _countermonotone_scan(f, g, p, 1.0, 1.0 - p, refine_min)
 
 
-def best_var_unconstrained(
-    f: Dist, g: Dist, p: float, *, scan_n: int = _X_SCAN_N
-) -> float:
+def best_var_unconstrained(f: Dist, g: Dist, p: float) -> float:
     """Best-case VaR over all couplings: countermonotone lower tails."""
     p = _check_p(p)
-    xs = np.linspace(0.0, p, scan_n + 1)
-    obj = np.asarray(f.quantile_left(xs)) + np.asarray(
-        g.quantile_left(np.clip(p - xs, 0.0, 1.0))
-    )
-    fn = lambda x: float(f.quantile_left(float(x))) + float(
-        g.quantile_left(max(0.0, p - float(x)))
-    )
-    return float(refine_max(fn, xs, obj, tol=1e-10))
+    return _countermonotone_scan(f, g, 0.0, p, p, refine_max)
 
 
 # ---------------------------------------------------------------------------
 # ES bounds
 
 
-def worst_es_constrained(f: Dist, g: Dist, p: float, **_ignored) -> float:
+def worst_es_constrained(f: Dist, g: Dist, p: float) -> float:
     """Worst-case ES at level p: ES_p(F) + ES_p(G).
 
     The order constraint does not improve the worst case (the tail
@@ -306,11 +271,6 @@ def worst_es_constrained(f: Dist, g: Dist, p: float, **_ignored) -> float:
     """
     p = _check_p(p)
     return es_eval(f, p) + es_eval(g, p)
-
-
-def worst_es_unconstrained(f: Dist, g: Dist, p: float, **_ignored) -> float:
-    """Worst-case ES over all couplings; comonotone additivity gives the same sum."""
-    return worst_es_constrained(f, g, p)
 
 
 def best_es_constrained(
@@ -328,7 +288,7 @@ def best_es_constrained(
 
 
 def best_es_unconstrained(
-    f: Dist, g: Dist, p: float, *, grid_n: int = DEFAULT_GRID_N, **_ignored
+    f: Dist, g: Dist, p: float, *, grid_n: int = DEFAULT_GRID_N
 ) -> float:
     """Best-case ES over all couplings: ES of the countermonotone sum."""
     p = _check_p(p)
@@ -381,22 +341,22 @@ def best_rvar_constrained(
 
 
 def worst_rvar_unconstrained(
-    f: Dist, g: Dist, p: float, q: float, *, grid_n: int = DEFAULT_GRID_N, **_ignored
+    f: Dist, g: Dist, p: float, q: float, *, grid_n: int = DEFAULT_GRID_N
 ) -> float:
     """Worst-case RVaR over all couplings: countermonotone upper p-tails."""
     p, q = _check_pq(p, q, allow_p0=True)
-    us = p + (1.0 - p) * _midlevels(grid_n)
+    us = p + (1.0 - p) * _midpoints(grid_n)
     s = np.asarray(f.quantile_left(us)) + np.asarray(g.quantile_left(us[::-1]))
     a = (q - p) / (1.0 - p)
     return _lower_frac_mean(np.sort(s), a)
 
 
 def best_rvar_unconstrained(
-    f: Dist, g: Dist, p: float, q: float, *, grid_n: int = DEFAULT_GRID_N, **_ignored
+    f: Dist, g: Dist, p: float, q: float, *, grid_n: int = DEFAULT_GRID_N
 ) -> float:
     """Best-case RVaR over all couplings: countermonotone lower q-tails."""
     p, q = _check_pq(p, q, allow_p0=False)
-    us = q * _midlevels(grid_n)
+    us = q * _midpoints(grid_n)
     s = np.asarray(f.quantile_left(us)) + np.asarray(g.quantile_left(us[::-1]))
     return _upper_frac_mean(np.sort(s), 1.0 - p / q)
 
@@ -407,7 +367,7 @@ def best_rvar_unconstrained(
 
 def ct_sum_values(f: Dist, g: Dist, *, grid_n: int = DEFAULT_GRID_N) -> np.ndarray:
     """Countermonotone sum evaluated on the midpoint level grid (unsorted)."""
-    us = _midlevels(grid_n)
+    us = _midpoints(grid_n)
     return np.asarray(f.quantile_left(us)) + np.asarray(g.quantile_left(us[::-1]))
 
 
@@ -447,13 +407,13 @@ def ct_sum_var(
 # probability bounds (VaR inversion)
 
 
-def _invert_nondecreasing(fn, t: float, tol: float = 1e-6) -> float:
+def _invert_nondecreasing(fn, t: float) -> float:
     lo, hi = 1e-9, 1.0 - 1e-9
     if fn(lo) > t:
         return 0.0
     if fn(hi) <= t:
         return 1.0
-    while hi - lo > tol:
+    while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
         if fn(mid) <= t:
             lo = mid
@@ -468,19 +428,15 @@ def prob_lower(
     t: float,
     *,
     grid_n: int = DEFAULT_GRID_N,
-    scan_n: int = _X_SCAN_N,
     trunc: float = DEFAULT_TRUNC,
-    tol: float = 1e-6,
 ) -> float:
     """Lower bound on P(X+Y <= t) under the order constraint.
 
     Inverse of the nondecreasing map p -> worst-case VaR_p; clamped to
     {0, 1} outside the attainable range.
     """
-    fn = lambda p: worst_var_constrained(
-        f, g, p, grid_n=grid_n, scan_n=scan_n, trunc=trunc
-    )
-    return _invert_nondecreasing(fn, float(t), tol)
+    fn = lambda p: worst_var_constrained(f, g, p, grid_n=grid_n, trunc=trunc)
+    return _invert_nondecreasing(fn, float(t))
 
 
 def prob_upper(
@@ -489,34 +445,26 @@ def prob_upper(
     t: float,
     *,
     grid_n: int = DEFAULT_GRID_N,
-    scan_n: int = _X_SCAN_N,
     trunc: float = DEFAULT_TRUNC,
-    tol: float = 1e-6,
 ) -> float:
     """Upper bound on P(X+Y <= t) under the order constraint.
 
     Inverse of the nondecreasing map p -> best-case VaR_p.
     """
-    fn = lambda p: best_var_constrained(
-        f, g, p, grid_n=grid_n, scan_n=scan_n, trunc=trunc
-    )
-    return _invert_nondecreasing(fn, float(t), tol)
+    fn = lambda p: best_var_constrained(f, g, p, grid_n=grid_n, trunc=trunc)
+    return _invert_nondecreasing(fn, float(t))
 
 
-def prob_lower_unconstrained(
-    f: Dist, g: Dist, t: float, *, scan_n: int = _X_SCAN_N, tol: float = 1e-6
-) -> float:
+def prob_lower_unconstrained(f: Dist, g: Dist, t: float) -> float:
     """Lower bound on P(X+Y <= t) over all couplings."""
-    fn = lambda p: worst_var_unconstrained(f, g, p, scan_n=scan_n)
-    return _invert_nondecreasing(fn, float(t), tol)
+    fn = lambda p: worst_var_unconstrained(f, g, p)
+    return _invert_nondecreasing(fn, float(t))
 
 
-def prob_upper_unconstrained(
-    f: Dist, g: Dist, t: float, *, scan_n: int = _X_SCAN_N, tol: float = 1e-6
-) -> float:
+def prob_upper_unconstrained(f: Dist, g: Dist, t: float) -> float:
     """Upper bound on P(X+Y <= t) over all couplings."""
-    fn = lambda p: best_var_unconstrained(f, g, p, scan_n=scan_n)
-    return _invert_nondecreasing(fn, float(t), tol)
+    fn = lambda p: best_var_unconstrained(f, g, p)
+    return _invert_nondecreasing(fn, float(t))
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +570,6 @@ def bound_report(
     q: float | None = None,
     t: float | None = None,
     grid_n: int = DEFAULT_GRID_N,
-    scan_n: int = _X_SCAN_N,
     trunc: float = DEFAULT_TRUNC,
 ) -> BoundReport:
     """All four extremes of one measure plus the spread reduction.
@@ -635,42 +582,41 @@ def bound_report(
         measure = _MEASURE_ALIASES[str(measure).lower()]
     except KeyError:
         raise DomainError(f"unknown measure {measure!r}") from None
-    kw = dict(grid_n=grid_n, scan_n=scan_n, trunc=trunc)
-    plain = dict(grid_n=grid_n, trunc=trunc)
+    kw = dict(grid_n=grid_n, trunc=trunc)
     if measure == "var":
         _check_p(p if p is not None else -1.0)
         cw = worst_var_constrained(f, g, p, **kw)
         cb = best_var_constrained(f, g, p, **kw)
-        uw = worst_var_unconstrained(f, g, p, scan_n=scan_n)
-        ub = best_var_unconstrained(f, g, p, scan_n=scan_n)
+        uw = worst_var_unconstrained(f, g, p)
+        ub = best_var_unconstrained(f, g, p)
     elif measure == "es":
         _check_p(p if p is not None else -1.0)
         cw = worst_es_constrained(f, g, p)
         uw = cw
-        cb = best_es_constrained(f, g, p, **plain)
+        cb = best_es_constrained(f, g, p, **kw)
         ub = best_es_unconstrained(f, g, p, grid_n=grid_n)
     elif measure == "rvar":
         if p is None or q is None:
             raise DomainError("rvar needs both p and q")
-        cw = worst_rvar_constrained(f, g, p, q, **plain)
-        cb = best_rvar_constrained(f, g, p, q, **plain)
+        cw = worst_rvar_constrained(f, g, p, q, **kw)
+        cb = best_rvar_constrained(f, g, p, q, **kw)
         uw = worst_rvar_unconstrained(f, g, p, q, grid_n=grid_n)
         ub = best_rvar_unconstrained(f, g, p, q, grid_n=grid_n)
     elif measure == "ess_inf":
         cw = worst_ess_inf_constrained(f, g, **kw)
-        uw = worst_ess_inf_unconstrained(f, g, scan_n=scan_n)
+        uw = worst_ess_inf_unconstrained(f, g)
         cb = ub = float(f.quantile_left(0.0)) + float(g.quantile_left(0.0))
     elif measure == "ess_sup":
         cb = best_ess_sup_constrained(f, g, **kw)
-        ub = best_ess_sup_unconstrained(f, g, scan_n=scan_n)
+        ub = best_ess_sup_unconstrained(f, g)
         cw = uw = float(f.quantile_left(1.0)) + float(g.quantile_left(1.0))
     else:
         if t is None:
             raise DomainError("prob needs a threshold t")
         cb = prob_lower(f, g, t, **kw)
         cw = prob_upper(f, g, t, **kw)
-        ub = prob_lower_unconstrained(f, g, t, scan_n=scan_n)
-        uw = prob_upper_unconstrained(f, g, t, scan_n=scan_n)
+        ub = prob_lower_unconstrained(f, g, t)
+        uw = prob_upper_unconstrained(f, g, t)
 
     ub, cb, cw, uw = _snap_nesting(ub, cb, cw, uw, grid_n)
     try:

@@ -181,28 +181,30 @@ def _write_json(path, payload) -> None:
     print(f"wrote {path}")
 
 
+def _project(f: Dist, g: Dist):
+    """Isotonic repair of an empirical pair; the result must hold the order exactly."""
+    f, g = isotonic_pair_projection(f, g)
+    if not check_st(f, g, tol=0.0).holds:
+        raise OrdriskError("isotonic projection left an order violation")
+    return f, g
+
+
 def _order_gate(f: Dist, g: Dist, project: bool):
-    """Check F <= G stochastically; optionally repair empirical pairs."""
+    """Check F <= G stochastically; optionally repair empirical pairs.
+
+    Returns the (possibly repaired) pair and the measured violation.
+    """
     rep = check_st(f, g)
-    log = {
-        "max_violation": float(rep.max_violation),
-        "witness": None if rep.witness is None else float(rep.witness),
-        "projected": False,
-    }
     if rep.holds:
-        return f, g, log
+        return f, g, rep.max_violation
     if not project:
         print(
             "order check failed; --project repairs empirical or grid marginals",
             file=sys.stderr,
         )
         raise OrderViolationError(rep)
-    f, g = isotonic_pair_projection(f, g)
-    after = check_st(f, g, tol=0.0)
-    if not after.holds:
-        raise OrdriskError("isotonic projection left an order violation")
-    log["projected"] = True
-    return f, g, log
+    f, g = _project(f, g)
+    return f, g, rep.max_violation
 
 
 def _emit_bound_outputs(f: Dist, g: Dist, cfg: RunConfig) -> None:
@@ -257,8 +259,8 @@ def _emit_bound_outputs(f: Dist, g: Dist, cfg: RunConfig) -> None:
 def cmd_bounds(cfg: RunConfig) -> int:
     f = parse_marginal(cfg.marg_f)
     g = parse_marginal(cfg.marg_g)
-    f, g, log = _order_gate(f, g, cfg.project)
-    print(f"order check: max violation {log['max_violation']:.6g}")
+    f, g, mv = _order_gate(f, g, cfg.project)
+    print(f"order check: max violation {mv:.6g}")
     _emit_bound_outputs(f, g, cfg)
     return 0
 
@@ -281,8 +283,8 @@ def cmd_probbounds(cfg: RunConfig) -> int:
     f = parse_marginal(cfg.marg_f)
     g = parse_marginal(cfg.marg_g)
     ts = cfg.thresholds()
-    f, g, log = _order_gate(f, g, cfg.project)
-    print(f"order check: max violation {log['max_violation']:.6g}")
+    f, g, mv = _order_gate(f, g, cfg.project)
+    print(f"order check: max violation {mv:.6g}")
     os.makedirs(cfg.out_dir, exist_ok=True)
     plan = dl_plan_discrete(f, g, cfg.grid_n, 0.0, trunc=cfg.trunc, check=False)
     ct = np.sort(ct_sum_values(f, g, grid_n=cfg.grid_n))
@@ -346,7 +348,7 @@ def cmd_casestudy(cfg: RunConfig) -> int:
     ghat = empirical_from_samples(tot_y)
 
     rep = check_st(fhat, ghat)
-    mv = max(float(rep.max_violation), 0.0)
+    mv = rep.max_violation
     thr = (
         cfg.max_violation
         if cfg.max_violation is not None
@@ -366,10 +368,7 @@ def cmd_casestudy(cfg: RunConfig) -> int:
                 file=sys.stderr,
             )
             raise OrderViolationError(rep)
-        fhat, ghat = isotonic_pair_projection(fhat, ghat)
-        after = check_st(fhat, ghat, tol=0.0)
-        if not after.holds:
-            raise OrdriskError("isotonic projection left an order violation")
+        fhat, ghat = _project(fhat, ghat)
         projected = True
     print(f"order check: max violation {mv:.6g} (threshold {thr:.6g})")
 
@@ -384,7 +383,7 @@ def cmd_casestudy(cfg: RunConfig) -> int:
             "replicates": cfg.replicates,
             "seed": cfg.seed,
             "max_violation": mv,
-            "witness": None if rep.witness is None else float(rep.witness),
+            "witness": rep.witness,
             "threshold": thr,
             "projected": projected,
         },

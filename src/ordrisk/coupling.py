@@ -57,11 +57,10 @@ DEFAULT_SCAN_N = 2048
 COUPLING_KINDS = ("comonotone", "countermonotone", "dl")
 
 
-def _require_order(f: Dist, g: Dist, tol=None):
-    report = check_st(f, g, tol=tol)
+def _require_order(f: Dist, g: Dist):
+    report = check_st(f, g)
     if not report.holds:
         raise OrderViolationError(report)
-    return report
 
 
 class TransportEvaluator:
@@ -73,21 +72,11 @@ class TransportEvaluator:
     cell wide.
     """
 
-    def __init__(
-        self,
-        f: Dist,
-        g: Dist,
-        *,
-        scan_n: int = DEFAULT_SCAN_N,
-        trunc: float = DEFAULT_TRUNC,
-        check: bool = True,
-        order_tol: float | None = None,
-    ):
-        if check:
-            _require_order(f, g, order_tol)
+    def __init__(self, f: Dist, g: Dist, *, trunc: float = DEFAULT_TRUNC):
+        _require_order(f, g)
         self.f = f
         self.g = g
-        self.zs = _merged_grid(f, g, scan_n, trunc)
+        self.zs = _merged_grid(f, g, DEFAULT_SCAN_N, trunc)
         self.dz = np.asarray(f.cdf(self.zs), dtype=float) - np.asarray(
             g.cdf(self.zs), dtype=float
         )
@@ -160,7 +149,6 @@ def transport_upper(
     g: Dist,
     x: float,
     *,
-    scan_n: int = DEFAULT_SCAN_N,
     trunc: float = DEFAULT_TRUNC,
     evaluator: TransportEvaluator | None = None,
 ) -> float:
@@ -168,48 +156,32 @@ def transport_upper(
 
     Requires F <= G in the usual stochastic order.
     """
-    ev = evaluator or TransportEvaluator(f, g, scan_n=scan_n, trunc=trunc)
+    ev = evaluator or TransportEvaluator(f, g, trunc=trunc)
     return ev.upper(float(x))
 
 
-def transport_lower(
-    f: Dist,
-    g: Dist,
-    x: float,
-    *,
-    scan_n: int = DEFAULT_SCAN_N,
-    trunc: float = DEFAULT_TRUNC,
-) -> float:
+def transport_lower(f: Dist, g: Dist, x: float, *, trunc: float = DEFAULT_TRUNC) -> float:
     """sup{t <= x : F(t)-G(t) < F(x)-G(x)}; -inf on an empty set.
 
     Computed through the reflection identity
     ``-transport_upper(negate(G), negate(F), -x)``.
     """
-    fr = negate_dist(g, grid_n=max(scan_n, DEFAULT_GRID_N), trunc=trunc)
-    gr = negate_dist(f, grid_n=max(scan_n, DEFAULT_GRID_N), trunc=trunc)
-    return -transport_upper(fr, gr, -float(x), scan_n=scan_n, trunc=trunc)
+    fr = negate_dist(g, grid_n=DEFAULT_GRID_N, trunc=trunc)
+    gr = negate_dist(f, grid_n=DEFAULT_GRID_N, trunc=trunc)
+    return -transport_upper(fr, gr, -float(x), trunc=trunc)
 
 
-def dl_cdf(
-    f: Dist,
-    g: Dist,
-    x: float,
-    y: float,
-    *,
-    scan_n: int = DEFAULT_SCAN_N,
-    trunc: float = DEFAULT_TRUNC,
-    evaluator: TransportEvaluator | None = None,
-) -> float:
+def dl_cdf(f: Dist, g: Dist, x: float, y: float, *, trunc: float = DEFAULT_TRUNC) -> float:
     """Bivariate CDF of the directed coupling at (x, y).
 
     Equals G(y) when y <= x, otherwise
     ``F(x) - inf_{z in [x,y]} (F(z) - G(z))``, clamped to [0, 1].
     """
     x, y = float(x), float(y)
-    ev = evaluator or TransportEvaluator(f, g, scan_n=scan_n, trunc=trunc)
+    ev = TransportEvaluator(f, g, trunc=trunc)
     if y <= x:
-        return float(ev.g.cdf(y))
-    val = float(ev.f.cdf(x)) - ev.min_between(x, y)
+        return float(g.cdf(y))
+    val = float(f.cdf(x)) - ev.min_between(x, y)
     return min(1.0, max(0.0, val))
 
 
@@ -222,22 +194,24 @@ class DlPlan:
     """Discrete directed coupling between two n-point quantile grids.
 
     Pair k carries mass 1/n and matches the k-th largest F-grid point
-    with the smallest still-available G-grid point above it. ``tag`` is
-    "common" where the pair sits on the diagonal and "singular"
-    otherwise. ``p`` is the tail level the grids were drawn from (0 for
-    whole distributions).
+    with the smallest still-available G-grid point above it. ``p`` is
+    the tail level the grids were drawn from (0 for whole distributions).
     """
 
     n: int
     p: float
     x: np.ndarray = field(repr=False)
     y: np.ndarray = field(repr=False)
-    tag: np.ndarray = field(repr=False)
     y_index: np.ndarray = field(repr=False)
 
     @cached_property
     def sums_sorted(self) -> np.ndarray:
         return np.sort(self.x + self.y)
+
+    @cached_property
+    def tag(self) -> np.ndarray:
+        """``"common"`` where the pair sits on the diagonal, ``"singular"`` otherwise."""
+        return np.where(self.x == self.y, "common", "singular")
 
     def __repr__(self):
         common = int(np.count_nonzero(self.tag == "common"))
@@ -307,8 +281,7 @@ def dl_plan_discrete(
         x_out[i] = x
         y_out[i] = ys[m]
         y_idx[i] = m
-    tags = np.where(x_out == y_out, "common", "singular")
-    return DlPlan(n=n, p=p, x=x_out, y=y_out, tag=tags, y_index=y_idx)
+    return DlPlan(n=n, p=p, x=x_out, y=y_out, y_index=y_idx)
 
 
 def dl_sum_cdf(plan: DlPlan, t):

@@ -40,9 +40,6 @@ __all__ = [
     "Empirical",
     "QuantileGrid",
     "OrderCheckReport",
-    "cdf_eval",
-    "quantile_left",
-    "quantile_right",
     "upper_tail",
     "lower_tail",
     "negate_dist",
@@ -320,22 +317,8 @@ class QuantileGrid(Dist):
         return float(self.xs[-1])
 
 
-def cdf_eval(d: Dist, x):
-    """Evaluate the CDF of ``d`` at ``x`` (scalar or array)."""
-    return d.cdf(x)
-
-
-def quantile_left(d: Dist, u):
-    """Left generalized inverse ``inf{t : F(t) >= u}`` for ``u`` in [0, 1]."""
-    return d.quantile_left(u)
-
-
-def quantile_right(d: Dist, u):
-    """Right generalized inverse ``inf{t : F(t) > u}``; ``u = 1`` maps to the upper endpoint."""
-    return d.quantile_right(u)
-
-
 def _midpoints(n: int) -> np.ndarray:
+    n = int(n)
     return (np.arange(n) + 0.5) / n
 
 
@@ -349,7 +332,7 @@ def to_grid(d: Dist, n: int = DEFAULT_GRID_N, trunc: float = DEFAULT_TRUNC) -> Q
         raise DomainError("grid size must be at least 2")
     if not (0.5 < trunc < 1.0):
         raise DomainError("truncation level must lie in (0.5, 1)")
-    us = _midpoints(int(n))
+    us = _midpoints(n)
     xs = d.quantile_left(np.clip(us, 1.0 - trunc, trunc))
     return QuantileGrid(us, xs)
 
@@ -381,7 +364,7 @@ def upper_tail(
         return Empirical(d.values[keep], w[keep] / (1.0 - p))
     # The conditional support has a finite lower endpoint at F^{-1}(p);
     # pin it with a near-zero node so tail grids do not undershoot it.
-    us = np.concatenate(([1e-9], _midpoints(int(grid_n))))
+    us = np.concatenate(([1e-9], _midpoints(grid_n)))
     levels = np.clip(p + (1.0 - p) * us, 1.0 - trunc, trunc)
     return QuantileGrid(us, d.quantile_left(levels))
 
@@ -409,7 +392,7 @@ def lower_tail(
         return Empirical(d.values[keep], w[keep] / p)
     # Mirror of the endpoint pin in upper_tail: the conditional support
     # ends at the finite quantile F^{-1}(p).
-    us = np.concatenate((_midpoints(int(grid_n)), [1.0 - 1e-9]))
+    us = np.concatenate((_midpoints(grid_n), [1.0 - 1e-9]))
     levels = np.clip(p * us, 1.0 - trunc, trunc)
     return QuantileGrid(us, d.quantile_left(levels))
 
@@ -496,7 +479,7 @@ def _merged_grid(f: Dist, g: Dist, grid_size: int, trunc: float = DEFAULT_TRUNC)
     return np.unique(ts)
 
 
-def _default_order_tol(f: Dist, g: Dist, grid_size: int) -> float:
+def _default_check_tol(f: Dist, g: Dist, grid_size: int) -> float:
     if f.kind in _PARAMETRIC_KINDS and g.kind in _PARAMETRIC_KINDS:
         return 1e-9
     return 2.0 / grid_size
@@ -510,7 +493,7 @@ def check_st(f: Dist, g: Dist, grid_size: int = 2048, tol: float | None = None) 
     ``2/grid_size`` when an empirical or grid kind is involved.
     """
     if tol is None:
-        tol = _default_order_tol(f, g, grid_size)
+        tol = _default_check_tol(f, g, grid_size)
     ts = _merged_grid(f, g, grid_size)
     d = np.asarray(f.cdf(ts)) - np.asarray(g.cdf(ts))
     i = int(np.argmin(d))
@@ -526,7 +509,7 @@ def check_ss(f: Dist, g: Dist, grid_size: int = 2048, tol: float | None = None) 
     positive increase of ``F - G`` along the merged grid.
     """
     if tol is None:
-        tol = _default_order_tol(f, g, grid_size)
+        tol = _default_check_tol(f, g, grid_size)
     ts = _merged_grid(f, g, grid_size)
     lo = g.support_lo
     if math.isfinite(lo):
@@ -541,14 +524,16 @@ def check_ss(f: Dist, g: Dist, grid_size: int = 2048, tol: float | None = None) 
 
 
 def isotonic_pair_projection(f_hat: Dist, g_hat: Dist, w_f: float = 1.0, w_g: float = 1.0):
-    """Project a CDF pair onto the stochastic-order cone ``F >= G`` pointwise.
+    """Repair a CDF pair so that ``F(t) >= G(t)`` at every merged atom ``t``.
 
-    At every grid threshold where the estimates already satisfy
-    ``F(t) >= G(t)`` they are left untouched; where they cross, both are
-    replaced by the weighted average, which is the weighted
-    least-squares optimum under the constraint at that threshold. The
-    curves are re-monotonized and returned as a pair of empirical
-    distributions on the merged atom grid.
+    At each atom where the estimates already satisfy ``F(t) >= G(t)``
+    they are left untouched. At each atom where they cross, both are
+    replaced by their weighted average ``(w_f F + w_g G) / (w_f + w_g)``,
+    pooled at that point on its own. A running max then makes both
+    curves nondecreasing again, and they are returned as a pair of
+    empirical distributions on the merged atom grid. The result lies in
+    the order cone, but it is not the weighted least-squares projection
+    onto it, which would pool across neighbouring atoms as well.
     """
     if not (w_f > 0 and w_g > 0):
         raise DomainError("projection weights must be positive")

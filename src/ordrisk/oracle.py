@@ -20,6 +20,7 @@ from .dist import (
     DEFAULT_GRID_N,
     Dist,
     OrderCheckReport,
+    _midpoints,
     check_ss,
     empirical_from_samples,
     upper_tail,
@@ -37,10 +38,6 @@ __all__ = [
 ]
 
 
-def _midlevels(n: int) -> np.ndarray:
-    return (np.arange(int(n)) + 0.5) / int(n)
-
-
 def ra_unconstrained_var(f: Dist, g: Dist, p: float, n: int) -> float:
     """Rearrangement value of the worst-case unconstrained VaR at level p.
 
@@ -55,7 +52,7 @@ def ra_unconstrained_var(f: Dist, g: Dist, p: float, n: int) -> float:
     n = int(n)
     if n < 2:
         raise DomainError("rearrangement grid needs n >= 2")
-    us = p + (1.0 - p) * _midlevels(n)
+    us = p + (1.0 - p) * _midpoints(n)
     rows = np.asarray(f.quantile_left(us)) + np.asarray(g.quantile_left(us))[::-1]
     return float(rows.min())
 
@@ -154,6 +151,6 @@ def comonotone_es(f: Dist, g: Dist, p: float, *, grid_n: int = DEFAULT_GRID_N) -
     p = float(p)
     if not 0.0 < p < 1.0:
         raise DomainError("level p must lie in (0, 1)")
-    us = p + (1.0 - p) * _midlevels(grid_n)
+    us = p + (1.0 - p) * _midpoints(grid_n)
     vals = np.asarray(f.quantile_left(us)) + np.asarray(g.quantile_left(us))
     return math.fsum(vals.tolist()) / int(grid_n)

@@ -45,6 +45,12 @@ def test_worst_ess_inf_unconstrained():
     assert_allclose(B.worst_ess_inf_unconstrained(PF, PG), 3.0 + 2.0 * SQ2, atol=1e-6)
 
 
+def test_best_ess_sup_unconstrained_uniforms():
+    # countermonotone: max over u of u + 1.5 (1 - u), attained at u = 0
+    got = B.best_ess_sup_unconstrained(Uniform(0, 1), Uniform(0, 1.5))
+    assert_allclose(got, 1.5, rtol=1e-9)
+
+
 def test_ess_inf_comonotone_floor():
     # the comonotone coupling attains the unconstrained best
     assert PF.quantile_left(0.0) + PG.quantile_left(0.0) == 3.0
@@ -116,7 +122,6 @@ def test_empirical_var_plan_route():
 def test_worst_es_additive():
     f, g = Uniform(0, 100), Uniform(0, 120)
     assert_allclose(B.worst_es_constrained(f, g, 0.9), es_eval(f, 0.9) + es_eval(g, 0.9))
-    assert B.worst_es_unconstrained(f, g, 0.9) == B.worst_es_constrained(f, g, 0.9)
 
 
 def test_worst_es_infinite_tail():
@@ -301,6 +306,35 @@ def test_report_alias_and_errors():
         B.bound_report(PF, PG, "rvar", p=0.9)
     with pytest.raises(DomainError):
         B.bound_report(PF, PG, "prob")
+
+
+_U, _V = Uniform(0, 100), Uniform(0, 120)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: B.worst_es_constrained(_U, _V, 0.9, gird_n=100),
+        lambda: B.best_es_unconstrained(_U, _V, 0.9, gird_n=100),
+        lambda: B.worst_rvar_unconstrained(_U, _V, 0.5, 0.9, gird_n=100),
+        lambda: B.best_rvar_unconstrained(_U, _V, 0.5, 0.9, gird_n=100),
+        lambda: B.best_es_constrained(_U, _V, 0.9, gird_n=100),
+        lambda: B.bound_report(_U, _V, "var", p=0.9, scan_n=10),
+        lambda: B.prob_lower(_U, _V, 100.0, tol=1e-3),
+    ],
+    ids=[
+        "worst_es_constrained",
+        "best_es_unconstrained",
+        "worst_rvar_unconstrained",
+        "best_rvar_unconstrained",
+        "best_es_constrained",
+        "bound_report-scan_n",
+        "prob_lower-tol",
+    ],
+)
+def test_unknown_keyword_rejected(call):
+    with pytest.raises(TypeError):
+        call()
 
 
 @settings(max_examples=15, deadline=None)

@@ -23,7 +23,6 @@ from ordrisk.dist import (
     isotonic_pair_projection,
     lower_tail,
     negate_dist,
-    quantile_left,
     read_empirical_csv,
     rvar_eval,
     to_grid,
@@ -88,9 +87,9 @@ def test_normal_matches_ndtri():
 
 def test_quantile_level_validation():
     with pytest.raises(DomainError):
-        quantile_left(Uniform(0, 1), 1.5)
+        Uniform(0, 1).quantile_left(1.5)
     with pytest.raises(DomainError):
-        quantile_left(Uniform(0, 1), -0.1)
+        Uniform(0, 1).quantile_left(-0.1)
 
 
 # ---------------------------------------------------------------------------
