@@ -70,11 +70,10 @@ def _has_atoms(d: Dist) -> bool:
     return isinstance(d, Empirical)
 
 
-def _check_p(p: float) -> float:
-    p = float(p)
-    if not 0.0 < p < 1.0:
+def _check_p(p: float | None) -> float:
+    if p is None or not 0.0 < float(p) < 1.0:
         raise DomainError("level p must lie in (0, 1)")
-    return p
+    return float(p)
 
 
 def _check_pq(p: float, q: float, *, allow_p0: bool) -> tuple[float, float]:
@@ -240,9 +239,6 @@ def best_var_constrained(
     p = _check_p(p)
     fl = lower_tail(f, p, grid_n=grid_n, trunc=trunc)
     gl = lower_tail(g, p, grid_n=grid_n, trunc=trunc)
-    if _has_atoms(f) or _has_atoms(g):
-        plan = dl_plan_discrete(fl, gl, grid_n, 0.0, trunc=trunc)
-        return float(plan.sums_sorted[-1])
     return best_ess_sup_constrained(fl, gl, grid_n=grid_n, trunc=trunc)
 
 
@@ -584,13 +580,11 @@ def bound_report(
         raise DomainError(f"unknown measure {measure!r}") from None
     kw = dict(grid_n=grid_n, trunc=trunc)
     if measure == "var":
-        _check_p(p if p is not None else -1.0)
         cw = worst_var_constrained(f, g, p, **kw)
         cb = best_var_constrained(f, g, p, **kw)
         uw = worst_var_unconstrained(f, g, p)
         ub = best_var_unconstrained(f, g, p)
     elif measure == "es":
-        _check_p(p if p is not None else -1.0)
         cw = worst_es_constrained(f, g, p)
         uw = cw
         cb = best_es_constrained(f, g, p, **kw)

@@ -9,23 +9,22 @@ casestudy    bootstrap totals from two observation files, order repair,
              then the bounds pipeline
 selftest     analytic oracle checks; nonzero exit on any failure
 
-Exit codes: 0 success, 2 precondition or order failure, 3 I/O failure,
-4 selftest failure. All outputs are deterministic for a fixed config
-and seed. Infinite values are written as ``inf``/``-inf`` in CSV and
-as the strings ``"inf"``/``"-inf"`` in JSON; undefined cells are empty
-in CSV and ``null`` in JSON.
+Every flag is checked before any marginal is parsed, any input file is
+read or any output is written. Exit codes: 0 success, 2 precondition or
+order failure, 3 I/O failure, 4 selftest failure. All outputs are
+deterministic for fixed flags and seed. Infinite values are written as
+``inf``/``-inf`` in CSV and as the strings ``"inf"``/``"-inf"`` in JSON;
+undefined cells are empty in CSV and ``null`` in JSON.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,67 +71,45 @@ from .errors import (
 _MEASURES = ("var", "es", "rvar", "essinf", "esssup")
 
 
-@dataclass
-class RunConfig:
-    """One flat config shared by every subcommand; unused fields stay None."""
+def _grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """``lo, lo + step, ...`` up to ``hi``; the slack keeps ``hi`` despite rounding."""
+    k = int(math.floor((hi - lo) / step + 1e-9))
+    return lo + step * np.arange(k + 1)
 
-    marg_f: str | None = None
-    marg_g: str | None = None
-    p_from: float = 0.900
-    p_to: float = 0.995
-    p_step: float = 0.005
-    grid_n: int = DEFAULT_GRID_N
-    trunc: float = DEFAULT_TRUNC
-    seed: int = 0
-    out_dir: str = "."
-    project: bool = False
-    measure: str = "var"
-    q: float | None = None
-    t_from: float | None = None
-    t_to: float | None = None
-    t_step: float | None = None
-    kind: str | None = None
-    size: int | None = None
-    jitter: bool = False
-    obs_x: str | None = None
-    obs_y: str | None = None
-    group_x: int | None = None
-    group_y: int | None = None
-    replicates: int = 1000
-    max_violation: float | None = None
-    perturb: float = 0.0
 
-    def validate(self) -> None:
-        if not (0.0 < self.p_from <= self.p_to < 1.0):
+def _validate(args: argparse.Namespace) -> None:
+    """Every flag check, each applied where the subcommand has the flag."""
+    a = vars(args)
+    if "p_from" in a:
+        if not (0.0 < args.p_from <= args.p_to < 1.0):
             raise DomainError("level grid must satisfy 0 < p_from <= p_to < 1")
-        if self.p_step <= 0.0:
+        if args.p_step <= 0.0:
             raise DomainError("p step must be positive")
-        if self.grid_n < 100:
+    if "grid_n" in a:
+        if args.grid_n < 100:
             raise DomainError("grid_n must be at least 100")
-        if not 0.5 < self.trunc < 1.0:
+        if not 0.5 < args.trunc < 1.0:
             raise DomainError("truncation level must lie in (0.5, 1)")
-        if self.q is not None and not 0.0 < self.q < 1.0:
-            raise DomainError("q must lie in (0, 1)")
-        if self.replicates < 1:
-            raise DomainError("replicate count must be positive")
-        if self.size is not None and self.size < 1:
-            raise DomainError("sample size must be positive")
-        if self.t_step is not None and self.t_step <= 0.0:
+    q = a.get("q")
+    if q is not None and not 0.0 < q < 1.0:
+        raise DomainError("q must lie in (0, 1)")
+    if a.get("replicates", 1) < 1:
+        raise DomainError("replicate count must be positive")
+    if a.get("size", 1) < 1:
+        raise DomainError("sample size must be positive")
+    if "t_step" in a:
+        if args.t_step <= 0.0:
             raise DomainError("t step must be positive")
-        if self.max_violation is not None and self.max_violation < 0.0:
-            raise DomainError("violation threshold must be nonnegative")
-
-    def levels(self) -> np.ndarray:
-        k = int(math.floor((self.p_to - self.p_from) / self.p_step + 1e-9))
-        return np.round(self.p_from + self.p_step * np.arange(k + 1), 12)
-
-    def thresholds(self) -> np.ndarray:
-        if self.t_from is None or self.t_to is None or self.t_step is None:
-            raise DomainError("probbounds needs --t-from, --t-to and --t-step")
-        if self.t_from > self.t_to:
+        if args.t_from > args.t_to:
             raise DomainError("threshold grid must satisfy t_from <= t_to")
-        k = int(math.floor((self.t_to - self.t_from) / self.t_step + 1e-9))
-        return self.t_from + self.t_step * np.arange(k + 1)
+    mv = a.get("max_violation")
+    if mv is not None and mv < 0.0:
+        raise DomainError("violation threshold must be nonnegative")
+    if a.get("measure") == "rvar":
+        if q is None:
+            raise DomainError("measure rvar requires --q")
+        if q <= args.p_to:
+            raise DomainError("q must exceed the top of the level grid")
 
 
 def parse_marginal(spec: str) -> Dist:
@@ -189,37 +166,34 @@ def _project(f: Dist, g: Dist):
     return f, g
 
 
-def _order_gate(f: Dist, g: Dist, project: bool):
-    """Check F <= G stochastically; optionally repair empirical pairs.
+def _ordered_marginals(args: argparse.Namespace):
+    """Parse --margF/--margG and check F <= G stochastically.
 
-    Returns the (possibly repaired) pair and the measured violation.
+    A failing pair is refused, or repaired when ``--project`` is set.
     """
+    f = parse_marginal(args.marg_f)
+    g = parse_marginal(args.marg_g)
     rep = check_st(f, g)
-    if rep.holds:
-        return f, g, rep.max_violation
-    if not project:
-        print(
-            "order check failed; --project repairs empirical or grid marginals",
-            file=sys.stderr,
-        )
-        raise OrderViolationError(rep)
-    f, g = _project(f, g)
-    return f, g, rep.max_violation
+    if not rep.holds:
+        if not args.project:
+            print(
+                "order check failed; --project repairs empirical or grid marginals",
+                file=sys.stderr,
+            )
+            raise OrderViolationError(rep)
+        f, g = _project(f, g)
+    print(f"order check: max violation {rep.max_violation:.6g}")
+    return f, g
 
 
-def _emit_bound_outputs(f: Dist, g: Dist, cfg: RunConfig) -> None:
+def _emit_bound_outputs(f: Dist, g: Dist, args: argparse.Namespace) -> None:
     """Curve CSV, per-level coupling VaRs and JSON reports for one pair."""
-    measure = cfg.measure
-    if measure == "rvar":
-        if cfg.q is None:
-            raise DomainError("measure rvar requires --q")
-        if cfg.q <= cfg.p_to:
-            raise DomainError("q must exceed the top of the level grid")
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    ps = [float(p) for p in cfg.levels()]
+    os.makedirs(args.out_dir, exist_ok=True)
+    levels = np.round(_grid(args.p_from, args.p_to, args.p_step), 12)
+    ps = [float(p) for p in levels]
     reports = [
         bound_report(
-            f, g, measure, p=p, q=cfg.q, grid_n=cfg.grid_n, trunc=cfg.trunc
+            f, g, args.measure, p=p, q=args.q, grid_n=args.grid_n, trunc=args.trunc
         )
         for p in ps
     ]
@@ -235,33 +209,30 @@ def _emit_bound_outputs(f: Dist, g: Dist, cfg: RunConfig) -> None:
         for r in reports
     ]
     _write_csv(
-        os.path.join(cfg.out_dir, "curve.csv"),
+        os.path.join(args.out_dir, "curve.csv"),
         ["p", "L", "Lo", "Uo", "U", "R"],
         rows,
     )
-    plan = dl_plan_discrete(f, g, cfg.grid_n, 0.0, trunc=cfg.trunc, check=False)
-    ct = np.sort(ct_sum_values(f, g, grid_n=cfg.grid_n))
+    plan = dl_plan_discrete(f, g, args.grid_n, 0.0, trunc=args.trunc, check=False)
+    ct = np.sort(ct_sum_values(f, g, grid_n=args.grid_n))
     crows = [
         (p, dl_sum_var(f, g, p, plan=plan), ct_sum_var(f, g, p, values=ct))
         for p in ps
     ]
     _write_csv(
-        os.path.join(cfg.out_dir, "couplings.csv"),
+        os.path.join(args.out_dir, "couplings.csv"),
         ["p", "var_dl", "var_ct"],
         crows,
     )
     _write_json(
-        os.path.join(cfg.out_dir, "reports.json"),
+        os.path.join(args.out_dir, "reports.json"),
         [r.to_json_dict() for r in reports],
     )
 
 
-def cmd_bounds(cfg: RunConfig) -> int:
-    f = parse_marginal(cfg.marg_f)
-    g = parse_marginal(cfg.marg_g)
-    f, g, mv = _order_gate(f, g, cfg.project)
-    print(f"order check: max violation {mv:.6g}")
-    _emit_bound_outputs(f, g, cfg)
+def cmd_bounds(args: argparse.Namespace) -> int:
+    f, g = _ordered_marginals(args)
+    _emit_bound_outputs(f, g, args)
     return 0
 
 
@@ -279,18 +250,14 @@ def _nest4(m: float, mo: float, big_mo: float, big_m: float):
     return tuple(out)
 
 
-def cmd_probbounds(cfg: RunConfig) -> int:
-    f = parse_marginal(cfg.marg_f)
-    g = parse_marginal(cfg.marg_g)
-    ts = cfg.thresholds()
-    f, g, mv = _order_gate(f, g, cfg.project)
-    print(f"order check: max violation {mv:.6g}")
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    plan = dl_plan_discrete(f, g, cfg.grid_n, 0.0, trunc=cfg.trunc, check=False)
-    ct = np.sort(ct_sum_values(f, g, grid_n=cfg.grid_n))
-    kw = dict(grid_n=cfg.grid_n, trunc=cfg.trunc)
+def cmd_probbounds(args: argparse.Namespace) -> int:
+    f, g = _ordered_marginals(args)
+    os.makedirs(args.out_dir, exist_ok=True)
+    plan = dl_plan_discrete(f, g, args.grid_n, 0.0, trunc=args.trunc, check=False)
+    ct = np.sort(ct_sum_values(f, g, grid_n=args.grid_n))
+    kw = dict(grid_n=args.grid_n, trunc=args.trunc)
     rows = []
-    for t in ts:
+    for t in _grid(args.t_from, args.t_to, args.t_step):
         t = float(t)
         m = prob_lower_unconstrained(f, g, t)
         mo = prob_lower(f, g, t, **kw)
@@ -301,29 +268,29 @@ def cmd_probbounds(cfg: RunConfig) -> int:
         p_ct = float(np.searchsorted(ct, t, side="right")) / ct.size
         rows.append((t, m, mo, big_mo, big_m, p_dl, p_ct))
     _write_csv(
-        os.path.join(cfg.out_dir, "probbounds.csv"),
+        os.path.join(args.out_dir, "probbounds.csv"),
         ["t", "m", "mo", "Mo", "M", "prob_dl", "prob_ct"],
         rows,
     )
     return 0
 
 
-def cmd_sample(cfg: RunConfig) -> int:
-    f = parse_marginal(cfg.marg_f)
-    g = parse_marginal(cfg.marg_g)
+def cmd_sample(args: argparse.Namespace) -> int:
+    f = parse_marginal(args.marg_f)
+    g = parse_marginal(args.marg_g)
     batch = sample_coupling(
         f,
         g,
-        cfg.kind,
-        cfg.size,
-        cfg.seed,
-        jitter=cfg.jitter,
-        plan_n=cfg.grid_n,
-        trunc=cfg.trunc,
+        args.kind,
+        args.size,
+        args.seed,
+        jitter=args.jitter,
+        plan_n=args.grid_n,
+        trunc=args.trunc,
     )
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    csv_path = os.path.join(cfg.out_dir, "samples.csv")
-    export_batch_csv(batch, csv_path, os.path.join(cfg.out_dir, "samples.json"))
+    os.makedirs(args.out_dir, exist_ok=True)
+    csv_path = os.path.join(args.out_dir, "samples.csv")
+    export_batch_csv(batch, csv_path, os.path.join(args.out_dir, "samples.json"))
     print(f"wrote {csv_path}")
     return 0
 
@@ -336,12 +303,12 @@ def _bootstrap_totals(rng, d, group: int, replicates: int) -> np.ndarray:
     return draws.sum(axis=1)
 
 
-def cmd_casestudy(cfg: RunConfig) -> int:
-    obs_x = read_empirical_csv(cfg.obs_x)
-    obs_y = read_empirical_csv(cfg.obs_y)
-    rng = np.random.default_rng(cfg.seed)
-    tot_x = _bootstrap_totals(rng, obs_x, cfg.group_x, cfg.replicates)
-    tot_y = _bootstrap_totals(rng, obs_y, cfg.group_y, cfg.replicates)
+def cmd_casestudy(args: argparse.Namespace) -> int:
+    obs_x = read_empirical_csv(args.obs_x)
+    obs_y = read_empirical_csv(args.obs_y)
+    rng = np.random.default_rng(args.seed)
+    tot_x = _bootstrap_totals(rng, obs_x, args.group_x, args.replicates)
+    tot_y = _bootstrap_totals(rng, obs_y, args.group_y, args.replicates)
     if np.unique(tot_x).size < 2 or np.unique(tot_y).size < 2:
         raise DegenerateSpreadError("bootstrap totals are degenerate")
     fhat = empirical_from_samples(tot_x)
@@ -350,9 +317,9 @@ def cmd_casestudy(cfg: RunConfig) -> int:
     rep = check_st(fhat, ghat)
     mv = rep.max_violation
     thr = (
-        cfg.max_violation
-        if cfg.max_violation is not None
-        else 2.0 / math.sqrt(cfg.replicates)
+        args.max_violation
+        if args.max_violation is not None
+        else 2.0 / math.sqrt(args.replicates)
     )
     projected = False
     if mv > thr:
@@ -361,7 +328,7 @@ def cmd_casestudy(cfg: RunConfig) -> int:
         )
         raise OrderViolationError(rep)
     if mv > 0.0:
-        if not cfg.project:
+        if not args.project:
             print(
                 f"violation {mv:.6g} within threshold {thr:.6g}; "
                 "rerun with --project to repair",
@@ -372,33 +339,33 @@ def cmd_casestudy(cfg: RunConfig) -> int:
         projected = True
     print(f"order check: max violation {mv:.6g} (threshold {thr:.6g})")
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    os.makedirs(args.out_dir, exist_ok=True)
     _write_json(
-        os.path.join(cfg.out_dir, "preprocessing.json"),
+        os.path.join(args.out_dir, "preprocessing.json"),
         {
-            "obs_x": str(cfg.obs_x),
-            "obs_y": str(cfg.obs_y),
-            "group_x": cfg.group_x,
-            "group_y": cfg.group_y,
-            "replicates": cfg.replicates,
-            "seed": cfg.seed,
+            "obs_x": str(args.obs_x),
+            "obs_y": str(args.obs_y),
+            "group_x": args.group_x,
+            "group_y": args.group_y,
+            "replicates": args.replicates,
+            "seed": args.seed,
             "max_violation": mv,
             "witness": rep.witness,
             "threshold": thr,
             "projected": projected,
         },
     )
-    _emit_bound_outputs(fhat, ghat, cfg)
+    _emit_bound_outputs(fhat, ghat, args)
     return 0
 
 
-def cmd_selftest(cfg: RunConfig) -> int:
+def cmd_selftest(args: argparse.Namespace) -> int:
     """Pareto-pair oracle values with analytic expectations."""
     f, g = Pareto(1.0, 1.0), Pareto(2.0, 1.0)
     checks = [
         (
             "worst ess-inf (constrained)",
-            worst_ess_inf_constrained(f, g) + cfg.perturb,
+            worst_ess_inf_constrained(f, g),
             4.0,
             1e-9,
         ),
@@ -469,7 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     io = argparse.ArgumentParser(add_help=False)
     io.add_argument("--out", dest="out_dir", default=".", metavar="DIR")
-    io.add_argument("--seed", type=int, default=0)
+
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
 
     levels = argparse.ArgumentParser(add_help=False)
     levels.add_argument("--p-from", dest="p_from", type=float, default=0.900)
@@ -508,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "sample",
-        parents=[marg, num, io],
+        parents=[marg, num, io, seed],
         help="draw coupled pairs to CSV",
     )
     p.add_argument("--kind", choices=COUPLING_KINDS, required=True)
@@ -518,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "casestudy",
-        parents=[levels, num, io, meas, proj],
+        parents=[levels, num, io, seed, meas, proj],
         help="bootstrap two observation files into bound curves",
     )
     p.add_argument("--obsX", dest="obs_x", required=True, metavar="CSV")
@@ -532,22 +501,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_casestudy)
 
     p = sub.add_parser("selftest", help="analytic oracle checks")
-    p.add_argument("--perturb", type=float, default=0.0, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_selftest)
     return top
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    names = {fld.name for fld in dataclasses.fields(RunConfig)}
-    cfg = RunConfig(**{k: v for k, v in vars(args).items() if k in names})
-    cfg.validate()
-    return cfg
 
 
 def entry(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return int(args.func(_config(args)))
+        _validate(args)
+        return int(args.func(args))
     except OrdriskError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -77,9 +77,7 @@ class TransportEvaluator:
         self.f = f
         self.g = g
         self.zs = _merged_grid(f, g, DEFAULT_SCAN_N, trunc)
-        self.dz = np.asarray(f.cdf(self.zs), dtype=float) - np.asarray(
-            g.cdf(self.zs), dtype=float
-        )
+        self.dz = self.diff(self.zs)
 
     def diff(self, z):
         """F(z) - G(z), vectorized."""
@@ -144,20 +142,12 @@ class TransportEvaluator:
         return refine_min(scalar, ts, vals, tol=1e-12 * max(1.0, b - a))
 
 
-def transport_upper(
-    f: Dist,
-    g: Dist,
-    x: float,
-    *,
-    trunc: float = DEFAULT_TRUNC,
-    evaluator: TransportEvaluator | None = None,
-) -> float:
+def transport_upper(f: Dist, g: Dist, x: float, *, trunc: float = DEFAULT_TRUNC) -> float:
     """T(x) = inf{z >= x : F(z)-G(z) < F(x)-G(x)}; +inf on an empty set.
 
     Requires F <= G in the usual stochastic order.
     """
-    ev = evaluator or TransportEvaluator(f, g, trunc=trunc)
-    return ev.upper(float(x))
+    return TransportEvaluator(f, g, trunc=trunc).upper(float(x))
 
 
 def transport_lower(f: Dist, g: Dist, x: float, *, trunc: float = DEFAULT_TRUNC) -> float:
@@ -178,10 +168,10 @@ def dl_cdf(f: Dist, g: Dist, x: float, y: float, *, trunc: float = DEFAULT_TRUNC
     ``F(x) - inf_{z in [x,y]} (F(z) - G(z))``, clamped to [0, 1].
     """
     x, y = float(x), float(y)
-    ev = TransportEvaluator(f, g, trunc=trunc)
     if y <= x:
+        _require_order(f, g)
         return float(g.cdf(y))
-    val = float(f.cdf(x)) - ev.min_between(x, y)
+    val = float(f.cdf(x)) - TransportEvaluator(f, g, trunc=trunc).min_between(x, y)
     return min(1.0, max(0.0, val))
 
 
@@ -354,8 +344,9 @@ def sample_coupling(
         if jitter:
             frac = rng.random(size)
             w = (1.0 - plan.p) / plan.n
-            x_lev = plan.p + (1.0 - plan.p) * (plan.n - 1 - idx) / plan.n
-            y_lev = plan.p + (1.0 - plan.p) * (plan.n - 1 - plan.y_index[idx]) / plan.n
+            levels = _plan_levels(plan.n, plan.p)
+            x_lev = levels[idx]
+            y_lev = levels[plan.y_index[idx]]
             x = np.asarray(f.quantile_left(_safe_levels(x_lev + frac * w)), dtype=float)
             y = np.asarray(g.quantile_left(_safe_levels(y_lev + frac * w)), dtype=float)
             y = np.maximum(x, y)

@@ -289,6 +289,14 @@ def test_report_nesting_all_measures():
             assert 0.0 <= rep.r <= 1.0
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+def test_report_es_pareto_nesting():
+    # the plan and countermonotone grids converge at different rates on
+    # heavy tails, so L > Lo here (248.4 against 219.7 at the default grid)
+    rep = B.bound_report(PF, PG, "es", p=0.9)
+    assert rep.unconstrained_best <= rep.constrained_best
+
+
 def test_report_infinity_policy():
     rep = B.bound_report(PF, PG, "esssup")
     d = rep.to_json_dict()
@@ -304,6 +312,9 @@ def test_report_alias_and_errors():
         B.bound_report(PF, PG, "volatility", p=0.5)
     with pytest.raises(DomainError):
         B.bound_report(PF, PG, "rvar", p=0.9)
+    for measure in ("var", "es"):
+        with pytest.raises(DomainError, match="level p"):
+            B.bound_report(PF, PG, measure)
     with pytest.raises(DomainError):
         B.bound_report(PF, PG, "prob")
 

@@ -2,13 +2,17 @@
 
 import csv
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ordrisk.cli import RunConfig, build_parser, entry, parse_marginal
+import ordrisk.cli
+from ordrisk.cli import _grid, _validate, build_parser, entry, parse_marginal
 from ordrisk.dist import Empirical, Normal, Pareto, Uniform
 from ordrisk.errors import DomainError
 
@@ -46,39 +50,55 @@ def test_parse_marginal_rejects(spec):
         parse_marginal(spec)
 
 
+MARG = ["--margF", "uniform:0,1", "--margG", "uniform:0,2"]
+OBS = ["--obsX", "x.csv", "--obsY", "y.csv", "--groupX", "5", "--groupY", "5"]
+THRESH = ["--t-from", "5", "--t-to", "8", "--t-step", "1.5"]
+
+
+def parsed(*argv):
+    return build_parser().parse_args(list(argv))
+
+
 def test_config_validation():
-    ok = RunConfig(p_from=0.9, p_to=0.99, p_step=0.01)
-    ok.validate()
-    for kw in [
-        dict(p_from=0.0),
-        dict(p_from=0.95, p_to=0.9),
-        dict(p_step=0.0),
-        dict(grid_n=99),
-        dict(trunc=0.4),
-        dict(trunc=1.0),
-        dict(q=1.5),
-        dict(replicates=0),
-        dict(size=0),
-        dict(t_step=-1.0),
-        dict(max_violation=-0.1),
+    _validate(
+        parsed("bounds", *MARG, "--p-from", "0.9", "--p-to", "0.99", "--p-step", "0.01")
+    )
+    for argv in [
+        ["bounds", *MARG, "--p-from", "0.0"],
+        ["bounds", *MARG, "--p-from", "0.95", "--p-to", "0.9"],
+        ["bounds", *MARG, "--p-step", "0.0"],
+        ["bounds", *MARG, "--grid-n", "99"],
+        ["bounds", *MARG, "--truncate-m", "0.4"],
+        ["bounds", *MARG, "--truncate-m", "1.0"],
+        ["bounds", *MARG, "--q", "1.5"],
+        ["casestudy", *OBS, "--replicates", "0"],
+        ["sample", *MARG, "--kind", "dl", "--size", "0"],
+        ["probbounds", *MARG, "--t-from", "5", "--t-to", "8", "--t-step", "-1.0"],
+        ["casestudy", *OBS, "--max-violation", "-0.1"],
     ]:
         with pytest.raises(DomainError):
-            RunConfig(**kw).validate()
+            _validate(parsed(*argv))
 
 
-def test_default_level_grid():
-    levels = RunConfig().levels()
-    assert levels.size == 20
+def test_default_level_grid(tmp_path):
+    # the level grid the command writes, not a copy of its arithmetic
+    args = ["bounds", *MARG, "--measure", "essinf", "--grid-n", "100"]
+    assert run(*args, "--out", str(tmp_path)) == 0
+    levels = [r["p"] for r in json.loads((tmp_path / "reports.json").read_text())]
+    assert len(levels) == 20
     assert levels[0] == 0.900 and levels[-1] == 0.995
 
 
 def test_threshold_grid():
-    cfg = RunConfig(t_from=5.0, t_to=8.0, t_step=1.5)
-    assert np.allclose(cfg.thresholds(), [5.0, 6.5, 8.0])
+    args = parsed("probbounds", *MARG, *THRESH)
+    _validate(args)
+    assert np.allclose(_grid(args.t_from, args.t_to, args.t_step), [5.0, 6.5, 8.0])
+    with pytest.raises(SystemExit):
+        parsed("probbounds", *MARG, "--t-to", "8", "--t-step", "1")
     with pytest.raises(DomainError):
-        RunConfig().thresholds()
-    with pytest.raises(DomainError):
-        RunConfig(t_from=8.0, t_to=5.0, t_step=1.0).thresholds()
+        _validate(
+            parsed("probbounds", *MARG, "--t-from", "8", "--t-to", "5", "--t-step", "1")
+        )
 
 
 def test_parser_rejects_bad_usage():
@@ -87,6 +107,40 @@ def test_parser_rejects_bad_usage():
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         build_parser().parse_args(["frobnicate"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", *MARG, "--seed", "1"],
+        ["probbounds", *MARG, *THRESH, "--seed", "1"],
+        ["selftest", "--perturb", "1.0"],
+    ],
+)
+def test_unread_flags_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 2
+
+
+def test_readme_commands_parse():
+    # every documented command must still parse and pass the flag checks
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cmds = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["ordrisk"]:
+                cmds.append(words[1:])
+    assert [c[0] for c in cmds] == [
+        "bounds",
+        "probbounds",
+        "sample",
+        "casestudy",
+        "selftest",
+    ]
+    for argv in cmds:
+        _validate(build_parser().parse_args(argv))
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +154,12 @@ def test_selftest_passes(capsys):
     assert out.count("pass") >= 6
 
 
-def test_selftest_forced_failure(capsys):
-    assert run("selftest", "--perturb", "1.0") == 4
+def test_selftest_forced_failure(capsys, monkeypatch):
+    worst = ordrisk.cli.worst_ess_inf_constrained
+    monkeypatch.setattr(
+        ordrisk.cli, "worst_ess_inf_constrained", lambda f, g: worst(f, g) + 1.0
+    )
+    assert run("selftest") == 4
     captured = capsys.readouterr()
     assert "FAIL" in captured.out
     assert "1 of 6 checks failed" in captured.err
@@ -446,6 +504,14 @@ def test_casestudy_large_violation_always_fails(obs_files, tmp_path, capsys):
     assert run(*args) == 2
     assert run(*args, "--project") == 2
     assert "exceeds threshold" in capsys.readouterr().err
+
+
+def test_casestudy_rvar_requires_q_before_any_output(obs_files, tmp_path, capsys):
+    out = tmp_path / "cs"
+    args = casestudy_args(obs_files["x"], obs_files["y"], out)
+    assert run(*args, "--measure", "rvar") == 2
+    assert "requires --q" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_casestudy_explicit_threshold(obs_files, tmp_path):

@@ -72,7 +72,7 @@ def test_transport_evaluator_matches_scalar():
     ev = TransportEvaluator(PF, PG)
     xs = np.array([1.2, 1.5, 1.8])
     many = ev.upper_many(xs)
-    single = [transport_upper(PF, PG, float(x), evaluator=ev) for x in xs]
+    single = [ev.upper(float(x)) for x in xs]
     assert_allclose(many, single, rtol=1e-9)
 
 
@@ -84,6 +84,12 @@ def test_dl_cdf_values():
     assert_allclose(dl_cdf(PF, PG, 2.0, 4.0), 0.25, atol=1e-9)
     # y <= x reduces to the G marginal
     assert_allclose(dl_cdf(PF, PG, 5.0, 3.0), PG.cdf(3.0), atol=1e-12)
+
+
+def test_dl_cdf_refuses_unordered_pair():
+    # the y <= x shortcut still checks the order
+    with pytest.raises(OrderViolationError):
+        dl_cdf(Uniform(0, 1.5), Uniform(0, 1), 0.8, 0.5)
 
 
 @settings(max_examples=40, deadline=None)
