@@ -1,60 +1,44 @@
-"""Scan-and-refine minimisation helpers for the bound formulas."""
+"""Scan-and-refine minimisation helpers for the bound formulas.
+
+Objectives take an array of points. Each refinement round evaluates
+``_K + 1`` evenly spaced points of the current bracket in one call.
+"""
 
 import numpy as np
 
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_min(f, a, b, *, tol=1e-10, maxiter=200):
-    """Golden-section minimum of ``f`` on ``[a, b]``.
-
-    Returns ``(x, f(x))``. ``inf`` values are tolerated; ``f`` is assumed
-    unimodal on the bracket (callers scan a grid first and refine locally).
-    """
-    a, b = float(a), float(b)
-    if not (np.isfinite(a) and np.isfinite(b)) or b <= a:
-        fa, fb = f(a), f(b)
-        return (a, fa) if fa <= fb else (b, fb)
-    a0, b0 = a, b
-    fa0, fb0 = f(a0), f(b0)
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(maxiter):
-        if b - a <= tol:
-            break
-        if f1 <= f2:
-            b = x2
-            x2, f2 = x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = f(x1)
-        else:
-            a = x1
-            x1, f1 = x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = f(x2)
-    cands = [(a0, fa0), (b0, fb0), (x1, f1), (x2, f2)]
-    cands = [(x, v) for x, v in cands if not np.isnan(v)]
-    return min(cands, key=lambda c: c[1])
+_K = 32
+_MAX_ROUNDS = 64
 
 
 def refine_min(f, xs, vals, *, tol=1e-10):
-    """Minimum of pre-scanned ``vals`` improved by a golden pass on the best bracket."""
-    vals = np.where(np.isnan(vals), np.inf, vals)
+    """Minimum of pre-scanned ``vals`` improved by batched bracket refinement.
+
+    Starts from the two scan cells around the best scanned value; each round
+    narrows to the two cells around the best new point. Stops once the
+    bracket is at most ``tol`` wide or no longer shrinks at float resolution.
+    NaN counts as ``+inf``; the result is never above the best scanned value.
+    """
+    vals = np.fmin(vals, np.inf)  # NaN -> +inf
     k = int(np.argmin(vals))
-    if not np.isfinite(vals[k]):
-        return float(vals[k])
-    lo = xs[max(k - 1, 0)]
-    hi = xs[min(k + 1, len(xs) - 1)]
-
-    def g(x):
-        v = f(x)
-        return np.inf if np.isnan(v) else v
-
-    _, v = golden_min(g, lo, hi, tol=tol)
-    return float(min(vals[k], v))
+    best = float(vals[k])
+    lo = float(xs[max(k - 1, 0)])
+    hi = float(xs[min(k + 1, len(xs) - 1)])
+    if not np.isfinite([best, lo, hi]).all():
+        return best
+    for _ in range(_MAX_ROUNDS):
+        width = hi - lo
+        if width <= tol:
+            break
+        ts = np.linspace(lo, hi, _K + 1)
+        v = np.fmin(f(ts), np.inf)
+        i = int(np.argmin(v))
+        best = min(best, float(v[i]))
+        lo, hi = float(ts[max(i - 1, 0)]), float(ts[min(i + 1, _K)])
+        if hi - lo >= width:
+            break
+    return best
 
 
 def refine_max(f, xs, vals, *, tol=1e-10):
-    neg = refine_min(lambda x: -f(x), xs, -np.asarray(vals, dtype=float), tol=tol)
-    return -neg
+    """Maximum counterpart of :func:`refine_min`."""
+    return -refine_min(lambda x: -f(x), xs, -np.asarray(vals, dtype=float), tol=tol)

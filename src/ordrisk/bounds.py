@@ -7,8 +7,8 @@ unconstrained extremes by countermonotone tail pairing (VaR, RVaR,
 ess-inf/ess-sup) or by comonotonicity (worst ES). Values are extended
 reals: infinities are returned as proper floats, never saturated.
 
-Continuous marginals go through the transport formulas
-(scan + golden refinement); marginals with atoms go through discrete
+Continuous marginals go through the transport formulas (grid scan +
+batched bracket refinement); marginals with atoms go through discrete
 coupling plans, whose min/max/fractional-mean order statistics give the
 same bounds at grid resolution.
 """
@@ -137,14 +137,9 @@ def worst_ess_inf_constrained(
     if a > b:
         a = b
     ev = TransportEvaluator(f, g, trunc=trunc)
+    objective = lambda x: ev.upper_many(x) + x
     xs = np.linspace(a, b, _X_SCAN_N + 1)
-    obj = ev.upper_many(xs) + xs
-    inner = refine_min(
-        lambda x: ev.upper(float(x)) + float(x),
-        xs,
-        obj,
-        tol=1e-8 * max(1.0, b - a),
-    )
+    inner = refine_min(objective, xs, objective(xs), tol=1e-8 * max(1.0, b - a))
     return float(min(inner, cap))
 
 
@@ -176,14 +171,14 @@ def _countermonotone_scan(f: Dist, g: Dist, a: float, c: float, w: float, refine
     ``refine`` is ``refine_min`` or ``refine_max``; both levels are
     clipped to [0, 1].
     """
+
+    def objective(x):
+        u = np.clip(a + x, 0.0, 1.0)
+        v = np.clip(c - x, 0.0, 1.0)
+        return np.asarray(f.quantile_left(u)) + np.asarray(g.quantile_left(v))
+
     xs = np.linspace(0.0, w, _X_SCAN_N + 1)
-    obj = np.asarray(f.quantile_left(np.clip(a + xs, 0.0, 1.0))) + np.asarray(
-        g.quantile_left(np.clip(c - xs, 0.0, 1.0))
-    )
-    fn = lambda x: float(f.quantile_left(min(1.0, max(0.0, a + float(x))))) + float(
-        g.quantile_left(min(1.0, max(0.0, c - float(x))))
-    )
-    return float(refine(fn, xs, obj, tol=1e-10))
+    return float(refine(objective, xs, objective(xs), tol=1e-10))
 
 
 def worst_ess_inf_unconstrained(f: Dist, g: Dist) -> float:

@@ -63,6 +63,33 @@ def _require_order(f: Dist, g: Dist):
         raise OrderViolationError(report)
 
 
+def _range_minima(v: np.ndarray) -> list[np.ndarray]:
+    """Levels ``mins[l][i] = min(v[i : i + 2**l])`` for every 2**l <= v.size.
+
+    ``fmin`` skips NaN, so a NaN never hides a real value in its block.
+    """
+    mins = [v]
+    while 1 << len(mins) <= v.size:
+        prev, half = mins[-1], 1 << (len(mins) - 1)
+        mins.append(np.fmin(prev[:-half], prev[half:]))
+    return mins
+
+
+def _first_below(mins: list[np.ndarray], start, target) -> np.ndarray:
+    """First index j >= start with v[j] < target, ``v.size`` if there is none.
+
+    ``mins`` is ``_range_minima(v)``. Binary lifting: from the widest level
+    down, a block is skipped while its minimum is not below the target.
+    """
+    n = mins[0].size
+    pos = np.array(start, dtype=np.int64)
+    for level in range(len(mins) - 1, -1, -1):
+        width = 1 << level
+        m = mins[level][np.minimum(pos, mins[level].size - 1)]
+        pos += np.where((pos + width <= n) & ~(m < target), width, 0)
+    return pos
+
+
 class TransportEvaluator:
     """Shared evaluation grid for F - G with transport and infimum queries.
 
@@ -78,6 +105,7 @@ class TransportEvaluator:
         self.g = g
         self.zs = _merged_grid(f, g, DEFAULT_SCAN_N, trunc)
         self.dz = self.diff(self.zs)
+        self._mins = _range_minima(self.dz)
 
     def diff(self, z):
         """F(z) - G(z), vectorized."""
@@ -88,34 +116,25 @@ class TransportEvaluator:
     def upper_many(self, xs) -> np.ndarray:
         """Transport map at each x, +inf where the constraint set is empty.
 
-        Grid scan for the first node strictly below F(x)-G(x), then a
-        joint bisection over all active brackets. The returned value is
-        the upper bracket end, hence >= the true infimum.
+        Range-minimum lookup of the first grid node at or after x strictly
+        below F(x)-G(x), then a joint bisection over all active brackets.
+        The returned value is the upper bracket end, hence >= the true
+        infimum.
         """
         xs = np.asarray(xs, dtype=float)
         flat = xs.ravel()
         dx = self.diff(flat)
         out = np.full(flat.shape, math.inf)
-        lo = np.empty(flat.shape)
-        hi = np.empty(flat.shape)
-        active = np.zeros(flat.shape, dtype=bool)
-        for i in range(flat.size):
-            x, d0 = flat[i], dx[i]
-            if not (d0 > 0.0) or not math.isfinite(x):
-                continue
-            k0 = int(np.searchsorted(self.zs, x, side="left"))
-            seg = self.dz[k0:]
-            below = seg < d0
-            if not below.any():
-                continue
-            j = k0 + int(np.argmax(below))
-            lo[i] = x if j == 0 else max(x, self.zs[j - 1])
-            hi[i] = self.zs[j]
-            active[i] = True
-        if active.any():
-            a = lo[active]
-            b = hi[active]
-            target = dx[active]
+        idx = np.flatnonzero((dx > 0.0) & np.isfinite(flat))
+        start = np.searchsorted(self.zs, flat[idx], side="left")
+        j = _first_below(self._mins, start, dx[idx])
+        hit = j < self.dz.size
+        idx, j = idx[hit], j[hit]
+        if idx.size:
+            x = flat[idx]
+            a = np.where(j == 0, x, np.maximum(x, self.zs[np.maximum(j - 1, 0)]))
+            b = self.zs[j]
+            target = dx[idx]
             for _ in range(80):
                 width = b - a
                 if np.all(width <= 4e-16 * np.maximum(1.0, np.abs(b))):
@@ -124,22 +143,20 @@ class TransportEvaluator:
                 inside = self.diff(mid) < target
                 b = np.where(inside, mid, b)
                 a = np.where(inside, a, mid)
-            out[active] = b
+            out[idx] = b
         return out.reshape(xs.shape)
 
     def upper(self, x: float) -> float:
         return float(self.upper_many(np.array([float(x)]))[0])
 
     def min_between(self, a: float, b: float) -> float:
-        """inf of F - G over [a, b], grid scan plus golden refinement."""
+        """inf of F - G over [a, b], grid scan plus batched bracket refinement."""
         if not a <= b:
             raise DomainError("min_between requires a <= b")
         i0 = int(np.searchsorted(self.zs, a, side="left"))
         i1 = int(np.searchsorted(self.zs, b, side="right"))
         ts = np.concatenate(([a], self.zs[i0:i1], [b]))
-        vals = self.diff(ts)
-        scalar = lambda z: float(self.diff(np.asarray([z]))[0])
-        return refine_min(scalar, ts, vals, tol=1e-12 * max(1.0, b - a))
+        return refine_min(self.diff, ts, self.diff(ts), tol=1e-12 * max(1.0, b - a))
 
 
 def transport_upper(f: Dist, g: Dist, x: float, *, trunc: float = DEFAULT_TRUNC) -> float:

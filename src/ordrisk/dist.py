@@ -123,9 +123,7 @@ class Pareto(Dist):
     def cdf(self, x):
         scalar = np.ndim(x) == 0
         x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(x <= self.scale, 0.0, 1.0 - (self.scale / x) ** self.shape)
-        out = np.where(np.isposinf(x), 1.0, out)
+        out = 1.0 - (self.scale / np.maximum(x, self.scale)) ** self.shape
         return _as_output(out, scalar)
 
     def _ql(self, u):

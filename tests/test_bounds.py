@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ordrisk import bounds as B
+from ordrisk.coupling import TransportEvaluator
 from ordrisk.dist import (
     Empirical,
     Normal,
@@ -295,6 +296,32 @@ def test_report_es_pareto_nesting():
     # heavy tails, so L > Lo here (248.4 against 219.7 at the default grid)
     rep = B.bound_report(PF, PG, "es", p=0.9)
     assert rep.unconstrained_best <= rep.constrained_best
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+def test_countermonotone_scan_infinite_endpoints():
+    # the scan endpoints evaluate inf + (-inf) = NaN, which the refinement
+    # counts as +inf, so a finite value is returned instead of -inf / +inf
+    f, g = Normal(0.0, 1.0), Normal(0.0, 2.0)
+    with np.errstate(invalid="ignore"):
+        assert B.worst_ess_inf_unconstrained(f, g) == -math.inf
+        assert B.best_ess_sup_unconstrained(f, g) == math.inf
+
+
+def test_transport_route_is_batched(monkeypatch):
+    # one batched scan plus a few refinement rounds; scalar evaluation of
+    # the transport map took about 29 calls here
+    calls = []
+    original = TransportEvaluator.upper_many
+
+    def counted(self, xs):
+        calls.append(np.size(xs))
+        return original(self, xs)
+
+    monkeypatch.setattr(TransportEvaluator, "upper_many", counted)
+    got = B.worst_var_constrained(Pareto(25.0, 2.0), Pareto(30.0, 2.0), 0.95)
+    assert_allclose(got, 268.3281573, rtol=1e-9)
+    assert 1 <= len(calls) <= 8
 
 
 def test_report_infinity_policy():

@@ -13,6 +13,8 @@ from ordrisk.coupling import (
     COUPLING_KINDS,
     DlPlan,
     TransportEvaluator,
+    _first_below,
+    _range_minima,
     dl_cdf,
     dl_plan_discrete,
     dl_sum_cdf,
@@ -22,7 +24,15 @@ from ordrisk.coupling import (
     transport_lower,
     transport_upper,
 )
-from ordrisk.dist import Empirical, Pareto, Uniform, empirical_from_samples
+from ordrisk.dist import (
+    Empirical,
+    Normal,
+    Pareto,
+    Uniform,
+    empirical_from_samples,
+    to_grid,
+    upper_tail,
+)
 from ordrisk.errors import DomainError, OrderViolationError, PlanInfeasibleError
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -74,6 +84,95 @@ def test_transport_evaluator_matches_scalar():
     many = ev.upper_many(xs)
     single = [ev.upper(float(x)) for x in xs]
     assert_allclose(many, single, rtol=1e-9)
+
+
+def _upper_many_loop(ev, xs):
+    # per-point scan for the first crossing, then the same joint bisection
+    xs = np.asarray(xs, dtype=float)
+    flat = xs.ravel()
+    dx = ev.diff(flat)
+    out = np.full(flat.shape, math.inf)
+    lo = np.empty(flat.shape)
+    hi = np.empty(flat.shape)
+    active = np.zeros(flat.shape, dtype=bool)
+    for i in range(flat.size):
+        x, d0 = flat[i], dx[i]
+        if not (d0 > 0.0) or not math.isfinite(x):
+            continue
+        k0 = int(np.searchsorted(ev.zs, x, side="left"))
+        below = ev.dz[k0:] < d0
+        if not below.any():
+            continue
+        j = k0 + int(np.argmax(below))
+        lo[i] = x if j == 0 else max(x, ev.zs[j - 1])
+        hi[i] = ev.zs[j]
+        active[i] = True
+    if active.any():
+        a = lo[active]
+        b = hi[active]
+        target = dx[active]
+        for _ in range(80):
+            width = b - a
+            if np.all(width <= 4e-16 * np.maximum(1.0, np.abs(b))):
+                break
+            mid = 0.5 * (a + b)
+            inside = ev.diff(mid) < target
+            b = np.where(inside, mid, b)
+            a = np.where(inside, a, mid)
+        out[active] = b
+    return out.reshape(xs.shape)
+
+
+_EMP_F = Empirical([1.0, 2.0, 2.0, 5.0, 7.0], [1.0, 1.0, 1.0, 1.0, 1.0])
+_EMP_G = Empirical([2.0, 3.0, 5.0, 6.0, 9.0], [1.0, 1.0, 1.0, 1.0, 1.0])
+
+EVALUATOR_PAIRS = {
+    "uniform": (Uniform(0, 100), Uniform(0, 120)),
+    "pareto": (PF, PG),
+    "pareto_tail": (upper_tail(Pareto(25, 2), 0.95), upper_tail(Pareto(30, 2), 0.95)),
+    "normal": (Normal(0, 1), Normal(1, 1)),
+    "quantile_grid": (
+        upper_tail(Normal(0, 1), 0.9, grid_n=500),
+        upper_tail(Normal(0.5, 1), 0.9, grid_n=500),
+    ),
+    "grid_uniform": (to_grid(Uniform(0, 1), 300), to_grid(Uniform(0.2, 1.5), 300)),
+    "empirical": (_EMP_F, _EMP_G),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATOR_PAIRS))
+def test_upper_many_matches_loop_reference(name):
+    ev = TransportEvaluator(*EVALUATOR_PAIRS[name])
+    lo, hi = ev.zs[0], ev.zs[-1]
+    span = hi - lo
+    xs = np.concatenate(
+        [
+            [lo - span, lo - 1.0, np.nextafter(lo, -np.inf)],
+            np.linspace(lo - 0.1 * span, hi + 0.1 * span, 1501),
+            ev.zs,
+            np.nextafter(ev.zs, np.inf),
+            [hi, hi + span, np.inf, -np.inf, np.nan],
+        ]
+    )
+    got = ev.upper_many(xs)
+    np.testing.assert_array_equal(got, _upper_many_loop(ev, xs))
+    assert np.all(got[xs > hi] == math.inf)
+    assert np.all(got[~np.isfinite(xs)] == math.inf)
+    np.testing.assert_array_equal(ev.upper_many(xs[:30].reshape(10, 3)), got[:30].reshape(10, 3))
+
+
+def test_first_below_brute_force_with_nan():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3, 7, 64, 100):
+        v = rng.normal(size=n)
+        v[rng.random(n) < 0.3] = np.nan
+        mins = _range_minima(v)
+        start = rng.integers(0, n + 1, 200)
+        target = rng.normal(size=200)
+        got = _first_below(mins, start, target)
+        for s, t, j in zip(start, target, got):
+            below = np.flatnonzero(v[s:] < t)
+            assert j == (s + below[0] if below.size else n)
 
 
 # ---------------------------------------------------------------------------
