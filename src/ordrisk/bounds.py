@@ -7,10 +7,11 @@ unconstrained extremes by countermonotone tail pairing (VaR, RVaR,
 ess-inf/ess-sup) or by comonotonicity (worst ES). Values are extended
 reals: infinities are returned as proper floats, never saturated.
 
-Continuous marginals go through the transport formulas (grid scan +
-batched bracket refinement); marginals with atoms go through discrete
-coupling plans, whose min/max/fractional-mean order statistics give the
-same bounds at grid resolution.
+Continuous marginals go through one transport body, ``_dl_min`` (grid
+scan + batched bracket refinement on the level-p evaluator, no tail law
+built), reached by the best bounds on the exactly negated pair; marginals
+with atoms go through discrete coupling plans, whose min/max/fractional-mean
+order statistics give the same bounds at grid resolution.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .dist import (
     es_eval,
     lower_tail,
     negate_dist,
-    upper_tail,
+    upper_tail,  # unused here; perfbench/tracer.py patches this name
 )
 from .errors import DegenerateSpreadError, DomainError
 
@@ -110,6 +111,32 @@ def _upper_frac_mean(sorted_vals: np.ndarray, frac: float) -> float:
 # essential bounds
 
 
+def _dl_min(f: Dist, g: Dist, p: float, grid_n: int, trunc: float) -> float:
+    """Essential infimum of the directed-coupling sum of the upper p-tails.
+
+    Continuous route: min of T_p(x) + x over [F^{-1}(p), G^{-1}(p)] on
+    the level-p evaluator, capped by 2 G^{-1}(p). Marginals with atoms
+    route through the discrete tail plan minimum instead.
+    """
+    if _has_atoms(f) or _has_atoms(g):
+        plan = dl_plan_discrete(f, g, grid_n, p, trunc=trunc)
+        return float(plan.sums_sorted[0])
+    b = float(g.quantile_left(p))
+    if b == -math.inf:
+        return -math.inf
+    a = float(f.quantile_left(p))
+    if a == -math.inf:
+        if g.support_hi < math.inf:
+            return -math.inf  # X + Y <= X + sup Y is unbounded below
+        a = float(f.quantile_left(p + (1.0 - p) * (1.0 - trunc)))
+    a = min(a, b)
+    ev = TransportEvaluator(f, g, p=p, trunc=trunc)
+    objective = lambda x: ev.upper_many(x) + x
+    xs = np.linspace(a, b, _X_SCAN_N + 1)
+    inner = refine_min(objective, xs, objective(xs), tol=1e-8 * max(1.0, b - a))
+    return float(min(inner, 2.0 * b))
+
+
 def worst_ess_inf_constrained(
     f: Dist,
     g: Dist,
@@ -117,30 +144,8 @@ def worst_ess_inf_constrained(
     grid_n: int = DEFAULT_GRID_N,
     trunc: float = DEFAULT_TRUNC,
 ) -> float:
-    """Largest essential infimum of X + Y over couplings with X <= Y.
-
-    Continuous route: min of the transport objective T(x) + x over
-    [F^{-1}(0), G^{-1}(0)] capped by 2 G^{-1}(0); equals the essential
-    infimum of the directed-coupling sum. Marginals with atoms route
-    through the discrete plan minimum instead.
-    """
-    if _has_atoms(f) or _has_atoms(g):
-        plan = dl_plan_discrete(f, g, grid_n, 0.0, trunc=trunc)
-        return float(plan.sums_sorted[0])
-    b = float(g.quantile_left(0.0))
-    if b == -math.inf:
-        return -math.inf
-    cap = 2.0 * b
-    a = float(f.quantile_left(0.0))
-    if a == -math.inf:
-        a = float(f.quantile_left(1.0 - trunc))
-    if a > b:
-        a = b
-    ev = TransportEvaluator(f, g, trunc=trunc)
-    objective = lambda x: ev.upper_many(x) + x
-    xs = np.linspace(a, b, _X_SCAN_N + 1)
-    inner = refine_min(objective, xs, objective(xs), tol=1e-8 * max(1.0, b - a))
-    return float(min(inner, cap))
+    """Largest essential infimum of X + Y over couplings with X <= Y: ``_dl_min`` at level 0."""
+    return _dl_min(f, g, 0.0, grid_n, trunc)
 
 
 def best_ess_sup_constrained(
@@ -152,17 +157,14 @@ def best_ess_sup_constrained(
 ) -> float:
     """Smallest essential supremum of X + Y over couplings with X <= Y.
 
-    Mirror of :func:`worst_ess_inf_constrained` through the reflection
-    identity best(F, G) = -worst(negate(G), negate(F)).
+    Mirror of :func:`worst_ess_inf_constrained` through the exact
+    reflection best(F, G) = -worst(negate(G), negate(F)); marginals with
+    atoms take the discrete plan maximum instead.
     """
     if _has_atoms(f) or _has_atoms(g):
         plan = dl_plan_discrete(f, g, grid_n, 0.0, trunc=trunc)
         return float(plan.sums_sorted[-1])
-    if f.support_hi == math.inf or g.support_hi == math.inf:
-        return math.inf
-    fr = negate_dist(g, grid_n=grid_n, trunc=trunc)
-    gr = negate_dist(f, grid_n=grid_n, trunc=trunc)
-    return -worst_ess_inf_constrained(fr, gr, grid_n=grid_n, trunc=trunc)
+    return -_dl_min(negate_dist(g), negate_dist(f), 0.0, grid_n, trunc)
 
 
 def _countermonotone_scan(f: Dist, g: Dist, a: float, c: float, w: float, refine) -> float:
@@ -203,18 +205,8 @@ def worst_var_constrained(
     grid_n: int = DEFAULT_GRID_N,
     trunc: float = DEFAULT_TRUNC,
 ) -> float:
-    """Worst-case VaR at level p under the order constraint.
-
-    Reduces to the worst essential infimum of the upper p-tails; for
-    marginals with atoms the discrete tail plan minimum is used.
-    """
-    p = _check_p(p)
-    if _has_atoms(f) or _has_atoms(g):
-        plan = dl_plan_discrete(f, g, grid_n, p, trunc=trunc)
-        return float(plan.sums_sorted[0])
-    fp = upper_tail(f, p, grid_n=grid_n, trunc=trunc)
-    gp = upper_tail(g, p, grid_n=grid_n, trunc=trunc)
-    return worst_ess_inf_constrained(fp, gp, grid_n=grid_n, trunc=trunc)
+    """Worst-case VaR at level p under the order constraint: ``_dl_min`` at level p."""
+    return _dl_min(f, g, _check_p(p), grid_n, trunc)
 
 
 def best_var_constrained(
@@ -227,14 +219,16 @@ def best_var_constrained(
 ) -> float:
     """Best-case VaR at level p under the order constraint.
 
-    Reduces to the best essential supremum of the lower p-tails. The
-    same value serves the left and the right quantile for continuous
-    strictly increasing marginals.
+    The best essential supremum of the lower p-tails, reflected to
+    ``-_dl_min(negate(G), negate(F), 1 - p)``; it serves the left and
+    the right quantile for continuous strictly increasing marginals.
     """
     p = _check_p(p)
-    fl = lower_tail(f, p, grid_n=grid_n, trunc=trunc)
-    gl = lower_tail(g, p, grid_n=grid_n, trunc=trunc)
-    return best_ess_sup_constrained(fl, gl, grid_n=grid_n, trunc=trunc)
+    if _has_atoms(f) or _has_atoms(g):
+        fl = lower_tail(f, p, grid_n=grid_n, trunc=trunc)
+        gl = lower_tail(g, p, grid_n=grid_n, trunc=trunc)
+        return best_ess_sup_constrained(fl, gl, grid_n=grid_n, trunc=trunc)
+    return -_dl_min(negate_dist(g), negate_dist(f), 1.0 - p, grid_n, trunc)
 
 
 def worst_var_unconstrained(f: Dist, g: Dist, p: float) -> float:

@@ -91,35 +91,36 @@ def _first_below(mins: list[np.ndarray], start, target) -> np.ndarray:
 
 
 class TransportEvaluator:
-    """Shared evaluation grid for F - G with transport and infimum queries.
+    """Shared evaluation grid for the level-``p`` transport map and infimum queries.
 
-    Built once per ordered pair; all queries are read-only. The grid
-    merges both quantile functions with every atom location, so a sign
-    change of F - G between consecutive nodes is at most one resolution
-    cell wide.
+    Built once per ordered pair and tail level; the order check covers the
+    whole pair. The grid merges both quantile functions at the levels
+    ``p + (1 - p) u`` with every atom, so a sign change of the target
+    between consecutive nodes is at most one cell wide.
     """
 
-    def __init__(self, f: Dist, g: Dist, *, trunc: float = DEFAULT_TRUNC):
+    def __init__(self, f: Dist, g: Dist, *, p: float = 0.0, trunc: float = DEFAULT_TRUNC):
+        p = float(p)
+        if not 0.0 <= p < 1.0:
+            raise DomainError("tail level p must lie in [0, 1)")
         _require_order(f, g)
-        self.f = f
-        self.g = g
-        self.zs = _merged_grid(f, g, DEFAULT_SCAN_N, trunc)
+        self.f, self.g, self.p = f, g, p
+        self.zs = _merged_grid(f, g, DEFAULT_SCAN_N, trunc, p)
         self.dz = self.diff(self.zs)
         self._mins = _range_minima(self.dz)
 
     def diff(self, z):
-        """F(z) - G(z), vectorized."""
-        return np.asarray(self.f.cdf(z), dtype=float) - np.asarray(
-            self.g.cdf(z), dtype=float
-        )
+        """F(z) - max(G(z), p): (1 - p) times the upper p-tails' F - G above F^{-1}(p)."""
+        return np.asarray(self.f.cdf(z), dtype=float) - np.maximum(self.g.cdf(z), self.p)
 
     def upper_many(self, xs) -> np.ndarray:
-        """Transport map at each x, +inf where the constraint set is empty.
+        """Level-p transport map at each x, +inf where the constraint set is empty.
 
-        Range-minimum lookup of the first grid node at or after x strictly
-        below F(x)-G(x), then a joint bisection over all active brackets.
-        The returned value is the upper bracket end, hence >= the true
-        infimum.
+        The target is F(x) - max(G(x), p), so for x in [F^{-1}(p), G^{-1}(p)]
+        this is T_p(x) = inf{z >= x : F(z) - G(z) < F(x) - p}, and T(x) at
+        p = 0. Range-minimum lookup of the first grid node at or after x
+        strictly below the target, then a joint bisection over all active
+        brackets; the upper bracket end is returned, hence >= the infimum.
         """
         xs = np.asarray(xs, dtype=float)
         flat = xs.ravel()
@@ -170,12 +171,10 @@ def transport_upper(f: Dist, g: Dist, x: float, *, trunc: float = DEFAULT_TRUNC)
 def transport_lower(f: Dist, g: Dist, x: float, *, trunc: float = DEFAULT_TRUNC) -> float:
     """sup{t <= x : F(t)-G(t) < F(x)-G(x)}; -inf on an empty set.
 
-    Computed through the reflection identity
-    ``-transport_upper(negate(G), negate(F), -x)``.
+    Computed through the exact reflection identity
+    ``-transport_upper(negate(G), negate(F), -x)``; no grid law is built.
     """
-    fr = negate_dist(g, grid_n=DEFAULT_GRID_N, trunc=trunc)
-    gr = negate_dist(f, grid_n=DEFAULT_GRID_N, trunc=trunc)
-    return -transport_upper(fr, gr, -float(x), trunc=trunc)
+    return -transport_upper(negate_dist(g), negate_dist(f), -float(x), trunc=trunc)
 
 
 def dl_cdf(f: Dist, g: Dist, x: float, y: float, *, trunc: float = DEFAULT_TRUNC) -> float:

@@ -395,24 +395,49 @@ def lower_tail(
     return QuantileGrid(us, d.quantile_left(levels))
 
 
-def negate_dist(
-    d: Dist, *, grid_n: int = DEFAULT_GRID_N, trunc: float = DEFAULT_TRUNC
-) -> Dist:
+class _Negated(Dist):
+    """Law of ``-X`` for a continuous ``X ~ d``: CDF ``1 - F(-x)``, quantile ``-F^{-1}(1 - u)``."""
+
+    def __init__(self, d: Dist):
+        self.d = d
+        self.kind = d.kind  # -X takes the order-check tolerance of X
+
+    def __repr__(self):
+        return f"negate_dist({self.d!r})"
+
+    def cdf(self, x):
+        return 1.0 - self.d.cdf(np.negative(x))
+
+    def _ql(self, u):
+        return -self.d._ql(1.0 - u)
+
+    @property
+    def support_lo(self):
+        return -self.d.support_hi
+
+    @property
+    def support_hi(self):
+        return -self.d.support_lo
+
+
+def negate_dist(d: Dist) -> Dist:
     """Distribution of ``-X`` for ``X ~ d``, i.e. CDF ``1 - F(-t-)``.
 
-    Exact for uniform, normal, empirical and grid kinds. Pareto has no
-    closed-form mirror here, so it is reflected through a quantile grid
-    truncated at level ``trunc``.
+    Exact for every kind. Normal, empirical and grid kinds map to their
+    own closed forms; any other kind maps to its reflected law, whose
+    left quantile at ``1 - u`` is ``-F^{-1}(u)`` to the last bit for
+    ``u >= 1/2`` (a negated uniform's closed form is one rounding off).
+    Negating a reflected law returns ``d``.
     """
-    if isinstance(d, Uniform):
-        return Uniform(-d.hi, -d.lo)
     if isinstance(d, Normal):
         return Normal(-d.mean, d.sd)
     if isinstance(d, Empirical):
         return Empirical(-d.values[::-1], d.weights[::-1])
     if isinstance(d, QuantileGrid):
         return QuantileGrid(1.0 - d.us[::-1], -d.xs[::-1])
-    return negate_dist(to_grid(d, grid_n, trunc))
+    if isinstance(d, _Negated):
+        return d.d
+    return _Negated(d)
 
 
 def empirical_from_samples(values, weights=None) -> Empirical:
@@ -465,16 +490,16 @@ def _atom_points(d: Dist) -> np.ndarray:
     return np.empty(0)
 
 
-def _merged_grid(f: Dist, g: Dist, grid_size: int, trunc: float = DEFAULT_TRUNC):
+def _merged_grid(f: Dist, g: Dist, grid_size: int, trunc: float = DEFAULT_TRUNC, p: float = 0.0):
+    """Finite quantiles of both laws at levels p and p + (1 - p) u, atoms and upper ends.
+
+    ``u`` are the midpoints clipped to ``[1 - trunc, trunc]``: truncation is of the tail's levels.
+    """
     us = np.clip(_midpoints(grid_size), 1.0 - trunc, trunc)
+    us = np.concatenate(([p], p + (1.0 - p) * us))
     pieces = [f.quantile_left(us), g.quantile_left(us), _atom_points(f), _atom_points(g)]
-    for d in (f, g):
-        for endp in (d.support_lo, d.support_hi):
-            if math.isfinite(endp):
-                pieces.append(np.array([endp]))
-    ts = np.concatenate(pieces)
-    ts = ts[np.isfinite(ts)]
-    return np.unique(ts)
+    ts = np.concatenate(pieces + [[f.support_hi, g.support_hi]])
+    return np.unique(ts[np.isfinite(ts)])
 
 
 def _default_check_tol(f: Dist, g: Dist, grid_size: int) -> float:
@@ -588,6 +613,8 @@ def _quantile_integral(d: Dist, a: float, b: float) -> float:
         anti = lambda u: -d.scale * (1.0 - u) ** e / e
         top = 0.0 if b >= 1.0 else anti(b)
         return top - anti(a)
+    if isinstance(d, _Negated):
+        return -_quantile_integral(d.d, 1.0 - b, 1.0 - a)
     if isinstance(d, Empirical):
         hi = d._cumw
         lo = np.concatenate(([0.0], d._cumw[:-1]))

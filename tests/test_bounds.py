@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -15,12 +15,14 @@ from ordrisk.dist import (
     Empirical,
     Normal,
     Pareto,
+    QuantileGrid,
     Uniform,
     empirical_from_samples,
     es_eval,
+    negate_dist,
     to_grid,
 )
-from ordrisk.errors import DegenerateSpreadError, DomainError
+from ordrisk.errors import DegenerateSpreadError, DomainError, OrderViolationError
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -69,6 +71,12 @@ def test_best_ess_sup_infinite_support():
     assert math.isinf(B.best_ess_sup_constrained(PF, PG))
 
 
+def test_best_ess_sup_unbounded_g_only():
+    # X >= 0 and Y unbounded above: the reflected scan must not stop at the
+    # truncation level of -Y
+    assert B.best_ess_sup_constrained(Uniform(0, 1), PF) == math.inf
+
+
 def test_ess_inf_open_support():
     # normal marginals have no lower endpoint
     assert B.worst_ess_inf_constrained(Normal(0, 1), Normal(1, 1)) == -math.inf
@@ -82,6 +90,36 @@ def test_ess_inf_open_support():
 def test_pareto_var_bounds(p):
     assert_allclose(B.worst_var_constrained(PF, PG, p), 4.0 / (1.0 - p), rtol=1e-3)
     assert_allclose(B.best_var_constrained(PF, PG, p), 1.0 + 2.0 / (1.0 - p), rtol=1e-3)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.9, 0.99])
+def test_pareto_best_var_exact(p):
+    assert_allclose(B.best_var_constrained(PF, PG, p), 1.0 + 2.0 / (1.0 - p), rtol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "f, g",
+    [(Normal(0.0, 1.0), Normal(0.5, 1.0)), (Pareto(25.0, 2.0), Pareto(30.0, 2.0))],
+    ids=["normal", "pareto"],
+)
+@settings(max_examples=10, deadline=None)
+@given(st.floats(0.5, 0.999, **finite))
+@example(0.5)
+@example(0.9)
+@example(0.99)
+@example(0.999)
+def test_best_var_above_twice_lower_quantile(f, g, p):
+    # X <= Y gives X + Y >= 2 X, so VaR_p(X + Y) >= 2 F^{-1}(p) for every coupling
+    assert B.best_var_constrained(f, g, p) >= 2.0 * f.quantile_left(p)
+
+
+def test_constrained_var_checks_whole_pair():
+    # the upper 0.95-tails are ordered, the whole pair is not
+    f, g = Uniform(0, 100), Uniform(-10, 120)
+    with pytest.raises(OrderViolationError):
+        B.worst_var_constrained(f, g, 0.95)
+    with pytest.raises(OrderViolationError):
+        B.best_var_constrained(f, g, 0.95)
 
 
 def test_makarov_values():
@@ -324,6 +362,31 @@ def test_transport_route_is_batched(monkeypatch):
     assert 1 <= len(calls) <= 8
 
 
+@pytest.mark.parametrize(
+    "f, g",
+    [(Pareto(25.0, 2.0), Pareto(30.0, 2.0)), (Normal(0.0, 1.0), Normal(0.5, 1.0))],
+    ids=["pareto", "normal"],
+)
+def test_var_report_builds_no_tail_grid(monkeypatch, f, g):
+    # one level-p evaluator per constrained bound and no tabulated tail law;
+    # counted rather than timed, so a return to tail grids fails here
+    built = {"grid": 0, "evaluator": 0}
+
+    def counting(cls, key):
+        original = cls.__init__
+
+        def init(self, *args, **kwargs):
+            built[key] += 1
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", init)
+
+    counting(QuantileGrid, "grid")
+    counting(TransportEvaluator, "evaluator")
+    B.bound_report(f, g, "var", p=0.95)
+    assert built == {"grid": 0, "evaluator": 2}
+
+
 def test_report_infinity_policy():
     rep = B.bound_report(PF, PG, "esssup")
     d = rep.to_json_dict()
@@ -359,6 +422,7 @@ _U, _V = Uniform(0, 100), Uniform(0, 120)
         lambda: B.best_es_constrained(_U, _V, 0.9, gird_n=100),
         lambda: B.bound_report(_U, _V, "var", p=0.9, scan_n=10),
         lambda: B.prob_lower(_U, _V, 100.0, tol=1e-3),
+        lambda: negate_dist(Pareto(1.0, 1.0), grid_n=10),
     ],
     ids=[
         "worst_es_constrained",
@@ -368,6 +432,7 @@ _U, _V = Uniform(0, 100), Uniform(0, 120)
         "best_es_constrained",
         "bound_report-scan_n",
         "prob_lower-tol",
+        "negate_dist-grid_n",
     ],
 )
 def test_unknown_keyword_rejected(call):

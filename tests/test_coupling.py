@@ -78,6 +78,23 @@ def test_transport_lower_mirror():
     assert got <= 1.2
 
 
+def test_transport_lower_pareto_exact():
+    # F - G = 1/t above 2 and 1 - 1/t on [1, 2]: below 1/50 only up to 50/49
+    assert_allclose(transport_lower(PF, PG, 50.0), 50.0 / 49.0, rtol=1e-12)
+
+
+def test_level_p_evaluator_is_the_tail_map():
+    # T_p on the original axis equals the map of the closed-form upper tails
+    p = 0.9
+    ev = TransportEvaluator(PF, PG, p=p)
+    tails = TransportEvaluator(upper_tail(PF, p), upper_tail(PG, p))
+    xs = np.linspace(10.0, 20.0, 11)
+    assert_allclose(ev.upper_many(xs), tails.upper_many(xs), rtol=1e-9)
+    assert_allclose(ev.upper(15.0), 15.0 / (15.0 * (1.0 - p) - 1.0), rtol=1e-9)
+    with pytest.raises(DomainError):
+        TransportEvaluator(PF, PG, p=1.0)
+
+
 def test_transport_evaluator_matches_scalar():
     ev = TransportEvaluator(PF, PG)
     xs = np.array([1.2, 1.5, 1.8])

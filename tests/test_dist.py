@@ -235,9 +235,9 @@ def test_negate_involution_uniform(u):
 
 @given(levels_open)
 def test_negate_reflects_quantiles(u):
-    d = Normal(1.0, 0.5)
-    nd = negate_dist(d)
-    assert_allclose(nd.quantile_left(u), -d.quantile_right(1.0 - u), atol=1e-12)
+    for d in (Normal(1.0, 0.5), Pareto(1.0, 2.0)):
+        nd = negate_dist(d)
+        assert_allclose(nd.quantile_left(u), -d.quantile_right(1.0 - u), atol=1e-12)
 
 
 def test_negate_empirical():
@@ -252,6 +252,16 @@ def test_negate_pareto_cdf():
     nd = negate_dist(d)
     for t in (-8.0, -2.0, -1.25):
         assert_allclose(nd.cdf(t), 1.0 - d.cdf(-t), atol=1e-6)
+
+
+def test_negate_pareto_exact():
+    d = Pareto(1.0, 2.0)
+    nd = negate_dist(d)
+    assert (nd.support_lo, nd.support_hi) == (-math.inf, -1.0)
+    assert negate_dist(nd) is d
+    # the integral evaluators reflect exactly, with no grid detour
+    assert_allclose(rvar_eval(nd, 0.2, 0.6), -rvar_eval(d, 0.4, 0.8), rtol=1e-12)
+    assert_allclose(es_eval(nd, 0.5), -rvar_eval(d, 0.0, 0.5), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
