@@ -10,8 +10,15 @@ reals: infinities are returned as proper floats, never saturated.
 Continuous marginals go through one transport body, ``_dl_min`` (grid
 scan + batched bracket refinement on the level-p evaluator, no tail law
 built), reached by the best bounds on the exactly negated pair; marginals
-with atoms go through discrete coupling plans, whose min/max/fractional-mean
-order statistics give the same bounds at grid resolution.
+with atoms go through discrete coupling plans on a level window, whose
+min/max order statistics give the same bounds at grid resolution.
+
+The mean functionals (ES, RVaR) all read the exact means of F^{-1} and
+G^{-1} over the n equal level cells of the window, paired by the plan
+(constrained) or countermonotonically (unconstrained). The cell-mean laws
+lie below F and G in convex order, and the countermonotone sum is the
+convex-order minimum, so L <= Lo <= Uo <= U holds by construction; only
+VaR and probability bounds can still need a snap.
 """
 
 from __future__ import annotations
@@ -28,9 +35,9 @@ from .dist import (
     DEFAULT_TRUNC,
     Dist,
     Empirical,
-    _midpoints,
+    _cell_means,
     es_eval,
-    lower_tail,
+    lower_tail,  # unused here; perfbench/tracer.py patches this name
     negate_dist,
     upper_tail,  # unused here; perfbench/tracer.py patches this name
 )
@@ -116,7 +123,7 @@ def _dl_min(f: Dist, g: Dist, p: float, grid_n: int, trunc: float) -> float:
 
     Continuous route: min of T_p(x) + x over [F^{-1}(p), G^{-1}(p)] on
     the level-p evaluator, capped by 2 G^{-1}(p). Marginals with atoms
-    route through the discrete tail plan minimum instead.
+    take the minimum of the plan on the level window [p, 1) instead.
     """
     if _has_atoms(f) or _has_atoms(g):
         plan = dl_plan_discrete(f, g, grid_n, p, trunc=trunc)
@@ -137,6 +144,17 @@ def _dl_min(f: Dist, g: Dist, p: float, grid_n: int, trunc: float) -> float:
     return float(min(inner, 2.0 * b))
 
 
+def _dl_max(f: Dist, g: Dist, q: float, grid_n: int, trunc: float) -> float:
+    """Essential supremum of the directed-coupling sum of the lower q-tails.
+
+    The reflection ``-_dl_min(negate(G), negate(F), 1 - q)``; marginals with
+    atoms take the maximum of the plan on the level window [0, q) instead.
+    """
+    if _has_atoms(f) or _has_atoms(g):
+        return float(dl_plan_discrete(f, g, grid_n, 0.0, q=q, trunc=trunc).sums_sorted[-1])
+    return -_dl_min(negate_dist(g), negate_dist(f), 1.0 - q, grid_n, trunc)
+
+
 def worst_ess_inf_constrained(
     f: Dist,
     g: Dist,
@@ -155,16 +173,12 @@ def best_ess_sup_constrained(
     grid_n: int = DEFAULT_GRID_N,
     trunc: float = DEFAULT_TRUNC,
 ) -> float:
-    """Smallest essential supremum of X + Y over couplings with X <= Y.
+    """Smallest essential supremum of X + Y over couplings with X <= Y: ``_dl_max(.., 1)``.
 
     Mirror of :func:`worst_ess_inf_constrained` through the exact
-    reflection best(F, G) = -worst(negate(G), negate(F)); marginals with
-    atoms take the discrete plan maximum instead.
+    reflection best(F, G) = -worst(negate(G), negate(F)).
     """
-    if _has_atoms(f) or _has_atoms(g):
-        plan = dl_plan_discrete(f, g, grid_n, 0.0, trunc=trunc)
-        return float(plan.sums_sorted[-1])
-    return -_dl_min(negate_dist(g), negate_dist(f), 0.0, grid_n, trunc)
+    return _dl_max(f, g, 1.0, grid_n, trunc)
 
 
 def _countermonotone_scan(f: Dist, g: Dist, a: float, c: float, w: float, refine) -> float:
@@ -219,16 +233,13 @@ def best_var_constrained(
 ) -> float:
     """Best-case VaR at level p under the order constraint.
 
-    The best essential supremum of the lower p-tails, reflected to
-    ``-_dl_min(negate(G), negate(F), 1 - p)``; it serves the left and
-    the right quantile for continuous strictly increasing marginals.
+    The best essential supremum of the lower p-tails, ``_dl_max`` at level
+    p; it serves the left and the right quantile for continuous strictly
+    increasing marginals. X <= Y gives X + Y >= 2X, so the value is
+    raised to 2 F^{-1}(p) where rounding leaves it below.
     """
     p = _check_p(p)
-    if _has_atoms(f) or _has_atoms(g):
-        fl = lower_tail(f, p, grid_n=grid_n, trunc=trunc)
-        gl = lower_tail(g, p, grid_n=grid_n, trunc=trunc)
-        return best_ess_sup_constrained(fl, gl, grid_n=grid_n, trunc=trunc)
-    return -_dl_min(negate_dist(g), negate_dist(f), 1.0 - p, grid_n, trunc)
+    return max(_dl_max(f, g, p, grid_n, trunc), 2.0 * float(f.quantile_left(p)))
 
 
 def worst_var_unconstrained(f: Dist, g: Dist, p: float) -> float:
@@ -269,7 +280,7 @@ def best_es_constrained(
     """Best-case ES under the order constraint: ES of the directed-coupling sum."""
     p = _check_p(p)
     plan = dl_plan_discrete(f, g, grid_n, 0.0, trunc=trunc)
-    return _upper_frac_mean(plan.sums_sorted, 1.0 - p)
+    return _upper_frac_mean(np.sort(plan.mean_sums), 1.0 - p)
 
 
 def best_es_unconstrained(
@@ -277,8 +288,7 @@ def best_es_unconstrained(
 ) -> float:
     """Best-case ES over all couplings: ES of the countermonotone sum."""
     p = _check_p(p)
-    s = np.sort(ct_sum_values(f, g, grid_n=grid_n))
-    return _upper_frac_mean(s, 1.0 - p)
+    return _upper_frac_mean(np.sort(_ct_cells(f, g, grid_n)), 1.0 - p)
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +311,7 @@ def worst_rvar_constrained(
     """
     p, q = _check_pq(p, q, allow_p0=True)
     plan = dl_plan_discrete(f, g, grid_n, p, trunc=trunc)
-    a = (q - p) / (1.0 - p)
-    return _lower_frac_mean(plan.sums_sorted, a)
+    return _lower_frac_mean(np.sort(plan.mean_sums), (q - p) / (1.0 - p))
 
 
 def best_rvar_constrained(
@@ -316,13 +325,11 @@ def best_rvar_constrained(
 ) -> float:
     """Best-case RVaR over [p, q] under the order constraint.
 
-    ES at level p/q of the directed coupling of the lower q-tails.
+    ES at level p/q of the directed coupling on the level window [0, q).
     """
     p, q = _check_pq(p, q, allow_p0=False)
-    fl = lower_tail(f, q, grid_n=grid_n, trunc=trunc)
-    gl = lower_tail(g, q, grid_n=grid_n, trunc=trunc)
-    plan = dl_plan_discrete(fl, gl, grid_n, 0.0, trunc=trunc)
-    return _upper_frac_mean(plan.sums_sorted, 1.0 - p / q)
+    plan = dl_plan_discrete(f, g, grid_n, 0.0, q=q, trunc=trunc)
+    return _upper_frac_mean(np.sort(plan.mean_sums), 1.0 - p / q)
 
 
 def worst_rvar_unconstrained(
@@ -330,10 +337,7 @@ def worst_rvar_unconstrained(
 ) -> float:
     """Worst-case RVaR over all couplings: countermonotone upper p-tails."""
     p, q = _check_pq(p, q, allow_p0=True)
-    us = p + (1.0 - p) * _midpoints(grid_n)
-    s = np.asarray(f.quantile_left(us)) + np.asarray(g.quantile_left(us[::-1]))
-    a = (q - p) / (1.0 - p)
-    return _lower_frac_mean(np.sort(s), a)
+    return _lower_frac_mean(np.sort(_ct_cells(f, g, grid_n, p)), (q - p) / (1.0 - p))
 
 
 def best_rvar_unconstrained(
@@ -341,19 +345,21 @@ def best_rvar_unconstrained(
 ) -> float:
     """Best-case RVaR over all couplings: countermonotone lower q-tails."""
     p, q = _check_pq(p, q, allow_p0=False)
-    us = q * _midpoints(grid_n)
-    s = np.asarray(f.quantile_left(us)) + np.asarray(g.quantile_left(us[::-1]))
-    return _upper_frac_mean(np.sort(s), 1.0 - p / q)
+    return _upper_frac_mean(np.sort(_ct_cells(f, g, grid_n, 0.0, q)), 1.0 - p / q)
 
 
 # ---------------------------------------------------------------------------
 # reference coupling functionals (plot columns, probability bounds)
 
 
+def _ct_cells(f: Dist, g: Dist, n: int, p: float = 0.0, q: float = 1.0) -> np.ndarray:
+    """Countermonotone sums of the cell means of [p, q) that plans use (unsorted)."""
+    return _cell_means(f, n, p, q) + _cell_means(g, n, p, q)[::-1]
+
+
 def ct_sum_values(f: Dist, g: Dist, *, grid_n: int = DEFAULT_GRID_N) -> np.ndarray:
-    """Countermonotone sum evaluated on the midpoint level grid (unsorted)."""
-    us = _midpoints(grid_n)
-    return np.asarray(f.quantile_left(us)) + np.asarray(g.quantile_left(us[::-1]))
+    """Countermonotone sum on the n level cells of [0, 1): paired cell means (unsorted)."""
+    return _ct_cells(f, g, grid_n)
 
 
 def _sorted_quantile(sorted_vals: np.ndarray, p: float) -> float:
@@ -459,16 +465,15 @@ def prob_upper_unconstrained(f: Dist, g: Dist, t: float) -> float:
 def du_reduction(l: float, u: float, lo: float, uo: float):
     """Spread reductions (R_L, R_U, R) of [Lo, Uo] inside [L, U].
 
-    Requires the nesting L <= Lo <= Uo <= U with a finite positive
-    spread U - L; otherwise the spread is degenerate or undefined.
+    Requires the nesting L <= Lo <= Uo <= U on the extended reals, then a
+    finite positive spread U - L; otherwise the spread is degenerate.
     """
-    vals = (l, u, lo, uo)
-    if not all(math.isfinite(v) for v in vals):
+    if not (l <= lo <= uo <= u):
+        raise DomainError("bounds must nest: L <= Lo <= Uo <= U")
+    if not all(math.isfinite(v) for v in (l, u, lo, uo)):
         raise DegenerateSpreadError("spread reduction undefined for infinite bounds")
     if u <= l:
         raise DegenerateSpreadError("spread U - L must be positive")
-    if not (l <= lo <= uo <= u):
-        raise DomainError("bounds must nest: L <= Lo <= Uo <= U")
     r_l = (lo - l) / (u - l)
     r_u = (u - uo) / (u - l)
     return r_l, r_u, r_l + r_u
@@ -499,13 +504,7 @@ def _json_num(v):
     if v is None:
         return None
     v = float(v)
-    if math.isnan(v):
-        return "nan"
-    if v == math.inf:
-        return "inf"
-    if v == -math.inf:
-        return "-inf"
-    return v
+    return v if math.isfinite(v) else str(v)  # "inf", "-inf", "nan"
 
 
 @dataclass(frozen=True)
@@ -559,9 +558,10 @@ def bound_report(
 ) -> BoundReport:
     """All four extremes of one measure plus the spread reduction.
 
-    Tiny inversions of the theoretical nesting caused by independent
-    grid routes are snapped; genuine violations raise. An infinite or
-    degenerate spread leaves the reduction fields unset.
+    ES and RVaR nest by construction (one level-cell partition); tiny
+    inversions of the VaR and probability bounds, which come from
+    independent refinements, are snapped, and genuine violations raise.
+    An infinite or degenerate spread leaves the reduction fields unset.
     """
     try:
         measure = _MEASURE_ALIASES[str(measure).lower()]
@@ -626,13 +626,9 @@ def bound_report(
 
 def _snap_nesting(ub, cb, cw, uw, grid_n):
     """Snap sub-resolution inversions of ub <= cb <= cw <= uw."""
-    finite = [abs(v) for v in (ub, cb, cw, uw) if math.isfinite(v)]
-    scale = max([1.0] + finite)
-    tol = scale * (1e-7 + 4.0 / grid_n)
-    if math.isfinite(cb) and math.isfinite(ub) and 0.0 < ub - cb <= tol:
-        cb = ub
-    if math.isfinite(cw) and math.isfinite(cb) and 0.0 < cb - cw <= tol:
-        cw = cb
-    if math.isfinite(uw) and math.isfinite(cw) and 0.0 < cw - uw <= tol:
-        uw = cw
-    return ub, cb, cw, uw
+    vals = [ub, cb, cw, uw]
+    tol = max([1.0] + [abs(v) for v in vals if math.isfinite(v)]) * (1e-7 + 4.0 / grid_n)
+    for k in range(1, 4):
+        if 0.0 < vals[k - 1] - vals[k] <= tol:  # False when either is infinite
+            vals[k] = vals[k - 1]
+    return tuple(vals)

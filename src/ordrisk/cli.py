@@ -35,9 +35,9 @@ from .bounds import (
     ct_sum_var,
     dl_sum_var,
     prob_lower,
-    prob_lower_unconstrained,
+    prob_lower_unconstrained,  # unused here; perfbench/tracer.py patches this name
     prob_upper,
-    prob_upper_unconstrained,
+    prob_upper_unconstrained,  # unused here; perfbench/tracer.py patches this name
     worst_ess_inf_constrained,
     worst_ess_inf_unconstrained,
     worst_var_constrained,
@@ -186,6 +186,11 @@ def _ordered_marginals(args: argparse.Namespace):
     return f, g
 
 
+def _nested(r):
+    """A report's four bounds in their nesting order L, Lo, Uo, U."""
+    return r.unconstrained_best, r.constrained_best, r.constrained_worst, r.unconstrained_worst
+
+
 def _emit_bound_outputs(f: Dist, g: Dist, args: argparse.Namespace) -> None:
     """Curve CSV, per-level coupling VaRs and JSON reports for one pair."""
     os.makedirs(args.out_dir, exist_ok=True)
@@ -197,17 +202,7 @@ def _emit_bound_outputs(f: Dist, g: Dist, args: argparse.Namespace) -> None:
         )
         for p in ps
     ]
-    rows = [
-        (
-            r.p,
-            r.unconstrained_best,
-            r.constrained_best,
-            r.constrained_worst,
-            r.unconstrained_worst,
-            r.r,
-        )
-        for r in reports
-    ]
+    rows = [(r.p, *_nested(r), r.r) for r in reports]
     _write_csv(
         os.path.join(args.out_dir, "curve.csv"),
         ["p", "L", "Lo", "Uo", "U", "R"],
@@ -236,37 +231,17 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
-def _nest4(m: float, mo: float, big_mo: float, big_m: float):
-    # independent bisections may cross by their own tolerance; snap those,
-    # refuse anything larger
-    vals = [m, mo, big_mo, big_m]
-    out = [vals[0]]
-    for v in vals[1:]:
-        if v < out[-1]:
-            if out[-1] - v > 1e-4:
-                raise OrdriskError("probability bounds failed to nest")
-            v = out[-1]
-        out.append(v)
-    return tuple(out)
-
-
 def cmd_probbounds(args: argparse.Namespace) -> int:
     f, g = _ordered_marginals(args)
     os.makedirs(args.out_dir, exist_ok=True)
     plan = dl_plan_discrete(f, g, args.grid_n, 0.0, trunc=args.trunc, check=False)
     ct = np.sort(ct_sum_values(f, g, grid_n=args.grid_n))
-    kw = dict(grid_n=args.grid_n, trunc=args.trunc)
     rows = []
     for t in _grid(args.t_from, args.t_to, args.t_step):
-        t = float(t)
-        m = prob_lower_unconstrained(f, g, t)
-        mo = prob_lower(f, g, t, **kw)
-        big_mo = prob_upper(f, g, t, **kw)
-        big_m = prob_upper_unconstrained(f, g, t)
-        m, mo, big_mo, big_m = _nest4(m, mo, big_mo, big_m)
-        p_dl = dl_sum_cdf(plan, t)
-        p_ct = float(np.searchsorted(ct, t, side="right")) / ct.size
-        rows.append((t, m, mo, big_mo, big_m, p_dl, p_ct))
+        r = bound_report(f, g, "prob", t=float(t), grid_n=args.grid_n, trunc=args.trunc)
+        m, mo, big_mo, big_m = _nested(r)
+        p_ct = float(np.searchsorted(ct, r.t, side="right")) / ct.size
+        rows.append((r.t, m, mo, big_mo, big_m, dl_sum_cdf(plan, r.t), p_ct))
     _write_csv(
         os.path.join(args.out_dir, "probbounds.csv"),
         ["t", "m", "mo", "Mo", "M", "prob_dl", "prob_ct"],

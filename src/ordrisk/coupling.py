@@ -5,8 +5,9 @@ X ~ F, Y ~ G and X <= Y, here called the directed coupling:
 
 * transport maps ``transport_upper`` / ``transport_lower``;
 * its closed-form bivariate CDF ``dl_cdf``;
-* discrete coupling plans (``dl_plan_discrete``) built by matching
-  descending quantile grids, and the sum CDF over a plan;
+* discrete coupling plans (``dl_plan_discrete``) on the equal level
+  cells of a window, matching descending left-endpoint quantiles, and the
+  sum CDF over a plan;
 * samplers for comonotone, countermonotone and dl dependence.
 
 The transport map is ``T(x) = inf{z >= x : F(z)-G(z) < F(x)-G(x)}``
@@ -31,10 +32,11 @@ from .dist import (
     DEFAULT_GRID_N,
     DEFAULT_TRUNC,
     Dist,
+    _cell_means,
     _merged_grid,
     check_st,
-    upper_tail,
     negate_dist,
+    upper_tail,  # unused here; perfbench/tracer.py patches this name
 )
 from .errors import DomainError, OrderViolationError, PlanInfeasibleError
 
@@ -197,18 +199,21 @@ def dl_cdf(f: Dist, g: Dist, x: float, y: float, *, trunc: float = DEFAULT_TRUNC
 
 @dataclass(frozen=True, eq=False)
 class DlPlan:
-    """Discrete directed coupling between two n-point quantile grids.
+    """Discrete directed coupling on the n equal level cells of a window [p, q).
 
-    Pair k carries mass 1/n and matches the k-th largest F-grid point
-    with the smallest still-available G-grid point above it. ``p`` is
-    the tail level the grids were drawn from (0 for whole distributions).
+    Pair k carries mass 1/n. Its points are left cell-end quantiles, x in
+    decreasing order, each matched with the smallest still-available y
+    above it, so x <= y exactly. ``mean_sums`` adds the paired cells'
+    means of F^{-1} and G^{-1}, which mean functionals (ES, RVaR) read.
     """
 
     n: int
     p: float
+    q: float
     x: np.ndarray = field(repr=False)
     y: np.ndarray = field(repr=False)
     y_index: np.ndarray = field(repr=False)
+    mean_sums: np.ndarray = field(repr=False)
 
     @cached_property
     def sums_sorted(self) -> np.ndarray:
@@ -221,12 +226,12 @@ class DlPlan:
 
     def __repr__(self):
         common = int(np.count_nonzero(self.tag == "common"))
-        return f"DlPlan(n={self.n}, p={self.p!r}, common={common})"
+        return f"DlPlan(n={self.n}, p={self.p!r}, q={self.q!r}, common={common})"
 
 
-def _plan_levels(n: int, p: float) -> np.ndarray:
-    # descending: p + (1-p)(n-i)/n for i = 1..n
-    return p + (1.0 - p) * (n - np.arange(1, n + 1)) / n
+def _plan_levels(n: int, p: float, q: float = 1.0) -> np.ndarray:
+    # descending left cell ends: p + (q-p)(n-i)/n for i = 1..n
+    return p + (q - p) * (n - np.arange(1, n + 1)) / n
 
 
 def _grid_points(d: Dist, levels: np.ndarray, trunc: float) -> np.ndarray:
@@ -238,56 +243,68 @@ def _grid_points(d: Dist, levels: np.ndarray, trunc: float) -> np.ndarray:
     return pts
 
 
+def _match(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Index of the y each x takes when x runs down and takes the last y stacked.
+
+    Merging the two descending sequences, every y at or above the current
+    x is stacked before that x arrives, and the x pops the top of the stack.
+    As brackets (a y opens, an x closes), the k-th x that arrives at stack
+    depth h takes the k-th y that raised the stack to h.
+    """
+    n = xs.size
+    i = np.arange(n)
+    # y's stacked when x_i arrives: the first y below every x so far stops the merge
+    stacked = np.searchsorted(
+        -np.minimum.accumulate(ys), -np.minimum.accumulate(xs), side="right"
+    )
+    depth_x = stacked - i
+    empty = np.flatnonzero(depth_x <= 0)
+    if empty.size:
+        k = int(empty[0])
+        raise PlanInfeasibleError(f"no available y >= {xs[k]:.6g} for pair {k + 1} of {n}")
+    depth_y = i + 1 - np.searchsorted(stacked, i, side="right")
+    ox = np.argsort(depth_x, kind="stable")
+    oy = np.argsort(depth_y, kind="stable")
+    hx, hy = depth_x[ox], depth_y[oy]
+    rank = i - np.searchsorted(hx, hx, side="left")
+    y_idx = np.empty(n, dtype=np.int64)
+    y_idx[ox] = oy[np.searchsorted(hy, hx, side="left") + rank]
+    return y_idx
+
+
 def dl_plan_discrete(
     f: Dist,
     g: Dist,
     n: int,
     p: float = 0.0,
     *,
+    q: float = 1.0,
     trunc: float = DEFAULT_TRUNC,
     check: bool = True,
 ) -> DlPlan:
-    """Directed coupling plan on the n-point upper tail grids at level p.
+    """Directed coupling plan on the n equal level cells of [p, q).
 
-    Grid points sit at levels p + (1-p)(n-i)/n, i = 1..n; iteration runs
-    in decreasing x, matching each x_k with min{y in S_k : y >= x_k} and
-    removing the match from S_k. Raises PlanInfeasibleError when no
-    admissible y remains, which signals a stochastic-order violation at
-    grid resolution.
+    The points sit at the left cell ends p + (q-p)(n-i)/n, i = 1..n;
+    iteration runs in decreasing x, matching each x_k with
+    min{y in S_k : y >= x_k} and removing the match from S_k. Raises
+    PlanInfeasibleError when no admissible y remains, which signals a
+    stochastic-order violation at grid resolution; ``check`` first checks
+    the order of the whole pair. ``mean_sums`` adds the paired cell means.
     """
     n = int(n)
     if n < 1:
         raise DomainError("plan size must be at least 1")
-    p = float(p)
-    if not 0.0 <= p < 1.0:
-        raise DomainError("plan tail level must lie in [0, 1)")
+    p, q = float(p), float(q)
+    if not 0.0 <= p < q <= 1.0:
+        raise DomainError("plan level window must satisfy 0 <= p < q <= 1")
     if check:
-        _require_order(upper_tail(f, p, trunc=trunc), upper_tail(g, p, trunc=trunc))
-    levels = _plan_levels(n, p)
+        _require_order(f, g)
+    levels = _plan_levels(n, p, q)
     xs = _grid_points(f, levels, trunc)
     ys = _grid_points(g, levels, trunc)
-
-    # Merge both descending grids; at a tie the y is stacked before the
-    # x arrives, so equal locations pair with each other.
-    x_out = np.empty(n)
-    y_out = np.empty(n)
-    y_idx = np.empty(n, dtype=np.int64)
-    stack: list[int] = []
-    j = 0
-    for i in range(n):
-        x = xs[i]
-        while j < n and ys[j] >= x:
-            stack.append(j)
-            j += 1
-        if not stack:
-            raise PlanInfeasibleError(
-                f"no available y >= {x:.6g} for pair {i + 1} of {n}"
-            )
-        m = stack.pop()
-        x_out[i] = x
-        y_out[i] = ys[m]
-        y_idx[i] = m
-    return DlPlan(n=n, p=p, x=x_out, y=y_out, y_index=y_idx)
+    y_idx = _match(xs, ys)
+    means = _cell_means(f, n, p, q)[::-1] + _cell_means(g, n, p, q)[::-1][y_idx]
+    return DlPlan(n=n, p=p, q=q, x=xs, y=ys[y_idx], y_index=y_idx, mean_sums=means)
 
 
 def dl_sum_cdf(plan: DlPlan, t):
@@ -359,8 +376,8 @@ def sample_coupling(
         idx = rng.integers(0, plan.n, size)
         if jitter:
             frac = rng.random(size)
-            w = (1.0 - plan.p) / plan.n
-            levels = _plan_levels(plan.n, plan.p)
+            w = (plan.q - plan.p) / plan.n
+            levels = _plan_levels(plan.n, plan.p, plan.q)
             x_lev = levels[idx]
             y_lev = levels[plan.y_index[idx]]
             x = np.asarray(f.quantile_left(_safe_levels(x_lev + frac * w)), dtype=float)

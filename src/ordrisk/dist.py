@@ -586,53 +586,63 @@ def _empirical_from_cdf(ts, cdf_vals):
 # tail risk measures
 
 
-def _norm_pdf(z):
-    return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+def _piecewise_integral(breaks, ql, qr, a, b):
+    """``\\int_a^b`` of a quantile linear from ``ql[k]`` to ``qr[k]`` on level segment k."""
+    width = np.diff(breaks)
+    cum = np.concatenate(([0.0], np.cumsum(0.5 * (ql + qr) * width)))
+    safe = np.where(width > 0.0, width, 1.0)
+
+    def anti(u):
+        k = np.clip(np.searchsorted(breaks, u, side="right") - 1, 0, width.size - 1)
+        t = u - breaks[k]
+        qu = ql[k] + (qr[k] - ql[k]) * (t / safe[k])
+        return cum[k] + 0.5 * (ql[k] + qu) * t
+
+    return anti(b) - anti(a)
 
 
-def _quantile_integral(d: Dist, a: float, b: float) -> float:
-    """Exact ``\\int_a^b F^{-1}(u) du`` over the quantile representation.
+def _quantile_integral(d: Dist, a, b):
+    """Exact ``\\int_a^b F^{-1}(u) du`` over the quantile representation, elementwise.
 
-    Returns ``inf`` when the integral diverges (heavy Pareto tail at
+    ``inf`` where the integral diverges (a Pareto tail of shape <= 1 at
     ``b = 1``).
     """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if isinstance(d, Uniform):
-        return d.lo * (b - a) + 0.5 * (d.hi - d.lo) * (b * b - a * a)
+        return (b - a) * (d.lo + 0.5 * (d.hi - d.lo) * (a + b))
     if isinstance(d, Normal):
-        za = ndtri(a) if a > 0.0 else -math.inf
-        zb = ndtri(b) if b < 1.0 else math.inf
-        pa = _norm_pdf(za) if math.isfinite(za) else 0.0
-        pb = _norm_pdf(zb) if math.isfinite(zb) else 0.0
-        return d.mean * (b - a) + d.sd * (pa - pb)
+        pdf = lambda u: np.exp(-0.5 * ndtri(u) ** 2) / math.sqrt(2.0 * math.pi)
+        return d.mean * (b - a) + d.sd * (pdf(a) - pdf(b))
     if isinstance(d, Pareto):
-        if b >= 1.0 and d.shape <= 1.0:
-            return math.inf
-        if d.shape == 1.0:
-            return d.scale * math.log((1.0 - a) / (1.0 - b))
-        e = 1.0 - 1.0 / d.shape
-        anti = lambda u: -d.scale * (1.0 - u) ** e / e
-        top = 0.0 if b >= 1.0 else anti(b)
-        return top - anti(a)
+        with np.errstate(divide="ignore"):
+            if d.shape == 1.0:
+                return d.scale * np.log((1.0 - a) / (1.0 - b))
+            e = 1.0 - 1.0 / d.shape
+            return d.scale * ((1.0 - a) ** e - (1.0 - b) ** e) / e
     if isinstance(d, _Negated):
         return -_quantile_integral(d.d, 1.0 - b, 1.0 - a)
     if isinstance(d, Empirical):
-        hi = d._cumw
-        lo = np.concatenate(([0.0], d._cumw[:-1]))
-        w = np.maximum(np.minimum(hi, b) - np.maximum(lo, a), 0.0)
-        return float(np.dot(d.values, w))
+        breaks = np.concatenate(([0.0], d._cumw))
+        return _piecewise_integral(breaks, d.values, d.values, a, b)
     if isinstance(d, QuantileGrid):
-        # segments: flat below us[0], linear between nodes, flat above us[-1]
-        ul = np.concatenate(([0.0], d.us))
-        ur = np.concatenate((d.us, [1.0]))
-        xl = np.concatenate(([d.xs[0]], d.xs))
-        xr = np.concatenate(([d.xs[0]], d.xs[1:], [d.xs[-1]]))
-        lo = np.clip(a, ul, ur)
-        hi = np.clip(b, ul, ur)
-        width = np.where(ur > ul, ur - ul, 1.0)
-        q_lo = xl + (xr - xl) * (lo - ul) / width
-        q_hi = xl + (xr - xl) * (hi - ul) / width
-        return float(np.sum(0.5 * (q_lo + q_hi) * np.maximum(hi - lo, 0.0)))
+        # flat below us[0], linear between nodes, flat above us[-1]
+        breaks = np.concatenate(([0.0], d.us, [1.0]))
+        ql = np.concatenate(([d.xs[0]], d.xs))
+        qr = np.concatenate(([d.xs[0]], d.xs[1:], [d.xs[-1]]))
+        return _piecewise_integral(breaks, ql, qr, a, b)
     raise DomainError(f"unsupported kind {d.kind!r}")
+
+
+def _cell_means(d: Dist, n: int, p: float = 0.0, q: float = 1.0) -> np.ndarray:
+    """Means of ``F^{-1}`` over the ``n`` equal level cells of ``[p, q)``, ascending.
+
+    Cell ``k`` is ``[p + (q - p) k / n, p + (q - p)(k + 1) / n)``; a
+    diverging cell mean is ``inf``. The cell-mean law lies below ``F`` in
+    convex order.
+    """
+    edges = p + (q - p) * np.arange(n + 1) / n
+    edges[-1] = q
+    return _quantile_integral(d, edges[:-1], edges[1:]) / np.diff(edges)
 
 
 def es_eval(d: Dist, p: float) -> float:
@@ -643,7 +653,7 @@ def es_eval(d: Dist, p: float) -> float:
     p = float(p)
     if not 0.0 < p < 1.0:
         raise DomainError("es level must lie in (0, 1)")
-    return _quantile_integral(d, p, 1.0) / (1.0 - p)
+    return float(_quantile_integral(d, p, 1.0)) / (1.0 - p)
 
 
 def rvar_eval(d: Dist, p: float, q: float) -> float:
@@ -651,7 +661,7 @@ def rvar_eval(d: Dist, p: float, q: float) -> float:
     p, q = float(p), float(q)
     if not (0.0 <= p < q < 1.0):
         raise DomainError("rvar levels require 0 <= p < q < 1")
-    return _quantile_integral(d, p, q) / (q - p)
+    return float(_quantile_integral(d, p, q)) / (q - p)
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,21 @@ def test_constrained_var_checks_whole_pair():
         B.worst_var_constrained(f, g, 0.95)
     with pytest.raises(OrderViolationError):
         B.best_var_constrained(f, g, 0.95)
+    # the same pair as 1,000 midpoint atoms takes the plan route, whose
+    # upper-tail check alone let worst VaR return 213.385
+    mid = (np.arange(1000) + 0.5) / 1000
+    f = empirical_from_samples(100.0 * mid)
+    g = empirical_from_samples(-10.0 + 130.0 * mid)
+    with pytest.raises(OrderViolationError):
+        B.worst_var_constrained(f, g, 0.95)
+    with pytest.raises(OrderViolationError):
+        B.best_var_constrained(f, g, 0.95)
+
+
+def test_best_var_at_least_twice_lower_quantile_below_half():
+    # the reflected level 1 - (1 - p) is not p in floating point here
+    f, g = Uniform(0, 100), Uniform(0, 120)
+    assert B.best_var_constrained(f, g, 0.1) == 20.0
 
 
 def test_makarov_values():
@@ -272,6 +287,9 @@ def test_du_reduction_errors():
         B.du_reduction(0.0, math.inf, 1.0, 2.0)
     with pytest.raises(DomainError):
         B.du_reduction(0.0, 10.0, 9.0, 3.0)
+    # the nesting is checked on the extended reals before the spread
+    with pytest.raises(DomainError):
+        B.du_reduction(248.4, math.inf, 219.7, math.inf)
 
 
 REPORT_KEYS = {
@@ -307,14 +325,18 @@ def test_report_var():
 
 
 def test_report_nesting_all_measures():
-    f, g = Uniform(0, 100), Uniform(0, 120)
-    for measure, kw in [
-        ("var", dict(p=0.9)),
-        ("es", dict(p=0.9)),
-        ("rvar", dict(p=0.9, q=0.99)),
-        ("essinf", dict()),
-        ("esssup", dict()),
-        ("prob", dict(t=150.0)),
+    u, v = Uniform(0, 100), Uniform(0, 120)
+    for f, g, measure, kw in [
+        (u, v, "var", dict(p=0.9)),
+        (u, v, "es", dict(p=0.9)),
+        (u, v, "rvar", dict(p=0.9, q=0.99)),
+        (u, v, "essinf", dict()),
+        (u, v, "esssup", dict()),
+        (u, v, "prob", dict(t=150.0)),
+        # heavy tails that refused to nest when the plan read left cell
+        # ends and the countermonotone sum read cell midpoints
+        (Pareto(2.897, 1.063), Pareto(4.717, 1.063), "es", dict(p=0.2135)),
+        (Pareto(1.947, 0.644), Pareto(4.820, 0.644), "rvar", dict(p=0.613, q=0.999)),
     ]:
         rep = B.bound_report(f, g, measure, grid_n=4000, **kw)
         vals = [
@@ -328,12 +350,69 @@ def test_report_nesting_all_measures():
             assert 0.0 <= rep.r <= 1.0
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
 def test_report_es_pareto_nesting():
-    # the plan and countermonotone grids converge at different rates on
-    # heavy tails, so L > Lo here (248.4 against 219.7 at the default grid)
+    # X + Y >= X and ES_0.9(X) = inf for Pareto shape 1: every coupling's
+    # ES is infinite (point grids gave L = 248.4 > Lo = 219.7 here)
     rep = B.bound_report(PF, PG, "es", p=0.9)
-    assert rep.unconstrained_best <= rep.constrained_best
+    vals = [
+        rep.unconstrained_best,
+        rep.constrained_best,
+        rep.constrained_worst,
+        rep.unconstrained_worst,
+    ]
+    assert vals == [math.inf] * 4
+    assert rep.r is None
+
+
+@pytest.mark.parametrize(
+    "f, g, measure, p, q, expected",
+    [
+        (
+            Pareto(2.897, 1.063),
+            Pareto(4.717, 1.063),
+            "es",
+            0.2135,
+            None,
+            [159.377, 160.632, 161.037, 161.037],
+        ),
+        (
+            Pareto(1.947, 0.644),
+            Pareto(4.820, 0.644),
+            "rvar",
+            0.613,
+            0.999,
+            [1371.84, 1386.63, 1517.67, 1994.43],
+        ),
+    ],
+    ids=["es", "rvar"],
+)
+def test_mean_bounds_nest_without_snap(f, g, measure, p, q, expected):
+    # all four values read the cell means of one partition, so the raw
+    # values nest and the report returns them unchanged
+    if measure == "es":
+        raw = [
+            B.best_es_unconstrained(f, g, p),
+            B.best_es_constrained(f, g, p),
+            B.worst_es_constrained(f, g, p),
+        ]
+        raw.append(raw[-1])
+    else:
+        raw = [
+            B.best_rvar_unconstrained(f, g, p, q),
+            B.best_rvar_constrained(f, g, p, q),
+            B.worst_rvar_constrained(f, g, p, q),
+            B.worst_rvar_unconstrained(f, g, p, q),
+        ]
+    assert raw == sorted(raw)
+    assert_allclose(raw, expected, rtol=1e-5)
+    rep = B.bound_report(f, g, measure, p=p, q=q)
+    got = [
+        rep.unconstrained_best,
+        rep.constrained_best,
+        rep.constrained_worst,
+        rep.unconstrained_worst,
+    ]
+    assert got == raw
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 3")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from ordrisk.coupling import (
     DlPlan,
     TransportEvaluator,
     _first_below,
+    _grid_points,
+    _plan_levels,
     _range_minima,
     dl_cdf,
     dl_plan_discrete,
@@ -29,6 +32,7 @@ from ordrisk.dist import (
     Normal,
     Pareto,
     Uniform,
+    _cell_means,
     empirical_from_samples,
     to_grid,
     upper_tail,
@@ -275,6 +279,21 @@ def test_plan_validation():
         dl_plan_discrete(PF, PG, 0)
     with pytest.raises(DomainError):
         dl_plan_discrete(PF, PG, 100, 1.0)
+    for p, q in [(-0.1, 1.0), (0.5, 0.5), (0.6, 0.5), (0.0, 1.1), (0.0, 0.0)]:
+        with pytest.raises(DomainError):
+            dl_plan_discrete(PF, PG, 100, p, q=q)
+
+
+def test_plan_window():
+    f, g = Uniform(0, 1), Uniform(0, 1.5)
+    plan = dl_plan_discrete(f, g, 400, 0.2, q=0.6)
+    assert (plan.p, plan.q) == (0.2, 0.6)
+    assert plan.x.min() == 0.2 and plan.x.max() < 0.6
+    assert np.all(plan.x <= plan.y)
+    # a uniform cell's mean sits half a cell above its left end
+    half = 0.5 * 0.4 / 400
+    assert_allclose(plan.mean_sums, plan.x + plan.y + 2.5 * half, rtol=1e-12)
+    assert_allclose(plan.mean_sums.mean(), 0.4 + 0.6, rtol=1e-12)
 
 
 @settings(max_examples=20, deadline=None)
@@ -296,6 +315,108 @@ def test_plan_feasibility_tracks_order(n):
         assert violation <= 2.0 / n
     except PlanInfeasibleError:
         assert not ordered
+
+
+def _stack_match(xs, ys):
+    # the stack loop the plan used before its bracket matching: x runs
+    # down, every y >= x is stacked first, and x pops the last stacked y
+    n = xs.size
+    stack, j, y_idx = [], 0, np.empty(n, dtype=np.int64)
+    for i in range(n):
+        while j < n and ys[j] >= xs[i]:
+            stack.append(j)
+            j += 1
+        if not stack:
+            raise PlanInfeasibleError(f"no available y >= {xs[i]:.6g} for pair {i + 1} of {n}")
+        y_idx[i] = stack.pop()
+    return y_idx
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 6), min_size=1, max_size=12),
+    st.lists(st.integers(0, 7), min_size=1, max_size=12),
+    st.integers(1, 40),
+    st.sampled_from([(0.0, 1.0), (0.3, 1.0), (0.0, 0.6), (0.2, 0.9)]),
+)
+def test_plan_matching_matches_stack_loop(xv, yv, n, window):
+    # small integer atoms: ties within and across the two grids, and
+    # pairs whose order fails by any margin
+    f, g = empirical_from_samples(xv), empirical_from_samples(yv)
+    p, q = window
+    levels = _plan_levels(n, p, q)
+    xs, ys = f.quantile_left(levels), g.quantile_left(levels)
+    try:
+        expected = _stack_match(xs, ys)
+    except PlanInfeasibleError as exc:
+        with pytest.raises(PlanInfeasibleError, match=re.escape(str(exc))):
+            dl_plan_discrete(f, g, n, p, q=q, check=False)
+        return
+    plan = dl_plan_discrete(f, g, n, p, q=q, check=False)
+    np.testing.assert_array_equal(plan.y_index, expected)
+    np.testing.assert_array_equal(plan.y, ys[expected])
+
+
+@pytest.mark.parametrize(
+    "f, g, p, trunc",
+    [
+        (PF, PG, 0.0, 1.0 - 1e-6),
+        (PF, PG, 0.9, 1.0 - 1e-6),
+        (Uniform(0, 1), Uniform(0, 1.5), 0.0, 1.0 - 1e-6),
+        (Normal(0, 1), Normal(0.5, 1), 0.0, 1.0 - 1e-6),
+        # level 0 is clipped to 0.01, above the next levels: the bottom
+        # points are out of order, and the stack loop's merge stops early
+        (Normal(0, 1), Normal(0.5, 1), 0.0, 0.99),
+        (_EMP_F, _EMP_G, 0.0, 1.0 - 1e-6),
+    ],
+    ids=["pareto", "pareto_tail", "uniform", "normal", "normal_clipped", "empirical"],
+)
+def test_plan_matching_matches_stack_loop_continuous(f, g, p, trunc):
+    levels = _plan_levels(3000, p)
+    ys = _grid_points(g, levels, trunc)
+    plan = dl_plan_discrete(f, g, 3000, p, trunc=trunc)
+    np.testing.assert_array_equal(plan.y_index, _stack_match(plan.x, ys))
+    np.testing.assert_array_equal(plan.y, ys[plan.y_index])
+
+
+def _stop_loss(sums, ts):
+    # E(S - t)+ for S uniform on the given atoms, at every t
+    s = np.sort(sums)
+    above = np.concatenate((np.cumsum(s[::-1])[::-1], [0.0]))
+    k = np.searchsorted(s, ts, side="right")
+    return (above[k] - ts * (s.size - k)) / s.size
+
+
+@pytest.mark.parametrize(
+    "f, g",
+    [
+        (PF, PG),
+        (Pareto(25.0, 2.0), Pareto(30.0, 2.0)),
+        (Uniform(0, 100), Uniform(0, 120)),
+        (Normal(0, 1), Normal(0.5, 1)),
+        (_EMP_F, _EMP_G),
+    ],
+    ids=["pareto", "pareto_light", "uniform", "normal", "empirical"],
+)
+def test_plan_sum_between_counter_and_comonotone(f, g):
+    # the DL pairing is a coupling of the two grids, so its sum has the
+    # comonotone mean and lies between the countermonotone and comonotone
+    # sums in convex order; stop-loss curves are piecewise linear with
+    # kinks at the atoms, so checking every atom checks every t
+    n = 2000
+    plan = dl_plan_discrete(f, g, n)
+    xs, ys = plan.x, np.sort(plan.y)[::-1]
+    cases = [(plan.x + plan.y, xs + ys, xs + ys[::-1])]
+    if np.all(np.isfinite(plan.mean_sums)):  # Pareto shape 1 has an infinite top cell
+        mx, my = _cell_means(f, n)[::-1], _cell_means(g, n)[::-1]
+        cases.append((plan.mean_sums, mx + my, mx + my[::-1]))
+    for dl, como, counter in cases:
+        scale = np.abs(como).max()
+        assert_allclose(dl.mean(), como.mean(), rtol=1e-12)
+        ts = np.concatenate((dl, como, counter))
+        stop_dl = _stop_loss(dl, ts)
+        assert np.all(stop_dl <= _stop_loss(como, ts) + 1e-12 * scale)
+        assert np.all(_stop_loss(counter, ts) <= stop_dl + 1e-12 * scale)
 
 
 def test_dl_sum_cdf_against_closed_form():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.integrate import quad
 from scipy.special import ndtri
 
 from ordrisk.dist import (
@@ -16,6 +17,7 @@ from ordrisk.dist import (
     Pareto,
     QuantileGrid,
     Uniform,
+    _cell_means,
     check_ss,
     check_st,
     empirical_from_samples,
@@ -298,6 +300,41 @@ def test_rvar_values():
 def test_es_on_grid_kind():
     g = to_grid(Uniform(0.0, 1.0), 2000)
     assert_allclose(es_eval(g, 0.75), 0.875, atol=1e-3)
+
+
+CELL_LAWS = {
+    "uniform": Uniform(2, 6),
+    "normal": Normal(1, 2),
+    "pareto": Pareto(25, 2),
+    "pareto_negated": negate_dist(Pareto(25, 2)),
+    "empirical": Empirical([1.0, 2.0, 4.0, 7.0], [0.1, 0.4, 0.2, 0.3]),
+    "grid": QuantileGrid([0.2, 0.5, 0.8], [0.0, 1.0, 1.5]),
+}
+
+
+@pytest.mark.parametrize("window", [(0.0, 1.0), (0.3, 0.9)], ids=["whole", "window"])
+@pytest.mark.parametrize("name", sorted(CELL_LAWS))
+def test_cell_means_match_quadrature(name, window):
+    # each cell's mean of F^{-1}, by adaptive quadrature that is told
+    # where the atoms and grid nodes are
+    d, (p, q), n = CELL_LAWS[name], window, 7
+    breaks = getattr(d, "_cumw", getattr(d, "us", []))
+    edges = np.linspace(p, q, n + 1)
+    ref = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        pts = [u for u in breaks if a < u < b]
+        val, _ = quad(lambda u: float(d.quantile_left(u)), a, b, points=pts or None, limit=200)
+        ref.append(val / (b - a))
+    assert_allclose(_cell_means(d, n, p, q), ref, rtol=1e-9, atol=1e-12)
+
+
+def test_cell_means_heavy_tail():
+    # shape <= 1: only the top cell of the whole range has an infinite mean
+    for d in (Pareto(1.0, 1.0), Pareto(2.0, 0.7)):
+        means = _cell_means(d, 1000)
+        assert means[-1] == math.inf
+        assert np.all(np.isfinite(means[:-1])) and np.all(np.diff(means) > 0)
+        assert np.all(np.isfinite(_cell_means(d, 1000, 0.0, 0.999)))
 
 
 # ---------------------------------------------------------------------------
