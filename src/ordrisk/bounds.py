@@ -28,14 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import refine_max, refine_min
+from ._search import invert_nondecreasing, refine_max, refine_min
 from .coupling import TransportEvaluator, dl_plan_discrete
 from .dist import (
     DEFAULT_GRID_N,
     DEFAULT_TRUNC,
     Dist,
     Empirical,
-    _cell_means,
+    _cell_mean_pair,
     es_eval,
     lower_tail,  # unused here; perfbench/tracer.py patches this name
     negate_dist,
@@ -354,7 +354,8 @@ def best_rvar_unconstrained(
 
 def _ct_cells(f: Dist, g: Dist, n: int, p: float = 0.0, q: float = 1.0) -> np.ndarray:
     """Countermonotone sums of the cell means of [p, q) that plans use (unsorted)."""
-    return _cell_means(f, n, p, q) + _cell_means(g, n, p, q)[::-1]
+    fm, gm = _cell_mean_pair(f, g, n, p, q)
+    return fm + gm[::-1]
 
 
 def ct_sum_values(f: Dist, g: Dist, *, grid_n: int = DEFAULT_GRID_N) -> np.ndarray:
@@ -398,21 +399,6 @@ def ct_sum_var(
 # probability bounds (VaR inversion)
 
 
-def _invert_nondecreasing(fn, t: float) -> float:
-    lo, hi = 1e-9, 1.0 - 1e-9
-    if fn(lo) > t:
-        return 0.0
-    if fn(hi) <= t:
-        return 1.0
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        if fn(mid) <= t:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def prob_lower(
     f: Dist,
     g: Dist,
@@ -423,11 +409,10 @@ def prob_lower(
 ) -> float:
     """Lower bound on P(X+Y <= t) under the order constraint.
 
-    Inverse of the nondecreasing map p -> worst-case VaR_p; clamped to
-    {0, 1} outside the attainable range.
+    sup{p : worst-case VaR_p <= t} by ``invert_nondecreasing``, to within 5e-7.
     """
     fn = lambda p: worst_var_constrained(f, g, p, grid_n=grid_n, trunc=trunc)
-    return _invert_nondecreasing(fn, float(t))
+    return invert_nondecreasing(fn, float(t))
 
 
 def prob_upper(
@@ -440,22 +425,22 @@ def prob_upper(
 ) -> float:
     """Upper bound on P(X+Y <= t) under the order constraint.
 
-    Inverse of the nondecreasing map p -> best-case VaR_p.
+    sup{p : best-case VaR_p <= t} by ``invert_nondecreasing``, to within 5e-7.
     """
     fn = lambda p: best_var_constrained(f, g, p, grid_n=grid_n, trunc=trunc)
-    return _invert_nondecreasing(fn, float(t))
+    return invert_nondecreasing(fn, float(t))
 
 
 def prob_lower_unconstrained(f: Dist, g: Dist, t: float) -> float:
-    """Lower bound on P(X+Y <= t) over all couplings."""
+    """Lower bound on P(X+Y <= t) over all couplings: sup{p : worst VaR_p <= t} to within 5e-7."""
     fn = lambda p: worst_var_unconstrained(f, g, p)
-    return _invert_nondecreasing(fn, float(t))
+    return invert_nondecreasing(fn, float(t))
 
 
 def prob_upper_unconstrained(f: Dist, g: Dist, t: float) -> float:
-    """Upper bound on P(X+Y <= t) over all couplings."""
+    """Upper bound on P(X+Y <= t) over all couplings: sup{p : best VaR_p <= t} to within 5e-7."""
     fn = lambda p: best_var_unconstrained(f, g, p)
-    return _invert_nondecreasing(fn, float(t))
+    return invert_nondecreasing(fn, float(t))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .dist import (
     DEFAULT_GRID_N,
     DEFAULT_TRUNC,
     Dist,
-    _cell_means,
+    _cell_mean_pair,
     _merged_grid,
     check_st,
     negate_dist,
@@ -303,7 +303,8 @@ def dl_plan_discrete(
     xs = _grid_points(f, levels, trunc)
     ys = _grid_points(g, levels, trunc)
     y_idx = _match(xs, ys)
-    means = _cell_means(f, n, p, q)[::-1] + _cell_means(g, n, p, q)[::-1][y_idx]
+    fm, gm = _cell_mean_pair(f, g, n, p, q)
+    means = fm[::-1] + gm[::-1][y_idx]
     return DlPlan(n=n, p=p, q=q, x=xs, y=ys[y_idx], y_index=y_idx, mean_sums=means)
 
 

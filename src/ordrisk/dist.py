@@ -645,6 +645,14 @@ def _cell_means(d: Dist, n: int, p: float = 0.0, q: float = 1.0) -> np.ndarray:
     return _quantile_integral(d, edges[:-1], edges[1:]) / np.diff(edges)
 
 
+def _cell_mean_pair(f: Dist, g: Dist, n: int, p: float = 0.0, q: float = 1.0):
+    """Cell means of F^{-1} and G^{-1} on [p, q); DomainError if X + Y has no mean."""
+    fm, gm = _cell_means(f, n, p, q), _cell_means(g, n, p, q)
+    if min(fm[0], gm[0]) == -np.inf and max(fm[-1], gm[-1]) == np.inf:
+        raise DomainError("mean of X + Y undefined: one marginal has mean -inf, the other +inf")
+    return fm, gm
+
+
 def es_eval(d: Dist, p: float) -> float:
     """Expected shortfall at level ``p``: the mean of the upper ``p`` tail.
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -233,6 +234,24 @@ def test_prob_duality(p):
     assert_allclose(B.prob_lower(PF, PG, t), p, atol=1e-4)
 
 
+@pytest.mark.parametrize(
+    "f, g, ts",
+    [(PF, PG, (5.0, 8.0, 12.0, 16.0)), (Uniform(0, 100), Uniform(0, 120), (120.0, 150.0, 180.0))],
+    ids=["pareto", "uniform"],
+)
+def test_prob_bounds_solve_count(monkeypatch, f, g, ts):
+    # plain bisection to 1e-6 makes 22 VaR solves per bound: 2 end checks and 20 halvings
+    calls = []
+    for name in ("worst_var_constrained", "best_var_constrained"):
+        solve = getattr(B, name)
+        monkeypatch.setattr(B, name, lambda *a, _solve=solve, **kw: calls.append(a) or _solve(*a, **kw))
+    for t in ts:
+        for bound in (B.prob_lower, B.prob_upper):
+            calls.clear()
+            bound(f, g, t)
+            assert 0 < len(calls) <= 16, (bound.__name__, t, len(calls))
+
+
 def test_prob_nesting():
     for t in (5.0, 8.0, 12.0):
         m = B.prob_lower_unconstrained(PF, PG, t)
@@ -352,16 +371,37 @@ def test_report_nesting_all_measures():
 
 def test_report_es_pareto_nesting():
     # X + Y >= X and ES_0.9(X) = inf for Pareto shape 1: every coupling's
-    # ES is infinite (point grids gave L = 248.4 > Lo = 219.7 here)
-    rep = B.bound_report(PF, PG, "es", p=0.9)
-    vals = [
-        rep.unconstrained_best,
-        rep.constrained_best,
-        rep.constrained_worst,
-        rep.unconstrained_worst,
-    ]
-    assert vals == [math.inf] * 4
-    assert rep.r is None
+    # ES is infinite (point grids gave L = 248.4 > Lo = 219.7 at p = 0.9)
+    for p in (0.9, 0.5):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = B.bound_report(PF, PG, "es", p=p)
+        vals = [
+            rep.unconstrained_best,
+            rep.constrained_best,
+            rep.constrained_worst,
+            rep.unconstrained_worst,
+        ]
+        assert vals == [math.inf] * 4
+        assert rep.r is None
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: B.bound_report(negate_dist(PF), PF, "es", p=0.5),
+        lambda: B.best_es_unconstrained(PF, negate_dist(PF), 0.5),
+        lambda: B.worst_rvar_constrained(negate_dist(PF), PF, 0.0, 0.5),
+        lambda: B.ct_sum_values(negate_dist(PF), PG),
+    ],
+    ids=["report", "best_es_unconstrained", "worst_rvar_p0", "ct_sum_values"],
+)
+def test_undefined_sum_mean_raises(call):
+    # E X = -inf and E Y = +inf: the -inf and +inf cell means would pair to NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="mean of X \\+ Y undefined"):
+            call()
 
 
 @pytest.mark.parametrize(
