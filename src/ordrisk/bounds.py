@@ -7,9 +7,18 @@ unconstrained extremes by countermonotone tail pairing (VaR, RVaR,
 ess-inf/ess-sup) or by comonotonicity (worst ES). Values are extended
 reals: infinities are returned as proper floats, never saturated.
 
-Continuous marginals go through one transport body, ``_dl_min`` (grid
-scan + batched bracket refinement on the level-p evaluator, no tail law
-built), reached by the best bounds on the exactly negated pair; marginals
+Continuous marginals go through one closed-form body, ``_dl_min``,
+reached by the best bounds on the exactly negated pair. With
+b = G^{-1}(p), the worst bound at level p is
+
+    min(2b, inf_{z >= b} [z + F^{-1}(p + F(z) - G(z))]).
+
+For x in [F^{-1}(p), b], F - max(G, p) = F - p >= F(x) - p on [x, b], so
+the level-p transport map is T_p(x) = inf{z >= b : F(z) - G(z) < F(x) - p}.
+The level l = F(x) - p pairs each z >= b with x = F^{-1}(p + F(z) - G(z)),
+so inf_x [x + T_p(x)] is one scan over z; points with F(z) = G(z) carry
+the l -> 0+ limit. This is the shape of the Makarov / Rueschendorf
+countermonotone formula, and no transport map is evaluated. Marginals
 with atoms go through discrete coupling plans on a level window, whose
 min/max order statistics give the same bounds at grid resolution.
 
@@ -29,13 +38,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._search import invert_nondecreasing, refine_max, refine_min
-from .coupling import TransportEvaluator, dl_plan_discrete
+from .coupling import DEFAULT_SCAN_N, _require_order, dl_plan_discrete
 from .dist import (
     DEFAULT_GRID_N,
     DEFAULT_TRUNC,
     Dist,
     Empirical,
     _cell_mean_pair,
+    _merged_grid,
     es_eval,
     lower_tail,  # unused here; perfbench/tracer.py patches this name
     negate_dist,
@@ -121,9 +131,18 @@ def _upper_frac_mean(sorted_vals: np.ndarray, frac: float) -> float:
 def _dl_min(f: Dist, g: Dist, p: float, grid_n: int, trunc: float) -> float:
     """Essential infimum of the directed-coupling sum of the upper p-tails.
 
-    Continuous route: min of T_p(x) + x over [F^{-1}(p), G^{-1}(p)] on
-    the level-p evaluator, capped by 2 G^{-1}(p). Marginals with atoms
-    take the minimum of the plan on the level window [p, 1) instead.
+    Continuous route, with b = G^{-1}(p):
+    min(2b, inf_{z >= b} [z + F^{-1}(p + F(z) - G(z))]).
+
+    - For x in [F^{-1}(p), b], F - max(G, p) = F - p >= F(x) - p on [x, b].
+    - So T_p(x) = inf{z >= b : F(z) - G(z) < F(x) - p}.
+    - The level l = F(x) - p pairs each z with x = F^{-1}(p + F(z) - G(z)).
+
+    z runs over b and the merged grid nodes above it, then one batched
+    refinement; nodes with F(z) = G(z) stay in, as the l -> 0+ limit.
+    Where F^{-1}(p) = -inf the levels start at the truncation
+    p + (1 - p)(1 - trunc). Marginals with atoms take the minimum of the
+    plan on the level window [p, 1) instead.
     """
     if _has_atoms(f) or _has_atoms(g):
         plan = dl_plan_discrete(f, g, grid_n, p, trunc=trunc)
@@ -131,16 +150,20 @@ def _dl_min(f: Dist, g: Dist, p: float, grid_n: int, trunc: float) -> float:
     b = float(g.quantile_left(p))
     if b == -math.inf:
         return -math.inf
-    a = float(f.quantile_left(p))
-    if a == -math.inf:
+    lo = p
+    if float(f.quantile_left(p)) == -math.inf:
         if g.support_hi < math.inf:
             return -math.inf  # X + Y <= X + sup Y is unbounded below
-        a = float(f.quantile_left(p + (1.0 - p) * (1.0 - trunc)))
-    a = min(a, b)
-    ev = TransportEvaluator(f, g, p=p, trunc=trunc)
-    objective = lambda x: ev.upper_many(x) + x
-    xs = np.linspace(a, b, _X_SCAN_N + 1)
-    inner = refine_min(objective, xs, objective(xs), tol=1e-8 * max(1.0, b - a))
+        lo = p + (1.0 - p) * (1.0 - trunc)
+    _require_order(f, g)
+    zs = _merged_grid(f, g, DEFAULT_SCAN_N, trunc, p)
+    zs = np.concatenate(([b], zs[zs > b]))
+
+    def objective(z):
+        level = np.clip(p + np.asarray(f.cdf(z)) - np.asarray(g.cdf(z)), lo, 1.0)
+        return z + np.asarray(f.quantile_left(level))
+
+    inner = refine_min(objective, zs, objective(zs), tol=1e-10 * max(1.0, abs(b)))
     return float(min(inner, 2.0 * b))
 
 

@@ -80,6 +80,10 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
 def _validate(args: argparse.Namespace) -> None:
     """Every flag check, each applied where the subcommand has the flag."""
     a = vars(args)
+    for dest, value in a.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            flag = "--truncate-m" if dest == "trunc" else "--" + dest.replace("_", "-")
+            raise DomainError(f"{flag} must be a finite number")
     if "p_from" in a:
         if not (0.0 < args.p_from <= args.p_to < 1.0):
             raise DomainError("level grid must satisfy 0 < p_from <= p_to < 1")

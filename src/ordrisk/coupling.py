@@ -95,10 +95,13 @@ def _first_below(mins: list[np.ndarray], start, target) -> np.ndarray:
 class TransportEvaluator:
     """Shared evaluation grid for the level-``p`` transport map and infimum queries.
 
-    Built once per ordered pair and tail level; the order check covers the
-    whole pair. The grid merges both quantile functions at the levels
-    ``p + (1 - p) u`` with every atom, so a sign change of the target
-    between consecutive nodes is at most one cell wide.
+    Serves ``transport_upper``/``transport_lower`` and ``dl_cdf``; no bound
+    route uses it (the constrained VaR and essential bounds are a closed
+    form in ``bounds``), and with ``p=`` it is the tests' reference for
+    that closed form. Built once per ordered pair and tail level; the order
+    check covers the whole pair. The grid merges both quantile functions
+    at the levels ``p + (1 - p) u`` with every atom, so a sign change of
+    the target between consecutive nodes is at most one cell wide.
     """
 
     def __init__(self, f: Dist, g: Dist, *, p: float = 0.0, trunc: float = DEFAULT_TRUNC):

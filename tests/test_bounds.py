@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ordrisk import bounds as B
+from ordrisk._search import refine_min
 from ordrisk.coupling import TransportEvaluator
 from ordrisk.dist import (
+    DEFAULT_TRUNC,
     Empirical,
     Normal,
     Pareto,
@@ -465,20 +467,27 @@ def test_countermonotone_scan_infinite_endpoints():
         assert B.best_ess_sup_unconstrained(f, g) == math.inf
 
 
-def test_transport_route_is_batched(monkeypatch):
-    # one batched scan plus a few refinement rounds; scalar evaluation of
-    # the transport map took about 29 calls here
+def test_constrained_var_is_one_refinement(monkeypatch):
+    # one closed-form scan over z and one batched refinement per bound; the
+    # nested route bisected the transport map at every refinement point
     calls = []
-    original = TransportEvaluator.upper_many
+    original = B.refine_min
 
-    def counted(self, xs):
-        calls.append(np.size(xs))
-        return original(self, xs)
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(TransportEvaluator, "upper_many", counted)
-    got = B.worst_var_constrained(Pareto(25.0, 2.0), Pareto(30.0, 2.0), 0.95)
+    def no_transport(self, xs):
+        raise AssertionError("a bound evaluated the transport map")
+
+    monkeypatch.setattr(B, "refine_min", counted)
+    monkeypatch.setattr(TransportEvaluator, "upper_many", no_transport)
+    f, g = Pareto(25.0, 2.0), Pareto(30.0, 2.0)
+    got = B.worst_var_constrained(f, g, 0.95)
     assert_allclose(got, 268.3281573, rtol=1e-9)
-    assert 1 <= len(calls) <= 8
+    assert len(calls) == 1
+    B.best_var_constrained(f, g, 0.95)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize(
@@ -487,8 +496,8 @@ def test_transport_route_is_batched(monkeypatch):
     ids=["pareto", "normal"],
 )
 def test_var_report_builds_no_tail_grid(monkeypatch, f, g):
-    # one level-p evaluator per constrained bound and no tabulated tail law;
-    # counted rather than timed, so a return to tail grids fails here
+    # the constrained bounds are closed-form scans: no transport evaluator
+    # and no tabulated tail law; counted rather than timed
     built = {"grid": 0, "evaluator": 0}
 
     def counting(cls, key):
@@ -503,7 +512,120 @@ def test_var_report_builds_no_tail_grid(monkeypatch, f, g):
     counting(QuantileGrid, "grid")
     counting(TransportEvaluator, "evaluator")
     B.bound_report(f, g, "var", p=0.95)
-    assert built == {"grid": 0, "evaluator": 2}
+    assert built == {"grid": 0, "evaluator": 0}
+
+
+def _nested_route(f, g, p, trunc=DEFAULT_TRUNC):
+    """The replaced route: min of x + T_p(x) over [F^{-1}(p), G^{-1}(p)], capped by 2 G^{-1}(p)."""
+    b = float(g.quantile_left(p))
+    if b == -math.inf:
+        return -math.inf
+    a = float(f.quantile_left(p))
+    if a == -math.inf:
+        if g.support_hi < math.inf:
+            return -math.inf
+        a = float(f.quantile_left(p + (1.0 - p) * (1.0 - trunc)))
+    a = min(a, b)
+    ev = TransportEvaluator(f, g, p=p, trunc=trunc)
+    objective = lambda x: ev.upper_many(x) + x
+    xs = np.linspace(a, b, 1025)
+    inner = refine_min(objective, xs, objective(xs), tol=1e-8 * max(1.0, b - a))
+    return float(min(inner, 2.0 * b))
+
+
+def _nested_bounds(f, g, p):
+    """Worst and best constrained bound of the replaced route: ess-inf/ess-sup at p = 0, else VaR."""
+    if p == 0.0:
+        return _nested_route(f, g, 0.0), -_nested_route(negate_dist(g), negate_dist(f), 0.0)
+    best = -_nested_route(negate_dist(g), negate_dist(f), 1.0 - p)
+    return _nested_route(f, g, p), max(best, 2.0 * float(f.quantile_left(p)))
+
+
+def _closed_form_bounds(f, g, p):
+    if p == 0.0:
+        return B.worst_ess_inf_constrained(f, g), B.best_ess_sup_constrained(f, g)
+    return B.worst_var_constrained(f, g, p), B.best_var_constrained(f, g, p)
+
+
+_GRID_PAIR = (to_grid(Pareto(1.0, 2.0), 2000), to_grid(Pareto(1.5, 2.0), 2000))
+_NEGATED_PAIR = (negate_dist(Pareto(2.0, 2.0)), negate_dist(Pareto(1.0, 2.0)))
+
+_ordered_pairs = st.one_of(
+    st.builds(
+        lambda s, a, k: (Pareto(s, a), Pareto(s * k, a)),
+        st.floats(0.5, 30.0), st.floats(0.3, 4.0), st.floats(1.0, 2.0),
+    ),
+    st.builds(
+        lambda s, a, k, r: (Pareto(s, a), Pareto(s * k, a * r)),
+        st.floats(0.5, 30.0), st.floats(0.3, 4.0), st.floats(1.0, 2.0), st.floats(0.3, 1.0),
+    ),
+    st.builds(
+        lambda lo, w, shift, stretch: (Uniform(lo, lo + w), Uniform(lo + shift, lo + shift + w * stretch)),
+        st.floats(-5.0, 5.0), st.floats(0.1, 10.0), st.floats(0.0, 3.0), st.floats(1.0, 3.0),
+    ),
+    st.builds(
+        lambda m, sd, d: (Normal(m, sd), Normal(m + d, sd)),
+        st.floats(-5.0, 5.0), st.floats(0.1, 5.0), st.floats(0.0, 3.0),
+    ),
+    st.sampled_from([_GRID_PAIR, _NEGATED_PAIR]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ordered_pairs, st.one_of(st.just(0.0), st.floats(1e-6, 1.0 - 1e-6)))
+@example((Pareto(1.0, 3.0), Pareto(1.2, 1.5)), 0.0)
+@example((Pareto(1.0, 3.0), Pareto(1.2, 1.5)), 0.99)
+@example((Pareto(1.0, 1.0), Pareto(2.0, 1.0)), 0.99)
+@example(_GRID_PAIR, 0.9)
+@example(_NEGATED_PAIR, 0.5)
+@example((Uniform(0.0, 5.0), Uniform(0.001953125, 10.001953125)), 0.0)
+@example(_GRID_PAIR, 0.5463146279530213)
+def test_closed_form_matches_nested_route(pair, p):
+    # the closed-form z scan against the transport-map route it replaced,
+    # relative to max(1, |value|) since normal and uniform values cross 0
+    f, g = pair
+    q = p if p > 0.0 else 1.0
+    # the nested route's caps: 2 G^{-1}(p) for worst, 2 F^{-1}(q) for best
+    caps = (2.0 * float(g.quantile_left(p)), 2.0 * float(f.quantile_left(q)))
+    got, want = _closed_form_bounds(f, g, p), _nested_bounds(f, g, p)
+    for sign, v, w, cap in zip((1.0, -1.0), got, want, caps):
+        if not math.isfinite(w):
+            assert v == w
+            continue
+        scale = max(1.0, abs(w))
+        # never above (worst) or below (best) what the nested scan found
+        assert sign * (v - w) <= 1e-7 * scale
+        # on the other side the nested refinement can stop short by about
+        # 1e-7 on a grid law's kinks (1.16e-7 on the grid pair at
+        # p = 0.5463146279530213, where a dense x scan agrees with the closed
+        # form to 1e-10); and where it returns its cap it can have missed
+        # the x -> F^{-1}(p)+ limit below that cap, because it sees +inf at
+        # x = F^{-1}(p) (see test_best_var_at_equal_tail_limit)
+        if not math.isclose(w, cap, rel_tol=1e-12, abs_tol=1e-12):
+            assert sign * (w - v) <= 1e-6 * scale
+
+
+@pytest.mark.parametrize(
+    "f, g, expected",
+    [
+        (Normal(0.0, 1.0), Uniform(0.0, 1.0), (-math.inf, math.inf)),
+        (Pareto(1.0, 0.5), Pareto(1.5, 0.5), (3.0, math.inf)),
+    ],
+    ids=["normal-uniform", "pareto-half"],
+)
+def test_closed_form_infinite_outcomes(f, g, expected):
+    # worst ess-inf is -inf for an F unbounded below with a bounded G, and
+    # best ess-sup +inf for unbounded G: the same as the nested route
+    assert _closed_form_bounds(f, g, 0.0) == _nested_bounds(f, g, 0.0) == expected
+
+
+@pytest.mark.parametrize("p", [0.5, 0.9, 0.999])
+def test_best_var_at_equal_tail_limit(p):
+    # the infimum is the limit x -> F^{-1}(p)+ at the upper end where F = G
+    # after negation: best VaR = max Y + min X = 0.3 + 1.7 p. The nested
+    # x scan saw +inf at that end and returned 2 F^{-1}(p) = 1.998 at 0.999.
+    got = B.best_var_constrained(Uniform(0.0, 1.0), Uniform(0.3, 2.0), p)
+    assert_allclose(got, 0.3 + 1.7 * p, rtol=1e-12)
 
 
 def test_report_infinity_policy():

@@ -80,6 +80,27 @@ def test_config_validation():
             _validate(parsed(*argv))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["probbounds", *MARG, "--t-from", "4.5", "--t-to", "6", "--t-step", "nan"],
+        ["probbounds", *MARG, "--t-from", "nan", "--t-to", "6", "--t-step", "0.5"],
+        ["probbounds", *MARG, "--t-from", "4.5", "--t-to", "inf", "--t-step", "0.5"],
+        ["bounds", *MARG, "--p-step", "nan"],
+        ["bounds", *MARG, "--p-step", "inf"],
+        ["casestudy", *OBS, "--max-violation", "nan"],
+    ],
+    ids=["t-step-nan", "t-from-nan", "t-to-inf", "p-step-nan", "p-step-inf", "max-violation-nan"],
+)
+def test_non_finite_float_flags_refused(argv, tmp_path, capsys):
+    # refused as a DomainError (exit 2) before any output; a NaN step used to
+    # crash the grid with a ValueError and a NaN threshold turned the refusal off
+    out = tmp_path / "o"
+    assert run(*argv, "--out", str(out)) == 2
+    assert "must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_default_level_grid(tmp_path):
     # the level grid the command writes, not a copy of its arithmetic
     args = ["bounds", *MARG, "--measure", "essinf", "--grid-n", "100"]
