@@ -38,7 +38,6 @@ def main(argv=None):
     count = int(round((args.t_to - args.t_from) / args.t_step))
     ts = np.linspace(args.t_from, args.t_to, count + 1)
 
-    kw = dict(grid_n=args.grid_n)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -49,8 +48,8 @@ def main(argv=None):
             row = [
                 t,
                 prob_lower_unconstrained(f, g, t),
-                prob_lower(f, g, t, **kw),
-                prob_upper(f, g, t, **kw),
+                prob_lower(f, g, t),
+                prob_upper(f, g, t),
                 prob_upper_unconstrained(f, g, t),
                 max(0.0, 1.0 - 4.0 / t),
                 max(0.0, 1.0 - 2.0 / (t - 1.0)) if t > 1.0 else 0.0,

@@ -28,6 +28,21 @@ G^{-1} over the n equal level cells of the window, paired by the plan
 lie below F and G in convex order, and the countermonotone sum is the
 convex-order minimum, so L <= Lo <= Uo <= U holds by construction; only
 VaR and probability bounds can still need a snap.
+
+The bounds on P(X + Y <= t) invert these formulas in closed form. With
+F, G right-continuous and t finite (t = -inf, +inf give 0, 1; NaN raises):
+
+    m(t)  = clip(sup_u [F(u) + G(t-u) - 1], 0, 1)
+    M(t)  = clip(inf_u [F(u) + G(t-u)], 0, 1)
+    mo(t) = max(G(t/2), sup_{z >= t/2} [G(z) - F(z) + F(t-z)])
+    Mo(t) = min(F(t/2), inf_{z <= t/2} [F(z) - G(z) + G(t-z)])
+
+m and M are the Makarov (1981) / Rueschendorf (1982) bounds. For
+mo = sup{p : worst VaR_p <= t}: 2 G^{-1}(p) <= t iff p <= G(t/2); z >=
+G^{-1}(p) iff p <= G(z), and z + F^{-1}(p + F(z) - G(z)) <= t iff
+p <= G(z) - F(z) + F(t-z); for z <= t/2 the second condition is weaker
+than the first. Mo follows by the reflection of best VaR, m and M from
+the countermonotone VaR scans. Each is one CDF scan and one refinement.
 """
 
 from __future__ import annotations
@@ -37,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import invert_nondecreasing, refine_max, refine_min
+from ._search import refine_max, refine_min
 from .coupling import DEFAULT_SCAN_N, _require_order, dl_plan_discrete
 from .dist import (
     DEFAULT_GRID_N,
@@ -419,51 +434,59 @@ def ct_sum_var(
 
 
 # ---------------------------------------------------------------------------
-# probability bounds (VaR inversion)
+# probability bounds (closed-form CDF scans)
 
 
-def prob_lower(
-    f: Dist,
-    g: Dist,
-    t: float,
-    *,
-    grid_n: int = DEFAULT_GRID_N,
-    trunc: float = DEFAULT_TRUNC,
-) -> float:
+def _cdf_scan(f: Dist, g: Dist, t: float, objective, half: int, refine) -> float:
+    """``refine`` (``refine_max`` or ``refine_min``) of ``objective`` over the threshold-t scan.
+
+    The scan is the merged grid nodes, t - nodes, t/2 and the midpoints of
+    consecutive points, kept on z >= t/2 (``half`` +1), z <= t/2 (-1) or all
+    (0). Step CDFs are constant between nodes: for atoms the scan is exact.
+    A NaN t raises; t = -inf gives 0 and t = +inf gives 1.
+    """
+    t = float(t)
+    if math.isnan(t):
+        raise DomainError("threshold t must not be NaN")
+    if math.isinf(t):
+        return float(t > 0)
+    nodes = _merged_grid(f, g, DEFAULT_SCAN_N)
+    zs = np.unique(np.concatenate((nodes, t - nodes, [0.5 * t])))
+    zs = np.sort(np.concatenate((zs, 0.5 * (zs[1:] + zs[:-1]))))
+    zs = zs[half * (zs - 0.5 * t) >= 0.0]
+    return float(refine(objective, zs, objective(zs), tol=1e-10 * max(1.0, abs(t))))
+
+
+def prob_lower(f: Dist, g: Dist, t: float) -> float:
     """Lower bound on P(X+Y <= t) under the order constraint.
 
-    sup{p : worst-case VaR_p <= t} by ``invert_nondecreasing``, to within 5e-7.
+    mo(t) = max(G(t/2), sup_{z >= t/2} [G(z) - F(z) + F(t-z)]) = sup{p : worst VaR_p <= t}.
     """
-    fn = lambda p: worst_var_constrained(f, g, p, grid_n=grid_n, trunc=trunc)
-    return invert_nondecreasing(fn, float(t))
+    _require_order(f, g)
+    objective = lambda z: np.asarray(g.cdf(z)) - np.asarray(f.cdf(z)) + np.asarray(f.cdf(t - z))
+    return max(float(g.cdf(0.5 * t)), _cdf_scan(f, g, t, objective, 1, refine_max))
 
 
-def prob_upper(
-    f: Dist,
-    g: Dist,
-    t: float,
-    *,
-    grid_n: int = DEFAULT_GRID_N,
-    trunc: float = DEFAULT_TRUNC,
-) -> float:
+def prob_upper(f: Dist, g: Dist, t: float) -> float:
     """Upper bound on P(X+Y <= t) under the order constraint.
 
-    sup{p : best-case VaR_p <= t} by ``invert_nondecreasing``, to within 5e-7.
+    Mo(t) = min(F(t/2), inf_{z <= t/2} [F(z) - G(z) + G(t-z)]) = sup{p : best VaR_p <= t}.
     """
-    fn = lambda p: best_var_constrained(f, g, p, grid_n=grid_n, trunc=trunc)
-    return invert_nondecreasing(fn, float(t))
+    _require_order(f, g)
+    objective = lambda z: np.asarray(f.cdf(z)) - np.asarray(g.cdf(z)) + np.asarray(g.cdf(t - z))
+    return min(float(f.cdf(0.5 * t)), _cdf_scan(f, g, t, objective, -1, refine_min))
 
 
 def prob_lower_unconstrained(f: Dist, g: Dist, t: float) -> float:
-    """Lower bound on P(X+Y <= t) over all couplings: sup{p : worst VaR_p <= t} to within 5e-7."""
-    fn = lambda p: worst_var_unconstrained(f, g, p)
-    return invert_nondecreasing(fn, float(t))
+    """Lower bound on P(X+Y <= t) over all couplings: clip(sup_u [F(u) + G(t-u) - 1], 0, 1)."""
+    objective = lambda u: np.asarray(f.cdf(u)) + np.asarray(g.cdf(t - u)) - 1.0
+    return min(max(_cdf_scan(f, g, t, objective, 0, refine_max), 0.0), 1.0)
 
 
 def prob_upper_unconstrained(f: Dist, g: Dist, t: float) -> float:
-    """Upper bound on P(X+Y <= t) over all couplings: sup{p : best VaR_p <= t} to within 5e-7."""
-    fn = lambda p: best_var_unconstrained(f, g, p)
-    return invert_nondecreasing(fn, float(t))
+    """Upper bound on P(X+Y <= t) over all couplings: clip(inf_u [F(u) + G(t-u)], 0, 1)."""
+    objective = lambda u: np.asarray(f.cdf(u)) + np.asarray(g.cdf(t - u))
+    return min(max(_cdf_scan(f, g, t, objective, 0, refine_min), 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -604,8 +627,8 @@ def bound_report(
     else:
         if t is None:
             raise DomainError("prob needs a threshold t")
-        cb = prob_lower(f, g, t, **kw)
-        cw = prob_upper(f, g, t, **kw)
+        cb = prob_lower(f, g, t)
+        cw = prob_upper(f, g, t)
         ub = prob_lower_unconstrained(f, g, t)
         uw = prob_upper_unconstrained(f, g, t)
 

@@ -25,7 +25,7 @@ from ordrisk.dist import (
     negate_dist,
     to_grid,
 )
-from ordrisk.errors import DegenerateSpreadError, DomainError, OrderViolationError
+from ordrisk.errors import DegenerateSpreadError, DomainError, OrderViolationError, PlanInfeasibleError
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -236,22 +236,51 @@ def test_prob_duality(p):
     assert_allclose(B.prob_lower(PF, PG, t), p, atol=1e-4)
 
 
+_PROB_BOUNDS = (B.prob_lower_unconstrained, B.prob_lower, B.prob_upper, B.prob_upper_unconstrained)
+
+
 @pytest.mark.parametrize(
     "f, g, ts",
     [(PF, PG, (5.0, 8.0, 12.0, 16.0)), (Uniform(0, 100), Uniform(0, 120), (120.0, 150.0, 180.0))],
     ids=["pareto", "uniform"],
 )
-def test_prob_bounds_solve_count(monkeypatch, f, g, ts):
-    # plain bisection to 1e-6 makes 22 VaR solves per bound: 2 end checks and 20 halvings
-    calls = []
-    for name in ("worst_var_constrained", "best_var_constrained"):
-        solve = getattr(B, name)
-        monkeypatch.setattr(B, name, lambda *a, _solve=solve, **kw: calls.append(a) or _solve(*a, **kw))
+def test_prob_bounds_are_one_scan(monkeypatch, f, g, ts):
+    # each bound is one scan over the CDFs and one refinement, no VaR solve;
+    # the replaced inversion made 5 to 42 VaR solves per bound
+    calls = {"var": 0, "refine": 0}
+
+    def counted(fn, key):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("worst_var_constrained", "best_var_constrained", "worst_var_unconstrained", "best_var_unconstrained"):
+        monkeypatch.setattr(B, name, counted(getattr(B, name), "var"))
+    for name in ("refine_min", "refine_max"):
+        monkeypatch.setattr(B, name, counted(getattr(B, name), "refine"))
     for t in ts:
-        for bound in (B.prob_lower, B.prob_upper):
-            calls.clear()
+        for bound in _PROB_BOUNDS:
+            calls.update(var=0, refine=0)
             bound(f, g, t)
-            assert 0 < len(calls) <= 16, (bound.__name__, t, len(calls))
+            assert calls == {"var": 0, "refine": 1}, (bound.__name__, t)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [*_PROB_BOUNDS, lambda f, g, t: B.bound_report(f, g, "prob", t=t)],
+    ids=[*(b.__name__ for b in _PROB_BOUNDS), "bound_report"],
+)
+def test_prob_nan_threshold_raises(call):
+    with pytest.raises(DomainError, match="NaN"):
+        call(PF, PG, math.nan)
+
+
+@pytest.mark.parametrize("bound", _PROB_BOUNDS, ids=lambda b: b.__name__)
+def test_prob_infinite_thresholds(bound):
+    assert bound(PF, PG, -math.inf) == 0.0
+    assert bound(PF, PG, math.inf) == 1.0
 
 
 def test_prob_nesting():
@@ -663,6 +692,7 @@ _U, _V = Uniform(0, 100), Uniform(0, 120)
         lambda: B.best_es_constrained(_U, _V, 0.9, gird_n=100),
         lambda: B.bound_report(_U, _V, "var", p=0.9, scan_n=10),
         lambda: B.prob_lower(_U, _V, 100.0, tol=1e-3),
+        lambda: B.prob_upper(_U, _V, 100.0, grid_n=100),
         lambda: negate_dist(Pareto(1.0, 1.0), grid_n=10),
     ],
     ids=[
@@ -673,6 +703,7 @@ _U, _V = Uniform(0, 100), Uniform(0, 120)
         "best_es_constrained",
         "bound_report-scan_n",
         "prob_lower-tol",
+        "prob_upper-grid_n",
         "negate_dist-grid_n",
     ],
 )
@@ -704,3 +735,132 @@ def test_ra_matches_var_report():
 
     got = ra_unconstrained_var(PF, PG, 0.5, 50_000)
     assert_allclose(got, 6.0 + 4.0 * SQ2, atol=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# probability bounds against independent routes
+
+# an ordered pair whose ranks meet at level 7/14, summed as 0.49999999999999994
+_XA = Empirical([3.0, 4.0, 6.0, 9.0, 10.0, 11.0], [2.0, 3.0, 2.0, 2.0, 2.0, 3.0])
+_YA = Empirical([6.0, 7.0, 9.0, 11.0, 13.0], [2.0, 5.0, 2.0, 2.0, 3.0])
+
+
+def _lp_prob(f, g, t, ordered):
+    """Min and max of P(X + Y <= t) over joint pmfs of two empirical laws.
+
+    With ``ordered``, cells with x > y carry no mass.
+    """
+    from scipy.optimize import linprog
+
+    x, y = f.values, g.values
+    c = (x[:, None] + y[None, :] <= t).astype(float).ravel()
+    a_eq = np.vstack([np.kron(np.eye(x.size), np.ones(y.size)), np.kron(np.ones(x.size), np.eye(y.size))])
+    b_eq = np.concatenate([f.weights, g.weights])
+    cells = [(0.0, 0.0) if ordered and xi > yj else (0.0, None) for xi in x for yj in y]
+    lo = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=cells, method="highs")
+    hi = linprog(-c, A_eq=a_eq, b_eq=b_eq, bounds=cells, method="highs")
+    assert lo.status == 0 and hi.status == 0
+    return lo.fun, -hi.fun
+
+
+def _assert_matches_lp(f, g, t):
+    m, big_m = _lp_prob(f, g, t, ordered=False)
+    mo, big_mo = _lp_prob(f, g, t, ordered=True)
+    got = [bound(f, g, t) for bound in _PROB_BOUNDS]
+    assert_allclose(got, [m, mo, big_mo, big_m], rtol=0.0, atol=1e-12)
+
+
+@st.composite
+def _ordered_atoms(draw):
+    # X on 2-8 integer atoms; Y moves each piece of an X atom up by 0-6,
+    # which spans every ordered pair of such laws
+    xs = sorted(draw(st.sets(st.integers(0, 20), min_size=2, max_size=8)))
+    wx = draw(st.lists(st.integers(1, 5), min_size=len(xs), max_size=len(xs)))
+    ys = {}
+    for x, w in zip(xs, wx):
+        cut = draw(st.integers(0, w - 1))
+        for piece in (cut, w - cut):
+            if piece:
+                y = x + draw(st.integers(0, 6))
+                ys[y] = ys.get(y, 0) + piece
+    ys = sorted(ys.items())
+    f = Empirical([float(x) for x in xs], [float(w) for w in wx])
+    g = Empirical([float(y) for y, _ in ys], [float(w) for _, w in ys])
+    return f, g
+
+
+@settings(max_examples=120, deadline=None)
+@given(_ordered_atoms(), st.integers(0, 70))
+def test_prob_bounds_match_lp_on_atoms(pair, half_t):
+    # thresholds on and between the atom sums
+    f, g = pair
+    _assert_matches_lp(f, g, 0.5 * half_t)
+
+
+@pytest.mark.parametrize("t", [12.0, 15.5, 17.0, 20.0])
+def test_prob_bounds_match_lp_ranks_meet(t):
+    # the plan route raised PlanInfeasibleError on this pair (see below)
+    _assert_matches_lp(_XA, _YA, t)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=PlanInfeasibleError,
+    reason="ROADMAP north star 3: the plan route at atom boundaries",
+)
+def test_worst_var_plan_at_atom_boundary():
+    # the LP gives 13; F and G both reach 1/2 at the matched atoms, but
+    # Empirical._cumw sums 7/14 as 0.49999999999999994 for one of them, and
+    # the plan finds no admissible y for its last pair
+    assert B.worst_var_constrained(_XA, _YA, 0.5) == 13.0
+
+
+def _bisect_prob(var, t):
+    """sup{p : var(p) <= t} by plain bisection of a nondecreasing VaR curve, to 1e-9."""
+    lo, hi = 1e-9, 1.0 - 1e-9
+    if var(lo) > t:
+        return 0.0
+    if var(hi) <= t:
+        return 1.0
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        if var(mid) <= t:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize(
+    "f, g",
+    [
+        (Pareto(1.0, 2.0), Pareto(1.5, 2.0)),
+        (Pareto(1.0, 3.0), Pareto(1.2, 1.5)),
+        (Uniform(0.0, 100.0), Uniform(0.0, 120.0)),
+        (Normal(0.0, 1.0), Normal(0.5, 1.0)),
+        _GRID_PAIR,
+        _NEGATED_PAIR,
+    ],
+    ids=["pareto-shared", "pareto-unequal", "uniform", "normal", "grid", "negated"],
+)
+@pytest.mark.parametrize("a", [0.3, 0.9])
+def test_prob_bounds_match_var_bisection(f, g, a):
+    # continuous pairs: the closed forms against bisected VaR curves
+    t = float(f.quantile_left(a)) + float(g.quantile_left(a))
+    curves = (B.worst_var_unconstrained, B.worst_var_constrained, B.best_var_constrained, B.best_var_unconstrained)
+    want = [_bisect_prob(lambda p, var=var: var(f, g, p), t) for var in curves]
+    got = [bound(f, g, t) for bound in _PROB_BOUNDS]
+    assert_allclose(got, want, rtol=0.0, atol=1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_ordered_pairs, _ordered_atoms()), st.floats(0.001, 0.999), st.floats(0.001, 0.999))
+def test_prob_bounds_nest_and_rise(pair, a1, a2):
+    # raw m <= mo <= Mo <= M, and each bound nondecreasing in t
+    f, g = pair
+    t1, t2 = sorted(float(f.quantile_left(a)) + float(g.quantile_left(a)) for a in (a1, a2))
+    lo = [bound(f, g, t1) for bound in _PROB_BOUNDS]
+    hi = [bound(f, g, t2) for bound in _PROB_BOUNDS]
+    for vals in (lo, hi):
+        assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:])), vals
+    assert all(a <= b + 1e-12 for a, b in zip(lo, hi)), (lo, hi)

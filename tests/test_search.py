@@ -1,15 +1,11 @@
-"""Batched scan-and-refine minimisation and the bracketed curve inversion."""
+"""Batched scan-and-refine minimisation."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from ordrisk._search import invert_nondecreasing, refine_max, refine_min
-
-finite = dict(allow_nan=False, allow_infinity=False)
+from ordrisk._search import refine_max, refine_min
 
 
 def _scan(f, a, b, n=64):
@@ -79,58 +75,3 @@ def test_refine_max_mirrors_refine_min(c):
     lo = refine_min(f, xs, vals, tol=1e-9)
     hi = refine_max(lambda x: -f(x), xs, -vals, tol=1e-9)
     assert hi == -lo
-
-
-# ---------------------------------------------------------------------------
-# inversion of a nondecreasing curve on (0, 1)
-
-
-@st.composite
-def _step_curves(draw):
-    # flats and jumps; t is one of the flat values or falls in a jump
-    breaks = sorted(draw(st.lists(st.floats(1e-9, 1.0 - 1e-9, **finite), min_size=1, max_size=6)))
-    values = np.cumsum(draw(st.lists(st.floats(0.0, 10.0, **finite), min_size=len(breaks) + 1, max_size=len(breaks) + 1)))
-    side = draw(st.sampled_from(["left", "right"]))
-    fn = lambda p: float(values[np.searchsorted(breaks, p, side=side)])
-    t = draw(st.one_of(st.sampled_from(list(values)), st.floats(-1.0, float(values[-1]) + 1.0, **finite)))
-    return fn, t
-
-
-@st.composite
-def _heavy_tails(draw):
-    # c / (1 - p)^a, optionally +inf from some level on
-    c, a = draw(st.floats(1e-3, 1e3, **finite)), draw(st.floats(0.1, 3.0, **finite))
-    top = draw(st.one_of(st.just(1.0), st.floats(0.5, 1.0 - 1e-9, **finite)))
-    fn = lambda p: math.inf if p >= top else c / (1.0 - p) ** a
-    t = c * draw(st.floats(0.5, 1e9, **finite))
-    return fn, t
-
-
-@st.composite
-def _log_odds(draw):
-    # scale log(p / (1 - p)) with t near 0, so the crossing sits near p = 1/2
-    scale = draw(st.floats(1e-8, 1e3, **finite))
-    fn = lambda p: scale * math.log(p / (1.0 - p))
-    return fn, scale * draw(st.floats(-3.0, 3.0, **finite))
-
-
-@settings(max_examples=500, deadline=None)
-@given(st.one_of(_step_curves(), _heavy_tails(), _log_odds()))
-def test_invert_nondecreasing_brackets_crossing(curve):
-    fn, t = curve
-    calls = []
-    r = invert_nondecreasing(lambda p: calls.append(p) or fn(p), t)
-    assert len(calls) <= 2 + 2 * 20
-    assert (r == 0.0) == (fn(1e-9) > t)
-    assert (r == 1.0) == (fn(1e-9) <= t and fn(1.0 - 1e-9) <= t)
-    if 5e-7 < r < 1.0 - 5e-7:
-        assert fn(r - 5e-7) <= t < fn(r + 5e-7)
-
-
-@pytest.mark.parametrize("t", [0.3, 0.5, 0.9])
-def test_invert_nondecreasing_first_step_is_bracket_secant(t):
-    # exact on a line: the first evaluation inside the bracket is the crossing
-    calls = []
-    r = invert_nondecreasing(lambda p: calls.append(p) or 2.0 * p - 1.0, 2.0 * t - 1.0)
-    assert calls[2] == pytest.approx(t, abs=1e-12)
-    assert abs(r - t) <= 5e-7
