@@ -7,7 +7,7 @@ unconstrained extremes by countermonotone tail pairing (VaR, RVaR,
 ess-inf/ess-sup) or by comonotonicity (worst ES). Values are extended
 reals: infinities are returned as proper floats, never saturated.
 
-Continuous marginals go through one closed-form body, ``_dl_min``,
+Every pair of marginals goes through one closed-form body, ``_dl_min``,
 reached by the best bounds on the exactly negated pair. With
 b = G^{-1}(p), the worst bound at level p is
 
@@ -18,9 +18,12 @@ the level-p transport map is T_p(x) = inf{z >= b : F(z) - G(z) < F(x) - p}.
 The level l = F(x) - p pairs each z >= b with x = F^{-1}(p + F(z) - G(z)),
 so inf_x [x + T_p(x)] is one scan over z; points with F(z) = G(z) carry
 the l -> 0+ limit. This is the shape of the Makarov / Rueschendorf
-countermonotone formula, and no transport map is evaluated. Marginals
-with atoms go through discrete coupling plans on a level window, whose
-min/max order statistics give the same bounds at grid resolution.
+countermonotone formula, and no transport map is evaluated. Read with
+left quantiles it is inf{t : mo(t) >= p} (mo below), the worst VaR_p; with
+right quantiles it is inf{t : mo(t) > p}, which worst ess-inf (p = 0) and
+the reflected best bounds need. Step CDFs are constant between atoms, so
+the scan over the atoms is exact for marginals with atoms too; continuous
+laws have equal left and right quantiles.
 
 The mean functionals (ES, RVaR) all read the exact means of F^{-1} and
 G^{-1} over the n equal level cells of the window, paired by the plan
@@ -58,7 +61,6 @@ from .dist import (
     DEFAULT_GRID_N,
     DEFAULT_TRUNC,
     Dist,
-    Empirical,
     _cell_mean_pair,
     _merged_grid,
     es_eval,
@@ -97,10 +99,6 @@ __all__ = [
 ]
 
 _X_SCAN_N = 1024
-
-
-def _has_atoms(d: Dist) -> bool:
-    return isinstance(d, Empirical)
 
 
 def _check_p(p: float | None) -> float:
@@ -143,26 +141,38 @@ def _upper_frac_mean(sorted_vals: np.ndarray, frac: float) -> float:
 # essential bounds
 
 
-def _dl_min(f: Dist, g: Dist, p: float, grid_n: int, trunc: float) -> float:
+def _quantile(d: Dist, u, strict: bool):
+    """Left quantile of ``d`` at u, or with ``strict`` the right one.
+
+    A level within ``d._level_tol`` of a cumulative weight reads as that
+    weight: the left quantile is read at u - tol and the right one at
+    u + tol, which is the same while every atom weighs more than 2 tol.
+    """
+    if strict:
+        return d.quantile_right(np.minimum(np.add(u, d._level_tol), 1.0))
+    return d.quantile_left(np.maximum(np.subtract(u, d._level_tol), 0.0))
+
+
+def _dl_min(f: Dist, g: Dist, p: float, trunc: float, strict: bool = False) -> float:
     """Essential infimum of the directed-coupling sum of the upper p-tails.
 
-    Continuous route, with b = G^{-1}(p):
-    min(2b, inf_{z >= b} [z + F^{-1}(p + F(z) - G(z))]).
+    With b = G^{-1}(p): min(2b, inf_{z >= b} [z + F^{-1}(p + F(z) - G(z))]).
 
     - For x in [F^{-1}(p), b], F - max(G, p) = F - p >= F(x) - p on [x, b].
     - So T_p(x) = inf{z >= b : F(z) - G(z) < F(x) - p}.
     - The level l = F(x) - p pairs each z with x = F^{-1}(p + F(z) - G(z)).
 
+    The quantiles are left ones, giving inf{t : mo(t) >= p}, or with
+    ``strict`` right ones, giving inf{t : mo(t) > p}; both read a level
+    within ``_level_tol`` of a cumulative weight as that weight (``_quantile``).
+
     z runs over b and the merged grid nodes above it, then one batched
-    refinement; nodes with F(z) = G(z) stay in, as the l -> 0+ limit.
-    Where F^{-1}(p) = -inf the levels start at the truncation
-    p + (1 - p)(1 - trunc). Marginals with atoms take the minimum of the
-    plan on the level window [p, 1) instead.
+    refinement; nodes with F(z) = G(z) stay in, as the l -> 0+ limit. The
+    nodes hold every atom and step CDFs are constant between atoms, so the
+    scan is exact there. Where F^{-1}(p) = -inf the levels start at the
+    truncation p + (1 - p)(1 - trunc).
     """
-    if _has_atoms(f) or _has_atoms(g):
-        plan = dl_plan_discrete(f, g, grid_n, p, trunc=trunc)
-        return float(plan.sums_sorted[0])
-    b = float(g.quantile_left(p))
+    b = float(_quantile(g, p, strict))
     if b == -math.inf:
         return -math.inf
     lo = p
@@ -176,47 +186,33 @@ def _dl_min(f: Dist, g: Dist, p: float, grid_n: int, trunc: float) -> float:
 
     def objective(z):
         level = np.clip(p + np.asarray(f.cdf(z)) - np.asarray(g.cdf(z)), lo, 1.0)
-        return z + np.asarray(f.quantile_left(level))
+        return z + np.asarray(_quantile(f, level, strict))
 
     inner = refine_min(objective, zs, objective(zs), tol=1e-10 * max(1.0, abs(b)))
     return float(min(inner, 2.0 * b))
 
 
-def _dl_max(f: Dist, g: Dist, q: float, grid_n: int, trunc: float) -> float:
+def _dl_max(f: Dist, g: Dist, q: float, trunc: float) -> float:
     """Essential supremum of the directed-coupling sum of the lower q-tails.
 
-    The reflection ``-_dl_min(negate(G), negate(F), 1 - q)``; marginals with
-    atoms take the maximum of the plan on the level window [0, q) instead.
+    The reflection ``-_dl_min(negate(G), negate(F), 1 - q, strict=True)``:
+    the left quantile of X + Y at q is minus the right one of -X - Y at 1 - q.
     """
-    if _has_atoms(f) or _has_atoms(g):
-        return float(dl_plan_discrete(f, g, grid_n, 0.0, q=q, trunc=trunc).sums_sorted[-1])
-    return -_dl_min(negate_dist(g), negate_dist(f), 1.0 - q, grid_n, trunc)
+    return -_dl_min(negate_dist(g), negate_dist(f), 1.0 - q, trunc, strict=True)
 
 
-def worst_ess_inf_constrained(
-    f: Dist,
-    g: Dist,
-    *,
-    grid_n: int = DEFAULT_GRID_N,
-    trunc: float = DEFAULT_TRUNC,
-) -> float:
-    """Largest essential infimum of X + Y over couplings with X <= Y: ``_dl_min`` at level 0."""
-    return _dl_min(f, g, 0.0, grid_n, trunc)
+def worst_ess_inf_constrained(f: Dist, g: Dist, *, trunc: float = DEFAULT_TRUNC) -> float:
+    """Largest essential infimum of X + Y over couplings with X <= Y: strict ``_dl_min`` at level 0."""
+    return _dl_min(f, g, 0.0, trunc, strict=True)
 
 
-def best_ess_sup_constrained(
-    f: Dist,
-    g: Dist,
-    *,
-    grid_n: int = DEFAULT_GRID_N,
-    trunc: float = DEFAULT_TRUNC,
-) -> float:
+def best_ess_sup_constrained(f: Dist, g: Dist, *, trunc: float = DEFAULT_TRUNC) -> float:
     """Smallest essential supremum of X + Y over couplings with X <= Y: ``_dl_max(.., 1)``.
 
     Mirror of :func:`worst_ess_inf_constrained` through the exact
     reflection best(F, G) = -worst(negate(G), negate(F)).
     """
-    return _dl_max(f, g, 1.0, grid_n, trunc)
+    return _dl_max(f, g, 1.0, trunc)
 
 
 def _countermonotone_scan(f: Dist, g: Dist, a: float, c: float, w: float, refine) -> float:
@@ -249,35 +245,20 @@ def best_ess_sup_unconstrained(f: Dist, g: Dist) -> float:
 # VaR bounds
 
 
-def worst_var_constrained(
-    f: Dist,
-    g: Dist,
-    p: float,
-    *,
-    grid_n: int = DEFAULT_GRID_N,
-    trunc: float = DEFAULT_TRUNC,
-) -> float:
+def worst_var_constrained(f: Dist, g: Dist, p: float, *, trunc: float = DEFAULT_TRUNC) -> float:
     """Worst-case VaR at level p under the order constraint: ``_dl_min`` at level p."""
-    return _dl_min(f, g, _check_p(p), grid_n, trunc)
+    return _dl_min(f, g, _check_p(p), trunc)
 
 
-def best_var_constrained(
-    f: Dist,
-    g: Dist,
-    p: float,
-    *,
-    grid_n: int = DEFAULT_GRID_N,
-    trunc: float = DEFAULT_TRUNC,
-) -> float:
+def best_var_constrained(f: Dist, g: Dist, p: float, *, trunc: float = DEFAULT_TRUNC) -> float:
     """Best-case VaR at level p under the order constraint.
 
     The best essential supremum of the lower p-tails, ``_dl_max`` at level
-    p; it serves the left and the right quantile for continuous strictly
-    increasing marginals. X <= Y gives X + Y >= 2X, so the value is
-    raised to 2 F^{-1}(p) where rounding leaves it below.
+    p, which is inf{t : Mo(t) >= p}. X <= Y gives X + Y >= 2X, so the
+    value is raised to 2 F^{-1}(p) where rounding leaves it below.
     """
     p = _check_p(p)
-    return max(_dl_max(f, g, p, grid_n, trunc), 2.0 * float(f.quantile_left(p)))
+    return max(_dl_max(f, g, p, trunc), 2.0 * float(_quantile(f, p, False)))
 
 
 def worst_var_unconstrained(f: Dist, g: Dist, p: float) -> float:
@@ -600,8 +581,8 @@ def bound_report(
         raise DomainError(f"unknown measure {measure!r}") from None
     kw = dict(grid_n=grid_n, trunc=trunc)
     if measure == "var":
-        cw = worst_var_constrained(f, g, p, **kw)
-        cb = best_var_constrained(f, g, p, **kw)
+        cw = worst_var_constrained(f, g, p, trunc=trunc)
+        cb = best_var_constrained(f, g, p, trunc=trunc)
         uw = worst_var_unconstrained(f, g, p)
         ub = best_var_unconstrained(f, g, p)
     elif measure == "es":
@@ -617,11 +598,11 @@ def bound_report(
         uw = worst_rvar_unconstrained(f, g, p, q, grid_n=grid_n)
         ub = best_rvar_unconstrained(f, g, p, q, grid_n=grid_n)
     elif measure == "ess_inf":
-        cw = worst_ess_inf_constrained(f, g, **kw)
+        cw = worst_ess_inf_constrained(f, g, trunc=trunc)
         uw = worst_ess_inf_unconstrained(f, g)
         cb = ub = float(f.quantile_left(0.0)) + float(g.quantile_left(0.0))
     elif measure == "ess_sup":
-        cb = best_ess_sup_constrained(f, g, **kw)
+        cb = best_ess_sup_constrained(f, g, trunc=trunc)
         ub = best_ess_sup_unconstrained(f, g)
         cw = uw = float(f.quantile_left(1.0)) + float(g.quantile_left(1.0))
     else:
@@ -632,7 +613,7 @@ def bound_report(
         ub = prob_lower_unconstrained(f, g, t)
         uw = prob_upper_unconstrained(f, g, t)
 
-    ub, cb, cw, uw = _snap_nesting(ub, cb, cw, uw, grid_n)
+    ub, cb, cw, uw = _snap_nesting(ub, cb, cw, uw)
     try:
         r_l, r_u, r = du_reduction(ub, uw, cb, cw)
     except DegenerateSpreadError:
@@ -655,10 +636,10 @@ def bound_report(
     )
 
 
-def _snap_nesting(ub, cb, cw, uw, grid_n):
-    """Snap sub-resolution inversions of ub <= cb <= cw <= uw."""
+def _snap_nesting(ub, cb, cw, uw):
+    """Snap rounding-size inversions of ub <= cb <= cw <= uw (relative 1e-7)."""
     vals = [ub, cb, cw, uw]
-    tol = max([1.0] + [abs(v) for v in vals if math.isfinite(v)]) * (1e-7 + 4.0 / grid_n)
+    tol = max([1.0] + [abs(v) for v in vals if math.isfinite(v)]) * 1e-7
     for k in range(1, 4):
         if 0.0 < vals[k - 1] - vals[k] <= tol:  # False when either is infinite
             vals[k] = vals[k - 1]

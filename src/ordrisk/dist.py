@@ -75,6 +75,7 @@ class Dist:
     """Common distribution interface. Instances are immutable value objects."""
 
     kind: str = "abstract"
+    _level_tol = 0.0  # levels this close to a cumulative weight read as it
 
     def cdf(self, x):
         raise NotImplementedError
@@ -211,6 +212,7 @@ class Empirical(Dist):
     """
 
     kind = "empirical"
+    _level_tol = 1e-12  # ``_cumw`` is a float cumulative sum; ``_ql``/``_qr`` stay exact
 
     def __init__(self, values, weights):
         values = np.asarray(values, dtype=float)

@@ -96,8 +96,8 @@ def test_c02_worst_ess_inf():
 def test_c03_pareto_var_bounds():
     worst_rel = 0.0
     for p in (0.5, 0.9, 0.95, 0.99):
-        w = worst_var_constrained(PF, PG, p, grid_n=100_000)
-        b = best_var_constrained(PF, PG, p, grid_n=100_000)
+        w = worst_var_constrained(PF, PG, p)
+        b = best_var_constrained(PF, PG, p)
         worst_rel = max(
             worst_rel,
             abs(w - 4.0 / (1.0 - p)) / (4.0 / (1.0 - p)),

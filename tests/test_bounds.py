@@ -3,6 +3,8 @@
 import json
 import math
 import warnings
+from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from ordrisk.dist import (
     negate_dist,
     to_grid,
 )
-from ordrisk.errors import DegenerateSpreadError, DomainError, OrderViolationError, PlanInfeasibleError
+from ordrisk.errors import DegenerateSpreadError, DomainError, OrderViolationError
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -123,8 +125,8 @@ def test_constrained_var_checks_whole_pair():
         B.worst_var_constrained(f, g, 0.95)
     with pytest.raises(OrderViolationError):
         B.best_var_constrained(f, g, 0.95)
-    # the same pair as 1,000 midpoint atoms takes the plan route, whose
-    # upper-tail check alone let worst VaR return 213.385
+    # the same pair as 1,000 midpoint atoms; the old plan route's upper-tail
+    # check alone let worst VaR return 213.385
     mid = (np.arange(1000) + 0.5) / 1000
     f = empirical_from_samples(100.0 * mid)
     g = empirical_from_samples(-10.0 + 130.0 * mid)
@@ -164,8 +166,8 @@ def test_empirical_var_plan_route():
     rng = np.random.default_rng(0)
     f = empirical_from_samples(rng.uniform(0, 1, 800))
     g = empirical_from_samples(rng.uniform(0, 1, 800) + 0.5)
-    w = B.worst_var_constrained(f, g, 0.9, grid_n=2000)
-    b = B.best_var_constrained(f, g, 0.9, grid_n=2000)
+    w = B.worst_var_constrained(f, g, 0.9)
+    b = B.best_var_constrained(f, g, 0.9)
     assert b <= w
     u = B.worst_var_unconstrained(f, g, 0.9)
     l = B.best_var_unconstrained(f, g, 0.9)
@@ -292,6 +294,16 @@ def test_prob_nesting():
         assert m <= mo + 1e-4
         assert mo <= big_mo + 1e-4
         assert big_mo <= big_m + 1e-4
+
+
+def test_prob_report_refuses_inversion_beyond_rounding():
+    # the pair passes the 2/2048 order gate, but mo = 0.5 > Mo = 0.4998 at
+    # t = 1; a grid-sized snap tolerance used to hide that inversion
+    f = Empirical([0.0, 1.0], [0.4998, 0.5002])
+    g = Empirical([0.0, 2.0], [0.5, 0.5])
+    assert B.prob_lower(f, g, 1.0) - B.prob_upper(f, g, 1.0) > 1e-4
+    with pytest.raises(DomainError, match="bounds must nest"):
+        B.bound_report(f, g, "prob", t=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -694,6 +706,10 @@ _U, _V = Uniform(0, 100), Uniform(0, 120)
         lambda: B.prob_lower(_U, _V, 100.0, tol=1e-3),
         lambda: B.prob_upper(_U, _V, 100.0, grid_n=100),
         lambda: negate_dist(Pareto(1.0, 1.0), grid_n=10),
+        lambda: B.worst_var_constrained(_U, _V, 0.9, grid_n=100),
+        lambda: B.best_var_constrained(_U, _V, 0.9, grid_n=100),
+        lambda: B.worst_ess_inf_constrained(_U, _V, grid_n=100),
+        lambda: B.best_ess_sup_constrained(_U, _V, grid_n=100),
     ],
     ids=[
         "worst_es_constrained",
@@ -705,6 +721,10 @@ _U, _V = Uniform(0, 100), Uniform(0, 120)
         "prob_lower-tol",
         "prob_upper-grid_n",
         "negate_dist-grid_n",
+        "worst_var_constrained-grid_n",
+        "best_var_constrained-grid_n",
+        "worst_ess_inf_constrained-grid_n",
+        "best_ess_sup_constrained-grid_n",
     ],
 )
 def test_unknown_keyword_rejected(call):
@@ -720,8 +740,8 @@ def test_unknown_keyword_rejected(call):
 )
 def test_var_nesting_random_uniform_pairs(p, hi, stretch):
     f, g = Uniform(0.0, hi), Uniform(0.0, hi * stretch)
-    cb = B.best_var_constrained(f, g, p, grid_n=2000)
-    cw = B.worst_var_constrained(f, g, p, grid_n=2000)
+    cb = B.best_var_constrained(f, g, p)
+    cw = B.worst_var_constrained(f, g, p)
     ub = B.best_var_unconstrained(f, g, p)
     uw = B.worst_var_unconstrained(f, g, p)
     scale = abs(uw) + abs(ub) + 1.0
@@ -799,20 +819,68 @@ def test_prob_bounds_match_lp_on_atoms(pair, half_t):
 
 @pytest.mark.parametrize("t", [12.0, 15.5, 17.0, 20.0])
 def test_prob_bounds_match_lp_ranks_meet(t):
-    # the plan route raised PlanInfeasibleError on this pair (see below)
+    # the old plan route raised PlanInfeasibleError on this pair (see below)
     _assert_matches_lp(_XA, _YA, t)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=PlanInfeasibleError,
-    reason="ROADMAP north star 3: the plan route at atom boundaries",
-)
-def test_worst_var_plan_at_atom_boundary():
-    # the LP gives 13; F and G both reach 1/2 at the matched atoms, but
-    # Empirical._cumw sums 7/14 as 0.49999999999999994 for one of them, and
-    # the plan finds no admissible y for its last pair
+def test_worst_var_at_atom_boundary():
+    # the LP gives 13; F and G both reach 1/2 here, but Empirical._cumw sums
+    # 7/14 as 0.49999999999999994 for one of them, which made the old plan
+    # route raise PlanInfeasibleError; the scan reads that level as 1/2
     assert B.worst_var_constrained(_XA, _YA, 0.5) == 13.0
+
+
+def _exact_weights(d):
+    # the atom pairs here have weights k/W with W <= 40
+    return [Fraction(float(w)).limit_denominator(1000) for w in d.weights]
+
+
+def _lp_constrained(f, g, levels):
+    """LP values of the four constrained bounds: ({p: (worst VaR_p, best VaR_p)}, ess-inf, ess-sup).
+
+    VaR_p = min{t : P(X + Y <= t) >= p}, read off the LP mo and Mo at the atom sums.
+    """
+    table = [(t,) + _lp_prob(f, g, t, ordered=True) for t in np.unique(np.add.outer(f.values, g.values))]
+    eps = 1e-9
+    var = {
+        p: (
+            min(t for t, mo, _ in table if mo >= p - eps),
+            min(t for t, _, big_mo in table if big_mo >= p - eps),
+        )
+        for p in levels
+    }
+    ess_inf = min(t for t, mo, _ in table if mo > eps)
+    ess_sup = min(t for t, _, big_mo in table if big_mo >= 1.0 - eps)
+    return var, ess_inf, ess_sup
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ordered_atoms())
+@example((_XA, _YA))
+def test_constrained_bounds_match_lp_on_atoms(pair):
+    # levels on and between the cumulative weights of both laws, as exact fractions
+    f, g = pair
+    cums = {Fraction(0), Fraction(1)}
+    for d in (f, g):
+        cums.update(accumulate(_exact_weights(d)))
+    cums = sorted(cums)
+    levels = sorted({float(c) for c in cums[1:-1]} | {float((a + b) / 2) for a, b in zip(cums, cums[1:])})
+    var, ess_inf, ess_sup = _lp_constrained(f, g, levels)
+    got = [(B.worst_var_constrained(f, g, p), B.best_var_constrained(f, g, p)) for p in levels]
+    assert_allclose(got, [var[p] for p in levels], rtol=0.0, atol=1e-9)
+    assert_allclose(B.worst_ess_inf_constrained(f, g), ess_inf, rtol=0.0, atol=1e-9)
+    assert_allclose(B.best_ess_sup_constrained(f, g), ess_sup, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the countermonotone scan reads levels on a linspace")
+def test_worst_var_unconstrained_on_atoms():
+    # m(26) = 6/19 >= p > m(25), so the worst VaR is 26; the level scan
+    # through left quantiles misses the atom boundary and returns 31
+    f = Empirical([0.0, 3.0, 9.0, 10.0, 11.0, 14.0, 20.0], [3.0, 1.0, 1.0, 4.0, 2.0, 3.0, 5.0])
+    g = Empirical([3.0, 5.0, 9.0, 11.0, 12.0, 17.0, 19.0, 25.0], [1.0, 3.0, 1.0, 2.0, 4.0, 2.0, 1.0, 5.0])
+    p = 6.0 / 19.0
+    assert B.prob_lower_unconstrained(f, g, 26.0) >= p > B.prob_lower_unconstrained(f, g, 25.0)
+    assert B.worst_var_unconstrained(f, g, p) == 26.0
 
 
 def _bisect_prob(var, t):
