@@ -11,6 +11,7 @@ import numpy as np
 
 _K = 32
 _MAX_ROUNDS = 64
+_STEPS = np.arange(_K + 1) / _K  # exact: _K is a power of two
 
 
 def refine_min(f, xs, vals, *, tol=1e-10):
@@ -32,7 +33,8 @@ def refine_min(f, xs, vals, *, tol=1e-10):
         width = hi - lo
         if width <= tol:
             break
-        ts = np.linspace(lo, hi, _K + 1)
+        ts = lo + width * _STEPS  # np.linspace(lo, hi, _K + 1) to the bit, without its overhead
+        ts[-1] = hi
         v = np.fmin(f(ts), np.inf)
         i = int(np.argmin(v))
         best = min(best, float(v[i]))

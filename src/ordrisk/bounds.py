@@ -31,6 +31,9 @@ G^{-1} over the n equal level cells of the window, paired by the plan
 lie below F and G in convex order, and the countermonotone sum is the
 convex-order minimum, so L <= Lo <= Uo <= U holds by construction; only
 VaR and probability bounds can still need a snap.
+The pieces no level changes (the whole-pair plan, the [0, q) plan of best
+RVaR, the sorted countermonotone sums) are built once per pair in a small
+memo, ``_level_free``; the VaR and probability scans are not memoised.
 
 The bounds on P(X + Y <= t) invert these formulas in closed form. With
 F, G right-continuous and t finite (t = -inf, +inf give 0, 1; NaN raises):
@@ -52,6 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -298,8 +302,7 @@ def best_es_constrained(
 ) -> float:
     """Best-case ES under the order constraint: ES of the directed-coupling sum."""
     p = _check_p(p)
-    plan = dl_plan_discrete(f, g, grid_n, 0.0, trunc=trunc)
-    return _upper_frac_mean(np.sort(plan.mean_sums), 1.0 - p)
+    return _upper_frac_mean(_level_free(f, g, grid_n, 1.0, trunc)[1], 1.0 - p)
 
 
 def best_es_unconstrained(
@@ -307,7 +310,7 @@ def best_es_unconstrained(
 ) -> float:
     """Best-case ES over all couplings: ES of the countermonotone sum."""
     p = _check_p(p)
-    return _upper_frac_mean(np.sort(_ct_cells(f, g, grid_n)), 1.0 - p)
+    return _upper_frac_mean(_level_free(f, g, grid_n, 1.0, None), 1.0 - p)
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +350,7 @@ def best_rvar_constrained(
     ES at level p/q of the directed coupling on the level window [0, q).
     """
     p, q = _check_pq(p, q, allow_p0=False)
-    plan = dl_plan_discrete(f, g, grid_n, 0.0, q=q, trunc=trunc)
-    return _upper_frac_mean(np.sort(plan.mean_sums), 1.0 - p / q)
+    return _upper_frac_mean(_level_free(f, g, grid_n, q, trunc)[1], 1.0 - p / q)
 
 
 def worst_rvar_unconstrained(
@@ -364,7 +366,7 @@ def best_rvar_unconstrained(
 ) -> float:
     """Best-case RVaR over all couplings: countermonotone lower q-tails."""
     p, q = _check_pq(p, q, allow_p0=False)
-    return _upper_frac_mean(np.sort(_ct_cells(f, g, grid_n, 0.0, q)), 1.0 - p / q)
+    return _upper_frac_mean(_level_free(f, g, grid_n, q, None), 1.0 - p / q)
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +377,29 @@ def _ct_cells(f: Dist, g: Dist, n: int, p: float = 0.0, q: float = 1.0) -> np.nd
     """Countermonotone sums of the cell means of [p, q) that plans use (unsorted)."""
     fm, gm = _cell_mean_pair(f, g, n, p, q)
     return fm + gm[::-1]
+
+
+@lru_cache(maxsize=4)
+def _level_free(f: Dist, g: Dist, n: int, q: float, trunc: float | None):
+    """Sorted sums of the level window [0, q) that no level changes, built once per pair.
+
+    With a ``trunc``: the directed plan of the window and its sorted cell-mean
+    sums; the first build runs the plan's order check. With ``trunc=None``:
+    the sorted countermonotone cell sums, which need no order. Keyed on the
+    Dist objects themselves (immutable, hashed by identity); every array is
+    read-only. Pass all five arguments by position, so one window has one key.
+    """
+    if trunc is None:
+        return _read_only(np.sort(_ct_cells(f, g, n, 0.0, q)))
+    plan = dl_plan_discrete(f, g, n, 0.0, q=q, trunc=trunc)
+    for arr in (plan.x, plan.y, plan.y_index, plan.mean_sums, plan.sums_sorted):
+        _read_only(arr)
+    return plan, _read_only(np.sort(plan.mean_sums))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def ct_sum_values(f: Dist, g: Dist, *, grid_n: int = DEFAULT_GRID_N) -> np.ndarray:
@@ -418,20 +443,22 @@ def ct_sum_var(
 # probability bounds (closed-form CDF scans)
 
 
-def _cdf_scan(f: Dist, g: Dist, t: float, objective, half: int, refine) -> float:
+def _cdf_scan(f: Dist, g: Dist, t: float, objective, half: int, refine, nodes=None) -> float:
     """``refine`` (``refine_max`` or ``refine_min``) of ``objective`` over the threshold-t scan.
 
     The scan is the merged grid nodes, t - nodes, t/2 and the midpoints of
     consecutive points, kept on z >= t/2 (``half`` +1), z <= t/2 (-1) or all
     (0). Step CDFs are constant between nodes: for atoms the scan is exact.
-    A NaN t raises; t = -inf gives 0 and t = +inf gives 1.
+    A NaN t raises; t = -inf gives 0 and t = +inf gives 1. ``nodes`` is the
+    merged grid when the caller has built it for the order check.
     """
     t = float(t)
     if math.isnan(t):
         raise DomainError("threshold t must not be NaN")
     if math.isinf(t):
         return float(t > 0)
-    nodes = _merged_grid(f, g, DEFAULT_SCAN_N)
+    if nodes is None:
+        nodes = _merged_grid(f, g, DEFAULT_SCAN_N)
     zs = np.unique(np.concatenate((nodes, t - nodes, [0.5 * t])))
     zs = np.sort(np.concatenate((zs, 0.5 * (zs[1:] + zs[:-1]))))
     zs = zs[half * (zs - 0.5 * t) >= 0.0]
@@ -443,9 +470,10 @@ def prob_lower(f: Dist, g: Dist, t: float) -> float:
 
     mo(t) = max(G(t/2), sup_{z >= t/2} [G(z) - F(z) + F(t-z)]) = sup{p : worst VaR_p <= t}.
     """
-    _require_order(f, g)
+    nodes = _merged_grid(f, g, DEFAULT_SCAN_N)
+    _require_order(f, g, nodes)
     objective = lambda z: np.asarray(g.cdf(z)) - np.asarray(f.cdf(z)) + np.asarray(f.cdf(t - z))
-    return max(float(g.cdf(0.5 * t)), _cdf_scan(f, g, t, objective, 1, refine_max))
+    return max(float(g.cdf(0.5 * t)), _cdf_scan(f, g, t, objective, 1, refine_max, nodes))
 
 
 def prob_upper(f: Dist, g: Dist, t: float) -> float:
@@ -453,9 +481,10 @@ def prob_upper(f: Dist, g: Dist, t: float) -> float:
 
     Mo(t) = min(F(t/2), inf_{z <= t/2} [F(z) - G(z) + G(t-z)]) = sup{p : best VaR_p <= t}.
     """
-    _require_order(f, g)
+    nodes = _merged_grid(f, g, DEFAULT_SCAN_N)
+    _require_order(f, g, nodes)
     objective = lambda z: np.asarray(f.cdf(z)) - np.asarray(g.cdf(z)) + np.asarray(g.cdf(t - z))
-    return min(float(f.cdf(0.5 * t)), _cdf_scan(f, g, t, objective, -1, refine_min))
+    return min(float(f.cdf(0.5 * t)), _cdf_scan(f, g, t, objective, -1, refine_min, nodes))
 
 
 def prob_lower_unconstrained(f: Dist, g: Dist, t: float) -> float:

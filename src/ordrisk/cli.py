@@ -29,9 +29,9 @@ import sys
 import numpy as np
 
 from .bounds import (
+    _level_free,
     best_var_constrained,
     bound_report,
-    ct_sum_values,
     ct_sum_var,
     dl_sum_var,
     prob_lower,
@@ -44,7 +44,7 @@ from .bounds import (
 )
 from .coupling import (
     COUPLING_KINDS,
-    dl_plan_discrete,
+    dl_plan_discrete,  # unused here; perfbench/tracer.py patches this name
     dl_sum_cdf,
     export_batch_csv,
     sample_coupling,
@@ -195,6 +195,12 @@ def _nested(r):
     return r.unconstrained_best, r.constrained_best, r.constrained_worst, r.unconstrained_worst
 
 
+def _whole_pair(f: Dist, g: Dist, args: argparse.Namespace):
+    """The whole-pair directed plan and sorted countermonotone sums, from the bounds memo."""
+    plan, _ = _level_free(f, g, args.grid_n, 1.0, args.trunc)
+    return plan, _level_free(f, g, args.grid_n, 1.0, None)
+
+
 def _emit_bound_outputs(f: Dist, g: Dist, args: argparse.Namespace) -> None:
     """Curve CSV, per-level coupling VaRs and JSON reports for one pair."""
     os.makedirs(args.out_dir, exist_ok=True)
@@ -212,8 +218,7 @@ def _emit_bound_outputs(f: Dist, g: Dist, args: argparse.Namespace) -> None:
         ["p", "L", "Lo", "Uo", "U", "R"],
         rows,
     )
-    plan = dl_plan_discrete(f, g, args.grid_n, 0.0, trunc=args.trunc, check=False)
-    ct = np.sort(ct_sum_values(f, g, grid_n=args.grid_n))
+    plan, ct = _whole_pair(f, g, args)
     crows = [
         (p, dl_sum_var(f, g, p, plan=plan), ct_sum_var(f, g, p, values=ct))
         for p in ps
@@ -238,8 +243,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def cmd_probbounds(args: argparse.Namespace) -> int:
     f, g = _ordered_marginals(args)
     os.makedirs(args.out_dir, exist_ok=True)
-    plan = dl_plan_discrete(f, g, args.grid_n, 0.0, trunc=args.trunc, check=False)
-    ct = np.sort(ct_sum_values(f, g, grid_n=args.grid_n))
+    plan, ct = _whole_pair(f, g, args)
     rows = []
     for t in _grid(args.t_from, args.t_to, args.t_step):
         r = bound_report(f, g, "prob", t=float(t), grid_n=args.grid_n, trunc=args.trunc)

@@ -33,6 +33,7 @@ from .dist import (
     DEFAULT_TRUNC,
     Dist,
     _cell_mean_pair,
+    _check_st_at,
     _merged_grid,
     check_st,
     negate_dist,
@@ -59,8 +60,9 @@ DEFAULT_SCAN_N = 2048
 COUPLING_KINDS = ("comonotone", "countermonotone", "dl")
 
 
-def _require_order(f: Dist, g: Dist):
-    report = check_st(f, g)
+def _require_order(f: Dist, g: Dist, nodes=None):
+    """Raise OrderViolationError unless F <= G; ``nodes`` reuses ``_merged_grid(f, g, DEFAULT_SCAN_N)``."""
+    report = check_st(f, g) if nodes is None else _check_st_at(f, g, nodes, DEFAULT_SCAN_N)
     if not report.holds:
         raise OrderViolationError(report)
 

@@ -20,6 +20,11 @@ quantile at 0 and the right quantile at 1 return the support endpoints
 never as large finite surrogates. Unbounded supports are truncated at
 quantile level ``trunc`` (default ``1 - 1e-6``) whenever a finite grid
 has to be built.
+
+``scipy.special`` (for the normal CDF ``ndtr`` and quantile ``ndtri``) is
+imported on first use by a normal law, in ``Normal.cdf``, ``Normal._ql``
+and the normal branch of ``_quantile_integral``; its import costs more
+than the rest of the library, and no other kind needs it.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ import csv
 import math
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import DomainError
 
@@ -62,7 +66,7 @@ _PARAMETRIC_KINDS = ("pareto", "uniform", "normal")
 
 def _validate_levels(u):
     arr = np.asarray(u, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0) or np.any(np.isnan(arr)):
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails both
         raise DomainError("quantile level must lie in [0, 1]")
     return arr
 
@@ -189,9 +193,13 @@ class Normal(Dist):
     def cdf(self, x):
         scalar = np.ndim(x) == 0
         x = np.asarray(x, dtype=float)
+        from scipy.special import ndtr  # first use loads scipy.special (module docstring)
+
         return _as_output(ndtr((x - self.mean) / self.sd), scalar)
 
     def _ql(self, u):
+        from scipy.special import ndtri
+
         with np.errstate(divide="ignore"):
             return self.mean + self.sd * ndtri(u)
 
@@ -517,9 +525,13 @@ def check_st(f: Dist, g: Dist, grid_size: int = 2048, tol: float | None = None) 
     default tolerance is ``1e-9`` for parametric pairs and
     ``2/grid_size`` when an empirical or grid kind is involved.
     """
+    return _check_st_at(f, g, _merged_grid(f, g, grid_size), grid_size, tol)
+
+
+def _check_st_at(f: Dist, g: Dist, ts, grid_size: int, tol: float | None = None) -> OrderCheckReport:
+    """:func:`check_st` on nodes ``ts`` the caller built as ``_merged_grid(f, g, grid_size)``."""
     if tol is None:
         tol = _default_check_tol(f, g, grid_size)
-    ts = _merged_grid(f, g, grid_size)
     d = np.asarray(f.cdf(ts)) - np.asarray(g.cdf(ts))
     i = int(np.argmin(d))
     mv = max(0.0, float(-d[i]))
@@ -613,6 +625,8 @@ def _quantile_integral(d: Dist, a, b):
     if isinstance(d, Uniform):
         return (b - a) * (d.lo + 0.5 * (d.hi - d.lo) * (a + b))
     if isinstance(d, Normal):
+        from scipy.special import ndtri
+
         pdf = lambda u: np.exp(-0.5 * ndtri(u) ** 2) / math.sqrt(2.0 * math.pi)
         return d.mean * (b - a) + d.sd * (pdf(a) - pdf(b))
     if isinstance(d, Pareto):

@@ -12,9 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import ordrisk.dist
 from ordrisk import bounds as B
 from ordrisk._search import refine_min
-from ordrisk.coupling import TransportEvaluator
+from ordrisk.coupling import TransportEvaluator, dl_plan_discrete
 from ordrisk.dist import (
     DEFAULT_TRUNC,
     Empirical,
@@ -304,6 +305,69 @@ def test_prob_report_refuses_inversion_beyond_rounding():
     assert B.prob_lower(f, g, 1.0) - B.prob_upper(f, g, 1.0) > 1e-4
     with pytest.raises(DomainError, match="bounds must nest"):
         B.bound_report(f, g, "prob", t=1.0)
+
+
+def test_prob_report_builds_four_grids(monkeypatch):
+    # the constrained bounds scan the nodes their order check was run on;
+    # each of the four bounds builds the merged grid once
+    built = []
+
+    def counting(module):
+        original = module._merged_grid
+
+        def grid(*args, **kwargs):
+            built.append(module.__name__)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "_merged_grid", grid)
+
+    counting(B)
+    counting(ordrisk.dist)
+    B.bound_report(PF, PG, "prob", t=8.0)
+    assert len(built) == 4
+
+
+# ---------------------------------------------------------------------------
+# level-free plan memo
+
+
+@pytest.mark.parametrize("q", [1.0, 0.99])
+def test_level_free_memo_matches_fresh_builds(q):
+    f, g, n = Pareto(25.0, 2.0), Pareto(30.0, 2.0), 500
+    plan, sums = B._level_free(f, g, n, q, DEFAULT_TRUNC)
+    ct = B._level_free(f, g, n, q, None)
+    fresh = dl_plan_discrete(f, g, n, 0.0, q=q, trunc=DEFAULT_TRUNC)
+    for name in ("x", "y", "y_index", "mean_sums", "sums_sorted"):
+        got = getattr(plan, name)
+        assert np.array_equal(got, getattr(fresh, name)), name
+        assert not got.flags.writeable, name
+    assert np.array_equal(sums, np.sort(fresh.mean_sums))
+    assert np.array_equal(ct, np.sort(B._ct_cells(f, g, n, 0.0, q)))
+    for arr in (sums, ct):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert B._level_free(f, g, n, q, DEFAULT_TRUNC)[0] is plan
+    assert B._level_free(f, g, n, q, None) is ct
+
+
+def test_level_free_memo_keys_on_the_objects():
+    # equal parameters, other objects: a separate build, never a stale hit
+    n = 300
+    a = B._level_free(Uniform(0, 100), Uniform(0, 120), n, 1.0, None)
+    b = B._level_free(Uniform(0, 100), Uniform(0, 140), n, 1.0, None)
+    assert not np.array_equal(a, b)
+    f, g = Uniform(0, 100), Uniform(0, 120)
+    assert B._level_free(f, g, n, 1.0, None) is not a
+    assert np.array_equal(B._level_free(f, g, n, 1.0, None), a)
+
+
+def test_unconstrained_mean_bounds_need_no_order():
+    # the memo's countermonotone entry runs no order check
+    f, g = Uniform(0, 120), Uniform(0, 100)
+    assert B.best_es_unconstrained(f, g, 0.9, grid_n=400) == B.best_es_unconstrained(g, f, 0.9, grid_n=400)
+    with pytest.raises(OrderViolationError):
+        B.best_es_constrained(f, g, 0.9, grid_n=400)
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,44 @@ def test_bounds_rvar_runs(tmp_path):
     assert reports[0]["q"] == 0.99
 
 
+def _count_plans(monkeypatch):
+    """Record the level window (p, q) of every plan the bounds and the CLI build."""
+    windows = []
+
+    def counting(module):
+        original = module.dl_plan_discrete
+
+        def plan(f, g, n, p=0.0, *, q=1.0, **kwargs):
+            windows.append((module.__name__, p, q))
+            return original(f, g, n, p, q=q, **kwargs)
+
+        monkeypatch.setattr(module, "dl_plan_discrete", plan)
+
+    counting(ordrisk.bounds)
+    counting(ordrisk.cli)
+    return windows
+
+
+def test_bounds_es_builds_one_whole_pair_plan(tmp_path, monkeypatch):
+    # three levels and couplings.csv share one plan: 4 builds before the memo
+    windows = _count_plans(monkeypatch)
+    args = ["bounds", "--margF", "pareto:1,2", "--margG", "pareto:1.5,2", "--measure", "es"]
+    args += ["--p-from", "0.9", "--p-to", "0.94", "--p-step", "0.02", "--grid-n", "500"]
+    assert run(*args, "--out", str(tmp_path)) == 0
+    assert len(read_rows(tmp_path / "curve.csv")) == 4
+    assert windows == [("ordrisk.bounds", 0.0, 1.0)]
+
+
+def test_bounds_rvar_builds_one_plan_below_q(tmp_path, monkeypatch):
+    windows = _count_plans(monkeypatch)
+    args = [*BOUNDS_ARGS, "--measure", "rvar", "--q", "0.99", "--out", str(tmp_path)]
+    assert run(*args) == 0
+    assert windows.count(("ordrisk.bounds", 0.0, 0.99)) == 1
+    assert windows.count(("ordrisk.bounds", 0.0, 1.0)) == 1
+    # the upper p-tails of worst RVaR change with the level: one per level
+    assert sorted(p for _, p, q in windows if p > 0.0) == [0.9, 0.91, 0.92, 0.93, 0.94, 0.95]
+
+
 def test_bounds_order_gate(tmp_path, capsys):
     rng = np.random.default_rng(1)
     lo = tmp_path / "lo.csv"

@@ -1,6 +1,10 @@
 """Distribution kinds, tails, order checks and integral evaluators."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.special import ndtri
 
+import ordrisk.dist
 from ordrisk.dist import (
     DEFAULT_TRUNC,
     Empirical,
@@ -92,6 +97,59 @@ def test_quantile_level_validation():
         Uniform(0, 1).quantile_left(1.5)
     with pytest.raises(DomainError):
         Uniform(0, 1).quantile_left(-0.1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.1, 1.5, -math.inf, math.inf, -1e-300])
+@pytest.mark.parametrize("as_array", [False, True], ids=["scalar", "array"])
+@pytest.mark.parametrize("side", ["quantile_left", "quantile_right"])
+def test_bad_levels_raise(bad, as_array, side):
+    u = np.array([0.25, bad, 0.75]) if as_array else bad
+    for d in (Uniform(0, 1), Empirical([1.0, 2.0], [1.0, 1.0])):
+        with pytest.raises(DomainError, match="quantile level"):
+            getattr(d, side)(u)
+
+
+def test_levels_at_the_ends_and_empty_pass():
+    d = Uniform(2.0, 4.0)
+    assert d.quantile_left(0.0) == 2.0
+    assert d.quantile_right(1.0) == 4.0
+    assert_allclose(d.quantile_left(np.array([0.0, 0.5, 1.0])), [2.0, 3.0, 4.0])
+    assert d.quantile_left(np.array([])).shape == (0,)
+
+
+def test_scipy_special_loads_only_for_normal_laws():
+    # a fresh interpreter: this test module itself imports scipy.special
+    code = """
+import sys
+import numpy as np
+import ordrisk.cli
+from ordrisk import Normal, Pareto, Uniform, bound_report, es_eval
+assert "scipy.special" not in sys.modules, "imported by ordrisk.cli"
+bound_report(Pareto(1.0, 1.0), Pareto(2.0, 1.0), "var", p=0.9)
+bound_report(Uniform(0.0, 100.0), Uniform(0.0, 120.0), "es", p=0.9, grid_n=200)
+assert "scipy.special" not in sys.modules, "imported by a Pareto or uniform bound"
+d = Normal(1.0, 2.0)
+x = np.array([-3.0, 0.5, 1.0, 4.0])
+u = np.array([0.01, 0.3, 0.5, 0.999])
+cdf, q, es = d.cdf(x), d.quantile_left(u), es_eval(d, 0.9)
+from scipy.special import ndtr, ndtri
+assert np.array_equal(cdf, ndtr((x - 1.0) / 2.0))
+assert np.array_equal(q, 1.0 + 2.0 * ndtri(u))
+z = ndtri(0.9)
+exact = 1.0 + 2.0 * np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi) / 0.1
+assert abs(es - exact) <= 1e-12 * abs(exact), (es, exact)
+print("ok")
+"""
+    src = str(Path(ordrisk.dist.__file__).resolve().parents[1])
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
 
 
 # ---------------------------------------------------------------------------

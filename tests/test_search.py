@@ -75,3 +75,26 @@ def test_refine_max_mirrors_refine_min(c):
     lo = refine_min(f, xs, vals, tol=1e-9)
     hi = refine_max(lambda x: -f(x), xs, -vals, tol=1e-9)
     assert hi == -lo
+
+
+def test_refinement_points_are_linspace_to_the_bit():
+    # each round evaluates lo + width * k/32 with the last point set to hi;
+    # dividing by 32 is exact, so these are np.linspace(lo, hi, 33) bit for bit
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        centre = rng.uniform(-1.0, 1.0) * 10.0 ** rng.integers(-6, 7)
+        half = 10.0 ** rng.uniform(-9, 4) * max(1.0, abs(centre))  # resolvable at float precision
+        c = centre + rng.uniform(-half, half)
+        seen = []
+
+        def f(x):
+            seen.append(np.array(x))
+            return np.abs(x - c)
+
+        xs = np.linspace(centre - half, centre + half, 9)
+        refine_min(f, xs, f(xs), tol=1e-9 * half)
+        rounds = seen[1:]
+        assert rounds
+        for ts in rounds:
+            assert ts.shape == (33,)
+            assert np.array_equal(ts, np.linspace(ts[0], ts[-1], 33))
