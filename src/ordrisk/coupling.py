@@ -8,7 +8,9 @@ X ~ F, Y ~ G and X <= Y, here called the directed coupling:
 * discrete coupling plans (``dl_plan_discrete``) on the equal level
   cells of a window, matching descending left-endpoint quantiles, and the
   sum CDF over a plan;
-* samplers for comonotone, countermonotone and dl dependence.
+* samplers for comonotone, countermonotone and dl dependence, and CSV export.
+
+Every route that needs F <= G reads one memoised check per pair, ``_order_report``.
 
 The transport map is ``T(x) = inf{z >= x : F(z)-G(z) < F(x)-G(x)}``
 (``+inf`` when the set is empty). All continuous evaluation is a grid
@@ -19,11 +21,10 @@ infimum.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -33,8 +34,8 @@ from .dist import (
     DEFAULT_TRUNC,
     Dist,
     _cell_mean_pair,
-    _check_st_at,
     _merged_grid,
+    _write_table,
     check_st,
     negate_dist,
     upper_tail,  # unused here; perfbench/tracer.py patches this name
@@ -60,9 +61,15 @@ DEFAULT_SCAN_N = 2048
 COUPLING_KINDS = ("comonotone", "countermonotone", "dl")
 
 
-def _require_order(f: Dist, g: Dist, nodes=None):
-    """Raise OrderViolationError unless F <= G; ``nodes`` reuses ``_merged_grid(f, g, DEFAULT_SCAN_N)``."""
-    report = check_st(f, g) if nodes is None else _check_st_at(f, g, nodes, DEFAULT_SCAN_N)
+@lru_cache(maxsize=4)
+def _order_report(f: Dist, g: Dist):
+    """``check_st(f, g)`` once per pair, keyed on the Dist objects like ``bounds._level_free``."""
+    return check_st(f, g)
+
+
+def _require_order(f: Dist, g: Dist) -> None:
+    """Raise OrderViolationError unless F <= G, from the pair's memoised report."""
+    report = _order_report(f, g)
     if not report.holds:
         raise OrderViolationError(report)
 
@@ -401,22 +408,13 @@ def sample_coupling(
 
 def export_plan_csv(plan: DlPlan, path):
     """Write plan pairs as CSV with header ``k,x,y,tag``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "x", "y", "tag"])
-        for k in range(plan.n):
-            writer.writerow(
-                [k + 1, f"{plan.x[k]:.12g}", f"{plan.y[k]:.12g}", str(plan.tag[k])]
-            )
+    rows = zip(range(1, plan.n + 1), plan.x.tolist(), plan.y.tolist(), plan.tag.tolist())
+    _write_table(path, ("k", "x", "y", "tag"), "%d,%.12g,%.12g,%s", rows)
 
 
 def export_batch_csv(batch: SampleBatch, path, sidecar_path=None):
     """Write batch pairs as CSV ``x,y`` plus a JSON sidecar {kind, seed, size}."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y"])
-        for xv, yv in zip(batch.x, batch.y):
-            writer.writerow([f"{xv:.12g}", f"{yv:.12g}"])
+    _write_table(path, ("x", "y"), "%.12g,%.12g", zip(batch.x.tolist(), batch.y.tolist()))
     if sidecar_path is None:
         sidecar_path = str(path) + ".json"
     meta = {"kind": batch.coupling_kind, "seed": batch.seed, "size": batch.size}

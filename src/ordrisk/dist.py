@@ -525,13 +525,9 @@ def check_st(f: Dist, g: Dist, grid_size: int = 2048, tol: float | None = None) 
     default tolerance is ``1e-9`` for parametric pairs and
     ``2/grid_size`` when an empirical or grid kind is involved.
     """
-    return _check_st_at(f, g, _merged_grid(f, g, grid_size), grid_size, tol)
-
-
-def _check_st_at(f: Dist, g: Dist, ts, grid_size: int, tol: float | None = None) -> OrderCheckReport:
-    """:func:`check_st` on nodes ``ts`` the caller built as ``_merged_grid(f, g, grid_size)``."""
     if tol is None:
         tol = _default_check_tol(f, g, grid_size)
+    ts = _merged_grid(f, g, grid_size)
     d = np.asarray(f.cdf(ts)) - np.asarray(g.cdf(ts))
     i = int(np.argmin(d))
     mv = max(0.0, float(-d[i]))
@@ -709,11 +705,18 @@ def read_empirical_csv(path) -> Empirical:
     return empirical_from_samples(np.asarray(values), np.asarray(weights))
 
 
+def _write_table(path, header, fmt: str, rows) -> None:
+    """Write a CSV in one ``write``: the ``header`` cells, then ``fmt % row`` for each row.
+
+    The bytes are ``csv.writer``'s (``\\r\\n`` line ends; ``%.12g`` is ``format(v, ".12g")``):
+    no output cell needs quoting, as cells are numbers, ``inf``/``nan``, empty or plain tags.
+    """
+    text = "\r\n".join([",".join(header), *(fmt % row for row in rows), ""])
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+
+
 def write_grid_csv(d: Dist, path, *, n: int = DEFAULT_GRID_N, trunc: float = DEFAULT_TRUNC):
     """Write the quantile table of ``d`` as a CSV with header ``u,x``."""
     grid = d if isinstance(d, QuantileGrid) else to_grid(d, n, trunc)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["u", "x"])
-        for u, x in zip(grid.us, grid.xs):
-            writer.writerow([f"{float(u):.12g}", f"{float(x):.12g}"])
+    _write_table(path, ("u", "x"), "%.12g,%.12g", zip(grid.us.tolist(), grid.xs.tolist()))

@@ -9,7 +9,6 @@ closed forms in :mod:`ordrisk.bounds`.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -21,6 +20,7 @@ from .dist import (
     Dist,
     OrderCheckReport,
     _midpoints,
+    _write_table,
     check_ss,
     empirical_from_samples,
     upper_tail,
@@ -100,11 +100,8 @@ def stop_loss_curve(batch: SampleBatch, thresholds) -> StopLossCurve:
 
 def write_stop_loss_csv(curve: StopLossCurve, path):
     """Write the curve as CSV with header ``d,value,stderr``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["d", "value", "stderr"])
-        for d, v, se in zip(curve.thresholds, curve.values, curve.stderr):
-            writer.writerow([f"{d:.12g}", f"{v:.12g}", f"{se:.12g}"])
+    cols = (curve.thresholds.tolist(), curve.values.tolist(), curve.stderr.tolist())
+    _write_table(path, ("d", "value", "stderr"), "%.12g,%.12g,%.12g", zip(*cols))
 
 
 def grid_convergence(fn, levels, n: int) -> float:

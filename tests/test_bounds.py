@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import ordrisk.coupling
 import ordrisk.dist
 from ordrisk import bounds as B
 from ordrisk._search import refine_min
@@ -308,8 +309,8 @@ def test_prob_report_refuses_inversion_beyond_rounding():
 
 
 def test_prob_report_builds_four_grids(monkeypatch):
-    # the constrained bounds scan the nodes their order check was run on;
-    # each of the four bounds builds the merged grid once
+    # each of the four bounds builds the merged grid once for its scan; the
+    # pair's order check builds one more, on the first report only
     built = []
 
     def counting(module):
@@ -323,7 +324,11 @@ def test_prob_report_builds_four_grids(monkeypatch):
 
     counting(B)
     counting(ordrisk.dist)
+    ordrisk.coupling._order_report.cache_clear()
     B.bound_report(PF, PG, "prob", t=8.0)
+    assert len(built) == 5
+    built.clear()
+    B.bound_report(PF, PG, "prob", t=9.0)
     assert len(built) == 4
 
 

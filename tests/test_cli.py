@@ -164,6 +164,44 @@ def test_readme_commands_parse():
         _validate(build_parser().parse_args(argv))
 
 
+def test_cached_parser_keeps_no_state_between_calls():
+    assert build_parser() is build_parser()
+    first = parsed("bounds", *MARG, "--project", "--p-from", "0.5", "--measure", "es")
+    assert first.project and first.p_from == 0.5 and first.measure == "es"
+    sample = parsed("sample", *MARG, "--kind", "dl", "--size", "5")
+    assert not hasattr(sample, "project") and not hasattr(sample, "measure")
+    assert sample.func is ordrisk.cli.cmd_sample and not sample.jitter
+    again = parsed("bounds", *MARG)
+    assert not again.project
+    assert (again.p_from, again.measure, again.q) == (0.9, "var", None)
+    assert again.func is ordrisk.cli.cmd_bounds
+    assert not hasattr(again, "kind")
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--margF", "pareto:1,1", "--margG", "pareto:2,1", "--measure", "var"],
+        ["--margF", "uniform:0,100", "--margG", "uniform:0,120", "--measure", "rvar"]
+        + ["--q", "0.999", "--grid-n", "1000"],
+    ],
+)
+def test_bounds_job_checks_the_pair_once(tmp_path, monkeypatch, extra):
+    # the CLI gate, 20 levels of four bounds, the plans and couplings.csv
+    checks = []
+    original = ordrisk.coupling.check_st
+
+    def counting(*args, **kwargs):
+        checks.append(args[:2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ordrisk.coupling, "check_st", counting)
+    monkeypatch.setattr(ordrisk.cli, "check_st", counting)
+    assert run("bounds", *extra, "--out", str(tmp_path)) == 0
+    assert len(read_rows(tmp_path / "curve.csv")) == 21
+    assert len(checks) == 1
+
+
 # ---------------------------------------------------------------------------
 # selftest
 

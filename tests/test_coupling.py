@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import ordrisk.coupling
+from ordrisk import bounds as B
 from ordrisk.coupling import (
     COUPLING_KINDS,
     DlPlan,
@@ -210,6 +212,47 @@ def test_dl_cdf_refuses_unordered_pair():
     # the y <= x shortcut still checks the order
     with pytest.raises(OrderViolationError):
         dl_cdf(Uniform(0, 1.5), Uniform(0, 1), 0.8, 0.5)
+
+
+@pytest.fixture
+def order_checks(monkeypatch):
+    """Pairs handed to ``coupling.check_st``, the one place an order check runs."""
+    seen = []
+    original = ordrisk.coupling.check_st
+
+    def counting(f, g, *args, **kwargs):
+        seen.append((f, g))
+        return original(f, g, *args, **kwargs)
+
+    monkeypatch.setattr(ordrisk.coupling, "check_st", counting)
+    return seen
+
+
+def test_unordered_pair_raises_on_every_call(order_checks):
+    f, g = Uniform(0, 1.5), Uniform(0, 1)
+    calls = [
+        lambda: B.worst_var_constrained(f, g, 0.9),
+        lambda: B.best_var_constrained(f, g, 0.9),
+        lambda: B.worst_ess_inf_constrained(f, g),
+        lambda: B.best_ess_sup_constrained(f, g),
+        lambda: B.prob_lower(f, g, 1.0),
+        lambda: dl_plan_discrete(f, g, 100),
+        lambda: dl_cdf(f, g, 0.8, 0.5),
+    ]
+    for call in calls * 2:
+        with pytest.raises(OrderViolationError):
+            call()
+    assert order_checks == [(f, g)]
+
+
+def test_best_bounds_check_the_pair_not_its_reflection(order_checks):
+    # the best bounds run on the negated pair; the check stays on (f, g)
+    f, g = Uniform(0, 100), Uniform(0, 120)
+    for p in (0.5, 0.9, 0.99):
+        B.best_var_constrained(f, g, p)
+        B.worst_var_constrained(f, g, p)
+    B.best_ess_sup_constrained(f, g)
+    assert order_checks == [(f, g)]
 
 
 @settings(max_examples=40, deadline=None)
