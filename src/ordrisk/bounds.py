@@ -2,14 +2,13 @@
 
 Every bound comes in a constrained flavor (couplings with X <= Y) and
 an unconstrained flavor (all couplings). Constrained extremes are
-attained by the directed coupling of the relevant tail pair;
-unconstrained extremes by countermonotone tail pairing (VaR, RVaR,
-ess-inf/ess-sup) or by comonotonicity (worst ES). Values are extended
-reals: infinities are returned as proper floats, never saturated.
+attained by the directed coupling of the relevant tail pair. Values are
+extended reals: infinities are returned as proper floats, never saturated.
 
-Every pair of marginals goes through one closed-form body, ``_dl_min``,
-reached by the best bounds on the exactly negated pair. With
-b = G^{-1}(p), the worst bound at level p is
+All eight VaR and essential bounds go through one closed-form scan,
+``_dl_min``, reached by the best bounds on the exactly negated pair. It
+has two modes. Ordered (the constrained bounds), with b = G^{-1}(p), the
+worst bound at level p is
 
     min(2b, inf_{z >= b} [z + F^{-1}(p + F(z) - G(z))]).
 
@@ -23,7 +22,10 @@ left quantiles it is inf{t : mo(t) >= p} (mo below), the worst VaR_p; with
 right quantiles it is inf{t : mo(t) > p}, which worst ess-inf (p = 0) and
 the reflected best bounds need. Step CDFs are constant between atoms, so
 the scan over the atoms is exact for marginals with atoms too; continuous
-laws have equal left and right quantiles.
+laws have equal left and right quantiles. Unordered (the unconstrained
+bounds), the level p + F(z) - G(z) becomes p + 1 - G(z) and 2b becomes
+F^{-1}(1) + b: with z = G^{-1}(1 - a) this is the Makarov (1981) /
+Rueschendorf (1982) formula inf_{a in [0, 1-p]} [F^{-1}(p + a) + G^{-1}(1 - a)].
 
 The mean functionals (ES, RVaR) all read the exact means of F^{-1} and
 G^{-1} over the n equal level cells of the window, paired by the plan
@@ -47,8 +49,9 @@ m and M are the Makarov (1981) / Rueschendorf (1982) bounds. For
 mo = sup{p : worst VaR_p <= t}: 2 G^{-1}(p) <= t iff p <= G(t/2); z >=
 G^{-1}(p) iff p <= G(z), and z + F^{-1}(p + F(z) - G(z)) <= t iff
 p <= G(z) - F(z) + F(t-z); for z <= t/2 the second condition is weaker
-than the first. Mo follows by the reflection of best VaR, m and M from
-the countermonotone VaR scans. Each is one CDF scan and one refinement.
+than the first; m follows from the unordered scan in the same way, and
+Mo and M by the reflection of best VaR. So the VaR scans invert m/M and
+mo/Mo exactly. Each is one CDF scan and one refinement.
 """
 
 from __future__ import annotations
@@ -65,7 +68,9 @@ from .dist import (
     DEFAULT_GRID_N,
     DEFAULT_TRUNC,
     Dist,
+    Normal,
     _cell_mean_pair,
+    _Negated,
     _merged_grid,
     es_eval,
     lower_tail,  # unused here; perfbench/tracer.py patches this name
@@ -101,9 +106,6 @@ __all__ = [
     "ct_sum_var",
     "ct_sum_values",
 ]
-
-_X_SCAN_N = 1024
-
 
 def _check_p(p: float | None) -> float:
     if p is None or not 0.0 < float(p) < 1.0:
@@ -157,7 +159,9 @@ def _quantile(d: Dist, u, strict: bool):
     return d.quantile_left(np.maximum(np.subtract(u, d._level_tol), 0.0))
 
 
-def _dl_min(f: Dist, g: Dist, p: float, trunc: float, strict: bool = False, pair=None) -> float:
+def _dl_min(
+    f: Dist, g: Dist, p: float, trunc: float, strict: bool = False, pair=None, ordered: bool = True
+) -> float:
     """Essential infimum of the directed-coupling sum of the upper p-tails.
 
     With b = G^{-1}(p): min(2b, inf_{z >= b} [z + F^{-1}(p + F(z) - G(z))]).
@@ -166,45 +170,83 @@ def _dl_min(f: Dist, g: Dist, p: float, trunc: float, strict: bool = False, pair
     - So T_p(x) = inf{z >= b : F(z) - G(z) < F(x) - p}.
     - The level l = F(x) - p pairs each z with x = F^{-1}(p + F(z) - G(z)).
 
-    The quantiles are left ones, giving inf{t : mo(t) >= p}, or with
-    ``strict`` right ones, giving inf{t : mo(t) > p}; both read a level
+    With ``ordered=False`` the scan is the countermonotone (Makarov) one,
+    min(F^{-1}(1) + b, inf_{z >= b} [z + F^{-1}(p + 1 - G(z))]): with
+    z = G^{-1}(1 - a) it is inf_{a in [0, 1-p]} [F^{-1}(p + a) + G^{-1}(1 - a)],
+    the worst VaR over all couplings; it checks no order.
+
+    The quantiles are left ones, giving inf{t : mo(t) >= p} (m(t) unordered),
+    or with ``strict`` right ones, giving inf{t : mo(t) > p}; both read a level
     within ``_level_tol`` of a cumulative weight as that weight (``_quantile``).
 
-    z runs over b and the merged grid nodes above it, then one batched
-    refinement; nodes with F(z) = G(z) stay in, as the l -> 0+ limit. The
-    nodes hold every atom and step CDFs are constant between atoms, so the
-    scan is exact there. Where F^{-1}(p) = -inf the levels start at the
-    truncation p + (1 - p)(1 - trunc). Past the infinite shortcuts, the order
-    of ``pair`` is checked: (f, g), or the pair ``_dl_max`` reflected.
+    z runs over b and the nodes above it, then one batched refinement. The
+    nodes are the quantiles, atoms and upper ends of each law whose CDF the
+    objective reads (F and G, or G alone unordered) at the levels p and
+    p + (1 - p) u of ``_merged_grid`` (half as many unordered) and the tail
+    levels p + (1 - p)(1 - 2^-k), k = 1..60, so the scan reaches the far
+    tail. Step CDFs are constant between atoms, so the scan is exact there;
+    nodes with F(z) = G(z) stay in, as the l -> 0+ limit.
+
+    The ends are z = b (value 2b, or F^{-1}(1) + b) and z -> sup G (value
+    sup G + F^{-1}(p)); an end of -inf is the answer. Where an infinite upper
+    tail meets an infinite lower tail there, the limit rule of ``_end_sum``
+    decides; an end it leaves out is left to the interior scan, which stops
+    at the truncation: the nodes' midpoint levels lie in [1 - trunc, trunc],
+    and where F^{-1}(p) = -inf the levels read start at p + (1 - p)(1 - trunc).
+    Ordered, the order of ``pair`` is checked first: (f, g), or the pair
+    ``_dl_max`` reflected.
     """
+    if ordered:
+        _require_order(*(pair or (f, g)))
     b = float(_quantile(g, p, strict))
-    if b == -math.inf:
-        return -math.inf
-    lo = p
-    if float(f.quantile_left(p)) == -math.inf:
-        if g.support_hi < math.inf:
-            return -math.inf  # X + Y <= X + sup Y is unbounded below
-        lo = p + (1.0 - p) * (1.0 - trunc)
-    _require_order(*(pair or (f, g)))
-    zs = _merged_grid(f, g, DEFAULT_SCAN_N, trunc, p)
-    zs = np.concatenate(([b], zs[zs > b]))
+    a = float(f.quantile_left(p))
+    end = 2.0 * b if ordered else _end_sum(f, g, b)
+    if min(end, _end_sum(g, f, a)) == -math.inf:
+        return -math.inf  # e.g. X + Y <= X + sup Y, unbounded below where a = -inf
+    lo = p if a > -math.inf else p + (1.0 - p) * (1.0 - trunc)
+    laws, n = ((f, g), DEFAULT_SCAN_N) if ordered else ((g,), DEFAULT_SCAN_N // 2)
+    zs = _merged_grid(laws, n, trunc, p, tail=True)
+    zs = np.concatenate(([b] if b > -math.inf else [], zs[zs > b]))
 
     def objective(z):
-        level = np.clip(p + np.asarray(f.cdf(z)) - np.asarray(g.cdf(z)), lo, 1.0)
-        return z + np.asarray(_quantile(f, level, strict))
+        gz = np.asarray(g.cdf(z))
+        level = p + np.asarray(f.cdf(z)) - gz if ordered else p + (1.0 - gz)
+        return z + np.asarray(_quantile(f, np.clip(level, lo, 1.0), strict))
 
-    inner = refine_min(objective, zs, objective(zs), tol=1e-10 * max(1.0, abs(b)))
-    return float(min(inner, 2.0 * b))
+    inner = refine_min(objective, zs, objective(zs), tol=1e-10 * max(1.0, abs(zs[0])))
+    return float(min(inner, end))
 
 
-def _dl_max(f: Dist, g: Dist, q: float, trunc: float) -> float:
+def _end_sum(up: Dist, down: Dist, lo: float) -> float:
+    """Upper support end of ``up`` plus ``lo``, a quantile of ``down``, with the limit rule.
+
+    Where the infinite upper tail of ``up`` meets the infinite lower tail of
+    ``down`` (inf - inf), the heavier tail decides: -inf if ``down``'s is
+    heavier, else +inf, which leaves the end to the interior scan; on an exact
+    tie the countermonotone sum is constant there and the scan holds it.
+    """
+    total = up.support_hi + lo
+    if math.isnan(total):
+        total = -math.inf if _tail_weight(down) > _tail_weight(up) else math.inf
+    return total
+
+
+def _tail_weight(d: Dist) -> tuple:
+    """Heaviness of the infinite tail of ``d``: (0, sd) Gaussian, (1, 1/shape, scale) power."""
+    if isinstance(d, _Negated):
+        d = d.d  # a negated Pareto's lower tail is its Pareto's upper one
+    # Pareto is the one other kind with an infinite tail
+    return (0.0, d.sd) if isinstance(d, Normal) else (1.0, 1.0 / d.shape, d.scale)
+
+
+def _dl_max(f: Dist, g: Dist, q: float, trunc: float, ordered: bool = True) -> float:
     """Essential supremum of the directed-coupling sum of the lower q-tails.
 
     The reflection ``-_dl_min(negate(G), negate(F), 1 - q, strict=True)``:
     the left quantile of X + Y at q is minus the right one of -X - Y at 1 - q.
     """
     ng, nf = negate_dist(g), negate_dist(f)
-    return -_dl_min(ng, nf, 1.0 - q, trunc, strict=True, pair=(f, g))
+    return -_dl_min(ng, nf, 1.0 - q, trunc, strict=True, pair=(f, g), ordered=ordered)
 
 
 def worst_ess_inf_constrained(f: Dist, g: Dist, *, trunc: float = DEFAULT_TRUNC) -> float:
@@ -221,30 +263,14 @@ def best_ess_sup_constrained(f: Dist, g: Dist, *, trunc: float = DEFAULT_TRUNC) 
     return _dl_max(f, g, 1.0, trunc)
 
 
-def _countermonotone_scan(f: Dist, g: Dist, a: float, c: float, w: float, refine) -> float:
-    """Refined extreme of F^{-1}(a + x) + G^{-1}(c - x) over x in [0, w].
-
-    ``refine`` is ``refine_min`` or ``refine_max``; both levels are
-    clipped to [0, 1].
-    """
-
-    def objective(x):
-        u = np.clip(a + x, 0.0, 1.0)
-        v = np.clip(c - x, 0.0, 1.0)
-        return np.asarray(f.quantile_left(u)) + np.asarray(g.quantile_left(v))
-
-    xs = np.linspace(0.0, w, _X_SCAN_N + 1)
-    return float(refine(objective, xs, objective(xs), tol=1e-10))
-
-
 def worst_ess_inf_unconstrained(f: Dist, g: Dist) -> float:
-    """Largest essential infimum over all couplings: countermonotone value."""
-    return _countermonotone_scan(f, g, 0.0, 1.0, 1.0, refine_min)
+    """Largest essential infimum over all couplings: strict unordered ``_dl_min`` at level 0."""
+    return _dl_min(f, g, 0.0, DEFAULT_TRUNC, strict=True, ordered=False)
 
 
 def best_ess_sup_unconstrained(f: Dist, g: Dist) -> float:
-    """Smallest essential supremum over all couplings: countermonotone value."""
-    return _countermonotone_scan(f, g, 0.0, 1.0, 1.0, refine_max)
+    """Smallest essential supremum over all couplings: unordered ``_dl_max(.., 1)``."""
+    return _dl_max(f, g, 1.0, DEFAULT_TRUNC, ordered=False)
 
 
 # ---------------------------------------------------------------------------
@@ -268,15 +294,13 @@ def best_var_constrained(f: Dist, g: Dist, p: float, *, trunc: float = DEFAULT_T
 
 
 def worst_var_unconstrained(f: Dist, g: Dist, p: float) -> float:
-    """Worst-case VaR over all couplings: countermonotone upper tails."""
-    p = _check_p(p)
-    return _countermonotone_scan(f, g, p, 1.0, 1.0 - p, refine_min)
+    """Worst-case VaR over all couplings, inf{t : m(t) >= p}: unordered ``_dl_min``."""
+    return _dl_min(f, g, _check_p(p), DEFAULT_TRUNC, ordered=False)
 
 
 def best_var_unconstrained(f: Dist, g: Dist, p: float) -> float:
-    """Best-case VaR over all couplings: countermonotone lower tails."""
-    p = _check_p(p)
-    return _countermonotone_scan(f, g, 0.0, p, p, refine_max)
+    """Best-case VaR over all couplings, inf{t : M(t) >= p}: unordered ``_dl_max``."""
+    return _dl_max(f, g, _check_p(p), DEFAULT_TRUNC, ordered=False)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +484,7 @@ def _cdf_scan(f: Dist, g: Dist, t: float, objective, half: int, refine, nodes=No
     if math.isinf(t):
         return float(t > 0)
     if nodes is None:
-        nodes = _merged_grid(f, g, DEFAULT_SCAN_N)
+        nodes = _merged_grid((f, g), DEFAULT_SCAN_N)
     zs = np.unique(np.concatenate((nodes, t - nodes, [0.5 * t])))
     zs = np.sort(np.concatenate((zs, 0.5 * (zs[1:] + zs[:-1]))))
     zs = zs[half * (zs - 0.5 * t) >= 0.0]
@@ -474,7 +498,7 @@ def prob_lower(f: Dist, g: Dist, t: float) -> float:
     """
     # built here, not in _cdf_scan: that order made glibc's malloc hand the scan fresh pages
     # on every call of the perfbench prob_grid loop (64-128 minor page faults a call, +18%)
-    nodes = _merged_grid(f, g, DEFAULT_SCAN_N)
+    nodes = _merged_grid((f, g), DEFAULT_SCAN_N)
     _require_order(f, g)
     objective = lambda z: np.asarray(g.cdf(z)) - np.asarray(f.cdf(z)) + np.asarray(f.cdf(t - z))
     return max(float(g.cdf(0.5 * t)), _cdf_scan(f, g, t, objective, 1, refine_max, nodes))
@@ -485,7 +509,7 @@ def prob_upper(f: Dist, g: Dist, t: float) -> float:
 
     Mo(t) = min(F(t/2), inf_{z <= t/2} [F(z) - G(z) + G(t-z)]) = sup{p : best VaR_p <= t}.
     """
-    nodes = _merged_grid(f, g, DEFAULT_SCAN_N)  # as in prob_lower
+    nodes = _merged_grid((f, g), DEFAULT_SCAN_N)  # as in prob_lower
     _require_order(f, g)
     objective = lambda z: np.asarray(f.cdf(z)) - np.asarray(g.cdf(z)) + np.asarray(g.cdf(t - z))
     return min(float(f.cdf(0.5 * t)), _cdf_scan(f, g, t, objective, -1, refine_min, nodes))

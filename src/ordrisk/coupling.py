@@ -119,7 +119,7 @@ class TransportEvaluator:
             raise DomainError("tail level p must lie in [0, 1)")
         _require_order(f, g)
         self.f, self.g, self.p = f, g, p
-        self.zs = _merged_grid(f, g, DEFAULT_SCAN_N, trunc, p)
+        self.zs = _merged_grid((f, g), DEFAULT_SCAN_N, trunc, p)
         self.dz = self.diff(self.zs)
         self._mins = _range_minima(self.dz)
 

@@ -500,15 +500,23 @@ def _atom_points(d: Dist) -> np.ndarray:
     return np.empty(0)
 
 
-def _merged_grid(f: Dist, g: Dist, grid_size: int, trunc: float = DEFAULT_TRUNC, p: float = 0.0):
-    """Finite quantiles of both laws at levels p and p + (1 - p) u, atoms and upper ends.
+_TAIL_LEVELS = 1.0 - 0.5 ** np.arange(1, 61)
 
-    ``u`` are the midpoints clipped to ``[1 - trunc, trunc]``: truncation is of the tail's levels.
+
+def _merged_grid(
+    laws, grid_size: int, trunc: float = DEFAULT_TRUNC, p: float = 0.0, tail: bool = False
+) -> np.ndarray:
+    """Finite quantiles of each law at levels p and p + (1 - p) u, its atoms and upper end.
+
+    ``u`` are the midpoints clipped to ``[1 - trunc, trunc]`` (truncation is of the tail's levels)
+    and, with ``tail``, the levels 1 - 2^-k, k = 1..60, which reach the tail's far end.
     """
     us = np.clip(_midpoints(grid_size), 1.0 - trunc, trunc)
+    if tail:
+        us = np.concatenate((us, _TAIL_LEVELS))
     us = np.concatenate(([p], p + (1.0 - p) * us))
-    pieces = [f.quantile_left(us), g.quantile_left(us), _atom_points(f), _atom_points(g)]
-    ts = np.concatenate(pieces + [[f.support_hi, g.support_hi]])
+    pieces = [d.quantile_left(us) for d in laws] + [_atom_points(d) for d in laws]
+    ts = np.concatenate(pieces + [[d.support_hi for d in laws]])
     return np.unique(ts[np.isfinite(ts)])
 
 
@@ -527,7 +535,7 @@ def check_st(f: Dist, g: Dist, grid_size: int = 2048, tol: float | None = None) 
     """
     if tol is None:
         tol = _default_check_tol(f, g, grid_size)
-    ts = _merged_grid(f, g, grid_size)
+    ts = _merged_grid((f, g), grid_size)
     d = np.asarray(f.cdf(ts)) - np.asarray(g.cdf(ts))
     i = int(np.argmin(d))
     mv = max(0.0, float(-d[i]))
@@ -543,7 +551,7 @@ def check_ss(f: Dist, g: Dist, grid_size: int = 2048, tol: float | None = None) 
     """
     if tol is None:
         tol = _default_check_tol(f, g, grid_size)
-    ts = _merged_grid(f, g, grid_size)
+    ts = _merged_grid((f, g), grid_size)
     lo = g.support_lo
     if math.isfinite(lo):
         ts = ts[ts >= lo]

@@ -567,14 +567,28 @@ def test_mean_bounds_nest_without_snap(f, g, measure, p, q, expected):
     assert got == raw
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
-def test_countermonotone_scan_infinite_endpoints():
-    # the scan endpoints evaluate inf + (-inf) = NaN, which the refinement
-    # counts as +inf, so a finite value is returned instead of -inf / +inf
-    f, g = Normal(0.0, 1.0), Normal(0.0, 2.0)
-    with np.errstate(invalid="ignore"):
-        assert B.worst_ess_inf_unconstrained(f, g) == -math.inf
-        assert B.best_ess_sup_unconstrained(f, g) == math.inf
+@pytest.mark.parametrize(
+    "f, g, expected",
+    [
+        (Normal(0.0, 1.0), Normal(0.0, 2.0), (-math.inf, math.inf)),
+        (Normal(0.0, 2.0), Normal(0.0, 1.0), (-math.inf, math.inf)),
+        (Normal(0.0, 1.0), Normal(0.5, 1.0), (0.5, 0.5)),
+        (Pareto(1.0, 2.0), negate_dist(Pareto(1.0, 2.0)), (0.0, 0.0)),
+        (Pareto(2.0, 2.0), negate_dist(Pareto(1.0, 2.0)), (1.0, math.inf)),
+        (negate_dist(Pareto(1.0, 2.0)), Normal(0.0, 1.0), (-math.inf, -1.3000057822782914)),
+    ],
+    ids=["normal-wider-g", "normal-wider-f", "normal-equal-sd", "power-tie", "power-scale", "power-normal"],
+)
+def test_unconstrained_essential_bounds_at_infinite_ends(f, g, expected):
+    # where an infinite upper tail meets an infinite lower tail (inf - inf),
+    # the heavier tail decides: the countermonotone sum of normals is
+    # mean_F + mean_G + (sd_F - sd_G) Z, that of Pareto(s, a) and -Pareto(s', a)
+    # is (s - s') U^(-1/a), and a power tail beats a Gaussian one; an exact
+    # tie is the constant sum. The last value is max_v [-v^(-1/2) + Phi^{-1}(1 - v)].
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no inf - inf reaches numpy
+        got = (B.worst_ess_inf_unconstrained(f, g), B.best_ess_sup_unconstrained(f, g))
+    assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
 
 def test_constrained_var_is_one_refinement(monkeypatch):
@@ -718,15 +732,47 @@ def test_closed_form_matches_nested_route(pair, p):
 @pytest.mark.parametrize(
     "f, g, expected",
     [
-        (Normal(0.0, 1.0), Uniform(0.0, 1.0), (-math.inf, math.inf)),
+        (Normal(0.0, 1.0), Normal(1.0, 1.0), (-math.inf, math.inf)),
         (Pareto(1.0, 0.5), Pareto(1.5, 0.5), (3.0, math.inf)),
     ],
-    ids=["normal-uniform", "pareto-half"],
+    ids=["normal-shift", "pareto-half"],
 )
 def test_closed_form_infinite_outcomes(f, g, expected):
-    # worst ess-inf is -inf for an F unbounded below with a bounded G, and
-    # best ess-sup +inf for unbounded G: the same as the nested route
+    # worst ess-inf is -inf for a G unbounded below, and best ess-sup +inf
+    # for an unbounded G: the same as the nested route
     assert _closed_form_bounds(f, g, 0.0) == _nested_bounds(f, g, 0.0) == expected
+
+
+@pytest.mark.parametrize(
+    "scale, shape, expected",
+    [(1.0, 0.5, (-math.inf, 0.0)), (1.0, 2.0, (0.0, math.inf)), (1.0, 1.0, (0.0, 0.0)), (2.0, 1.0, (-math.inf, -1.0))],
+    ids=["lower-heavier", "upper-heavier", "tie", "lower-wider"],
+)
+def test_essential_bounds_at_infinite_ends_of_separated_supports(scale, shape, expected):
+    # X = -Pareto(scale, shape) <= -1 < 1 <= Y = Pareto(1, 1): every coupling
+    # is ordered, so constrained and unconstrained bounds agree; the
+    # countermonotone sum is 1/v - scale v^(-1/shape) for v in (0, 1]
+    f, g = negate_dist(Pareto(scale, shape)), Pareto(1.0, 1.0)
+    got = [
+        (B.worst_ess_inf_constrained(f, g), B.best_ess_sup_constrained(f, g)),
+        (B.worst_ess_inf_unconstrained(f, g), B.best_ess_sup_unconstrained(f, g)),
+    ]
+    assert_allclose(got, [expected, expected], rtol=0.0, atol=1e-12)
+
+
+def test_constrained_essential_bounds_check_the_order_first():
+    # the pair is not ordered (F(1) - G(1) = -0.159): the infinite-value
+    # shortcuts (-inf, +inf) must not answer before the order gate
+    f, g = Normal(0.0, 1.0), Uniform(0.0, 1.0)
+    calls = [
+        lambda: B.worst_ess_inf_constrained(f, g),
+        lambda: B.best_ess_sup_constrained(f, g),
+        lambda: B.bound_report(f, g, "essinf"),
+        lambda: B.bound_report(f, g, "esssup"),
+    ]
+    for call in calls:
+        with pytest.raises(OrderViolationError):
+            call()
 
 
 @pytest.mark.parametrize("p", [0.5, 0.9, 0.999])
@@ -736,6 +782,30 @@ def test_best_var_at_equal_tail_limit(p):
     # x scan saw +inf at that end and returned 2 F^{-1}(p) = 1.998 at 0.999.
     got = B.best_var_constrained(Uniform(0.0, 1.0), Uniform(0.3, 2.0), p)
     assert_allclose(got, 0.3 + 1.7 * p, rtol=1e-12)
+
+
+@pytest.mark.parametrize("p", [0.99, 0.999, 1.0 - 1e-6])
+def test_var_report_nests_far_in_the_tail(p):
+    # best VaR is attained far out in F's lower tail (F levels near 1e-5 at
+    # p = 0.99 and 1e-13 at 1 - 1e-6), past the scans' last midpoint level:
+    # the tail levels 1 - 2^-k reach it
+    from scipy.special import ndtr, ndtri
+
+    f, g = Normal(0.0, 1.0), Pareto(5.0, 1.0)
+    rep = B.bound_report(f, g, "var", p=p)
+    got = [rep.unconstrained_best, rep.constrained_best, rep.constrained_worst, rep.unconstrained_worst]
+    assert got == sorted(got)
+    # dense Makarov scans in x = F^{-1} of the level, with tail probabilities
+    # read through ndtr(-x) so no level cancels: worst = inf_a F^{-1}(p + a)
+    # + G^{-1}(1 - a), best = sup_a F^{-1}(a) + G^{-1}(p - a)
+    r, x = 1.0 - p, np.linspace(-38.0, 38.0, 400_001)
+    a = r - ndtr(-x)
+    worst = np.min(x[a > 0] + 5.0 / a[a > 0])
+    best = np.max((x + 5.0 / (r + ndtr(x)))[ndtr(x) <= p])
+    # F(z) = 1 in double above G^{-1}(p) >= 500 and G = 0 below F^{-1}(p) < 5,
+    # so the constrained scans read the same levels there (best has X + Y >= 2X)
+    want = [best, max(best, 2.0 * ndtri(p)), worst, worst]
+    assert_allclose(got, want, rtol=1e-9)
 
 
 def test_report_infinity_policy():
@@ -904,12 +974,13 @@ def _exact_weights(d):
     return [Fraction(float(w)).limit_denominator(1000) for w in d.weights]
 
 
-def _lp_constrained(f, g, levels):
-    """LP values of the four constrained bounds: ({p: (worst VaR_p, best VaR_p)}, ess-inf, ess-sup).
+def _lp_bounds(f, g, levels, ordered):
+    """LP values of four VaR and essential bounds: ({p: (worst VaR_p, best VaR_p)}, ess-inf, ess-sup).
 
-    VaR_p = min{t : P(X + Y <= t) >= p}, read off the LP mo and Mo at the atom sums.
+    VaR_p = min{t : P(X + Y <= t) >= p}, read off the LP bounds at the atom
+    sums: mo and Mo with ``ordered``, else m and M (all couplings).
     """
-    table = [(t,) + _lp_prob(f, g, t, ordered=True) for t in np.unique(np.add.outer(f.values, g.values))]
+    table = [(t,) + _lp_prob(f, g, t, ordered) for t in np.unique(np.add.outer(f.values, g.values))]
     eps = 1e-9
     var = {
         p: (
@@ -923,28 +994,43 @@ def _lp_constrained(f, g, levels):
     return var, ess_inf, ess_sup
 
 
+_BINARY = Empirical([0.0, 1.0], [1.0, 1.0])
+
+
 @settings(max_examples=40, deadline=None)
 @given(_ordered_atoms())
 @example((_XA, _YA))
+@example((_BINARY, _BINARY))  # the countermonotone sum is 1: both unconstrained essential bounds are 1
 def test_constrained_bounds_match_lp_on_atoms(pair):
-    # levels on and between the cumulative weights of both laws, as exact fractions
+    # levels on and between the cumulative weights of both laws, as exact fractions;
+    # the four constrained bounds, then the four unconstrained ones
     f, g = pair
     cums = {Fraction(0), Fraction(1)}
     for d in (f, g):
         cums.update(accumulate(_exact_weights(d)))
     cums = sorted(cums)
     levels = sorted({float(c) for c in cums[1:-1]} | {float((a + b) / 2) for a, b in zip(cums, cums[1:])})
-    var, ess_inf, ess_sup = _lp_constrained(f, g, levels)
-    got = [(B.worst_var_constrained(f, g, p), B.best_var_constrained(f, g, p)) for p in levels]
-    assert_allclose(got, [var[p] for p in levels], rtol=0.0, atol=1e-9)
-    assert_allclose(B.worst_ess_inf_constrained(f, g), ess_inf, rtol=0.0, atol=1e-9)
-    assert_allclose(B.best_ess_sup_constrained(f, g), ess_sup, rtol=0.0, atol=1e-9)
+    families = [
+        (True, B.worst_var_constrained, B.best_var_constrained, B.worst_ess_inf_constrained, B.best_ess_sup_constrained),
+        (
+            False,
+            B.worst_var_unconstrained,
+            B.best_var_unconstrained,
+            B.worst_ess_inf_unconstrained,
+            B.best_ess_sup_unconstrained,
+        ),
+    ]
+    for ordered, worst_var, best_var, worst_ess_inf, best_ess_sup in families:
+        var, ess_inf, ess_sup = _lp_bounds(f, g, levels, ordered)
+        got = [(worst_var(f, g, p), best_var(f, g, p)) for p in levels]
+        assert_allclose(got, [var[p] for p in levels], rtol=0.0, atol=1e-9)
+        assert_allclose(worst_ess_inf(f, g), ess_inf, rtol=0.0, atol=1e-9)
+        assert_allclose(best_ess_sup(f, g), ess_sup, rtol=0.0, atol=1e-9)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the countermonotone scan reads levels on a linspace")
 def test_worst_var_unconstrained_on_atoms():
-    # m(26) = 6/19 >= p > m(25), so the worst VaR is 26; the level scan
-    # through left quantiles misses the atom boundary and returns 31
+    # m(26) = 6/19 >= p > m(25), so the worst VaR is 26; a level scan
+    # through left quantiles missed the atom boundary and returned 31
     f = Empirical([0.0, 3.0, 9.0, 10.0, 11.0, 14.0, 20.0], [3.0, 1.0, 1.0, 4.0, 2.0, 3.0, 5.0])
     g = Empirical([3.0, 5.0, 9.0, 11.0, 12.0, 17.0, 19.0, 25.0], [1.0, 3.0, 1.0, 2.0, 4.0, 2.0, 1.0, 5.0])
     p = 6.0 / 19.0
