@@ -35,7 +35,10 @@ convex-order minimum, so L <= Lo <= Uo <= U holds by construction; only
 VaR and probability bounds can still need a snap.
 The pieces no level changes (the whole-pair plan, the [0, q) plan of best
 RVaR, the sorted countermonotone sums) are built once per pair in a small
-memo, ``_level_free``; the VaR and probability scans are not memoised.
+memo, ``_level_free``. Each window's cell means are computed once, in
+``coupling._window_means``, and shared by its directed plan and its
+countermonotone sums; that includes the per-level [p, 1) windows of worst
+RVaR. The VaR and probability scans are not memoised.
 
 The bounds on P(X + Y <= t) invert these formulas in closed form. With
 F, G right-continuous and t finite (t = -inf, +inf give 0, 1; NaN raises):
@@ -63,13 +66,12 @@ from functools import lru_cache
 import numpy as np
 
 from ._search import refine_max, refine_min
-from .coupling import DEFAULT_SCAN_N, _require_order, dl_plan_discrete
+from .coupling import DEFAULT_SCAN_N, _require_order, _window_means, dl_plan_discrete
 from .dist import (
     DEFAULT_GRID_N,
     DEFAULT_TRUNC,
     Dist,
     Normal,
-    _cell_mean_pair,
     _Negated,
     _merged_grid,
     es_eval,
@@ -401,7 +403,7 @@ def best_rvar_unconstrained(
 
 def _ct_cells(f: Dist, g: Dist, n: int, p: float = 0.0, q: float = 1.0) -> np.ndarray:
     """Countermonotone sums of the cell means of [p, q) that plans use (unsorted)."""
-    fm, gm = _cell_mean_pair(f, g, n, p, q)
+    fm, gm = _window_means(f, g, n, p, q)
     return fm + gm[::-1]
 
 

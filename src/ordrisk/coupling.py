@@ -10,7 +10,8 @@ X ~ F, Y ~ G and X <= Y, here called the directed coupling:
   sum CDF over a plan;
 * samplers for comonotone, countermonotone and dl dependence, and CSV export.
 
-Every route that needs F <= G reads one memoised check per pair, ``_order_report``.
+Every route that needs F <= G reads one memoised check per pair, ``_order_report``,
+and every level window its cell means from one memo, ``_window_means``.
 
 The transport map is ``T(x) = inf{z >= x : F(z)-G(z) < F(x)-G(x)}``
 (``+inf`` when the set is empty). All continuous evaluation is a grid
@@ -33,7 +34,7 @@ from .dist import (
     DEFAULT_GRID_N,
     DEFAULT_TRUNC,
     Dist,
-    _cell_mean_pair,
+    _cell_means,
     _merged_grid,
     _write_table,
     check_st,
@@ -65,6 +66,21 @@ COUPLING_KINDS = ("comonotone", "countermonotone", "dl")
 def _order_report(f: Dist, g: Dist):
     """``check_st(f, g)`` once per pair, keyed on the Dist objects like ``bounds._level_free``."""
     return check_st(f, g)
+
+
+@lru_cache(maxsize=4)
+def _window_means(f: Dist, g: Dist, n: int, p: float, q: float):
+    """Cell means of F^{-1} and G^{-1} on the n cells of [p, q), once per window.
+
+    Read by the window's directed plan and its countermonotone sums
+    (``bounds._ct_cells``); keyed on the Dist objects like ``_order_report``,
+    with read-only arrays. DomainError if X + Y has no mean.
+    """
+    fm, gm = _cell_means(f, n, p, q), _cell_means(g, n, p, q)
+    if min(fm[0], gm[0]) == -np.inf and max(fm[-1], gm[-1]) == np.inf:
+        raise DomainError("mean of X + Y undefined: one marginal has mean -inf, the other +inf")
+    fm.flags.writeable = gm.flags.writeable = False
+    return fm, gm
 
 
 def _require_order(f: Dist, g: Dist) -> None:
@@ -261,7 +277,12 @@ def _match(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     Merging the two descending sequences, every y at or above the current
     x is stacked before that x arrives, and the x pops the top of the stack.
     As brackets (a y opens, an x closes), the k-th x that arrives at stack
-    depth h takes the k-th y that raised the stack to h.
+    depth h takes the k-th y that raised the stack to h. Every bracket
+    closes at the depth it opened, so each depth has as many x's as y's,
+    and the stable sorts by depth line them up position by position. One
+    merge search, one count and two stable argsorts. Once no x meets an
+    empty stack, every ``stacked`` count lies in [1, n], so it fits
+    ``np.bincount`` with n + 1 bins.
     """
     n = xs.size
     i = np.arange(n)
@@ -274,13 +295,10 @@ def _match(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     if empty.size:
         k = int(empty[0])
         raise PlanInfeasibleError(f"no available y >= {xs[k]:.6g} for pair {k + 1} of {n}")
-    depth_y = i + 1 - np.searchsorted(stacked, i, side="right")
-    ox = np.argsort(depth_x, kind="stable")
-    oy = np.argsort(depth_y, kind="stable")
-    hx, hy = depth_x[ox], depth_y[oy]
-    rank = i - np.searchsorted(hx, hx, side="left")
+    # y_i raises the stack to i + 1 less the x's that arrived before it
+    depth_y = i + 1 - np.cumsum(np.bincount(stacked, minlength=n + 1))[:n]
     y_idx = np.empty(n, dtype=np.int64)
-    y_idx[ox] = oy[np.searchsorted(hy, hx, side="left") + rank]
+    y_idx[np.argsort(depth_x, kind="stable")] = np.argsort(depth_y, kind="stable")
     return y_idx
 
 
@@ -315,7 +333,7 @@ def dl_plan_discrete(
     xs = _grid_points(f, levels, trunc)
     ys = _grid_points(g, levels, trunc)
     y_idx = _match(xs, ys)
-    fm, gm = _cell_mean_pair(f, g, n, p, q)
+    fm, gm = _window_means(f, g, n, p, q)
     means = fm[::-1] + gm[::-1][y_idx]
     return DlPlan(n=n, p=p, q=q, x=xs, y=ys[y_idx], y_index=y_idx, mean_sums=means)
 

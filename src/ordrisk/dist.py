@@ -23,7 +23,7 @@ has to be built.
 
 ``scipy.special`` (for the normal CDF ``ndtr`` and quantile ``ndtri``) is
 imported on first use by a normal law, in ``Normal.cdf``, ``Normal._ql``
-and the normal branch of ``_quantile_integral``; its import costs more
+and the normal piece of ``_integral_parts``; its import costs more
 than the rest of the library, and no other kind needs it.
 """
 
@@ -237,6 +237,7 @@ class Empirical(Dist):
         self.weights = weights / weights.sum()
         self._cumw = np.cumsum(self.weights)
         self._cumw[-1] = 1.0
+        self._cumw0 = np.concatenate(([0.0], self._cumw))  # F below each atom, then 1
 
     def __repr__(self):
         return f"Empirical(n={self.values.size})"
@@ -245,8 +246,7 @@ class Empirical(Dist):
         scalar = np.ndim(x) == 0
         x = np.asarray(x, dtype=float)
         idx = np.searchsorted(self.values, x, side="right")
-        padded = np.concatenate(([0.0], self._cumw))
-        return _as_output(padded[idx], scalar)
+        return _as_output(self._cumw0[idx], scalar)
 
     def _ql(self, u):
         idx = np.searchsorted(self._cumw, u, side="left")
@@ -366,7 +366,7 @@ def upper_tail(
         return Uniform(d.lo + p * (d.hi - d.lo), d.hi)
     if isinstance(d, Empirical):
         hi = np.minimum(d._cumw, 1.0)
-        lo = np.concatenate(([0.0], d._cumw[:-1]))
+        lo = d._cumw0[:-1]
         w = np.maximum(hi, p) - np.maximum(lo, p)
         keep = w > 0
         return Empirical(d.values[keep], w[keep] / (1.0 - p))
@@ -394,7 +394,7 @@ def lower_tail(
         return Uniform(d.lo, d.lo + p * (d.hi - d.lo))
     if isinstance(d, Empirical):
         hi = np.minimum(d._cumw, p)
-        lo = np.minimum(np.concatenate(([0.0], d._cumw[:-1])), p)
+        lo = np.minimum(d._cumw0[:-1], p)
         w = hi - lo
         keep = w > 0
         return Empirical(d.values[keep], w[keep] / p)
@@ -604,8 +604,8 @@ def _empirical_from_cdf(ts, cdf_vals):
 # tail risk measures
 
 
-def _piecewise_integral(breaks, ql, qr, a, b):
-    """``\\int_a^b`` of a quantile linear from ``ql[k]`` to ``qr[k]`` on level segment k."""
+def _piecewise_anti(breaks, ql, qr):
+    """Antiderivative of a quantile linear from ``ql[k]`` to ``qr[k]`` on level segment k."""
     width = np.diff(breaks)
     cum = np.concatenate(([0.0], np.cumsum(0.5 * (ql + qr) * width)))
     safe = np.where(width > 0.0, width, 1.0)
@@ -616,7 +616,48 @@ def _piecewise_integral(breaks, ql, qr, a, b):
         qu = ql[k] + (qr[k] - ql[k]) * (t / safe[k])
         return cum[k] + 0.5 * (ql[k] + qu) * t
 
-    return anti(b) - anti(a)
+    return anti
+
+
+def _difference(a, b, pa, pb):
+    return pb - pa
+
+
+def _integral_parts(d: Dist):
+    """``(piece, combine)`` with ``\\int_a^b F^{-1} = combine(a, b, piece(a), piece(b))``.
+
+    The piece is the per-level part of each closed form, so a partition
+    evaluates it once per edge (``_cell_means``).
+    """
+    if isinstance(d, Uniform):
+        return (lambda u: u), (
+            lambda a, b, pa, pb: (b - a) * (d.lo + 0.5 * (d.hi - d.lo) * (a + b))
+        )
+    if isinstance(d, Normal):
+        from scipy.special import ndtri
+
+        return (lambda u: np.exp(-0.5 * ndtri(u) ** 2) / math.sqrt(2.0 * math.pi)), (
+            lambda a, b, pa, pb: d.mean * (b - a) + d.sd * (pa - pb)
+        )
+    if isinstance(d, Pareto):
+        if d.shape == 1.0:
+            return (lambda u: 1.0 - u), (lambda a, b, pa, pb: d.scale * np.log(pa / pb))
+        e = 1.0 - 1.0 / d.shape
+        return (lambda u: (1.0 - u) ** e), (lambda a, b, pa, pb: d.scale * (pa - pb) / e)
+    if isinstance(d, _Negated):
+        piece, combine = _integral_parts(d.d)
+        return (lambda u: piece(1.0 - u)), (
+            lambda a, b, pa, pb: -combine(1.0 - b, 1.0 - a, pb, pa)
+        )
+    if isinstance(d, Empirical):
+        return _piecewise_anti(d._cumw0, d.values, d.values), _difference
+    if isinstance(d, QuantileGrid):
+        # flat below us[0], linear between nodes, flat above us[-1]
+        breaks = np.concatenate(([0.0], d.us, [1.0]))
+        ql = np.concatenate(([d.xs[0]], d.xs))
+        qr = np.concatenate(([d.xs[0]], d.xs[1:], [d.xs[-1]]))
+        return _piecewise_anti(breaks, ql, qr), _difference
+    raise DomainError(f"unsupported kind {d.kind!r}")
 
 
 def _quantile_integral(d: Dist, a, b):
@@ -626,31 +667,9 @@ def _quantile_integral(d: Dist, a, b):
     ``b = 1``).
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if isinstance(d, Uniform):
-        return (b - a) * (d.lo + 0.5 * (d.hi - d.lo) * (a + b))
-    if isinstance(d, Normal):
-        from scipy.special import ndtri
-
-        pdf = lambda u: np.exp(-0.5 * ndtri(u) ** 2) / math.sqrt(2.0 * math.pi)
-        return d.mean * (b - a) + d.sd * (pdf(a) - pdf(b))
-    if isinstance(d, Pareto):
-        with np.errstate(divide="ignore"):
-            if d.shape == 1.0:
-                return d.scale * np.log((1.0 - a) / (1.0 - b))
-            e = 1.0 - 1.0 / d.shape
-            return d.scale * ((1.0 - a) ** e - (1.0 - b) ** e) / e
-    if isinstance(d, _Negated):
-        return -_quantile_integral(d.d, 1.0 - b, 1.0 - a)
-    if isinstance(d, Empirical):
-        breaks = np.concatenate(([0.0], d._cumw))
-        return _piecewise_integral(breaks, d.values, d.values, a, b)
-    if isinstance(d, QuantileGrid):
-        # flat below us[0], linear between nodes, flat above us[-1]
-        breaks = np.concatenate(([0.0], d.us, [1.0]))
-        ql = np.concatenate(([d.xs[0]], d.xs))
-        qr = np.concatenate(([d.xs[0]], d.xs[1:], [d.xs[-1]]))
-        return _piecewise_integral(breaks, ql, qr, a, b)
-    raise DomainError(f"unsupported kind {d.kind!r}")
+    piece, combine = _integral_parts(d)
+    with np.errstate(divide="ignore"):
+        return combine(a, b, piece(a), piece(b))
 
 
 def _cell_means(d: Dist, n: int, p: float = 0.0, q: float = 1.0) -> np.ndarray:
@@ -658,19 +677,19 @@ def _cell_means(d: Dist, n: int, p: float = 0.0, q: float = 1.0) -> np.ndarray:
 
     Cell ``k`` is ``[p + (q - p) k / n, p + (q - p)(k + 1) / n)``; a
     diverging cell mean is ``inf``. The cell-mean law lies below ``F`` in
-    convex order.
+    convex order. The piece of ``_integral_parts`` is evaluated once on the
+    n + 1 edges and neighbouring edges are combined, with the same bytes as
+    ``_quantile_integral`` on the cell ends: numpy ufuncs on arrays round
+    each element alike. ``es_eval`` and ``rvar_eval`` keep 0-d arrays,
+    because ``power`` and ``exp`` on a 0-d array can differ in the last bit
+    from the array loop, which would move the worst-ES digits.
     """
     edges = p + (q - p) * np.arange(n + 1) / n
     edges[-1] = q
-    return _quantile_integral(d, edges[:-1], edges[1:]) / np.diff(edges)
-
-
-def _cell_mean_pair(f: Dist, g: Dist, n: int, p: float = 0.0, q: float = 1.0):
-    """Cell means of F^{-1} and G^{-1} on [p, q); DomainError if X + Y has no mean."""
-    fm, gm = _cell_means(f, n, p, q), _cell_means(g, n, p, q)
-    if min(fm[0], gm[0]) == -np.inf and max(fm[-1], gm[-1]) == np.inf:
-        raise DomainError("mean of X + Y undefined: one marginal has mean -inf, the other +inf")
-    return fm, gm
+    piece, combine = _integral_parts(d)
+    with np.errstate(divide="ignore"):
+        pe = piece(edges)
+        return combine(edges[:-1], edges[1:], pe[:-1], pe[1:]) / np.diff(edges)
 
 
 def es_eval(d: Dist, p: float) -> float:

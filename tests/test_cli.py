@@ -202,6 +202,35 @@ def test_bounds_job_checks_the_pair_once(tmp_path, monkeypatch, extra):
     assert len(checks) == 1
 
 
+@pytest.mark.parametrize(
+    "measure, integrals",
+    [
+        # windows [p, 1) at three levels, [0, q) and [0, 1), two laws each
+        (["--measure", "rvar", "--q", "0.999"], 10),
+        # the [0, 1) window, plus ES_p of each law at three levels
+        (["--measure", "es"], 8),
+    ],
+    ids=["rvar", "es"],
+)
+def test_bounds_job_integrates_each_window_once(tmp_path, monkeypatch, measure, integrals):
+    # every quantile integral (one ``_quantile_integral`` or ``_cell_means``
+    # call) builds its closed form once; each window's plan and
+    # countermonotone sums share one set of cell means
+    laws = []
+    original = ordrisk.dist._integral_parts
+
+    def counting(d):
+        laws.append(d)
+        return original(d)
+
+    monkeypatch.setattr(ordrisk.dist, "_integral_parts", counting)
+    levels = ["--p-from", "0.9", "--p-to", "0.91", "--p-step", "0.005", "--grid-n", "1000"]
+    margins = ["--margF", "uniform:0,100", "--margG", "uniform:0,120"]
+    assert run("bounds", *margins, *measure, *levels, "--out", str(tmp_path)) == 0
+    assert len(read_rows(tmp_path / "curve.csv")) == 4
+    assert len(laws) == integrals
+
+
 # ---------------------------------------------------------------------------
 # selftest
 

@@ -401,25 +401,51 @@ def test_plan_matching_matches_stack_loop(xv, yv, n, window):
 
 
 @pytest.mark.parametrize(
-    "f, g, p, trunc",
+    "f, g, p, trunc, n",
     [
-        (PF, PG, 0.0, 1.0 - 1e-6),
-        (PF, PG, 0.9, 1.0 - 1e-6),
-        (Uniform(0, 1), Uniform(0, 1.5), 0.0, 1.0 - 1e-6),
-        (Normal(0, 1), Normal(0.5, 1), 0.0, 1.0 - 1e-6),
+        (PF, PG, 0.0, 1.0 - 1e-6, 3000),
+        (PF, PG, 0.9, 1.0 - 1e-6, 3000),
+        (Uniform(0, 1), Uniform(0, 1.5), 0.0, 1.0 - 1e-6, 3000),
+        (Normal(0, 1), Normal(0.5, 1), 0.0, 1.0 - 1e-6, 3000),
         # level 0 is clipped to 0.01, above the next levels: the bottom
         # points are out of order, and the stack loop's merge stops early
-        (Normal(0, 1), Normal(0.5, 1), 0.0, 0.99),
-        (_EMP_F, _EMP_G, 0.0, 1.0 - 1e-6),
+        (Normal(0, 1), Normal(0.5, 1), 0.0, 0.99, 3000),
+        (_EMP_F, _EMP_G, 0.0, 1.0 - 1e-6, 3000),
+        # the default plan size, where the depth counts span thousands of levels
+        (Pareto(1.0, 1.1), Pareto(2.0, 1.1), 0.9, 1.0 - 1e-6, 10_000),
+        (Uniform(0, 1), Uniform(0, 1.5), 0.0, 1.0 - 1e-6, 10_000),
     ],
-    ids=["pareto", "pareto_tail", "uniform", "normal", "normal_clipped", "empirical"],
+    ids=[
+        "pareto",
+        "pareto_tail",
+        "uniform",
+        "normal",
+        "normal_clipped",
+        "empirical",
+        "pareto_tail_10k",
+        "uniform_10k",
+    ],
 )
-def test_plan_matching_matches_stack_loop_continuous(f, g, p, trunc):
-    levels = _plan_levels(3000, p)
+def test_plan_matching_matches_stack_loop_continuous(f, g, p, trunc, n):
+    levels = _plan_levels(n, p)
     ys = _grid_points(g, levels, trunc)
-    plan = dl_plan_discrete(f, g, 3000, p, trunc=trunc)
+    plan = dl_plan_discrete(f, g, n, p, trunc=trunc)
     np.testing.assert_array_equal(plan.y_index, _stack_match(plan.x, ys))
     np.testing.assert_array_equal(plan.y, ys[plan.y_index])
+
+
+def test_window_means_are_shared_and_read_only():
+    # one set of cell means per window, read by its plan and its countermonotone sums
+    f, g = Uniform(0, 100), Uniform(0, 120)
+    plan = dl_plan_discrete(f, g, 200, 0.9)
+    fm, gm = ordrisk.coupling._window_means(f, g, 200, 0.9, 1.0)
+    assert not fm.flags.writeable and not gm.flags.writeable
+    np.testing.assert_array_equal(plan.mean_sums, fm[::-1] + gm[::-1][plan.y_index])
+    np.testing.assert_array_equal(B._ct_cells(f, g, 200, 0.9), fm + gm[::-1])
+    again = ordrisk.coupling._window_means(f, g, 200, 0.9, 1.0)
+    assert again[0] is fm and again[1] is gm
+    with pytest.raises(ValueError, match="read-only"):
+        fm[0] = 0.0
 
 
 def _stop_loss(sums, ts):

@@ -386,6 +386,59 @@ def test_cell_means_match_quadrature(name, window):
     assert_allclose(_cell_means(d, n, p, q), ref, rtol=1e-9, atol=1e-12)
 
 
+def _two_sided_integral(d, a, b):
+    # the closed forms with the per-level piece evaluated at a and at b
+    # separately: the one-pass kernel must reproduce these bytes
+    if isinstance(d, Uniform):
+        return (b - a) * (d.lo + 0.5 * (d.hi - d.lo) * (a + b))
+    if isinstance(d, Normal):
+        pdf = lambda u: np.exp(-0.5 * ndtri(u) ** 2) / math.sqrt(2.0 * math.pi)
+        return d.mean * (b - a) + d.sd * (pdf(a) - pdf(b))
+    if isinstance(d, Pareto):
+        with np.errstate(divide="ignore"):
+            if d.shape == 1.0:
+                return d.scale * np.log((1.0 - a) / (1.0 - b))
+            e = 1.0 - 1.0 / d.shape
+            return d.scale * ((1.0 - a) ** e - (1.0 - b) ** e) / e
+    if isinstance(d, Empirical):
+        breaks, ql, qr = np.concatenate(([0.0], d._cumw)), d.values, d.values
+    elif isinstance(d, QuantileGrid):
+        breaks = np.concatenate(([0.0], d.us, [1.0]))
+        ql = np.concatenate(([d.xs[0]], d.xs))
+        qr = np.concatenate(([d.xs[0]], d.xs[1:], [d.xs[-1]]))
+    else:  # the negated law
+        return -_two_sided_integral(d.d, 1.0 - b, 1.0 - a)
+    width = np.diff(breaks)
+    cum = np.concatenate(([0.0], np.cumsum(0.5 * (ql + qr) * width)))
+    safe = np.where(width > 0.0, width, 1.0)
+
+    def anti(u):
+        k = np.clip(np.searchsorted(breaks, u, side="right") - 1, 0, width.size - 1)
+        t = u - breaks[k]
+        qu = ql[k] + (qr[k] - ql[k]) * (t / safe[k])
+        return cum[k] + 0.5 * (ql[k] + qu) * t
+
+    return anti(b) - anti(a)
+
+
+ONE_PASS_LAWS = {
+    **CELL_LAWS,
+    "pareto_1": Pareto(1, 1),
+    "pareto_0.8": Pareto(2, 0.8),  # the top cell of [0.9, 1) and [0, 1) is infinite
+}
+
+
+@pytest.mark.parametrize("n", [7, 1000])
+@pytest.mark.parametrize("window", [(0.0, 1.0), (0.9, 1.0), (0.0, 0.6), (0.3, 0.9)])
+@pytest.mark.parametrize("name", sorted(ONE_PASS_LAWS))
+def test_cell_means_equal_two_sided_evaluation(name, window, n):
+    d, (p, q) = ONE_PASS_LAWS[name], window
+    edges = p + (q - p) * np.arange(n + 1) / n
+    edges[-1] = q
+    ref = _two_sided_integral(d, edges[:-1], edges[1:]) / np.diff(edges)
+    np.testing.assert_array_equal(_cell_means(d, n, p, q), ref)
+
+
 def test_cell_means_heavy_tail():
     # shape <= 1: only the top cell of the whole range has an infinite mean
     for d in (Pareto(1.0, 1.0), Pareto(2.0, 0.7)):

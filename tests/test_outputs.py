@@ -5,6 +5,9 @@ through ``dist._write_table``. The sha256 digests below were recorded
 from the row-by-row ``csv.writer`` output that writer replaced, with
 numpy 2.4 and scipy 1.17 on x86-64 Linux; a platform whose math library
 rounds a last bit differently may move a digest without any code change.
+The plan-route digests (ES and RVaR curves, couplings and reports) were
+recorded from the cell means that evaluated each closed form at both
+ends of every cell, before the one-pass kernel of ``dist._cell_means``.
 """
 
 import csv
@@ -35,6 +38,20 @@ README_RUNS = {
     ),
 }
 
+UNIFORM = ["--margF", "uniform:0,100", "--margG", "uniform:0,120"]
+RVAR = ["--measure", "rvar", "--q", "0.999"]
+
+# The ES and RVaR routes: each level window's directed plan and countermonotone cells.
+# The Pareto pair takes the shape-1 log branch, the case study the empirical branch.
+PLAN_RUNS = {
+    "es_uniform": ["bounds", *UNIFORM, "--measure", "es"],
+    "rvar_uniform": ["bounds", *UNIFORM, *RVAR],
+    "rvar_pareto": ["bounds", *PARETO, *RVAR],
+    "casestudy_es": ["casestudy", "--groupX", "30", "--groupY", "30", "--replicates", "500"]
+    + ["--seed", "3", "--project", "--measure", "es"],
+}
+PLAN_TABLES = ("curve.csv", "couplings.csv", "reports.json")
+
 PINS = {
     "bounds/curve.csv": "843cda05ea6401122a9a611efcbd65ab631b67b6ef9452f89d2f10fecc4940a3",
     "bounds/couplings.csv": "76f9dea02d675d92f1f7f7c9eb5e151f055a5f2c74266cd5a9dc8ace211b3c61",
@@ -43,6 +60,18 @@ PINS = {
     "plan.csv": "22de35a86ca63ebde88e7835c06e6945677304edf1f5d3721a0ede805627077d",
     "grid.csv": "ad22fe3b2768f48c099289167922bb28140b393e58825a68bfb5d1f19d39ee5c",
     "stop_loss.csv": "55d03104c8121cb328e5816c8507e59a1306a15cc9eda70f59b3de1ae6273e20",
+    "casestudy_es/curve.csv": "ae16f3ea64dad161e5f51eed8e2be9849144f7fa3b085f98cb30cc266818c38c",
+    "casestudy_es/couplings.csv": "b2949a7a29423e601a67b1467d5806cc3e5e7d0b8cc27e60a0fefd364fedf67a",
+    "casestudy_es/reports.json": "5160e142bd789a0d5a2ca8901cf2a29f5955e3b7448a1e09f82af86a48f27df7",
+    "es_uniform/curve.csv": "0433b6389604bade4263137b847e1833bd5e1154d7a92ce06007299ebdc72a69",
+    "es_uniform/couplings.csv": "9f7c1ae177c7a25adc9482de57375ac16b0c9411cef24f313d8f702c326d7a4d",
+    "es_uniform/reports.json": "f77bfb5b85e714ae2322210b870ac5db9d60beed680badd69824de103bb185f0",
+    "rvar_pareto/curve.csv": "4006e40575ac8a008341e61b5cd8aef6b6477b6623f83a0eb0b7500476b6e51d",
+    "rvar_pareto/couplings.csv": "76f9dea02d675d92f1f7f7c9eb5e151f055a5f2c74266cd5a9dc8ace211b3c61",
+    "rvar_pareto/reports.json": "751cf05e91c49deaedc565eda22066e433e167918e0f7700790e058ce17c7dfc",
+    "rvar_uniform/curve.csv": "5433d6e9d93926cb7200a6d51d87ab86f91d2759b6ab9976006dc2a401dc1957",
+    "rvar_uniform/couplings.csv": "9f7c1ae177c7a25adc9482de57375ac16b0c9411cef24f313d8f702c326d7a4d",
+    "rvar_uniform/reports.json": "4de1f8553070c0e762e4e67fc45d0384a9eb38f8ffe6f17e7ce8bb202babc175",
 }
 
 
@@ -58,6 +87,28 @@ def _write_library_tables(out) -> None:
     write_grid_csv(Normal(0.0, 1.0), out / "grid.csv", n=200)
     batch = sample_coupling(Uniform(0.0, 1.0), Uniform(0.0, 1.5), "comonotone", 1000, 3)
     write_stop_loss_csv(stop_loss_curve(batch, np.linspace(0.0, 3.0, 25)), out / "stop_loss.csv")
+
+
+def _observations(root) -> list[str]:
+    """Two observation files from a fixed seed; Y sits just out of order, so --project repairs."""
+    rng = np.random.default_rng(42)
+    xs = rng.uniform(0.0, 1.0, 400)
+    near = rng.permutation(xs) - 0.004 + 0.008 * rng.uniform(size=400)
+    args = []
+    for flag, name, vals in (("--obsX", "x.csv", xs), ("--obsY", "y.csv", near)):
+        path = root / name
+        path.write_text("value\n" + "\n".join(f"{v:.9f}" for v in vals) + "\n")
+        args += [flag, str(path)]
+    return args
+
+
+@pytest.mark.parametrize("name", sorted(PLAN_RUNS))
+def test_plan_route_tables_are_pinned(tmp_path, name):
+    argv = PLAN_RUNS[name] + (_observations(tmp_path) if name == "casestudy_es" else [])
+    out = tmp_path / "out"
+    assert entry([*argv, "--out", str(out)]) == 0
+    for table in PLAN_TABLES:
+        assert _sha256(out / table) == PINS[f"{name}/{table}"], table
 
 
 @pytest.mark.parametrize("name", sorted(README_RUNS))
