@@ -38,7 +38,10 @@ RVaR, the sorted countermonotone sums) are built once per pair in a small
 memo, ``_level_free``. Each window's cell means are computed once, in
 ``coupling._window_means``, and shared by its directed plan and its
 countermonotone sums; that includes the per-level [p, 1) windows of worst
-RVaR. The VaR and probability scans are not memoised.
+RVaR. The probability scans read the pair's nodes from ``dist._pair_nodes``,
+built once per pair and shared with the order check, and scan each half-line
+as one block. The VaR scans build their nodes per level, from the shared
+level table of ``dist._merged_grid``.
 
 The bounds on P(X + Y <= t) invert these formulas in closed form. With
 F, G right-continuous and t finite (t = -inf, +inf give 0, 1; NaN raises):
@@ -66,14 +69,16 @@ from functools import lru_cache
 import numpy as np
 
 from ._search import refine_max, refine_min
-from .coupling import DEFAULT_SCAN_N, _require_order, _window_means, dl_plan_discrete
+from .coupling import _require_order, _window_means, dl_plan_discrete
 from .dist import (
     DEFAULT_GRID_N,
+    DEFAULT_SCAN_N,
     DEFAULT_TRUNC,
     Dist,
     Normal,
     _Negated,
     _merged_grid,
+    _pair_nodes,
     es_eval,
     lower_tail,  # unused here; perfbench/tracer.py patches this name
     negate_dist,
@@ -155,10 +160,11 @@ def _quantile(d: Dist, u, strict: bool):
     A level within ``d._level_tol`` of a cumulative weight reads as that
     weight: the left quantile is read at u - tol and the right one at
     u + tol, which is the same while every atom weighs more than 2 tol.
+    Every caller passes levels in [0, 1], so they are not validated again.
     """
     if strict:
-        return d.quantile_right(np.minimum(np.add(u, d._level_tol), 1.0))
-    return d.quantile_left(np.maximum(np.subtract(u, d._level_tol), 0.0))
+        return d._qr(np.minimum(np.add(u, d._level_tol), 1.0))
+    return d._ql(np.maximum(np.subtract(u, d._level_tol), 0.0))
 
 
 def _dl_min(
@@ -471,26 +477,64 @@ def ct_sum_var(
 # probability bounds (closed-form CDF scans)
 
 
-def _cdf_scan(f: Dist, g: Dist, t: float, objective, half: int, refine, nodes=None) -> float:
-    """``refine`` (``refine_max`` or ``refine_min``) of ``objective`` over the threshold-t scan.
+def _cdf_scan(f: Dist, g: Dist, t: float, objective, half: int, maximize: bool) -> float:
+    """``refine_max`` (``maximize``) or ``refine_min`` of ``objective`` over the threshold-t scan.
 
-    The scan is the merged grid nodes, t - nodes, t/2 and the midpoints of
-    consecutive points, kept on z >= t/2 (``half`` +1), z <= t/2 (-1) or all
-    (0). Step CDFs are constant between nodes: for atoms the scan is exact.
-    A NaN t raises; t = -inf gives 0 and t = +inf gives 1. ``nodes`` is the
-    merged grid when the caller has built it.
+    The scan is zs0 = the pair's nodes (``_pair_nodes``), t - nodes and t/2,
+    with the midpoint of each consecutive pair, kept on z >= t/2 (``half``
+    +1), z <= t/2 (-1) or both (0). zs0 is symmetric about t/2 (up to
+    rounding), so each half-line is a slice of it interleaved with its
+    midpoints, and the whole line is scanned as its two halves, t/2 counted
+    once. The refinement starts from the first best point of the ascending
+    scan and its two neighbours (``_best_window``). Step CDFs are constant
+    between nodes: for atoms the scan is exact. A NaN t raises; t = -inf
+    gives 0 and t = +inf 1.
     """
     t = float(t)
     if math.isnan(t):
         raise DomainError("threshold t must not be NaN")
     if math.isinf(t):
         return float(t > 0)
-    if nodes is None:
-        nodes = _merged_grid((f, g), DEFAULT_SCAN_N)
-    zs = np.unique(np.concatenate((nodes, t - nodes, [0.5 * t])))
-    zs = np.sort(np.concatenate((zs, 0.5 * (zs[1:] + zs[:-1]))))
-    zs = zs[half * (zs - 0.5 * t) >= 0.0]
-    return float(refine(objective, zs, objective(zs), tol=1e-10 * max(1.0, abs(t))))
+    nodes, h = _pair_nodes(f, g), 0.5 * t
+    zs0 = np.unique(np.concatenate((nodes, t - nodes, [h])))
+    c = int(np.searchsorted(zs0, h))  # zs0[c] == t/2
+    if half > 0:  # a midpoint below t/2 that rounds to t/2 lies on z >= t/2 too
+        zs = _with_midpoints(zs0[max(c - 1, 0) :])
+        blocks = [zs[np.searchsorted(zs, h) :]]
+    elif half < 0:  # (one above t/2 that rounds to it would only repeat the last point)
+        blocks = [_with_midpoints(zs0[: c + 1])]
+    else:
+        blocks = [_with_midpoints(zs0[: c + 1]), _with_midpoints(zs0[c:])[1:]]
+    blocks = [zs for zs in blocks if zs.size]  # t/2 can be the only point
+    zs, vals = _best_window(blocks, [objective(zs) for zs in blocks], maximize)
+    refine = refine_max if maximize else refine_min
+    return float(refine(objective, zs, vals, tol=1e-10 * max(1.0, abs(t))))
+
+
+def _with_midpoints(zs: np.ndarray) -> np.ndarray:
+    """Ascending ``zs`` with the midpoint of each consecutive pair between them."""
+    out = np.empty(2 * zs.size - 1)
+    out[::2] = zs
+    mids = out[1::2]
+    np.add(zs[1:], zs[:-1], out=mids)
+    mids *= 0.5
+    return out
+
+
+def _best_window(blocks, vals, maximize: bool):
+    """The first best point of the joined ascending ``blocks`` and its neighbours, with values.
+
+    NaN ranks last, as in ``refine_min``; the neighbours of a block end come
+    from the next block. ``refine_min``/``refine_max`` read only this window.
+    """
+    keys = [np.fmin(-v if maximize else v, np.inf) for v in vals]
+    ks = [int(np.argmin(key)) for key in keys]
+    j = 1 if len(blocks) == 2 and keys[1][ks[1]] < keys[0][ks[0]] else 0
+    n0 = blocks[0].size
+    k = ks[j] + (n0 if j else 0)  # index in the joined scan
+    window = range(max(k - 1, 0), min(k + 2, sum(zs.size for zs in blocks)))
+    pick = lambda arrs, i: arrs[0][i] if i < n0 else arrs[1][i - n0]
+    return (np.array([pick(arrs, i) for i in window]) for arrs in (blocks, vals))
 
 
 def prob_lower(f: Dist, g: Dist, t: float) -> float:
@@ -498,12 +542,9 @@ def prob_lower(f: Dist, g: Dist, t: float) -> float:
 
     mo(t) = max(G(t/2), sup_{z >= t/2} [G(z) - F(z) + F(t-z)]) = sup{p : worst VaR_p <= t}.
     """
-    # built here, not in _cdf_scan: that order made glibc's malloc hand the scan fresh pages
-    # on every call of the perfbench prob_grid loop (64-128 minor page faults a call, +18%)
-    nodes = _merged_grid((f, g), DEFAULT_SCAN_N)
     _require_order(f, g)
     objective = lambda z: np.asarray(g.cdf(z)) - np.asarray(f.cdf(z)) + np.asarray(f.cdf(t - z))
-    return max(float(g.cdf(0.5 * t)), _cdf_scan(f, g, t, objective, 1, refine_max, nodes))
+    return max(float(g.cdf(0.5 * t)), _cdf_scan(f, g, t, objective, 1, True))
 
 
 def prob_upper(f: Dist, g: Dist, t: float) -> float:
@@ -511,22 +552,21 @@ def prob_upper(f: Dist, g: Dist, t: float) -> float:
 
     Mo(t) = min(F(t/2), inf_{z <= t/2} [F(z) - G(z) + G(t-z)]) = sup{p : best VaR_p <= t}.
     """
-    nodes = _merged_grid((f, g), DEFAULT_SCAN_N)  # as in prob_lower
     _require_order(f, g)
     objective = lambda z: np.asarray(f.cdf(z)) - np.asarray(g.cdf(z)) + np.asarray(g.cdf(t - z))
-    return min(float(f.cdf(0.5 * t)), _cdf_scan(f, g, t, objective, -1, refine_min, nodes))
+    return min(float(f.cdf(0.5 * t)), _cdf_scan(f, g, t, objective, -1, False))
 
 
 def prob_lower_unconstrained(f: Dist, g: Dist, t: float) -> float:
     """Lower bound on P(X+Y <= t) over all couplings: clip(sup_u [F(u) + G(t-u) - 1], 0, 1)."""
     objective = lambda u: np.asarray(f.cdf(u)) + np.asarray(g.cdf(t - u)) - 1.0
-    return min(max(_cdf_scan(f, g, t, objective, 0, refine_max), 0.0), 1.0)
+    return min(max(_cdf_scan(f, g, t, objective, 0, True), 0.0), 1.0)
 
 
 def prob_upper_unconstrained(f: Dist, g: Dist, t: float) -> float:
     """Upper bound on P(X+Y <= t) over all couplings: clip(inf_u [F(u) + G(t-u)], 0, 1)."""
     objective = lambda u: np.asarray(f.cdf(u)) + np.asarray(g.cdf(t - u))
-    return min(max(_cdf_scan(f, g, t, objective, 0, refine_min), 0.0), 1.0)
+    return min(max(_cdf_scan(f, g, t, objective, 0, False), 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -633,11 +673,20 @@ def bound_report(
     inversions of the VaR and probability bounds, which come from
     independent refinements, are snapped, and genuine violations raise.
     An infinite or degenerate spread leaves the reduction fields unset.
+    A level or threshold the measure does not read (``q`` outside rvar,
+    ``t`` outside prob, ``p`` with prob) raises instead of being ignored.
     """
     try:
         measure = _MEASURE_ALIASES[str(measure).lower()]
     except KeyError:
         raise DomainError(f"unknown measure {measure!r}") from None
+    for name, value, unread in (
+        ("q", q, measure != "rvar"),
+        ("t", t, measure != "prob"),
+        ("p", p, measure == "prob"),
+    ):
+        if unread and value is not None:
+            raise DomainError(f"measure {measure} does not take {name}")
     kw = dict(grid_n=grid_n, trunc=trunc)
     if measure == "var":
         cw = worst_var_constrained(f, g, p, trunc=trunc)

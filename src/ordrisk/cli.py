@@ -118,6 +118,8 @@ def _validate(args: argparse.Namespace) -> None:
             raise DomainError("measure rvar requires --q")
         if q <= args.p_to:
             raise DomainError("q must exceed the top of the level grid")
+    elif q is not None:
+        raise DomainError("--q is read by --measure rvar only")
 
 
 def parse_marginal(spec: str) -> Dist:

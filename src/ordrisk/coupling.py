@@ -32,6 +32,7 @@ import numpy as np
 from ._search import refine_min
 from .dist import (
     DEFAULT_GRID_N,
+    DEFAULT_SCAN_N,
     DEFAULT_TRUNC,
     Dist,
     _cell_means,
@@ -56,8 +57,6 @@ __all__ = [
     "export_plan_csv",
     "export_batch_csv",
 ]
-
-DEFAULT_SCAN_N = 2048
 
 COUPLING_KINDS = ("comonotone", "countermonotone", "dl")
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -60,6 +61,7 @@ __all__ = [
 
 DEFAULT_GRID_N = 10_000
 DEFAULT_TRUNC = 1.0 - 1e-6
+DEFAULT_SCAN_N = 2048  # midpoint levels of the merged node grid of order checks and scans
 
 _PARAMETRIC_KINDS = ("pareto", "uniform", "normal")
 
@@ -503,6 +505,16 @@ def _atom_points(d: Dist) -> np.ndarray:
 _TAIL_LEVELS = 1.0 - 0.5 ** np.arange(1, 61)
 
 
+@lru_cache(maxsize=8)
+def _scan_levels(grid_size: int, trunc: float, tail: bool) -> np.ndarray:
+    """The levels u of ``_merged_grid``, built once per argument triple (read-only)."""
+    us = np.clip(_midpoints(grid_size), 1.0 - trunc, trunc)
+    if tail:
+        us = np.concatenate((us, _TAIL_LEVELS))
+    us.flags.writeable = False
+    return us
+
+
 def _merged_grid(
     laws, grid_size: int, trunc: float = DEFAULT_TRUNC, p: float = 0.0, tail: bool = False
 ) -> np.ndarray:
@@ -510,14 +522,23 @@ def _merged_grid(
 
     ``u`` are the midpoints clipped to ``[1 - trunc, trunc]`` (truncation is of the tail's levels)
     and, with ``tail``, the levels 1 - 2^-k, k = 1..60, which reach the tail's far end.
+    The levels lie in [0, 1], so the quantiles are read without validation.
     """
-    us = np.clip(_midpoints(grid_size), 1.0 - trunc, trunc)
-    if tail:
-        us = np.concatenate((us, _TAIL_LEVELS))
-    us = np.concatenate(([p], p + (1.0 - p) * us))
-    pieces = [d.quantile_left(us) for d in laws] + [_atom_points(d) for d in laws]
+    us = np.concatenate(([p], p + (1.0 - p) * _scan_levels(grid_size, trunc, tail)))
+    pieces = [d._ql(us) for d in laws] + [_atom_points(d) for d in laws]
     ts = np.concatenate(pieces + [[d.support_hi for d in laws]])
     return np.unique(ts[np.isfinite(ts)])
+
+
+@lru_cache(maxsize=4)
+def _pair_nodes(f: Dist, g: Dist) -> np.ndarray:
+    """``_merged_grid((f, g), DEFAULT_SCAN_N)`` once per pair, keyed on the Dist objects (read-only).
+
+    The default grid of ``check_st`` and the nodes of the probability scans.
+    """
+    nodes = _merged_grid((f, g), DEFAULT_SCAN_N)
+    nodes.flags.writeable = False
+    return nodes
 
 
 def _default_check_tol(f: Dist, g: Dist, grid_size: int) -> float:
@@ -526,16 +547,19 @@ def _default_check_tol(f: Dist, g: Dist, grid_size: int) -> float:
     return 2.0 / grid_size
 
 
-def check_st(f: Dist, g: Dist, grid_size: int = 2048, tol: float | None = None) -> OrderCheckReport:
+def check_st(
+    f: Dist, g: Dist, grid_size: int = DEFAULT_SCAN_N, tol: float | None = None
+) -> OrderCheckReport:
     """Check usual stochastic order ``F <= G`` (i.e. ``F(t) >= G(t)`` for all t).
 
-    Evaluated on the union of both quantile grids and all atoms. The
-    default tolerance is ``1e-9`` for parametric pairs and
-    ``2/grid_size`` when an empirical or grid kind is involved.
+    Evaluated on the union of both quantile grids and all atoms (the pair's
+    ``_pair_nodes`` at the default size). The default tolerance is ``1e-9``
+    for parametric pairs and ``2/grid_size`` when an empirical or grid kind
+    is involved.
     """
     if tol is None:
         tol = _default_check_tol(f, g, grid_size)
-    ts = _merged_grid((f, g), grid_size)
+    ts = _pair_nodes(f, g) if grid_size == DEFAULT_SCAN_N else _merged_grid((f, g), grid_size)
     d = np.asarray(f.cdf(ts)) - np.asarray(g.cdf(ts))
     i = int(np.argmin(d))
     mv = max(0.0, float(-d[i]))

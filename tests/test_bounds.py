@@ -1,5 +1,6 @@
 """Best/worst risk measure bounds, probability bounds and reports."""
 
+import copy
 import json
 import math
 import warnings
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import ordrisk.coupling
 import ordrisk.dist
@@ -18,6 +19,7 @@ from ordrisk import bounds as B
 from ordrisk._search import refine_min
 from ordrisk.coupling import TransportEvaluator, dl_plan_discrete
 from ordrisk.dist import (
+    DEFAULT_SCAN_N,
     DEFAULT_TRUNC,
     Empirical,
     Normal,
@@ -308,9 +310,9 @@ def test_prob_report_refuses_inversion_beyond_rounding():
         B.bound_report(f, g, "prob", t=1.0)
 
 
-def test_prob_report_builds_four_grids(monkeypatch):
-    # each of the four bounds builds the merged grid once for its scan; the
-    # pair's order check builds one more, on the first report only
+def test_prob_report_builds_one_grid_per_pair(monkeypatch):
+    # the pair's order check and the four scans share one node grid; a
+    # second threshold builds none
     built = []
 
     def counting(module):
@@ -325,11 +327,150 @@ def test_prob_report_builds_four_grids(monkeypatch):
     counting(B)
     counting(ordrisk.dist)
     ordrisk.coupling._order_report.cache_clear()
+    ordrisk.dist._pair_nodes.cache_clear()
     B.bound_report(PF, PG, "prob", t=8.0)
-    assert len(built) == 5
+    assert len(built) == 1
     built.clear()
     B.bound_report(PF, PG, "prob", t=9.0)
-    assert len(built) == 4
+    assert built == []
+    nodes = ordrisk.dist._pair_nodes(PF, PG)
+    assert not nodes.flags.writeable
+    assert_array_equal(nodes, ordrisk.dist._merged_grid((PF, PG), DEFAULT_SCAN_N))
+
+
+def _full_line_scan(f, g, t, objective, half, refine):
+    """The whole-line scan the half-line blocks replaced, kept as the reference."""
+    if math.isinf(t):
+        return float(t > 0)
+    nodes = ordrisk.dist._merged_grid((f, g), DEFAULT_SCAN_N)
+    zs = np.unique(np.concatenate((nodes, t - nodes, [0.5 * t])))
+    zs = np.sort(np.concatenate((zs, 0.5 * (zs[1:] + zs[:-1]))))
+    zs = zs[half * (zs - 0.5 * t) >= 0.0]
+    return float(refine(objective, zs, objective(zs), tol=1e-10 * max(1.0, abs(t))))
+
+
+def _reference_prob_bounds(f, g, t):
+    """m, mo, Mo and M from ``_full_line_scan``."""
+    fc, gc = (lambda z, d=d: np.asarray(d.cdf(z)) for d in (f, g))
+    m = _full_line_scan(f, g, t, lambda u: fc(u) + gc(t - u) - 1.0, 0, B.refine_max)
+    mo = _full_line_scan(f, g, t, lambda z: gc(z) - fc(z) + fc(t - z), 1, B.refine_max)
+    big_mo = _full_line_scan(f, g, t, lambda z: fc(z) - gc(z) + gc(t - z), -1, B.refine_min)
+    big_m = _full_line_scan(f, g, t, lambda u: fc(u) + gc(t - u), 0, B.refine_min)
+    return [
+        min(max(m, 0.0), 1.0),
+        max(float(g.cdf(0.5 * t)), mo),
+        min(float(f.cdf(0.5 * t)), big_mo),
+        min(max(big_m, 0.0), 1.0),
+    ]
+
+
+def _assert_matches_full_line(f, g, ts):
+    for t in ts:
+        got = [bound(f, g, t) for bound in _PROB_BOUNDS]
+        assert got == _reference_prob_bounds(f, g, float(t)), t
+
+
+# the atom next below 1 puts a midpoint on t/2 = 1 at t = 2
+_SEAM_PAIR = (Empirical([float(np.nextafter(1.0, 0.0)), 3.0], [1.0, 1.0]), Empirical([1.0, 3.0], [1.0, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "f, g",
+    [
+        (Uniform(0.0, 100.0), Uniform(0.0, 120.0)),
+        (Uniform(0.0, 1.0), Uniform(0.3, 2.0)),
+        (PF, PG),
+        (Pareto(25.0, 2.0), Pareto(30.0, 2.0)),
+        (Normal(0.0, 1.0), Normal(0.5, 1.0)),
+        (Normal(0.0, 1.0), Normal(0.0, 1.0)),
+        (Normal(0.0, 1.0), Pareto(5.0, 1.0)),
+        _SEAM_PAIR,
+        (Empirical([1.0], [1.0]), Empirical([1.0], [1.0])),  # t/2 is the one scan point at t = 2
+    ],
+    ids=[
+        "uniform",
+        "uniform-shift",
+        "pareto",
+        "pareto-scaled",
+        "normal",
+        "normal-equal",
+        "normal-pareto",
+        "seam-atom",
+        "one-atom",
+    ],
+)
+def test_half_line_scans_match_full_line(f, g):
+    qf, qg = float(f.quantile_left(0.5)), float(g.quantile_left(0.5))
+    lo = float(f.quantile_left(0.01)) + float(g.quantile_left(0.01))
+    hi = float(f.quantile_left(0.99)) + float(g.quantile_left(0.99))
+    ts = [2.0 * qf, 2.0 * qg, qf + qg, -math.inf, math.inf, -1.0, 1.0, 2.0, *np.linspace(lo, hi, 9)]
+    _assert_matches_full_line(f, g, ts)
+
+
+def test_upper_half_keeps_a_midpoint_that_rounds_to_t_half():
+    # the whole line holds t/2 twice there, so its half z >= t/2 refines the
+    # empty bracket [1, 1] and never sees the spike on (1, 2)
+    spike = lambda z: np.where(z == 1.0, 1.0, np.where((z > 1.0) & (z < 2.0), 1.5, 0.0))
+    got = B._cdf_scan(*_SEAM_PAIR, 2.0, spike, 1, True)
+    assert got == _full_line_scan(*_SEAM_PAIR, 2.0, spike, 1, B.refine_max) == 1.0
+
+
+def _rippled(z):
+    # 0 (or NaN) at every multiple of 1/4, where integer atoms and
+    # half-integer thresholds put all scan points, and a bump of a different
+    # height inside each quarter cell: the best scanned point is a tie, and
+    # the bracket it picks decides the refined value
+    cell = np.floor(4.0 * np.asarray(z))
+    frac = 4.0 * np.asarray(z) - cell
+    return np.where((frac == 0.0) & (cell % 5 == 3), np.nan, frac * (1.0 - frac) * (1.0 + cell % 7))
+
+
+@pytest.mark.parametrize("t, bound", [(1.0, B.prob_lower_unconstrained), (-1.0, B.prob_upper_unconstrained)])
+def test_whole_line_scan_refines_across_the_seam(monkeypatch, t, bound):
+    # for X = Y = N(0, 1), F(u) + F(t - u) is extreme at u = t/2 alone, the
+    # last point of the lower block: its right neighbour comes from the upper one
+    f = g = Normal(0.0, 1.0)
+    windows = []
+    for name in ("refine_min", "refine_max"):
+        original = getattr(B, name)
+
+        def wrapped(fn, xs, vals, *, tol, original=original):
+            windows.append(np.array(xs))
+            return original(fn, xs, vals, tol=tol)
+
+        monkeypatch.setattr(B, name, wrapped)
+    got = bound(f, g, t)
+    (xs,) = windows
+    assert xs.size == 3 and xs[1] == 0.5 * t and xs[0] < xs[1] < xs[2]
+    monkeypatch.undo()
+    assert got == _reference_prob_bounds(f, g, t)[0 if t > 0 else 3]
+
+
+def _recording(d, sizes):
+    """A copy of ``d`` whose CDF records the size of every evaluation."""
+    cls = type(d)
+
+    class Recording(cls):
+        def cdf(self, x):
+            sizes.append(np.size(x))
+            return cls.cdf(self, x)
+
+    rec = copy.copy(d)
+    rec.__class__ = Recording
+    return rec
+
+
+@pytest.mark.parametrize("f, g", [(PF, PG), (Normal(0.0, 1.0), Normal(0.5, 1.0))], ids=["pareto", "normal"])
+def test_prob_scans_stay_below_malloc_threshold(f, g):
+    # 16,384 float64 are 128 KiB, glibc's initial mmap threshold: arrays at
+    # or above it come back as fresh pages on every call
+    sizes = []
+    f, g = _recording(f, sizes), _recording(g, sizes)
+    t = float(f.quantile_left(0.7)) + float(g.quantile_left(0.4))  # t - nodes are new points
+    for bound in _PROB_BOUNDS:
+        bound(f, g, t)
+    assert sizes and max(sizes) < 16_384
+    assert max(sizes) > 4_000  # the node grid was scanned, not skipped
 
 
 # ---------------------------------------------------------------------------
@@ -830,6 +971,24 @@ def test_report_alias_and_errors():
         B.bound_report(PF, PG, "prob")
 
 
+@pytest.mark.parametrize(
+    "measure, kw",
+    [
+        ("var", dict(p=0.9, q=0.99)),
+        ("es", dict(p=0.9, q=0.99)),
+        ("essinf", dict(q=0.99)),
+        ("prob", dict(t=8.0, q=0.99)),
+        ("var", dict(p=0.9, t=8.0)),
+        ("esssup", dict(t=8.0)),
+        ("rvar", dict(p=0.9, q=0.99, t=8.0)),
+        ("prob", dict(t=8.0, p=0.5)),
+    ],
+)
+def test_report_refuses_unread_keywords(measure, kw):
+    with pytest.raises(DomainError, match="does not take"):
+        B.bound_report(PF, PG, measure, **kw)
+
+
 _U, _V = Uniform(0, 100), Uniform(0, 120)
 
 
@@ -960,6 +1119,26 @@ def test_prob_bounds_match_lp_on_atoms(pair, half_t):
 def test_prob_bounds_match_lp_ranks_meet(t):
     # the old plan route raised PlanInfeasibleError on this pair (see below)
     _assert_matches_lp(_XA, _YA, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ordered_atoms(), st.integers(-2, 70))
+def test_half_line_scans_match_full_line_on_atoms(pair, half_t):
+    f, g = pair
+    _assert_matches_full_line(f, g, [0.5 * half_t, 2.0 * f.quantile_left(0.5), 2.0 * g.quantile_left(0.5)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ordered_atoms(), st.integers(-2, 70), st.sampled_from([-1, 0, 1]), st.booleans())
+@example(pair=_SEAM_PAIR, half_t=4, half=1, maximize=True)
+@example(pair=(_SEAM_PAIR[1], Empirical([float(np.nextafter(1.0, 2.0)), 3.0], [1.0, 1.0])), half_t=4, half=-1, maximize=False)
+def test_scan_window_matches_full_line_for_any_objective(pair, half_t, half, maximize):
+    # the refinement starts from the full line's first best point and its
+    # neighbours even where ties and features between scan points decide it
+    f, g = pair
+    t = 0.5 * half_t
+    objective, refine = (_rippled, B.refine_max) if maximize else (lambda z: -_rippled(z), B.refine_min)
+    assert B._cdf_scan(f, g, t, objective, half, maximize) == _full_line_scan(f, g, t, objective, half, refine)
 
 
 def test_worst_var_at_atom_boundary():

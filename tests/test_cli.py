@@ -321,6 +321,22 @@ def test_bounds_rvar_requires_q(capsys):
     assert run(*args, "--q", "0.93") == 2  # q below top of grid
 
 
+@pytest.mark.parametrize("measure", ["var", "es", "essinf", "esssup"])
+def test_q_refused_unless_rvar(tmp_path, capsys, measure):
+    out = tmp_path / "out"
+    assert run(*BOUNDS_ARGS, "--measure", measure, "--q", "0.999", "--out", str(out)) == 2
+    assert "--q is read by --measure rvar only" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_casestudy_q_refused_before_any_output(obs_files, tmp_path, capsys):
+    out = tmp_path / "cs"
+    args = casestudy_args(obs_files["x"], obs_files["y"], out)
+    assert run(*args, "--measure", "es", "--q", "0.999") == 2
+    assert "read by --measure rvar only" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bounds_rvar_runs(tmp_path):
     assert (
         run(*BOUNDS_ARGS, "--measure", "rvar", "--q", "0.99", "--out", str(tmp_path))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 from scipy.special import ndtri
 
@@ -450,6 +450,38 @@ def test_cell_means_heavy_tail():
 
 # ---------------------------------------------------------------------------
 # stochastic order checks
+
+
+@pytest.mark.parametrize("tail", [False, True])
+def test_merged_grid_matches_validated_quantiles(tail):
+    # the level table is shared and the quantiles are read unvalidated; the
+    # nodes are those of the validated per-call construction
+    pairs = [
+        (Pareto(1.0, 2.0), Normal(0.0, 1.0)),
+        (Empirical([1.0, 2.0, 4.0], [1.0, 2.0, 1.0]), to_grid(Uniform(0.0, 3.0), 300)),
+        (negate_dist(Pareto(1.0, 2.0)), Uniform(-1.0, 5.0)),
+    ]
+    for laws in pairs:
+        for p in (0.0, 0.3, 0.99):
+            us = np.clip((np.arange(512) + 0.5) / 512, 1.0 - DEFAULT_TRUNC, DEFAULT_TRUNC)
+            if tail:
+                us = np.concatenate((us, 1.0 - 0.5 ** np.arange(1, 61)))
+            us = np.concatenate(([p], p + (1.0 - p) * us))
+            ts = np.concatenate(
+                [d.quantile_left(us) for d in laws]
+                + [ordrisk.dist._atom_points(d) for d in laws]
+                + [[d.support_hi for d in laws]]
+            )
+            ref = np.unique(ts[np.isfinite(ts)])
+            assert_array_equal(ordrisk.dist._merged_grid(laws, 512, DEFAULT_TRUNC, p, tail), ref)
+    assert not ordrisk.dist._scan_levels(512, DEFAULT_TRUNC, tail).flags.writeable
+
+
+def test_default_order_check_reads_the_pair_nodes():
+    f, g = Uniform(0.0, 1.0), Uniform(0.0, 1.5)
+    rep = check_st(f, g)
+    assert rep.grid_size == ordrisk.dist._pair_nodes(f, g).size
+    assert check_st(f, g, grid_size=512).grid_size < rep.grid_size
 
 
 def test_check_st_known_pairs():
