@@ -67,7 +67,6 @@ from .dist import (
     rvar_eval,
     to_grid,
     upper_tail,
-    write_grid_csv,
 )
 from .errors import (
     DegenerateSpreadError,

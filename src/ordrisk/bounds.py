@@ -33,15 +33,16 @@ G^{-1} over the n equal level cells of the window, paired by the plan
 lie below F and G in convex order, and the countermonotone sum is the
 convex-order minimum, so L <= Lo <= Uo <= U holds by construction; only
 VaR and probability bounds can still need a snap.
-The pieces no level changes (the whole-pair plan, the [0, q) plan of best
-RVaR, the sorted countermonotone sums) are built once per pair in a small
-memo, ``_level_free``. Each window's cell means are computed once, in
-``coupling._window_means``, and shared by its directed plan and its
-countermonotone sums; that includes the per-level [p, 1) windows of worst
-RVaR. The probability scans read the pair's nodes from ``dist._pair_nodes``,
-built once per pair and shared with the order check, and scan each half-line
-as one block. The VaR scans build their nodes per level, from the shared
-level table of ``dist._merged_grid``.
+Work shared by several bounds or levels is built once, in one memo,
+``dist._per_pair``, which holds 16 entries and returns read-only arrays:
+the pair's order check and node grid, each level window's cell means
+(``coupling._window_means``, shared by the window's directed plan and its
+countermonotone sums, the per-level [p, 1) windows of worst RVaR included)
+and the sums no level changes, ``_level_free`` (the whole-pair plan, the
+[0, q) plan of best RVaR, the countermonotone sums). The probability scans
+read the node grid of the order check and scan each half-line as one block.
+The VaR scans build their nodes per level, from the shared level table of
+``dist._merged_grid``.
 
 The bounds on P(X + Y <= t) invert these formulas in closed form. With
 F, G right-continuous and t finite (t = -inf, +inf give 0, 1; NaN raises):
@@ -64,7 +65,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -77,8 +77,9 @@ from .dist import (
     Dist,
     Normal,
     _Negated,
+    _check_trunc,
     _merged_grid,
-    _pair_nodes,
+    _per_pair,
     es_eval,
     lower_tail,  # unused here; perfbench/tracer.py patches this name
     negate_dist,
@@ -336,7 +337,7 @@ def best_es_constrained(
 ) -> float:
     """Best-case ES under the order constraint: ES of the directed-coupling sum."""
     p = _check_p(p)
-    return _upper_frac_mean(_level_free(f, g, grid_n, 1.0, trunc)[1], 1.0 - p)
+    return _upper_frac_mean(_per_pair(_level_free, f, g, grid_n, 1.0, trunc)[1], 1.0 - p)
 
 
 def best_es_unconstrained(
@@ -344,7 +345,7 @@ def best_es_unconstrained(
 ) -> float:
     """Best-case ES over all couplings: ES of the countermonotone sum."""
     p = _check_p(p)
-    return _upper_frac_mean(_level_free(f, g, grid_n, 1.0, None), 1.0 - p)
+    return _upper_frac_mean(_per_pair(_level_free, f, g, grid_n, 1.0, None), 1.0 - p)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +385,7 @@ def best_rvar_constrained(
     ES at level p/q of the directed coupling on the level window [0, q).
     """
     p, q = _check_pq(p, q, allow_p0=False)
-    return _upper_frac_mean(_level_free(f, g, grid_n, q, trunc)[1], 1.0 - p / q)
+    return _upper_frac_mean(_per_pair(_level_free, f, g, grid_n, q, trunc)[1], 1.0 - p / q)
 
 
 def worst_rvar_unconstrained(
@@ -400,7 +401,7 @@ def best_rvar_unconstrained(
 ) -> float:
     """Best-case RVaR over all couplings: countermonotone lower q-tails."""
     p, q = _check_pq(p, q, allow_p0=False)
-    return _upper_frac_mean(_level_free(f, g, grid_n, q, None), 1.0 - p / q)
+    return _upper_frac_mean(_per_pair(_level_free, f, g, grid_n, q, None), 1.0 - p / q)
 
 
 # ---------------------------------------------------------------------------
@@ -409,31 +410,22 @@ def best_rvar_unconstrained(
 
 def _ct_cells(f: Dist, g: Dist, n: int, p: float = 0.0, q: float = 1.0) -> np.ndarray:
     """Countermonotone sums of the cell means of [p, q) that plans use (unsorted)."""
-    fm, gm = _window_means(f, g, n, p, q)
+    fm, gm = _per_pair(_window_means, f, g, n, p, q)
     return fm + gm[::-1]
 
 
-@lru_cache(maxsize=4)
 def _level_free(f: Dist, g: Dist, n: int, q: float, trunc: float | None):
-    """Sorted sums of the level window [0, q) that no level changes, built once per pair.
+    """Sorted sums of the level window [0, q) that no level changes, one ``_per_pair`` build.
 
     With a ``trunc``: the directed plan of the window and its sorted cell-mean
-    sums; the first build runs the plan's order check. With ``trunc=None``:
-    the sorted countermonotone cell sums, which need no order. Keyed on the
-    Dist objects themselves (immutable, hashed by identity); every array is
-    read-only. Pass all five arguments by position, so one window has one key.
+    sums; the plan runs the pair's order check. With ``trunc=None``: the
+    sorted countermonotone cell sums, which need no order.
     """
     if trunc is None:
-        return _read_only(np.sort(_ct_cells(f, g, n, 0.0, q)))
+        return np.sort(_ct_cells(f, g, n, 0.0, q))
     plan = dl_plan_discrete(f, g, n, 0.0, q=q, trunc=trunc)
-    for arr in (plan.x, plan.y, plan.y_index, plan.mean_sums, plan.sums_sorted):
-        _read_only(arr)
-    return plan, _read_only(np.sort(plan.mean_sums))
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
+    plan.sums_sorted  # built now, so that the memo makes it read-only too
+    return plan, np.sort(plan.mean_sums)
 
 
 def ct_sum_values(f: Dist, g: Dist, *, grid_n: int = DEFAULT_GRID_N) -> np.ndarray:
@@ -454,23 +446,17 @@ def dl_sum_var(
     *,
     grid_n: int = DEFAULT_GRID_N,
     trunc: float = DEFAULT_TRUNC,
-    plan=None,
 ) -> float:
     """VaR at level p of the directed-coupling sum of the whole marginals."""
     p = _check_p(p)
-    if plan is None:
-        plan = dl_plan_discrete(f, g, grid_n, 0.0, trunc=trunc)
+    plan, _ = _per_pair(_level_free, f, g, grid_n, 1.0, trunc)
     return _sorted_quantile(plan.sums_sorted, p)
 
 
-def ct_sum_var(
-    f: Dist, g: Dist, p: float, *, grid_n: int = DEFAULT_GRID_N, values=None
-) -> float:
+def ct_sum_var(f: Dist, g: Dist, p: float, *, grid_n: int = DEFAULT_GRID_N) -> float:
     """VaR at level p of the countermonotone sum of the whole marginals."""
     p = _check_p(p)
-    if values is None:
-        values = np.sort(ct_sum_values(f, g, grid_n=grid_n))
-    return _sorted_quantile(values, p)
+    return _sorted_quantile(_per_pair(_level_free, f, g, grid_n, 1.0, None), p)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +466,7 @@ def ct_sum_var(
 def _cdf_scan(f: Dist, g: Dist, t: float, objective, half: int, maximize: bool) -> float:
     """``refine_max`` (``maximize``) or ``refine_min`` of ``objective`` over the threshold-t scan.
 
-    The scan is zs0 = the pair's nodes (``_pair_nodes``), t - nodes and t/2,
+    The scan is zs0 = the pair's nodes (those of ``check_st``), t - nodes and t/2,
     with the midpoint of each consecutive pair, kept on z >= t/2 (``half``
     +1), z <= t/2 (-1) or both (0). zs0 is symmetric about t/2 (up to
     rounding), so each half-line is a slice of it interleaved with its
@@ -495,7 +481,7 @@ def _cdf_scan(f: Dist, g: Dist, t: float, objective, half: int, maximize: bool) 
         raise DomainError("threshold t must not be NaN")
     if math.isinf(t):
         return float(t > 0)
-    nodes, h = _pair_nodes(f, g), 0.5 * t
+    nodes, h = _per_pair(_merged_grid, (f, g), DEFAULT_SCAN_N), 0.5 * t
     zs0 = np.unique(np.concatenate((nodes, t - nodes, [h])))
     c = int(np.searchsorted(zs0, h))  # zs0[c] == t/2
     if half > 0:  # a midpoint below t/2 that rounds to t/2 lies on z >= t/2 too
@@ -687,6 +673,7 @@ def bound_report(
     ):
         if unread and value is not None:
             raise DomainError(f"measure {measure} does not take {name}")
+    _check_trunc(trunc)
     kw = dict(grid_n=grid_n, trunc=trunc)
     if measure == "var":
         cw = worst_var_constrained(f, g, p, trunc=trunc)

@@ -15,8 +15,8 @@ order failure, 3 I/O failure, 4 selftest failure. All outputs are
 deterministic for fixed flags and seed. Infinite values are written as
 ``inf``/``-inf`` in CSV and as the strings ``"inf"``/``"-inf"`` in JSON;
 undefined cells are empty in CSV and ``null`` in JSON. The parser is built
-once per process; the order gate reads ``coupling._order_report``, the
-pair's one check, which every bound of the run reuses.
+once per process. The order gate's check and the plans and sums of the run
+are built once per pair in ``dist._per_pair``, and every bound reuses them.
 """
 
 from __future__ import annotations
@@ -59,6 +59,8 @@ from .dist import (
     Normal,
     Pareto,
     Uniform,
+    _check_trunc,
+    _per_pair,
     _write_table,
     check_st,
     empirical_from_samples,
@@ -96,8 +98,7 @@ def _validate(args: argparse.Namespace) -> None:
     if "grid_n" in a:
         if args.grid_n < 100:
             raise DomainError("grid_n must be at least 100")
-        if not 0.5 < args.trunc < 1.0:
-            raise DomainError("truncation level must lie in (0.5, 1)")
+        _check_trunc(args.trunc)
     q = a.get("q")
     if q is not None and not 0.0 < q < 1.0:
         raise DomainError("q must lie in (0, 1)")
@@ -192,12 +193,6 @@ def _nested(r):
     return r.unconstrained_best, r.constrained_best, r.constrained_worst, r.unconstrained_worst
 
 
-def _whole_pair(f: Dist, g: Dist, args: argparse.Namespace):
-    """The whole-pair directed plan and sorted countermonotone sums, from the bounds memo."""
-    plan, _ = _level_free(f, g, args.grid_n, 1.0, args.trunc)
-    return plan, _level_free(f, g, args.grid_n, 1.0, None)
-
-
 def _emit_bound_outputs(f: Dist, g: Dist, args: argparse.Namespace) -> None:
     """Curve CSV, per-level coupling VaRs and JSON reports for one pair."""
     os.makedirs(args.out_dir, exist_ok=True)
@@ -215,11 +210,8 @@ def _emit_bound_outputs(f: Dist, g: Dist, args: argparse.Namespace) -> None:
         ["p", "L", "Lo", "Uo", "U", "R"],
         rows,
     )
-    plan, ct = _whole_pair(f, g, args)
-    crows = [
-        (p, dl_sum_var(f, g, p, plan=plan), ct_sum_var(f, g, p, values=ct))
-        for p in ps
-    ]
+    n, trunc = args.grid_n, args.trunc
+    crows = [(p, dl_sum_var(f, g, p, grid_n=n, trunc=trunc), ct_sum_var(f, g, p, grid_n=n)) for p in ps]
     _write_csv(
         os.path.join(args.out_dir, "couplings.csv"),
         ["p", "var_dl", "var_ct"],
@@ -240,7 +232,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def cmd_probbounds(args: argparse.Namespace) -> int:
     f, g = _ordered_marginals(args)
     os.makedirs(args.out_dir, exist_ok=True)
-    plan, ct = _whole_pair(f, g, args)
+    plan, _ = _per_pair(_level_free, f, g, args.grid_n, 1.0, args.trunc)
+    ct = _per_pair(_level_free, f, g, args.grid_n, 1.0, None)
     rows = []
     for t in _grid(args.t_from, args.t_to, args.t_step):
         r = bound_report(f, g, "prob", t=float(t), grid_n=args.grid_n, trunc=args.trunc)

@@ -10,8 +10,9 @@ X ~ F, Y ~ G and X <= Y, here called the directed coupling:
   sum CDF over a plan;
 * samplers for comonotone, countermonotone and dl dependence, and CSV export.
 
-Every route that needs F <= G reads one memoised check per pair, ``_order_report``,
-and every level window its cell means from one memo, ``_window_means``.
+Every route that needs F <= G reads the pair's one order check, ``_order_report``,
+and every level window its cell means, ``_window_means``, both through the
+16-entry per-pair memo ``dist._per_pair``.
 
 The transport map is ``T(x) = inf{z >= x : F(z)-G(z) < F(x)-G(x)}``
 (``+inf`` when the set is empty). All continuous evaluation is a grid
@@ -25,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .dist import (
     Dist,
     _cell_means,
     _merged_grid,
+    _per_pair,
     _write_table,
     check_st,
     negate_dist,
@@ -61,24 +63,24 @@ __all__ = [
 COUPLING_KINDS = ("comonotone", "countermonotone", "dl")
 
 
-@lru_cache(maxsize=4)
 def _order_report(f: Dist, g: Dist):
-    """``check_st(f, g)`` once per pair, keyed on the Dist objects like ``bounds._level_free``."""
-    return check_st(f, g)
+    """``check_st(f, g)`` once per pair, from ``_per_pair``: the one place it is looked up."""
+    return _per_pair(check_st, f, g)
 
 
-@lru_cache(maxsize=4)
 def _window_means(f: Dist, g: Dist, n: int, p: float, q: float):
-    """Cell means of F^{-1} and G^{-1} on the n cells of [p, q), once per window.
+    """Cell means of F^{-1} and G^{-1} on the n cells of [p, q), one ``_per_pair`` build.
 
     Read by the window's directed plan and its countermonotone sums
-    (``bounds._ct_cells``); keyed on the Dist objects like ``_order_report``,
-    with read-only arrays. DomainError if X + Y has no mean.
+    (``bounds._ct_cells``). DomainError unless n is a positive integer,
+    or if X + Y has no mean.
     """
+    if not (n >= 1 and float(n).is_integer()):  # NaN fails too
+        raise DomainError("cell count n must be a positive integer")
+    n = int(n)
     fm, gm = _cell_means(f, n, p, q), _cell_means(g, n, p, q)
     if min(fm[0], gm[0]) == -np.inf and max(fm[-1], gm[-1]) == np.inf:
         raise DomainError("mean of X + Y undefined: one marginal has mean -inf, the other +inf")
-    fm.flags.writeable = gm.flags.writeable = False
     return fm, gm
 
 
@@ -320,19 +322,17 @@ def dl_plan_discrete(
     stochastic-order violation at grid resolution; ``check`` first checks
     the order of the whole pair. ``mean_sums`` adds the paired cell means.
     """
-    n = int(n)
-    if n < 1:
-        raise DomainError("plan size must be at least 1")
     p, q = float(p), float(q)
     if not 0.0 <= p < q <= 1.0:
         raise DomainError("plan level window must satisfy 0 <= p < q <= 1")
     if check:
         _require_order(f, g)
+    fm, gm = _per_pair(_window_means, f, g, n, p, q)  # refuses a bad n
+    n = int(n)
     levels = _plan_levels(n, p, q)
     xs = _grid_points(f, levels, trunc)
     ys = _grid_points(g, levels, trunc)
     y_idx = _match(xs, ys)
-    fm, gm = _window_means(f, g, n, p, q)
     means = fm[::-1] + gm[::-1][y_idx]
     return DlPlan(n=n, p=p, q=q, x=xs, y=ys[y_idx], y_index=y_idx, mean_sums=means)
 
@@ -376,7 +376,6 @@ def sample_coupling(
     seed: int,
     *,
     jitter: bool = False,
-    plan: DlPlan | None = None,
     plan_n: int = DEFAULT_GRID_N,
     trunc: float = DEFAULT_TRUNC,
 ) -> SampleBatch:
@@ -401,8 +400,7 @@ def sample_coupling(
         x = np.asarray(f.quantile_left(u), dtype=float)
         y = np.asarray(g.quantile_left(1.0 - u), dtype=float)
     else:
-        if plan is None:
-            plan = dl_plan_discrete(f, g, plan_n, 0.0, trunc=trunc)
+        plan = dl_plan_discrete(f, g, plan_n, 0.0, trunc=trunc)
         idx = rng.integers(0, plan.n, size)
         if jitter:
             frac = rng.random(size)

@@ -25,6 +25,9 @@ has to be built.
 imported on first use by a normal law, in ``Normal.cdf``, ``Normal._ql``
 and the normal piece of ``_integral_parts``; its import costs more
 than the rest of the library, and no other kind needs it.
+
+Work shared by the bounds of a pair is built once, in one memo of 16
+entries, ``_per_pair``; every array it returns is read-only.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ __all__ = [
     "empirical_from_samples",
     "isotonic_pair_projection",
     "read_empirical_csv",
-    "write_grid_csv",
 ]
 
 DEFAULT_GRID_N = 10_000
@@ -75,6 +77,11 @@ def _validate_levels(u):
 
 def _as_output(arr, scalar):
     return float(arr) if scalar else arr
+
+
+def _check_trunc(trunc: float) -> None:
+    if not 0.5 < trunc < 1.0:  # NaN fails too
+        raise DomainError("truncation level must lie in (0.5, 1)")
 
 
 class Dist:
@@ -340,8 +347,7 @@ def to_grid(d: Dist, n: int = DEFAULT_GRID_N, trunc: float = DEFAULT_TRUNC) -> Q
     """
     if n < 2:
         raise DomainError("grid size must be at least 2")
-    if not (0.5 < trunc < 1.0):
-        raise DomainError("truncation level must lie in (0.5, 1)")
+    _check_trunc(trunc)
     us = _midpoints(n)
     xs = d.quantile_left(np.clip(us, 1.0 - trunc, trunc))
     return QuantileGrid(us, xs)
@@ -508,6 +514,8 @@ _TAIL_LEVELS = 1.0 - 0.5 ** np.arange(1, 61)
 @lru_cache(maxsize=8)
 def _scan_levels(grid_size: int, trunc: float, tail: bool) -> np.ndarray:
     """The levels u of ``_merged_grid``, built once per argument triple (read-only)."""
+    if not grid_size >= 2:
+        raise DomainError("grid size must be at least 2")
     us = np.clip(_midpoints(grid_size), 1.0 - trunc, trunc)
     if tail:
         us = np.concatenate((us, _TAIL_LEVELS))
@@ -530,15 +538,21 @@ def _merged_grid(
     return np.unique(ts[np.isfinite(ts)])
 
 
-@lru_cache(maxsize=4)
-def _pair_nodes(f: Dist, g: Dist) -> np.ndarray:
-    """``_merged_grid((f, g), DEFAULT_SCAN_N)`` once per pair, keyed on the Dist objects (read-only).
+@lru_cache(maxsize=16)
+def _per_pair(build, *args):
+    """``build(*args)`` once per key, the one memo of per-pair work (16 entries, LRU).
 
-    The default grid of ``check_st`` and the nodes of the probability scans.
+    Builders: the node grid ``_merged_grid``, the order check ``check_st``, a window's
+    ``coupling._window_means`` and ``bounds._level_free``. Dist objects are immutable and
+    hashed by identity, so the key holds the objects, not their parameters. Every array
+    of a result is shared, so it is made read-only, in a tuple and in a plan's fields too.
     """
-    nodes = _merged_grid((f, g), DEFAULT_SCAN_N)
-    nodes.flags.writeable = False
-    return nodes
+    out = build(*args)
+    for item in out if isinstance(out, tuple) else (out,):
+        for arr in (item, *getattr(item, "__dict__", {}).values()):
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
+    return out
 
 
 def _default_check_tol(f: Dist, g: Dist, grid_size: int) -> float:
@@ -552,14 +566,14 @@ def check_st(
 ) -> OrderCheckReport:
     """Check usual stochastic order ``F <= G`` (i.e. ``F(t) >= G(t)`` for all t).
 
-    Evaluated on the union of both quantile grids and all atoms (the pair's
-    ``_pair_nodes`` at the default size). The default tolerance is ``1e-9``
-    for parametric pairs and ``2/grid_size`` when an empirical or grid kind
-    is involved.
+    Evaluated on the union of both quantile grids and all atoms, the pair's
+    node grid from ``_per_pair`` (at the default size, the nodes of the
+    probability scans). The default tolerance is ``1e-9`` for parametric
+    pairs and ``2/grid_size`` when an empirical or grid kind is involved.
     """
+    ts = _per_pair(_merged_grid, (f, g), grid_size)
     if tol is None:
         tol = _default_check_tol(f, g, grid_size)
-    ts = _pair_nodes(f, g) if grid_size == DEFAULT_SCAN_N else _merged_grid((f, g), grid_size)
     d = np.asarray(f.cdf(ts)) - np.asarray(g.cdf(ts))
     i = int(np.argmin(d))
     mv = max(0.0, float(-d[i]))
@@ -573,9 +587,9 @@ def check_ss(f: Dist, g: Dist, grid_size: int = 2048, tol: float | None = None) 
     ``y >= x >= G^{-1}(0)``. The reported violation is the largest
     positive increase of ``F - G`` along the merged grid.
     """
+    ts = _merged_grid((f, g), grid_size)
     if tol is None:
         tol = _default_check_tol(f, g, grid_size)
-    ts = _merged_grid((f, g), grid_size)
     lo = g.support_lo
     if math.isfinite(lo):
         ts = ts[ts >= lo]
@@ -765,9 +779,3 @@ def _write_table(path, header, fmt: str, rows) -> None:
     text = "\r\n".join([",".join(header), *(fmt % row for row in rows), ""])
     with open(path, "w", newline="") as fh:
         fh.write(text)
-
-
-def write_grid_csv(d: Dist, path, *, n: int = DEFAULT_GRID_N, trunc: float = DEFAULT_TRUNC):
-    """Write the quantile table of ``d`` as a CSV with header ``u,x``."""
-    grid = d if isinstance(d, QuantileGrid) else to_grid(d, n, trunc)
-    _write_table(path, ("u", "x"), "%.12g,%.12g", zip(grid.us.tolist(), grid.xs.tolist()))

@@ -311,31 +311,75 @@ def test_prob_report_refuses_inversion_beyond_rounding():
 
 
 def test_prob_report_builds_one_grid_per_pair(monkeypatch):
-    # the pair's order check and the four scans share one node grid; a
-    # second threshold builds none
+    # the pair's order check and the four scans share one node grid through
+    # the per-pair memo; a second threshold builds nothing
     built = []
+    original = ordrisk.dist._merged_grid
 
-    def counting(module):
-        original = module._merged_grid
+    def grid(*args):
+        built.append(args)
+        return original(*args)
 
-        def grid(*args, **kwargs):
-            built.append(module.__name__)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, "_merged_grid", grid)
-
-    counting(B)
-    counting(ordrisk.dist)
-    ordrisk.coupling._order_report.cache_clear()
-    ordrisk.dist._pair_nodes.cache_clear()
+    # one builder object in both modules, as without the patch
+    monkeypatch.setattr(B, "_merged_grid", grid)
+    monkeypatch.setattr(ordrisk.dist, "_merged_grid", grid)
+    memo = ordrisk.dist._per_pair
+    memo.cache_clear()
     B.bound_report(PF, PG, "prob", t=8.0)
-    assert len(built) == 1
-    built.clear()
+    assert built == [((PF, PG), DEFAULT_SCAN_N)]
+    assert memo.cache_info().misses == 2  # the node grid and the order check
     B.bound_report(PF, PG, "prob", t=9.0)
-    assert built == []
-    nodes = ordrisk.dist._pair_nodes(PF, PG)
+    assert len(built) == 1 and memo.cache_info().misses == 2
+    nodes = memo(grid, (PF, PG), DEFAULT_SCAN_N)
     assert not nodes.flags.writeable
-    assert_array_equal(nodes, ordrisk.dist._merged_grid((PF, PG), DEFAULT_SCAN_N))
+    assert_array_equal(nodes, original((PF, PG), DEFAULT_SCAN_N))
+
+
+def test_per_pair_memo_builds_each_key_once(monkeypatch):
+    # the order check, the probability scans, the plans and the
+    # countermonotone sums of a pair: each builder runs once per key, however
+    # many bounds and levels read it
+    builds = []
+
+    def counting(name, modules):
+        original = getattr(modules[0], name)
+
+        def build(*args):
+            builds.append((name, *args))
+            return original(*args)
+
+        for module in modules:  # one builder object wherever it is looked up
+            monkeypatch.setattr(module, name, build)
+
+    counting("_merged_grid", (B, ordrisk.dist))
+    counting("check_st", (ordrisk.coupling,))
+    counting("_window_means", (B, ordrisk.coupling))
+    counting("_level_free", (B,))
+    ordrisk.dist._per_pair.cache_clear()
+    f, g, n, trunc = Uniform(0, 100), Uniform(0, 120), 400, DEFAULT_TRUNC
+    for _ in range(2):
+        for t in (110.0, 120.0):
+            B.bound_report(f, g, "prob", t=t)
+        for p in (0.9, 0.95):
+            B.bound_report(f, g, "es", p=p, grid_n=n)
+            B.bound_report(f, g, "rvar", p=p, q=0.99, grid_n=n)
+            B.dl_sum_var(f, g, p, grid_n=n)
+            B.ct_sum_var(f, g, p, grid_n=n)
+        B.ct_sum_values(f, g, grid_n=n)
+        dl_plan_discrete(f, g, n)
+    expected = [
+        ("_merged_grid", (f, g), DEFAULT_SCAN_N),
+        ("check_st", f, g),
+        ("_window_means", f, g, n, 0.0, 1.0),
+        ("_window_means", f, g, n, 0.9, 1.0),
+        ("_window_means", f, g, n, 0.95, 1.0),
+        ("_window_means", f, g, n, 0.0, 0.99),
+        ("_level_free", f, g, n, 1.0, trunc),
+        ("_level_free", f, g, n, 1.0, None),
+        ("_level_free", f, g, n, 0.99, trunc),
+        ("_level_free", f, g, n, 0.99, None),
+    ]
+    assert sorted(builds, key=repr) == sorted(expected, key=repr)
 
 
 def _full_line_scan(f, g, t, objective, half, refine):
@@ -480,8 +524,9 @@ def test_prob_scans_stay_below_malloc_threshold(f, g):
 @pytest.mark.parametrize("q", [1.0, 0.99])
 def test_level_free_memo_matches_fresh_builds(q):
     f, g, n = Pareto(25.0, 2.0), Pareto(30.0, 2.0), 500
-    plan, sums = B._level_free(f, g, n, q, DEFAULT_TRUNC)
-    ct = B._level_free(f, g, n, q, None)
+    memo = ordrisk.dist._per_pair
+    plan, sums = memo(B._level_free, f, g, n, q, DEFAULT_TRUNC)
+    ct = memo(B._level_free, f, g, n, q, None)
     fresh = dl_plan_discrete(f, g, n, 0.0, q=q, trunc=DEFAULT_TRUNC)
     for name in ("x", "y", "y_index", "mean_sums", "sums_sorted"):
         got = getattr(plan, name)
@@ -493,19 +538,19 @@ def test_level_free_memo_matches_fresh_builds(q):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    assert B._level_free(f, g, n, q, DEFAULT_TRUNC)[0] is plan
-    assert B._level_free(f, g, n, q, None) is ct
+    assert memo(B._level_free, f, g, n, q, DEFAULT_TRUNC)[0] is plan
+    assert memo(B._level_free, f, g, n, q, None) is ct
 
 
 def test_level_free_memo_keys_on_the_objects():
     # equal parameters, other objects: a separate build, never a stale hit
-    n = 300
-    a = B._level_free(Uniform(0, 100), Uniform(0, 120), n, 1.0, None)
-    b = B._level_free(Uniform(0, 100), Uniform(0, 140), n, 1.0, None)
+    n, memo = 300, ordrisk.dist._per_pair
+    a = memo(B._level_free, Uniform(0, 100), Uniform(0, 120), n, 1.0, None)
+    b = memo(B._level_free, Uniform(0, 100), Uniform(0, 140), n, 1.0, None)
     assert not np.array_equal(a, b)
     f, g = Uniform(0, 100), Uniform(0, 120)
-    assert B._level_free(f, g, n, 1.0, None) is not a
-    assert np.array_equal(B._level_free(f, g, n, 1.0, None), a)
+    assert memo(B._level_free, f, g, n, 1.0, None) is not a
+    assert np.array_equal(memo(B._level_free, f, g, n, 1.0, None), a)
 
 
 def test_unconstrained_mean_bounds_need_no_order():
@@ -521,12 +566,13 @@ def test_unconstrained_mean_bounds_need_no_order():
 
 
 def test_dl_sum_var_reuse():
-    from ordrisk.coupling import dl_plan_discrete
-
-    plan = dl_plan_discrete(PF, PG, 2000, 0.0)
-    a = B.dl_sum_var(PF, PG, 0.9, plan=plan)
-    b = B.dl_sum_var(PF, PG, 0.9, grid_n=2000)
-    assert_allclose(a, b, rtol=1e-12)
+    # the memo's whole-pair plan and countermonotone sums equal fresh builds
+    n = 2000
+    plan = dl_plan_discrete(PF, PG, n, 0.0)
+    ct = np.sort(B.ct_sum_values(PF, PG, grid_n=n))
+    for p in (0.1, 0.5, 0.9, 0.999):
+        assert B.dl_sum_var(PF, PG, p, grid_n=n) == B._sorted_quantile(np.sort(plan.x + plan.y), p)
+        assert B.ct_sum_var(PF, PG, p, grid_n=n) == B._sorted_quantile(ct, p)
 
 
 def test_ct_sum_var_constant():
@@ -1028,6 +1074,42 @@ _U, _V = Uniform(0, 100), Uniform(0, 120)
 def test_unknown_keyword_rejected(call):
     with pytest.raises(TypeError):
         call()
+
+
+_MEAN_ROUTES = {
+    "ct_sum_var": lambda n: B.ct_sum_var(PF, PG, 0.9, grid_n=n),
+    "ct_sum_values": lambda n: B.ct_sum_values(PF, PG, grid_n=n),
+    "dl_sum_var": lambda n: B.dl_sum_var(PF, PG, 0.9, grid_n=n),
+    "best_es_constrained": lambda n: B.best_es_constrained(PF, PG, 0.9, grid_n=n),
+    "best_es_unconstrained": lambda n: B.best_es_unconstrained(PF, PG, 0.9, grid_n=n),
+    "worst_rvar_constrained": lambda n: B.worst_rvar_constrained(PF, PG, 0.5, 0.9, grid_n=n),
+    "best_rvar_constrained": lambda n: B.best_rvar_constrained(PF, PG, 0.5, 0.9, grid_n=n),
+    "worst_rvar_unconstrained": lambda n: B.worst_rvar_unconstrained(PF, PG, 0.5, 0.9, grid_n=n),
+    "best_rvar_unconstrained": lambda n: B.best_rvar_unconstrained(PF, PG, 0.5, 0.9, grid_n=n),
+    "report_es": lambda n: B.bound_report(PF, PG, "es", p=0.9, grid_n=n),
+    "report_rvar": lambda n: B.bound_report(PF, PG, "rvar", p=0.5, q=0.9, grid_n=n),
+    "plan": lambda n: dl_plan_discrete(PF, PG, n),
+    "sample_dl": lambda n: ordrisk.coupling.sample_coupling(PF, PG, "dl", 10, 0, plan_n=n),
+}
+
+
+@pytest.mark.parametrize("n", [0, -3, 1.5, math.nan, math.inf])
+@pytest.mark.parametrize("route", sorted(_MEAN_ROUTES))
+def test_mean_routes_refuse_a_bad_cell_count(route, n):
+    # every route reads its cell means from one builder, which refuses n
+    # before any divide, instead of an IndexError or a silent n = 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="cell count n must be a positive integer"):
+            _MEAN_ROUTES[route](n)
+
+
+@pytest.mark.parametrize("trunc", [0.5, 1.0, 0.3, 1.5, -0.9, math.nan, math.inf])
+@pytest.mark.parametrize("measure, kw", [("var", {"p": 0.9}), ("es", {"p": 0.9}), ("prob", {"t": 8.0})])
+def test_report_refuses_a_bad_truncation(measure, kw, trunc):
+    # never copied into truncation_m, nor refused later as a bad quantile level
+    with pytest.raises(DomainError, match="truncation level must lie in"):
+        B.bound_report(PF, PG, measure, trunc=trunc, **kw)
 
 
 @settings(max_examples=15, deadline=None)

@@ -34,7 +34,6 @@ from ordrisk.dist import (
     rvar_eval,
     to_grid,
     upper_tail,
-    write_grid_csv,
 )
 from ordrisk.errors import DomainError
 
@@ -218,6 +217,19 @@ def test_to_grid_validation():
         to_grid(Uniform(0, 1), 1)
     with pytest.raises(DomainError):
         to_grid(Uniform(0, 1), 100, trunc=0.4)
+
+
+@pytest.mark.parametrize("grid_size", [1, 0, -5, np.nan])
+@pytest.mark.parametrize("check", [check_st, check_ss])
+@pytest.mark.parametrize("kinds", ["parametric", "empirical"])
+def test_order_checks_refuse_a_grid_below_two(check, grid_size, kinds):
+    # a 2-point grid used to report holds=True; an empirical pair divided by it
+    if kinds == "parametric":
+        f, g = Uniform(0.0, 1.5), Uniform(0.0, 1.0)  # out of order
+    else:
+        f, g = empirical_from_samples([1.0, 2.0]), empirical_from_samples([0.0, 1.0])
+    with pytest.raises(DomainError, match="grid size must be at least 2"):
+        check(f, g, grid_size=grid_size)
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +491,45 @@ def test_merged_grid_matches_validated_quantiles(tail):
 
 def test_default_order_check_reads_the_pair_nodes():
     f, g = Uniform(0.0, 1.0), Uniform(0.0, 1.5)
+    memo = ordrisk.dist._per_pair
+    memo.cache_clear()
     rep = check_st(f, g)
-    assert rep.grid_size == ordrisk.dist._pair_nodes(f, g).size
+    assert memo.cache_info().misses == 1
+    nodes = memo(ordrisk.dist._merged_grid, (f, g), ordrisk.dist.DEFAULT_SCAN_N)
+    assert memo.cache_info().misses == 1 and rep.grid_size == nodes.size
     assert check_st(f, g, grid_size=512).grid_size < rep.grid_size
+
+
+def test_per_pair_memo_evicts_past_its_bound():
+    memo, grid = ordrisk.dist._per_pair, ordrisk.dist._merged_grid
+    memo.cache_clear()
+    bound = memo.cache_info().maxsize
+    assert bound == 16
+    pairs = [(Uniform(0.0, 1.0), Uniform(0.0, 1.0 + k)) for k in range(bound + 1)]
+    held = [memo(grid, pair, 64) for pair in pairs[:bound]]
+    assert all(memo(grid, pair, 64) is arr for pair, arr in zip(pairs, held))
+    assert memo.cache_info().misses == bound
+    memo(grid, pairs[bound], 64)  # one past the bound: the least recently used goes
+    assert memo(grid, pairs[0], 64) is not held[0]
+    assert np.array_equal(memo(grid, pairs[0], 64), held[0])
+    assert memo(grid, pairs[bound - 1], 64) is held[bound - 1]
+
+
+def test_per_pair_memo_results_are_read_only():
+    # every array of a shared result: a bare array, tuple items, a plan's fields
+    from ordrisk import bounds, coupling
+
+    memo = ordrisk.dist._per_pair
+    f, g = Uniform(0.0, 1.0), Uniform(0.0, 1.5)
+    plan, sums = memo(bounds._level_free, f, g, 100, 1.0, DEFAULT_TRUNC)
+    arrays = [sums, memo(bounds._level_free, f, g, 100, 1.0, None)]
+    arrays += list(memo(coupling._window_means, f, g, 100, 0.5, 1.0))
+    arrays += [getattr(plan, name) for name in ("x", "y", "y_index", "mean_sums", "sums_sorted")]
+    arrays.append(memo(ordrisk.dist._merged_grid, (f, g), 64))
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
 
 
 def test_check_st_known_pairs():
@@ -590,12 +638,6 @@ def test_read_empirical_csv_bad_header(tmp_path):
         read_empirical_csv(path)
 
 
-def test_write_grid_csv(tmp_path):
-    path = tmp_path / "grid.csv"
-    write_grid_csv(to_grid(Uniform(0, 1), 100), path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "u,x"
-    assert len(lines) == 101
 
 
 def test_default_trunc_in_range():

@@ -1,6 +1,6 @@
 """Byte pins of the CSV tables the library writes, and the one table writer.
 
-Every table (CLI outputs, plan, quantile grid, stop-loss curve) goes
+Every table (CLI outputs, plan, stop-loss curve) goes
 through ``dist._write_table``. The sha256 digests below were recorded
 from the row-by-row ``csv.writer`` output that writer replaced, with
 numpy 2.4 and scipy 1.17 on x86-64 Linux; a platform whose math library
@@ -19,7 +19,7 @@ import pytest
 
 from ordrisk.cli import _write_csv, entry
 from ordrisk.coupling import dl_plan_discrete, export_plan_csv, sample_coupling
-from ordrisk.dist import Normal, Uniform, _write_table, empirical_from_samples, write_grid_csv
+from ordrisk.dist import Uniform, _write_table, empirical_from_samples
 from ordrisk.oracle import stop_loss_curve, write_stop_loss_csv
 
 PARETO = ["--margF", "pareto:1,1", "--margG", "pareto:2,1"]
@@ -58,7 +58,6 @@ PINS = {
     "probbounds/probbounds.csv": "accd7e2af2f8bd0be3ae527b36ab86d06ec515dd65a8f7cfde698d0d4ceeb695",
     "sample/samples.csv": "3885b75ad6a6cce0d43e7165da5804a5bf0bbbc8135367b9c880152269ea5c4a",
     "plan.csv": "22de35a86ca63ebde88e7835c06e6945677304edf1f5d3721a0ede805627077d",
-    "grid.csv": "ad22fe3b2768f48c099289167922bb28140b393e58825a68bfb5d1f19d39ee5c",
     "stop_loss.csv": "55d03104c8121cb328e5816c8507e59a1306a15cc9eda70f59b3de1ae6273e20",
     "casestudy_es/curve.csv": "ae16f3ea64dad161e5f51eed8e2be9849144f7fa3b085f98cb30cc266818c38c",
     "casestudy_es/couplings.csv": "b2949a7a29423e601a67b1467d5806cc3e5e7d0b8cc27e60a0fefd364fedf67a",
@@ -80,11 +79,10 @@ def _sha256(path) -> str:
 
 
 def _write_library_tables(out) -> None:
-    """The plan, grid and stop-loss tables of the pins, written into ``out``."""
+    """The plan and stop-loss tables of the pins, written into ``out``."""
     f = empirical_from_samples([-2.0, -0.5, 0.0, 1.0, 3.0, 4.0])
     g = empirical_from_samples([-0.5, 0.0, 1.0, 3.0, 4.0, 6.0])
     export_plan_csv(dl_plan_discrete(f, g, 50), out / "plan.csv")
-    write_grid_csv(Normal(0.0, 1.0), out / "grid.csv", n=200)
     batch = sample_coupling(Uniform(0.0, 1.0), Uniform(0.0, 1.5), "comonotone", 1000, 3)
     write_stop_loss_csv(stop_loss_curve(batch, np.linspace(0.0, 3.0, 25)), out / "stop_loss.csv")
 
@@ -121,7 +119,7 @@ def test_readme_tables_are_pinned(tmp_path, name):
 
 def test_library_tables_are_pinned(tmp_path):
     _write_library_tables(tmp_path)
-    for table in ("plan.csv", "grid.csv", "stop_loss.csv"):
+    for table in ("plan.csv", "stop_loss.csv"):
         assert _sha256(tmp_path / table) == PINS[table], table
 
 
