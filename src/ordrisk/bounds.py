@@ -77,7 +77,6 @@ from .dist import (
     Dist,
     Normal,
     _Negated,
-    _check_trunc,
     _merged_grid,
     _per_pair,
     es_eval,
@@ -169,7 +168,7 @@ def _quantile(d: Dist, u, strict: bool):
 
 
 def _dl_min(
-    f: Dist, g: Dist, p: float, trunc: float, strict: bool = False, pair=None, ordered: bool = True
+    f: Dist, g: Dist, p: float, strict: bool = False, pair=None, ordered: bool = True
 ) -> float:
     """Essential infimum of the directed-coupling sum of the upper p-tails.
 
@@ -200,8 +199,9 @@ def _dl_min(
     sup G + F^{-1}(p)); an end of -inf is the answer. Where an infinite upper
     tail meets an infinite lower tail there, the limit rule of ``_end_sum``
     decides; an end it leaves out is left to the interior scan, which stops
-    at the truncation: the nodes' midpoint levels lie in [1 - trunc, trunc],
-    and where F^{-1}(p) = -inf the levels read start at p + (1 - p)(1 - trunc).
+    at the one truncation level ``DEFAULT_TRUNC`` = 1 - 1e-6: the nodes'
+    midpoint levels lie in [1 - DEFAULT_TRUNC, DEFAULT_TRUNC], and where
+    F^{-1}(p) = -inf the levels read start at p + (1 - p)(1 - DEFAULT_TRUNC).
     Ordered, the order of ``pair`` is checked first: (f, g), or the pair
     ``_dl_max`` reflected.
     """
@@ -212,9 +212,9 @@ def _dl_min(
     end = 2.0 * b if ordered else _end_sum(f, g, b)
     if min(end, _end_sum(g, f, a)) == -math.inf:
         return -math.inf  # e.g. X + Y <= X + sup Y, unbounded below where a = -inf
-    lo = p if a > -math.inf else p + (1.0 - p) * (1.0 - trunc)
+    lo = p if a > -math.inf else p + (1.0 - p) * (1.0 - DEFAULT_TRUNC)
     laws, n = ((f, g), DEFAULT_SCAN_N) if ordered else ((g,), DEFAULT_SCAN_N // 2)
-    zs = _merged_grid(laws, n, trunc, p, tail=True)
+    zs = _merged_grid(laws, n, p, tail=True)
     zs = np.concatenate(([b] if b > -math.inf else [], zs[zs > b]))
 
     def objective(z):
@@ -248,50 +248,50 @@ def _tail_weight(d: Dist) -> tuple:
     return (0.0, d.sd) if isinstance(d, Normal) else (1.0, 1.0 / d.shape, d.scale)
 
 
-def _dl_max(f: Dist, g: Dist, q: float, trunc: float, ordered: bool = True) -> float:
+def _dl_max(f: Dist, g: Dist, q: float, ordered: bool = True) -> float:
     """Essential supremum of the directed-coupling sum of the lower q-tails.
 
     The reflection ``-_dl_min(negate(G), negate(F), 1 - q, strict=True)``:
     the left quantile of X + Y at q is minus the right one of -X - Y at 1 - q.
     """
     ng, nf = negate_dist(g), negate_dist(f)
-    return -_dl_min(ng, nf, 1.0 - q, trunc, strict=True, pair=(f, g), ordered=ordered)
+    return -_dl_min(ng, nf, 1.0 - q, strict=True, pair=(f, g), ordered=ordered)
 
 
-def worst_ess_inf_constrained(f: Dist, g: Dist, *, trunc: float = DEFAULT_TRUNC) -> float:
+def worst_ess_inf_constrained(f: Dist, g: Dist) -> float:
     """Largest essential infimum of X + Y over couplings with X <= Y: strict ``_dl_min`` at level 0."""
-    return _dl_min(f, g, 0.0, trunc, strict=True)
+    return _dl_min(f, g, 0.0, strict=True)
 
 
-def best_ess_sup_constrained(f: Dist, g: Dist, *, trunc: float = DEFAULT_TRUNC) -> float:
+def best_ess_sup_constrained(f: Dist, g: Dist) -> float:
     """Smallest essential supremum of X + Y over couplings with X <= Y: ``_dl_max(.., 1)``.
 
     Mirror of :func:`worst_ess_inf_constrained` through the exact
     reflection best(F, G) = -worst(negate(G), negate(F)).
     """
-    return _dl_max(f, g, 1.0, trunc)
+    return _dl_max(f, g, 1.0)
 
 
 def worst_ess_inf_unconstrained(f: Dist, g: Dist) -> float:
     """Largest essential infimum over all couplings: strict unordered ``_dl_min`` at level 0."""
-    return _dl_min(f, g, 0.0, DEFAULT_TRUNC, strict=True, ordered=False)
+    return _dl_min(f, g, 0.0, strict=True, ordered=False)
 
 
 def best_ess_sup_unconstrained(f: Dist, g: Dist) -> float:
     """Smallest essential supremum over all couplings: unordered ``_dl_max(.., 1)``."""
-    return _dl_max(f, g, 1.0, DEFAULT_TRUNC, ordered=False)
+    return _dl_max(f, g, 1.0, ordered=False)
 
 
 # ---------------------------------------------------------------------------
 # VaR bounds
 
 
-def worst_var_constrained(f: Dist, g: Dist, p: float, *, trunc: float = DEFAULT_TRUNC) -> float:
+def worst_var_constrained(f: Dist, g: Dist, p: float) -> float:
     """Worst-case VaR at level p under the order constraint: ``_dl_min`` at level p."""
-    return _dl_min(f, g, _check_p(p), trunc)
+    return _dl_min(f, g, _check_p(p))
 
 
-def best_var_constrained(f: Dist, g: Dist, p: float, *, trunc: float = DEFAULT_TRUNC) -> float:
+def best_var_constrained(f: Dist, g: Dist, p: float) -> float:
     """Best-case VaR at level p under the order constraint.
 
     The best essential supremum of the lower p-tails, ``_dl_max`` at level
@@ -299,17 +299,17 @@ def best_var_constrained(f: Dist, g: Dist, p: float, *, trunc: float = DEFAULT_T
     value is raised to 2 F^{-1}(p) where rounding leaves it below.
     """
     p = _check_p(p)
-    return max(_dl_max(f, g, p, trunc), 2.0 * float(_quantile(f, p, False)))
+    return max(_dl_max(f, g, p), 2.0 * float(_quantile(f, p, False)))
 
 
 def worst_var_unconstrained(f: Dist, g: Dist, p: float) -> float:
     """Worst-case VaR over all couplings, inf{t : m(t) >= p}: unordered ``_dl_min``."""
-    return _dl_min(f, g, _check_p(p), DEFAULT_TRUNC, ordered=False)
+    return _dl_min(f, g, _check_p(p), ordered=False)
 
 
 def best_var_unconstrained(f: Dist, g: Dist, p: float) -> float:
     """Best-case VaR over all couplings, inf{t : M(t) >= p}: unordered ``_dl_max``."""
-    return _dl_max(f, g, _check_p(p), DEFAULT_TRUNC, ordered=False)
+    return _dl_max(f, g, _check_p(p), ordered=False)
 
 
 # ---------------------------------------------------------------------------
@@ -333,11 +333,10 @@ def best_es_constrained(
     p: float,
     *,
     grid_n: int = DEFAULT_GRID_N,
-    trunc: float = DEFAULT_TRUNC,
 ) -> float:
     """Best-case ES under the order constraint: ES of the directed-coupling sum."""
     p = _check_p(p)
-    return _upper_frac_mean(_per_pair(_level_free, f, g, grid_n, 1.0, trunc)[1], 1.0 - p)
+    return _upper_frac_mean(_per_pair(_level_free, f, g, grid_n, 1.0, True)[1], 1.0 - p)
 
 
 def best_es_unconstrained(
@@ -345,7 +344,7 @@ def best_es_unconstrained(
 ) -> float:
     """Best-case ES over all couplings: ES of the countermonotone sum."""
     p = _check_p(p)
-    return _upper_frac_mean(_per_pair(_level_free, f, g, grid_n, 1.0, None), 1.0 - p)
+    return _upper_frac_mean(_per_pair(_level_free, f, g, grid_n, 1.0, False), 1.0 - p)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +358,6 @@ def worst_rvar_constrained(
     q: float,
     *,
     grid_n: int = DEFAULT_GRID_N,
-    trunc: float = DEFAULT_TRUNC,
 ) -> float:
     """Worst-case RVaR over [p, q] under the order constraint.
 
@@ -367,7 +365,7 @@ def worst_rvar_constrained(
     a = (q-p)/(1-p).
     """
     p, q = _check_pq(p, q, allow_p0=True)
-    plan = dl_plan_discrete(f, g, grid_n, p, trunc=trunc)
+    plan = dl_plan_discrete(f, g, grid_n, p)
     return _lower_frac_mean(np.sort(plan.mean_sums), (q - p) / (1.0 - p))
 
 
@@ -378,14 +376,13 @@ def best_rvar_constrained(
     q: float,
     *,
     grid_n: int = DEFAULT_GRID_N,
-    trunc: float = DEFAULT_TRUNC,
 ) -> float:
     """Best-case RVaR over [p, q] under the order constraint.
 
     ES at level p/q of the directed coupling on the level window [0, q).
     """
     p, q = _check_pq(p, q, allow_p0=False)
-    return _upper_frac_mean(_per_pair(_level_free, f, g, grid_n, q, trunc)[1], 1.0 - p / q)
+    return _upper_frac_mean(_per_pair(_level_free, f, g, grid_n, q, True)[1], 1.0 - p / q)
 
 
 def worst_rvar_unconstrained(
@@ -401,7 +398,7 @@ def best_rvar_unconstrained(
 ) -> float:
     """Best-case RVaR over all couplings: countermonotone lower q-tails."""
     p, q = _check_pq(p, q, allow_p0=False)
-    return _upper_frac_mean(_per_pair(_level_free, f, g, grid_n, q, None), 1.0 - p / q)
+    return _upper_frac_mean(_per_pair(_level_free, f, g, grid_n, q, False), 1.0 - p / q)
 
 
 # ---------------------------------------------------------------------------
@@ -414,16 +411,16 @@ def _ct_cells(f: Dist, g: Dist, n: int, p: float = 0.0, q: float = 1.0) -> np.nd
     return fm + gm[::-1]
 
 
-def _level_free(f: Dist, g: Dist, n: int, q: float, trunc: float | None):
+def _level_free(f: Dist, g: Dist, n: int, q: float, ordered: bool):
     """Sorted sums of the level window [0, q) that no level changes, one ``_per_pair`` build.
 
-    With a ``trunc``: the directed plan of the window and its sorted cell-mean
-    sums; the plan runs the pair's order check. With ``trunc=None``: the
-    sorted countermonotone cell sums, which need no order.
+    ``ordered``: the directed plan of the window and its sorted cell-mean
+    sums; the plan runs the pair's order check. Otherwise: the sorted
+    countermonotone cell sums, which need no order.
     """
-    if trunc is None:
+    if not ordered:
         return np.sort(_ct_cells(f, g, n, 0.0, q))
-    plan = dl_plan_discrete(f, g, n, 0.0, q=q, trunc=trunc)
+    plan = dl_plan_discrete(f, g, n, 0.0, q=q)
     plan.sums_sorted  # built now, so that the memo makes it read-only too
     return plan, np.sort(plan.mean_sums)
 
@@ -445,18 +442,17 @@ def dl_sum_var(
     p: float,
     *,
     grid_n: int = DEFAULT_GRID_N,
-    trunc: float = DEFAULT_TRUNC,
 ) -> float:
     """VaR at level p of the directed-coupling sum of the whole marginals."""
     p = _check_p(p)
-    plan, _ = _per_pair(_level_free, f, g, grid_n, 1.0, trunc)
+    plan, _ = _per_pair(_level_free, f, g, grid_n, 1.0, True)
     return _sorted_quantile(plan.sums_sorted, p)
 
 
 def ct_sum_var(f: Dist, g: Dist, p: float, *, grid_n: int = DEFAULT_GRID_N) -> float:
     """VaR at level p of the countermonotone sum of the whole marginals."""
     p = _check_p(p)
-    return _sorted_quantile(_per_pair(_level_free, f, g, grid_n, 1.0, None), p)
+    return _sorted_quantile(_per_pair(_level_free, f, g, grid_n, 1.0, False), p)
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +647,6 @@ def bound_report(
     q: float | None = None,
     t: float | None = None,
     grid_n: int = DEFAULT_GRID_N,
-    trunc: float = DEFAULT_TRUNC,
 ) -> BoundReport:
     """All four extremes of one measure plus the spread reduction.
 
@@ -673,31 +668,29 @@ def bound_report(
     ):
         if unread and value is not None:
             raise DomainError(f"measure {measure} does not take {name}")
-    _check_trunc(trunc)
-    kw = dict(grid_n=grid_n, trunc=trunc)
     if measure == "var":
-        cw = worst_var_constrained(f, g, p, trunc=trunc)
-        cb = best_var_constrained(f, g, p, trunc=trunc)
+        cw = worst_var_constrained(f, g, p)
+        cb = best_var_constrained(f, g, p)
         uw = worst_var_unconstrained(f, g, p)
         ub = best_var_unconstrained(f, g, p)
     elif measure == "es":
         cw = worst_es_constrained(f, g, p)
         uw = cw
-        cb = best_es_constrained(f, g, p, **kw)
+        cb = best_es_constrained(f, g, p, grid_n=grid_n)
         ub = best_es_unconstrained(f, g, p, grid_n=grid_n)
     elif measure == "rvar":
         if p is None or q is None:
             raise DomainError("rvar needs both p and q")
-        cw = worst_rvar_constrained(f, g, p, q, **kw)
-        cb = best_rvar_constrained(f, g, p, q, **kw)
+        cw = worst_rvar_constrained(f, g, p, q, grid_n=grid_n)
+        cb = best_rvar_constrained(f, g, p, q, grid_n=grid_n)
         uw = worst_rvar_unconstrained(f, g, p, q, grid_n=grid_n)
         ub = best_rvar_unconstrained(f, g, p, q, grid_n=grid_n)
     elif measure == "ess_inf":
-        cw = worst_ess_inf_constrained(f, g, trunc=trunc)
+        cw = worst_ess_inf_constrained(f, g)
         uw = worst_ess_inf_unconstrained(f, g)
         cb = ub = float(f.quantile_left(0.0)) + float(g.quantile_left(0.0))
     elif measure == "ess_sup":
-        cb = best_ess_sup_constrained(f, g, trunc=trunc)
+        cb = best_ess_sup_constrained(f, g)
         ub = best_ess_sup_unconstrained(f, g)
         cw = uw = float(f.quantile_left(1.0)) + float(g.quantile_left(1.0))
     else:
@@ -727,7 +720,7 @@ def bound_report(
         r=r,
         attaining=_ATTAINING[measure],
         grid_n=int(grid_n),
-        truncation_m=float(trunc),
+        truncation_m=DEFAULT_TRUNC,
     )
 
 

@@ -54,12 +54,10 @@ from .coupling import (
 )
 from .dist import (
     DEFAULT_GRID_N,
-    DEFAULT_TRUNC,
     Dist,
     Normal,
     Pareto,
     Uniform,
-    _check_trunc,
     _per_pair,
     _write_table,
     check_st,
@@ -88,17 +86,14 @@ def _validate(args: argparse.Namespace) -> None:
     a = vars(args)
     for dest, value in a.items():
         if isinstance(value, float) and not math.isfinite(value):
-            flag = "--truncate-m" if dest == "trunc" else "--" + dest.replace("_", "-")
-            raise DomainError(f"{flag} must be a finite number")
+            raise DomainError(f"--{dest.replace('_', '-')} must be a finite number")
     if "p_from" in a:
         if not (0.0 < args.p_from <= args.p_to < 1.0):
             raise DomainError("level grid must satisfy 0 < p_from <= p_to < 1")
         if args.p_step <= 0.0:
             raise DomainError("p step must be positive")
-    if "grid_n" in a:
-        if args.grid_n < 100:
-            raise DomainError("grid_n must be at least 100")
-        _check_trunc(args.trunc)
+    if a.get("grid_n", 100) < 100:
+        raise DomainError("grid_n must be at least 100")
     q = a.get("q")
     if q is not None and not 0.0 < q < 1.0:
         raise DomainError("q must lie in (0, 1)")
@@ -200,7 +195,7 @@ def _emit_bound_outputs(f: Dist, g: Dist, args: argparse.Namespace) -> None:
     ps = [float(p) for p in levels]
     reports = [
         bound_report(
-            f, g, args.measure, p=p, q=args.q, grid_n=args.grid_n, trunc=args.trunc
+            f, g, args.measure, p=p, q=args.q, grid_n=args.grid_n
         )
         for p in ps
     ]
@@ -210,8 +205,8 @@ def _emit_bound_outputs(f: Dist, g: Dist, args: argparse.Namespace) -> None:
         ["p", "L", "Lo", "Uo", "U", "R"],
         rows,
     )
-    n, trunc = args.grid_n, args.trunc
-    crows = [(p, dl_sum_var(f, g, p, grid_n=n, trunc=trunc), ct_sum_var(f, g, p, grid_n=n)) for p in ps]
+    n = args.grid_n
+    crows = [(p, dl_sum_var(f, g, p, grid_n=n), ct_sum_var(f, g, p, grid_n=n)) for p in ps]
     _write_csv(
         os.path.join(args.out_dir, "couplings.csv"),
         ["p", "var_dl", "var_ct"],
@@ -232,11 +227,11 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def cmd_probbounds(args: argparse.Namespace) -> int:
     f, g = _ordered_marginals(args)
     os.makedirs(args.out_dir, exist_ok=True)
-    plan, _ = _per_pair(_level_free, f, g, args.grid_n, 1.0, args.trunc)
-    ct = _per_pair(_level_free, f, g, args.grid_n, 1.0, None)
+    plan, _ = _per_pair(_level_free, f, g, args.grid_n, 1.0, True)
+    ct = _per_pair(_level_free, f, g, args.grid_n, 1.0, False)
     rows = []
     for t in _grid(args.t_from, args.t_to, args.t_step):
-        r = bound_report(f, g, "prob", t=float(t), grid_n=args.grid_n, trunc=args.trunc)
+        r = bound_report(f, g, "prob", t=float(t), grid_n=args.grid_n)
         m, mo, big_mo, big_m = _nested(r)
         p_ct = float(np.searchsorted(ct, r.t, side="right")) / ct.size
         rows.append((r.t, m, mo, big_mo, big_m, dl_sum_cdf(plan, r.t), p_ct))
@@ -259,7 +254,6 @@ def cmd_sample(args: argparse.Namespace) -> int:
         args.seed,
         jitter=args.jitter,
         plan_n=args.grid_n,
-        trunc=args.trunc,
     )
     os.makedirs(args.out_dir, exist_ok=True)
     csv_path = os.path.join(args.out_dir, "samples.csv")
@@ -404,9 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     num = argparse.ArgumentParser(add_help=False)
     num.add_argument("--grid-n", dest="grid_n", type=int, default=DEFAULT_GRID_N)
-    num.add_argument(
-        "--truncate-m", dest="trunc", type=float, default=DEFAULT_TRUNC
-    )
 
     io = argparse.ArgumentParser(add_help=False)
     io.add_argument("--out", dest="out_dir", default=".", metavar="DIR")

@@ -12,7 +12,7 @@ X ~ F, Y ~ G and X <= Y, here called the directed coupling:
 
 Every route that needs F <= G reads the pair's one order check, ``_order_report``,
 and every level window its cell means, ``_window_means``, both through the
-16-entry per-pair memo ``dist._per_pair``.
+16-entry per-pair memo ``dist._per_pair``. Every grid truncates at ``DEFAULT_TRUNC``.
 
 The transport map is ``T(x) = inf{z >= x : F(z)-G(z) < F(x)-G(x)}``
 (``+inf`` when the set is empty). All continuous evaluation is a grid
@@ -119,24 +119,24 @@ def _first_below(mins: list[np.ndarray], start, target) -> np.ndarray:
 
 
 class TransportEvaluator:
-    """Shared evaluation grid for the level-``p`` transport map and infimum queries.
+    """Shared evaluation grid for the level-``p`` transport map.
 
-    Serves ``transport_upper``/``transport_lower`` and ``dl_cdf``; no bound
-    route uses it (the constrained VaR and essential bounds are a closed
-    form in ``bounds``), and with ``p=`` it is the tests' reference for
+    Serves ``transport_upper``/``transport_lower``; no bound route uses it
+    (the constrained VaR and essential bounds are a closed form in
+    ``bounds``), and with ``p=`` it is the tests' reference for
     that closed form. Built once per ordered pair and tail level; the order
     check covers the whole pair. The grid merges both quantile functions
     at the levels ``p + (1 - p) u`` with every atom, so a sign change of
     the target between consecutive nodes is at most one cell wide.
     """
 
-    def __init__(self, f: Dist, g: Dist, *, p: float = 0.0, trunc: float = DEFAULT_TRUNC):
+    def __init__(self, f: Dist, g: Dist, *, p: float = 0.0):
         p = float(p)
         if not 0.0 <= p < 1.0:
             raise DomainError("tail level p must lie in [0, 1)")
         _require_order(f, g)
         self.f, self.g, self.p = f, g, p
-        self.zs = _merged_grid((f, g), DEFAULT_SCAN_N, trunc, p)
+        self.zs = _merged_grid((f, g), DEFAULT_SCAN_N, p)
         self.dz = self.diff(self.zs)
         self._mins = _range_minima(self.dz)
 
@@ -181,44 +181,40 @@ class TransportEvaluator:
     def upper(self, x: float) -> float:
         return float(self.upper_many(np.array([float(x)]))[0])
 
-    def min_between(self, a: float, b: float) -> float:
-        """inf of F - G over [a, b], grid scan plus batched bracket refinement."""
-        if not a <= b:
-            raise DomainError("min_between requires a <= b")
-        i0 = int(np.searchsorted(self.zs, a, side="left"))
-        i1 = int(np.searchsorted(self.zs, b, side="right"))
-        ts = np.concatenate(([a], self.zs[i0:i1], [b]))
-        return refine_min(self.diff, ts, self.diff(ts), tol=1e-12 * max(1.0, b - a))
 
-
-def transport_upper(f: Dist, g: Dist, x: float, *, trunc: float = DEFAULT_TRUNC) -> float:
+def transport_upper(f: Dist, g: Dist, x: float) -> float:
     """T(x) = inf{z >= x : F(z)-G(z) < F(x)-G(x)}; +inf on an empty set.
 
     Requires F <= G in the usual stochastic order.
     """
-    return TransportEvaluator(f, g, trunc=trunc).upper(float(x))
+    return TransportEvaluator(f, g).upper(float(x))
 
 
-def transport_lower(f: Dist, g: Dist, x: float, *, trunc: float = DEFAULT_TRUNC) -> float:
+def transport_lower(f: Dist, g: Dist, x: float) -> float:
     """sup{t <= x : F(t)-G(t) < F(x)-G(x)}; -inf on an empty set.
 
     Computed through the exact reflection identity
     ``-transport_upper(negate(G), negate(F), -x)``; no grid law is built.
     """
-    return -transport_upper(negate_dist(g), negate_dist(f), -float(x), trunc=trunc)
+    return -transport_upper(negate_dist(g), negate_dist(f), -float(x))
 
 
-def dl_cdf(f: Dist, g: Dist, x: float, y: float, *, trunc: float = DEFAULT_TRUNC) -> float:
+def dl_cdf(f: Dist, g: Dist, x: float, y: float) -> float:
     """Bivariate CDF of the directed coupling at (x, y).
 
     Equals G(y) when y <= x, otherwise
-    ``F(x) - inf_{z in [x,y]} (F(z) - G(z))``, clamped to [0, 1].
+    ``F(x) - inf_{z in [x,y]} (F(z) - G(z))``, clamped to [0, 1]: a scan of
+    x, the pair's memoised nodes inside [x, y] and y, then one refinement.
     """
     x, y = float(x), float(y)
+    _require_order(f, g)
     if y <= x:
-        _require_order(f, g)
         return float(g.cdf(y))
-    val = float(f.cdf(x)) - TransportEvaluator(f, g, trunc=trunc).min_between(x, y)
+    zs = _per_pair(_merged_grid, (f, g), DEFAULT_SCAN_N)
+    i0, i1 = np.searchsorted(zs, x, side="left"), np.searchsorted(zs, y, side="right")
+    ts = np.concatenate(([x], zs[i0:i1], [y]))
+    diff = lambda z: np.asarray(f.cdf(z), dtype=float) - np.asarray(g.cdf(z), dtype=float)
+    val = float(f.cdf(x)) - refine_min(diff, ts, diff(ts), tol=1e-12 * max(1.0, y - x))
     return min(1.0, max(0.0, val))
 
 
@@ -263,11 +259,11 @@ def _plan_levels(n: int, p: float, q: float = 1.0) -> np.ndarray:
     return p + (q - p) * (n - np.arange(1, n + 1)) / n
 
 
-def _grid_points(d: Dist, levels: np.ndarray, trunc: float) -> np.ndarray:
+def _grid_points(d: Dist, levels: np.ndarray) -> np.ndarray:
     pts = np.asarray(d.quantile_left(levels), dtype=float)
     bad = ~np.isfinite(pts)
     if bad.any():
-        clipped = np.clip(levels[bad], 1.0 - trunc, trunc)
+        clipped = np.clip(levels[bad], 1.0 - DEFAULT_TRUNC, DEFAULT_TRUNC)
         pts[bad] = d.quantile_left(clipped)
     return pts
 
@@ -310,7 +306,6 @@ def dl_plan_discrete(
     p: float = 0.0,
     *,
     q: float = 1.0,
-    trunc: float = DEFAULT_TRUNC,
     check: bool = True,
 ) -> DlPlan:
     """Directed coupling plan on the n equal level cells of [p, q).
@@ -330,8 +325,8 @@ def dl_plan_discrete(
     fm, gm = _per_pair(_window_means, f, g, n, p, q)  # refuses a bad n
     n = int(n)
     levels = _plan_levels(n, p, q)
-    xs = _grid_points(f, levels, trunc)
-    ys = _grid_points(g, levels, trunc)
+    xs = _grid_points(f, levels)
+    ys = _grid_points(g, levels)
     y_idx = _match(xs, ys)
     means = fm[::-1] + gm[::-1][y_idx]
     return DlPlan(n=n, p=p, q=q, x=xs, y=ys[y_idx], y_index=y_idx, mean_sums=means)
@@ -377,7 +372,6 @@ def sample_coupling(
     *,
     jitter: bool = False,
     plan_n: int = DEFAULT_GRID_N,
-    trunc: float = DEFAULT_TRUNC,
 ) -> SampleBatch:
     """Draw coupled pairs under comonotone, countermonotone or dl dependence.
 
@@ -400,7 +394,7 @@ def sample_coupling(
         x = np.asarray(f.quantile_left(u), dtype=float)
         y = np.asarray(g.quantile_left(1.0 - u), dtype=float)
     else:
-        plan = dl_plan_discrete(f, g, plan_n, 0.0, trunc=trunc)
+        plan = dl_plan_discrete(f, g, plan_n, 0.0)
         idx = rng.integers(0, plan.n, size)
         if jitter:
             frac = rng.random(size)

@@ -17,9 +17,10 @@ Conventions. ``quantile_left(u) = inf{t : F(t) >= u}`` and
 ``quantile_right(u) = inf{t : F(t) > u}``; by convention the left
 quantile at 0 and the right quantile at 1 return the support endpoints
 (possibly infinite). Infinite values are returned as ``inf`` floats,
-never as large finite surrogates. Unbounded supports are truncated at
-quantile level ``trunc`` (default ``1 - 1e-6``) whenever a finite grid
-has to be built.
+never as large finite surrogates. Every scan and plan truncates an
+unbounded support at the one quantile level ``DEFAULT_TRUNC`` = 1 - 1e-6,
+which bound reports carry as ``truncation_m``; only the Dist-to-grid
+conversions ``to_grid``, ``upper_tail`` and ``lower_tail`` take a ``trunc``.
 
 ``scipy.special`` (for the normal CDF ``ndtr`` and quantile ``ndtri``) is
 imported on first use by a normal law, in ``Normal.cdf``, ``Normal._ql``
@@ -77,11 +78,6 @@ def _validate_levels(u):
 
 def _as_output(arr, scalar):
     return float(arr) if scalar else arr
-
-
-def _check_trunc(trunc: float) -> None:
-    if not 0.5 < trunc < 1.0:  # NaN fails too
-        raise DomainError("truncation level must lie in (0.5, 1)")
 
 
 class Dist:
@@ -335,8 +331,19 @@ class QuantileGrid(Dist):
 
 
 def _midpoints(n: int) -> np.ndarray:
-    n = int(n)
     return (np.arange(n) + 0.5) / n
+
+
+def _check_grid_n(n) -> int:
+    """``n`` as an int; DomainError unless it is an integer of at least 2."""
+    if not (n >= 2 and float(n).is_integer()):  # NaN and inf fail too
+        raise DomainError("grid size must be at least 2 and an integer")
+    return int(n)
+
+
+def _check_trunc(trunc: float) -> None:
+    if not 0.5 < trunc < 1.0:  # NaN fails too
+        raise DomainError("truncation level must lie in (0.5, 1)")
 
 
 def to_grid(d: Dist, n: int = DEFAULT_GRID_N, trunc: float = DEFAULT_TRUNC) -> QuantileGrid:
@@ -345,8 +352,7 @@ def to_grid(d: Dist, n: int = DEFAULT_GRID_N, trunc: float = DEFAULT_TRUNC) -> Q
     Levels are clipped to ``[1 - trunc, trunc]`` so unbounded supports
     come out finite.
     """
-    if n < 2:
-        raise DomainError("grid size must be at least 2")
+    n = _check_grid_n(n)
     _check_trunc(trunc)
     us = _midpoints(n)
     xs = d.quantile_left(np.clip(us, 1.0 - trunc, trunc))
@@ -363,7 +369,8 @@ def upper_tail(
     empirical inputs map to exact closed forms; other kinds are
     tabulated on a quantile grid of size ``grid_n``.
     """
-    p = float(p)
+    p, grid_n = float(p), _check_grid_n(grid_n)
+    _check_trunc(trunc)
     if not 0.0 <= p < 1.0:
         raise DomainError("tail level p must lie in [0, 1)")
     if p == 0.0:
@@ -393,7 +400,8 @@ def lower_tail(
     The result has CDF ``min(F(x), p) / p``. Mirror of
     :func:`upper_tail`; ``p = 1`` returns ``d`` unchanged.
     """
-    p = float(p)
+    p, grid_n = float(p), _check_grid_n(grid_n)
+    _check_trunc(trunc)
     if not 0.0 < p <= 1.0:
         raise DomainError("tail level p must lie in (0, 1]")
     if p == 1.0:
@@ -512,27 +520,23 @@ _TAIL_LEVELS = 1.0 - 0.5 ** np.arange(1, 61)
 
 
 @lru_cache(maxsize=8)
-def _scan_levels(grid_size: int, trunc: float, tail: bool) -> np.ndarray:
-    """The levels u of ``_merged_grid``, built once per argument triple (read-only)."""
-    if not grid_size >= 2:
-        raise DomainError("grid size must be at least 2")
-    us = np.clip(_midpoints(grid_size), 1.0 - trunc, trunc)
+def _scan_levels(grid_size: int, tail: bool) -> np.ndarray:
+    """The levels u of ``_merged_grid``, built once per argument pair (read-only)."""
+    us = np.clip(_midpoints(_check_grid_n(grid_size)), 1.0 - DEFAULT_TRUNC, DEFAULT_TRUNC)
     if tail:
         us = np.concatenate((us, _TAIL_LEVELS))
     us.flags.writeable = False
     return us
 
 
-def _merged_grid(
-    laws, grid_size: int, trunc: float = DEFAULT_TRUNC, p: float = 0.0, tail: bool = False
-) -> np.ndarray:
+def _merged_grid(laws, grid_size: int, p: float = 0.0, tail: bool = False) -> np.ndarray:
     """Finite quantiles of each law at levels p and p + (1 - p) u, its atoms and upper end.
 
-    ``u`` are the midpoints clipped to ``[1 - trunc, trunc]`` (truncation is of the tail's levels)
-    and, with ``tail``, the levels 1 - 2^-k, k = 1..60, which reach the tail's far end.
-    The levels lie in [0, 1], so the quantiles are read without validation.
+    ``u`` are the midpoints clipped to ``[1 - DEFAULT_TRUNC, DEFAULT_TRUNC]`` (truncation is
+    of the tail's levels) and, with ``tail``, the levels 1 - 2^-k, k = 1..60, which reach
+    the tail's far end. The levels lie in [0, 1], so the quantiles are read without validation.
     """
-    us = np.concatenate(([p], p + (1.0 - p) * _scan_levels(grid_size, trunc, tail)))
+    us = np.concatenate(([p], p + (1.0 - p) * _scan_levels(grid_size, tail)))
     pieces = [d._ql(us) for d in laws] + [_atom_points(d) for d in laws]
     ts = np.concatenate(pieces + [[d.support_hi for d in laws]])
     return np.unique(ts[np.isfinite(ts)])

@@ -19,6 +19,7 @@ from .dist import (
     DEFAULT_GRID_N,
     Dist,
     OrderCheckReport,
+    _check_grid_n,
     _midpoints,
     _write_table,
     check_ss,
@@ -49,10 +50,7 @@ def ra_unconstrained_var(f: Dist, g: Dist, p: float, n: int) -> float:
     p = float(p)
     if not 0.0 < p < 1.0:
         raise DomainError("level p must lie in (0, 1)")
-    n = int(n)
-    if n < 2:
-        raise DomainError("rearrangement grid needs n >= 2")
-    us = p + (1.0 - p) * _midpoints(n)
+    us = p + (1.0 - p) * _midpoints(_check_grid_n(n))
     rows = np.asarray(f.quantile_left(us)) + np.asarray(g.quantile_left(us))[::-1]
     return float(rows.min())
 
@@ -145,9 +143,9 @@ def comonotone_es(f: Dist, g: Dist, p: float, *, grid_n: int = DEFAULT_GRID_N) -
 
     Exact-summation cross-check for the marginal-additivity route.
     """
-    p = float(p)
+    p, grid_n = float(p), _check_grid_n(grid_n)
     if not 0.0 < p < 1.0:
         raise DomainError("level p must lie in (0, 1)")
     us = p + (1.0 - p) * _midpoints(grid_n)
     vals = np.asarray(f.quantile_left(us)) + np.asarray(g.quantile_left(us))
-    return math.fsum(vals.tolist()) / int(grid_n)
+    return math.fsum(vals.tolist()) / grid_n

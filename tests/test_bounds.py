@@ -356,7 +356,7 @@ def test_per_pair_memo_builds_each_key_once(monkeypatch):
     counting("_window_means", (B, ordrisk.coupling))
     counting("_level_free", (B,))
     ordrisk.dist._per_pair.cache_clear()
-    f, g, n, trunc = Uniform(0, 100), Uniform(0, 120), 400, DEFAULT_TRUNC
+    f, g, n = Uniform(0, 100), Uniform(0, 120), 400
     for _ in range(2):
         for t in (110.0, 120.0):
             B.bound_report(f, g, "prob", t=t)
@@ -374,10 +374,10 @@ def test_per_pair_memo_builds_each_key_once(monkeypatch):
         ("_window_means", f, g, n, 0.9, 1.0),
         ("_window_means", f, g, n, 0.95, 1.0),
         ("_window_means", f, g, n, 0.0, 0.99),
-        ("_level_free", f, g, n, 1.0, trunc),
-        ("_level_free", f, g, n, 1.0, None),
-        ("_level_free", f, g, n, 0.99, trunc),
-        ("_level_free", f, g, n, 0.99, None),
+        ("_level_free", f, g, n, 1.0, True),
+        ("_level_free", f, g, n, 1.0, False),
+        ("_level_free", f, g, n, 0.99, True),
+        ("_level_free", f, g, n, 0.99, False),
     ]
     assert sorted(builds, key=repr) == sorted(expected, key=repr)
 
@@ -525,9 +525,9 @@ def test_prob_scans_stay_below_malloc_threshold(f, g):
 def test_level_free_memo_matches_fresh_builds(q):
     f, g, n = Pareto(25.0, 2.0), Pareto(30.0, 2.0), 500
     memo = ordrisk.dist._per_pair
-    plan, sums = memo(B._level_free, f, g, n, q, DEFAULT_TRUNC)
-    ct = memo(B._level_free, f, g, n, q, None)
-    fresh = dl_plan_discrete(f, g, n, 0.0, q=q, trunc=DEFAULT_TRUNC)
+    plan, sums = memo(B._level_free, f, g, n, q, True)
+    ct = memo(B._level_free, f, g, n, q, False)
+    fresh = dl_plan_discrete(f, g, n, 0.0, q=q)
     for name in ("x", "y", "y_index", "mean_sums", "sums_sorted"):
         got = getattr(plan, name)
         assert np.array_equal(got, getattr(fresh, name)), name
@@ -538,19 +538,19 @@ def test_level_free_memo_matches_fresh_builds(q):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    assert memo(B._level_free, f, g, n, q, DEFAULT_TRUNC)[0] is plan
-    assert memo(B._level_free, f, g, n, q, None) is ct
+    assert memo(B._level_free, f, g, n, q, True)[0] is plan
+    assert memo(B._level_free, f, g, n, q, False) is ct
 
 
 def test_level_free_memo_keys_on_the_objects():
     # equal parameters, other objects: a separate build, never a stale hit
     n, memo = 300, ordrisk.dist._per_pair
-    a = memo(B._level_free, Uniform(0, 100), Uniform(0, 120), n, 1.0, None)
-    b = memo(B._level_free, Uniform(0, 100), Uniform(0, 140), n, 1.0, None)
+    a = memo(B._level_free, Uniform(0, 100), Uniform(0, 120), n, 1.0, False)
+    b = memo(B._level_free, Uniform(0, 100), Uniform(0, 140), n, 1.0, False)
     assert not np.array_equal(a, b)
     f, g = Uniform(0, 100), Uniform(0, 120)
-    assert memo(B._level_free, f, g, n, 1.0, None) is not a
-    assert np.array_equal(memo(B._level_free, f, g, n, 1.0, None), a)
+    assert memo(B._level_free, f, g, n, 1.0, False) is not a
+    assert np.array_equal(memo(B._level_free, f, g, n, 1.0, False), a)
 
 
 def test_unconstrained_mean_bounds_need_no_order():
@@ -826,7 +826,7 @@ def test_var_report_builds_no_tail_grid(monkeypatch, f, g):
     assert built == {"grid": 0, "evaluator": 0}
 
 
-def _nested_route(f, g, p, trunc=DEFAULT_TRUNC):
+def _nested_route(f, g, p):
     """The replaced route: min of x + T_p(x) over [F^{-1}(p), G^{-1}(p)], capped by 2 G^{-1}(p)."""
     b = float(g.quantile_left(p))
     if b == -math.inf:
@@ -835,9 +835,9 @@ def _nested_route(f, g, p, trunc=DEFAULT_TRUNC):
     if a == -math.inf:
         if g.support_hi < math.inf:
             return -math.inf
-        a = float(f.quantile_left(p + (1.0 - p) * (1.0 - trunc)))
+        a = float(f.quantile_left(p + (1.0 - p) * (1.0 - DEFAULT_TRUNC)))
     a = min(a, b)
-    ev = TransportEvaluator(f, g, p=p, trunc=trunc)
+    ev = TransportEvaluator(f, g, p=p)
     objective = lambda x: ev.upper_many(x) + x
     xs = np.linspace(a, b, 1025)
     inner = refine_min(objective, xs, objective(xs), tol=1e-8 * max(1.0, b - a))
@@ -1107,8 +1107,8 @@ def test_mean_routes_refuse_a_bad_cell_count(route, n):
 @pytest.mark.parametrize("trunc", [0.5, 1.0, 0.3, 1.5, -0.9, math.nan, math.inf])
 @pytest.mark.parametrize("measure, kw", [("var", {"p": 0.9}), ("es", {"p": 0.9}), ("prob", {"t": 8.0})])
 def test_report_refuses_a_bad_truncation(measure, kw, trunc):
-    # never copied into truncation_m, nor refused later as a bad quantile level
-    with pytest.raises(DomainError, match="truncation level must lie in"):
+    # a report takes no truncation level, so every one is refused, never ignored
+    with pytest.raises(TypeError, match="trunc"):
         B.bound_report(PF, PG, measure, trunc=trunc, **kw)
 
 

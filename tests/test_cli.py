@@ -13,7 +13,9 @@ import pytest
 
 import ordrisk.cli
 from ordrisk.cli import _grid, _validate, build_parser, entry, parse_marginal
-from ordrisk.dist import Empirical, Normal, Pareto, Uniform
+from ordrisk.bounds import bound_report
+from ordrisk.coupling import dl_plan_discrete
+from ordrisk.dist import DEFAULT_TRUNC, Empirical, Normal, Pareto, Uniform
 from ordrisk.errors import DomainError
 
 
@@ -68,8 +70,6 @@ def test_config_validation():
         ["bounds", *MARG, "--p-from", "0.95", "--p-to", "0.9"],
         ["bounds", *MARG, "--p-step", "0.0"],
         ["bounds", *MARG, "--grid-n", "99"],
-        ["bounds", *MARG, "--truncate-m", "0.4"],
-        ["bounds", *MARG, "--truncate-m", "1.0"],
         ["bounds", *MARG, "--q", "1.5"],
         ["casestudy", *OBS, "--replicates", "0"],
         ["sample", *MARG, "--kind", "dl", "--size", "0"],
@@ -120,6 +120,27 @@ def test_threshold_grid():
         _validate(
             parsed("probbounds", *MARG, "--t-from", "8", "--t-to", "5", "--t-step", "1")
         )
+
+
+def test_one_truncation_level(tmp_path):
+    # every scan and plan truncates at DEFAULT_TRUNC: each report carries it, no flag sets it
+    f, g = Pareto(1.0, 1.0), Pareto(2.0, 1.0)
+    for measure, kw in [
+        ("var", {"p": 0.9}),
+        ("es", {"p": 0.9}),
+        ("rvar", {"p": 0.9, "q": 0.99}),
+        ("essinf", {}),
+        ("esssup", {}),
+        ("prob", {"t": 8.0}),
+    ]:
+        assert bound_report(f, g, measure, grid_n=500, **kw).truncation_m == DEFAULT_TRUNC
+    f, g = Normal(0.0, 1.0), Normal(0.5, 1.0)  # the plan's level-0 points read level 1 - DEFAULT_TRUNC
+    plan = dl_plan_discrete(f, g, 500)
+    assert plan.x[-1] == f.quantile_left(1.0 - DEFAULT_TRUNC)
+    assert plan.y.min() == g.quantile_left(1.0 - DEFAULT_TRUNC)
+    with pytest.raises(SystemExit) as exc:
+        run("bounds", *MARG, "--truncate-m", "0.9", "--out", str(tmp_path))
+    assert exc.value.code == 2
 
 
 def test_parser_rejects_bad_usage():

@@ -19,6 +19,7 @@ from ordrisk.coupling import (
     TransportEvaluator,
     _first_below,
     _grid_points,
+    _match,
     _plan_levels,
     _range_minima,
     dl_cdf,
@@ -31,6 +32,7 @@ from ordrisk.coupling import (
     transport_upper,
 )
 from ordrisk.dist import (
+    DEFAULT_SCAN_N,
     Empirical,
     Normal,
     Pareto,
@@ -213,6 +215,24 @@ def test_dl_cdf_refuses_unordered_pair():
     # the y <= x shortcut still checks the order
     with pytest.raises(OrderViolationError):
         dl_cdf(Uniform(0, 1.5), Uniform(0, 1), 0.8, 0.5)
+
+
+def test_dl_cdf_builds_no_evaluator(monkeypatch):
+    # the joint CDF scans the pair's memoised nodes, which are the evaluator's
+    # nodes, without building the evaluator and its range-minimum table
+    built = {"evaluator": 0}
+    original = TransportEvaluator.__init__
+
+    def init(self, *args, **kwargs):
+        built["evaluator"] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(TransportEvaluator, "__init__", init)
+    for x, y in [(2.0, 4.0), (5.0, 3.0), (1.5, 40.0)]:
+        dl_cdf(PF, PG, x, y)
+    assert built == {"evaluator": 0}
+    nodes = ordrisk.dist._per_pair(ordrisk.dist._merged_grid, (PF, PG), DEFAULT_SCAN_N)
+    np.testing.assert_array_equal(nodes, TransportEvaluator(PF, PG).zs)
 
 
 @pytest.fixture
@@ -402,19 +422,19 @@ def test_plan_matching_matches_stack_loop(xv, yv, n, window):
 
 
 @pytest.mark.parametrize(
-    "f, g, p, trunc, n",
+    "f, g, p, n, bottom",
     [
-        (PF, PG, 0.0, 1.0 - 1e-6, 3000),
-        (PF, PG, 0.9, 1.0 - 1e-6, 3000),
-        (Uniform(0, 1), Uniform(0, 1.5), 0.0, 1.0 - 1e-6, 3000),
-        (Normal(0, 1), Normal(0.5, 1), 0.0, 1.0 - 1e-6, 3000),
-        # level 0 is clipped to 0.01, above the next levels: the bottom
-        # points are out of order, and the stack loop's merge stops early
-        (Normal(0, 1), Normal(0.5, 1), 0.0, 0.99, 3000),
-        (_EMP_F, _EMP_G, 0.0, 1.0 - 1e-6, 3000),
+        (PF, PG, 0.0, 3000, None),
+        (PF, PG, 0.9, 3000, None),
+        (Uniform(0, 1), Uniform(0, 1.5), 0.0, 3000, None),
+        (Normal(0, 1), Normal(0.5, 1), 0.0, 3000, None),
+        # level 0 read at 0.01, above the next levels: the bottom points
+        # are out of order, and the stack loop's merge stops early
+        (Normal(0, 1), Normal(0.5, 1), 0.0, 3000, 0.01),
+        (_EMP_F, _EMP_G, 0.0, 3000, None),
         # the default plan size, where the depth counts span thousands of levels
-        (Pareto(1.0, 1.1), Pareto(2.0, 1.1), 0.9, 1.0 - 1e-6, 10_000),
-        (Uniform(0, 1), Uniform(0, 1.5), 0.0, 1.0 - 1e-6, 10_000),
+        (Pareto(1.0, 1.1), Pareto(2.0, 1.1), 0.9, 10_000, None),
+        (Uniform(0, 1), Uniform(0, 1.5), 0.0, 10_000, None),
     ],
     ids=[
         "pareto",
@@ -427,10 +447,15 @@ def test_plan_matching_matches_stack_loop(xv, yv, n, window):
         "uniform_10k",
     ],
 )
-def test_plan_matching_matches_stack_loop_continuous(f, g, p, trunc, n):
+def test_plan_matching_matches_stack_loop_continuous(f, g, p, n, bottom):
     levels = _plan_levels(n, p)
-    ys = _grid_points(g, levels, trunc)
-    plan = dl_plan_discrete(f, g, n, p, trunc=trunc)
+    if bottom is not None:  # no plan reads such points: they go straight to the matching
+        levels[levels == 0.0] = bottom
+        xs, ys = f.quantile_left(levels), g.quantile_left(levels)
+        np.testing.assert_array_equal(_match(xs, ys), _stack_match(xs, ys))
+        return
+    ys = _grid_points(g, levels)
+    plan = dl_plan_discrete(f, g, n, p)
     np.testing.assert_array_equal(plan.y_index, _stack_match(plan.x, ys))
     np.testing.assert_array_equal(plan.y, ys[plan.y_index])
 

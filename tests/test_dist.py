@@ -213,10 +213,19 @@ def test_to_grid_matches_source_quantiles(n):
 
 
 def test_to_grid_validation():
-    with pytest.raises(DomainError):
-        to_grid(Uniform(0, 1), 1)
-    with pytest.raises(DomainError):
-        to_grid(Uniform(0, 1), 100, trunc=0.4)
+    # one grid-size and one truncation check in every Dist-to-grid conversion,
+    # closed-form tails included; a tail truncated at 0.3 used to be one point
+    bad = [(n, DEFAULT_TRUNC, "grid size must be at least 2") for n in (1, 0, -3, 2.5, math.nan)]
+    bad += [(100, trunc, "truncation level must lie in") for trunc in (0.4, 0.3, 1.0, math.nan)]
+    for n, trunc, match in bad:
+        for d in (Normal(0, 1), Pareto(1.0, 1.0)):
+            for convert in (
+                lambda: to_grid(d, n, trunc),
+                lambda: upper_tail(d, 0.5, grid_n=n, trunc=trunc),
+                lambda: lower_tail(d, 0.5, grid_n=n, trunc=trunc),
+            ):
+                with pytest.raises(DomainError, match=match):
+                    convert()
 
 
 @pytest.mark.parametrize("grid_size", [1, 0, -5, np.nan])
@@ -485,8 +494,8 @@ def test_merged_grid_matches_validated_quantiles(tail):
                 + [[d.support_hi for d in laws]]
             )
             ref = np.unique(ts[np.isfinite(ts)])
-            assert_array_equal(ordrisk.dist._merged_grid(laws, 512, DEFAULT_TRUNC, p, tail), ref)
-    assert not ordrisk.dist._scan_levels(512, DEFAULT_TRUNC, tail).flags.writeable
+            assert_array_equal(ordrisk.dist._merged_grid(laws, 512, p, tail), ref)
+    assert not ordrisk.dist._scan_levels(512, tail).flags.writeable
 
 
 def test_default_order_check_reads_the_pair_nodes():

@@ -86,7 +86,7 @@ def test_stop_loss_csv(tmp_path):
 
 
 def test_stop_loss_monotone_decreasing():
-    batch = sample_coupling(PF, PG, "dl", 2000, 11, trunc=1.0 - 1e-4)
+    batch = sample_coupling(PF, PG, "dl", 2000, 11)
     curve = stop_loss_curve(batch, np.linspace(3.0, 30.0, 10))
     assert np.all(np.diff(curve.values) <= 1e-12)
     assert np.all(curve.stderr >= 0.0)
