@@ -31,8 +31,10 @@ The mean functionals (ES, RVaR) all read the exact means of F^{-1} and
 G^{-1} over the n equal level cells of the window, paired by the plan
 (constrained) or countermonotonically (unconstrained). The cell-mean laws
 lie below F and G in convex order, and the countermonotone sum is the
-convex-order minimum, so L <= Lo <= Uo <= U holds by construction; only
-VaR and probability bounds can still need a snap.
+convex-order minimum, so L <= Lo <= Uo <= U holds in exact arithmetic.
+In floats the closed-form worst ES can sit up to about 1e-12 below a plan's
+best ES where the two are equal, so every measure goes through the snap of
+``bound_report``, as the VaR and probability bounds do.
 Work shared by several bounds or levels is built once, in one memo,
 ``dist._per_pair``, which holds 16 entries and returns read-only arrays:
 the pair's order check and node grid, each level window's cell means
@@ -40,12 +42,16 @@ the pair's order check and node grid, each level window's cell means
 countermonotone sums, the per-level [p, 1) windows of worst RVaR included)
 and the sums no level changes, ``_level_free`` (the whole-pair plan, the
 [0, q) plan of best RVaR, the countermonotone sums). The probability scans
-read the node grid of the order check and scan each half-line as one block.
-The VaR scans build their nodes per level, from the shared level table of
-``dist._merged_grid``.
+read the node grid of the order check. Per threshold they share one table,
+``_threshold_table``: the scan points of each half-line around t/2 as one
+block, with the CDF columns F(z), G(z), G(t - z) and, above t/2, F(t - z)
+that the four bounds read. It holds about 0.6 MB, lives for one threshold
+(one entry, outside ``_per_pair``) and is read-only. The VaR scans build
+their nodes per level, from the shared level table of ``dist._merged_grid``.
 
 The bounds on P(X + Y <= t) invert these formulas in closed form. With
-F, G right-continuous and t finite (t = -inf, +inf give 0, 1; NaN raises):
+F, G right-continuous and t finite (t = -inf, +inf give 0, 1; NaN, or a t that
+is not a real number, raises a DomainError):
 
     m(t)  = clip(sup_u [F(u) + G(t-u) - 1], 0, 1)
     M(t)  = clip(inf_u [F(u) + G(t-u)], 0, 1)
@@ -64,7 +70,10 @@ mo/Mo exactly. Each is one CDF scan and one refinement.
 from __future__ import annotations
 
 import math
+import numbers
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -115,18 +124,18 @@ __all__ = [
 ]
 
 def _check_p(p: float | None) -> float:
-    if p is None or not 0.0 < float(p) < 1.0:
+    if not (isinstance(p, numbers.Real) and 0.0 < p < 1.0):
         raise DomainError("level p must lie in (0, 1)")
     return float(p)
 
 
 def _check_pq(p: float, q: float, *, allow_p0: bool) -> tuple[float, float]:
-    p, q = float(p), float(q)
-    lo_ok = p >= 0.0 if allow_p0 else p > 0.0
+    real = isinstance(p, numbers.Real) and isinstance(q, numbers.Real)
+    lo_ok = real and (p >= 0.0 if allow_p0 else p > 0.0)
     if not (lo_ok and p < q < 1.0):
         kind = "0 <= p < q < 1" if allow_p0 else "0 < p < q < 1"
         raise DomainError(f"rvar levels require {kind}")
-    return p, q
+    return float(p), float(q)
 
 
 # ---------------------------------------------------------------------------
@@ -459,36 +468,61 @@ def ct_sum_var(f: Dist, g: Dist, p: float, *, grid_n: int = DEFAULT_GRID_N) -> f
 # probability bounds (closed-form CDF scans)
 
 
-def _cdf_scan(f: Dist, g: Dist, t: float, objective, half: int, maximize: bool) -> float:
-    """``refine_max`` (``maximize``) or ``refine_min`` of ``objective`` over the threshold-t scan.
+# One half-line block of a threshold table: the scan points z, F(z), G(z), G(t - z)
+# and F(t - z), which mo alone reads, so only the upper block holds it.
+_Block = namedtuple("_Block", "z fz gz gt ft", defaults=[None])
 
-    The scan is zs0 = the pair's nodes (those of ``check_st``), t - nodes and t/2,
-    with the midpoint of each consecutive pair, kept on z >= t/2 (``half``
-    +1), z <= t/2 (-1) or both (0). zs0 is symmetric about t/2 (up to
-    rounding), so each half-line is a slice of it interleaved with its
-    midpoints, and the whole line is scanned as its two halves, t/2 counted
-    once. The refinement starts from the first best point of the ascending
-    scan and its two neighbours (``_best_window``). Step CDFs are constant
-    between nodes: for atoms the scan is exact. A NaN t raises; t = -inf
-    gives 0 and t = +inf 1.
+
+@lru_cache(maxsize=1)
+def _threshold_table(f: Dist, g: Dist, t: float) -> tuple[_Block, _Block, int]:
+    """The threshold-t scan points in two half-line blocks, with the CDF columns read there.
+
+    zs0 = the pair's nodes (those of ``check_st``), t - nodes and t/2 = zs0[c]. zs0 is
+    symmetric about t/2 (up to rounding), so each half-line is a slice of it
+    interleaved with its midpoints: the lower block zs0[:c + 1], the upper block
+    zs0[c - 1:] (all of zs0 where c = 0), one point early, which keeps a midpoint
+    below t/2 that rounds to t/2. m, mo, Mo and M at one t are asked for back to
+    back, so one entry, keyed on f and g (by identity) and t, serves all four:
+    about 0.6 MB at the default grid, read-only.
     """
-    t = float(t)
-    if math.isnan(t):
-        raise DomainError("threshold t must not be NaN")
-    if math.isinf(t):
-        return float(t > 0)
     nodes, h = _per_pair(_merged_grid, (f, g), DEFAULT_SCAN_N), 0.5 * t
     zs0 = np.unique(np.concatenate((nodes, t - nodes, [h])))
     c = int(np.searchsorted(zs0, h))  # zs0[c] == t/2
+    blocks = []
+    for zs, upper in ((_with_midpoints(zs0[: c + 1]), False), (_with_midpoints(zs0[max(c - 1, 0) :]), True)):
+        tz = t - zs
+        cols = [zs, f.cdf(zs), g.cdf(zs), g.cdf(tz)] + ([f.cdf(tz)] if upper else [])
+        for col in cols:
+            col.flags.writeable = False
+        blocks.append(_Block(*cols))
+    return blocks[0], blocks[1], c
+
+
+def _cdf_scan(f: Dist, g: Dist, t: float, objective, scan, half: int, maximize: bool) -> float:
+    """``refine_max`` (``maximize``) or ``refine_min`` of ``objective`` over the threshold-t scan.
+
+    ``scan`` gives the objective's values on a block of ``_threshold_table`` from its
+    columns, ``objective`` those at any points. The scan is kept on z >= t/2
+    (``half`` +1: the upper block from t/2), z <= t/2 (-1: the lower block) or the
+    whole line (0: the lower block, then the upper one from the first point past
+    t/2, so t/2 is counted once). The refinement starts from the first best point
+    of the ascending scan and its two neighbours (``_best_window``). Step CDFs are
+    constant between nodes: for atoms the scan is exact. t is a checked threshold
+    (``_check_t``): t = -inf gives 0 and t = +inf 1.
+    """
+    if math.isinf(t):
+        return float(t > 0)
+    lower, upper, c = _threshold_table(f, g, t)
     if half > 0:  # a midpoint below t/2 that rounds to t/2 lies on z >= t/2 too
-        zs = _with_midpoints(zs0[max(c - 1, 0) :])
-        blocks = [zs[np.searchsorted(zs, h) :]]
+        k = int(np.searchsorted(upper.z, 0.5 * t))
+        blocks = [(upper.z[k:], scan(upper)[k:])]
     elif half < 0:  # (one above t/2 that rounds to it would only repeat the last point)
-        blocks = [_with_midpoints(zs0[: c + 1])]
-    else:
-        blocks = [_with_midpoints(zs0[: c + 1]), _with_midpoints(zs0[c:])[1:]]
-    blocks = [zs for zs in blocks if zs.size]  # t/2 can be the only point
-    zs, vals = _best_window(blocks, [objective(zs) for zs in blocks], maximize)
+        blocks = [(lower.z, scan(lower))]
+    else:  # the upper block less zs0[c - 1], a midpoint and t/2 (less t/2 alone where c = 0)
+        k = 3 if c else 1
+        blocks = [(lower.z, scan(lower)), (upper.z[k:], scan(upper)[k:])]
+    blocks = [b for b in blocks if b[0].size]  # t/2 can be the only point
+    zs, vals = _best_window(*zip(*blocks), maximize)
     refine = refine_max if maximize else refine_min
     return float(refine(objective, zs, vals, tol=1e-10 * max(1.0, abs(t))))
 
@@ -519,14 +553,23 @@ def _best_window(blocks, vals, maximize: bool):
     return (np.array([pick(arrs, i) for i in window]) for arrs in (blocks, vals))
 
 
+def _check_t(t) -> float:
+    """A real, non-NaN threshold as a float."""
+    if not isinstance(t, numbers.Real) or math.isnan(t):
+        raise DomainError(f"threshold t must be a real number, not NaN: {t!r}")
+    return float(t)
+
+
 def prob_lower(f: Dist, g: Dist, t: float) -> float:
     """Lower bound on P(X+Y <= t) under the order constraint.
 
     mo(t) = max(G(t/2), sup_{z >= t/2} [G(z) - F(z) + F(t-z)]) = sup{p : worst VaR_p <= t}.
     """
     _require_order(f, g)
+    t = _check_t(t)
     objective = lambda z: np.asarray(g.cdf(z)) - np.asarray(f.cdf(z)) + np.asarray(f.cdf(t - z))
-    return max(float(g.cdf(0.5 * t)), _cdf_scan(f, g, t, objective, 1, True))
+    scan = lambda b: b.gz - b.fz + b.ft
+    return max(float(g.cdf(0.5 * t)), _cdf_scan(f, g, t, objective, scan, 1, True))
 
 
 def prob_upper(f: Dist, g: Dist, t: float) -> float:
@@ -535,20 +578,26 @@ def prob_upper(f: Dist, g: Dist, t: float) -> float:
     Mo(t) = min(F(t/2), inf_{z <= t/2} [F(z) - G(z) + G(t-z)]) = sup{p : best VaR_p <= t}.
     """
     _require_order(f, g)
+    t = _check_t(t)
     objective = lambda z: np.asarray(f.cdf(z)) - np.asarray(g.cdf(z)) + np.asarray(g.cdf(t - z))
-    return min(float(f.cdf(0.5 * t)), _cdf_scan(f, g, t, objective, -1, False))
+    scan = lambda b: b.fz - b.gz + b.gt
+    return min(float(f.cdf(0.5 * t)), _cdf_scan(f, g, t, objective, scan, -1, False))
 
 
 def prob_lower_unconstrained(f: Dist, g: Dist, t: float) -> float:
     """Lower bound on P(X+Y <= t) over all couplings: clip(sup_u [F(u) + G(t-u) - 1], 0, 1)."""
+    t = _check_t(t)
     objective = lambda u: np.asarray(f.cdf(u)) + np.asarray(g.cdf(t - u)) - 1.0
-    return min(max(_cdf_scan(f, g, t, objective, 0, True), 0.0), 1.0)
+    scan = lambda b: b.fz + b.gt - 1.0
+    return min(max(_cdf_scan(f, g, t, objective, scan, 0, True), 0.0), 1.0)
 
 
 def prob_upper_unconstrained(f: Dist, g: Dist, t: float) -> float:
     """Upper bound on P(X+Y <= t) over all couplings: clip(inf_u [F(u) + G(t-u)], 0, 1)."""
+    t = _check_t(t)
     objective = lambda u: np.asarray(f.cdf(u)) + np.asarray(g.cdf(t - u))
-    return min(max(_cdf_scan(f, g, t, objective, 0, False), 0.0), 1.0)
+    scan = lambda b: b.fz + b.gt
+    return min(max(_cdf_scan(f, g, t, objective, scan, 0, False), 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -650,12 +699,16 @@ def bound_report(
 ) -> BoundReport:
     """All four extremes of one measure plus the spread reduction.
 
-    ES and RVaR nest by construction (one level-cell partition); tiny
-    inversions of the VaR and probability bounds, which come from
-    independent refinements, are snapped, and genuine violations raise.
+    ES and RVaR nest in exact arithmetic (one level-cell partition), and
+    the VaR and probability bounds up to their independent refinements;
+    rounding-size inversions of any measure (worst ES, a closed form, can
+    sit about 1e-12 below the plan's best ES) are snapped, and genuine
+    violations raise.
     An infinite or degenerate spread leaves the reduction fields unset.
     A level or threshold the measure does not read (``q`` outside rvar,
-    ``t`` outside prob, ``p`` with prob) raises instead of being ignored.
+    ``t`` outside prob, ``p`` with prob) raises instead of being ignored,
+    and so does one that is not a real number or lies out of range (the
+    ``p`` that ess-inf and ess-sup only report included).
     """
     try:
         measure = _MEASURE_ALIASES[str(measure).lower()]
@@ -668,6 +721,8 @@ def bound_report(
     ):
         if unread and value is not None:
             raise DomainError(f"measure {measure} does not take {name}")
+    if p is not None:  # ess-inf and ess-sup report a p they do not read: a level too
+        p = _check_p(p)
     if measure == "var":
         cw = worst_var_constrained(f, g, p)
         cb = best_var_constrained(f, g, p)
@@ -708,7 +763,7 @@ def bound_report(
         r_l = r_u = r = None
     return BoundReport(
         measure=measure,
-        p=None if p is None else float(p),
+        p=p,
         q=None if q is None else float(q),
         t=None if t is None else float(t),
         constrained_worst=cw,

@@ -455,7 +455,7 @@ def test_upper_half_keeps_a_midpoint_that_rounds_to_t_half():
     # the whole line holds t/2 twice there, so its half z >= t/2 refines the
     # empty bracket [1, 1] and never sees the spike on (1, 2)
     spike = lambda z: np.where(z == 1.0, 1.0, np.where((z > 1.0) & (z < 2.0), 1.5, 0.0))
-    got = B._cdf_scan(*_SEAM_PAIR, 2.0, spike, 1, True)
+    got = B._cdf_scan(*_SEAM_PAIR, 2.0, spike, lambda b: spike(b.z), 1, True)
     assert got == _full_line_scan(*_SEAM_PAIR, 2.0, spike, 1, B.refine_max) == 1.0
 
 
@@ -515,6 +515,54 @@ def test_prob_scans_stay_below_malloc_threshold(f, g):
         bound(f, g, t)
     assert sizes and max(sizes) < 16_384
     assert max(sizes) > 4_000  # the node grid was scanned, not skipped
+
+
+def test_one_threshold_table_per_row():
+    f, g = Pareto(25.0, 2.0), Pareto(30.0, 2.0)
+    table = B._threshold_table
+    table.cache_clear()
+    for t in (70.0, 71.0, 70.0):  # a fresh threshold each time: one entry lives
+        for bound in _PROB_BOUNDS:
+            bound(f, g, t)
+    info = table.cache_info()
+    assert (info.misses, info.hits) == (3, 9)
+    for bound in _PROB_BOUNDS:  # a bound at the last threshold again builds nothing
+        bound(f, g, 70.0)
+    assert table.cache_info().misses == 3
+
+
+def test_threshold_table_is_read_only():
+    lower, upper, _ = B._threshold_table(PF, PG, 9.0)
+    arrays = [a for block in (lower, upper) for a in block if a is not None]
+    assert len(arrays) == 9 and lower.ft is None
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    assert lower.z[-1] == 4.5 == upper.z[np.searchsorted(upper.z, 4.5)]  # t/2 in both blocks
+
+
+@pytest.mark.parametrize(
+    "f, g",
+    [
+        (PF, PG),
+        (Normal(0.0, 1.0), Normal(0.5, 1.0)),
+        (Empirical(np.arange(200.0), np.ones(200)), Empirical(np.arange(200.0) + 3.0, np.ones(200))),
+    ],
+    ids=["pareto", "normal", "atoms"],
+)
+def test_prob_row_reads_each_cdf_column_once(f, g):
+    # the table's columns F, G and G(t - z) on both blocks and F(t - z) on the
+    # upper one; everything else is a refinement round or a CDF at t/2
+    sizes = []
+    f, g = _recording(f, sizes), _recording(g, sizes)
+    B._require_order(f, g)  # the pair's order check, once per pair
+    for t in (float(f.quantile_left(0.6)) + float(g.quantile_left(0.3)), 2.0 * float(g.quantile_left(0.5))):
+        sizes.clear()
+        for bound in _PROB_BOUNDS:
+            bound(f, g, t)
+        big = [n for n in sizes if n > 33]
+        assert len(big) == 7, t
+        assert set(sizes) - set(big) <= {1, 33}
 
 
 # ---------------------------------------------------------------------------
@@ -1035,6 +1083,39 @@ def test_report_refuses_unread_keywords(measure, kw):
         B.bound_report(PF, PG, measure, **kw)
 
 
+@pytest.mark.parametrize(
+    "measure, kw",
+    [
+        ("prob", dict(t="5")),
+        ("prob", dict(t=[1, 2])),
+        ("prob", dict(t=np.array([8.0]))),
+        ("prob", dict(t=8.0 + 0j)),
+        ("var", dict(p="abc")),
+        ("var", dict(p="0.5")),
+        ("var", dict(p=[0.5])),
+        ("var", dict(p=0.5 + 0j)),
+        ("es", dict(p="0.5")),
+        ("essinf", dict(p="abc")),
+        ("esssup", dict(p=5.0)),
+        ("rvar", dict(p=0.9, q="x")),
+        ("rvar", dict(p="0.9", q=0.99)),
+        ("rvar", dict(p=0.9, q=[0.99])),
+        ("rvar", dict(p=0.9 + 0j, q=0.99)),
+    ],
+)
+def test_report_refuses_non_real_levels_and_thresholds(measure, kw):
+    with pytest.raises(DomainError, match="level|threshold"):
+        B.bound_report(PF, PG, measure, **kw)
+
+
+def test_report_takes_numpy_real_scalars():
+    assert B.bound_report(PF, PG, "prob", t=np.int64(8)) == B.bound_report(PF, PG, "prob", t=8.0)
+    p = np.float32(0.9)
+    assert B.bound_report(PF, PG, "var", p=p) == B.bound_report(PF, PG, "var", p=float(p))
+    rvar = B.bound_report(PF, PG, "rvar", p=np.float64(0.9), q=np.float32(0.99))
+    assert rvar == B.bound_report(PF, PG, "rvar", p=0.9, q=float(np.float32(0.99)))
+
+
 _U, _V = Uniform(0, 100), Uniform(0, 120)
 
 
@@ -1214,13 +1295,16 @@ def test_half_line_scans_match_full_line_on_atoms(pair, half_t):
 @given(_ordered_atoms(), st.integers(-2, 70), st.sampled_from([-1, 0, 1]), st.booleans())
 @example(pair=_SEAM_PAIR, half_t=4, half=1, maximize=True)
 @example(pair=(_SEAM_PAIR[1], Empirical([float(np.nextafter(1.0, 2.0)), 3.0], [1.0, 1.0])), half_t=4, half=-1, maximize=False)
+@example(pair=(_SEAM_PAIR[1], Empirical([float(np.nextafter(1.0, 2.0)), 3.0], [1.0, 1.0])), half_t=4, half=0, maximize=True)
+@example(pair=(_SEAM_PAIR[1], Empirical([float(np.nextafter(1.0, 2.0)), 3.0], [1.0, 1.0])), half_t=4, half=0, maximize=False)
 def test_scan_window_matches_full_line_for_any_objective(pair, half_t, half, maximize):
     # the refinement starts from the full line's first best point and its
     # neighbours even where ties and features between scan points decide it
     f, g = pair
     t = 0.5 * half_t
     objective, refine = (_rippled, B.refine_max) if maximize else (lambda z: -_rippled(z), B.refine_min)
-    assert B._cdf_scan(f, g, t, objective, half, maximize) == _full_line_scan(f, g, t, objective, half, refine)
+    got = B._cdf_scan(f, g, t, objective, lambda b: objective(b.z), half, maximize)
+    assert got == _full_line_scan(f, g, t, objective, half, refine)
 
 
 def test_worst_var_at_atom_boundary():
