@@ -86,6 +86,7 @@ from .dist import (
     Dist,
     Normal,
     _Negated,
+    _check_real,
     _merged_grid,
     _per_pair,
     es_eval,
@@ -508,7 +509,7 @@ def _cdf_scan(f: Dist, g: Dist, t: float, objective, scan, half: int, maximize: 
     t/2, so t/2 is counted once). The refinement starts from the first best point
     of the ascending scan and its two neighbours (``_best_window``). Step CDFs are
     constant between nodes: for atoms the scan is exact. t is a checked threshold
-    (``_check_t``): t = -inf gives 0 and t = +inf 1.
+    (``dist._check_real``): t = -inf gives 0 and t = +inf 1.
     """
     if math.isinf(t):
         return float(t > 0)
@@ -553,20 +554,13 @@ def _best_window(blocks, vals, maximize: bool):
     return (np.array([pick(arrs, i) for i in window]) for arrs in (blocks, vals))
 
 
-def _check_t(t) -> float:
-    """A real, non-NaN threshold as a float."""
-    if not isinstance(t, numbers.Real) or math.isnan(t):
-        raise DomainError(f"threshold t must be a real number, not NaN: {t!r}")
-    return float(t)
-
-
 def prob_lower(f: Dist, g: Dist, t: float) -> float:
     """Lower bound on P(X+Y <= t) under the order constraint.
 
     mo(t) = max(G(t/2), sup_{z >= t/2} [G(z) - F(z) + F(t-z)]) = sup{p : worst VaR_p <= t}.
     """
     _require_order(f, g)
-    t = _check_t(t)
+    t = _check_real(t, "threshold t")
     objective = lambda z: np.asarray(g.cdf(z)) - np.asarray(f.cdf(z)) + np.asarray(f.cdf(t - z))
     scan = lambda b: b.gz - b.fz + b.ft
     return max(float(g.cdf(0.5 * t)), _cdf_scan(f, g, t, objective, scan, 1, True))
@@ -578,7 +572,7 @@ def prob_upper(f: Dist, g: Dist, t: float) -> float:
     Mo(t) = min(F(t/2), inf_{z <= t/2} [F(z) - G(z) + G(t-z)]) = sup{p : best VaR_p <= t}.
     """
     _require_order(f, g)
-    t = _check_t(t)
+    t = _check_real(t, "threshold t")
     objective = lambda z: np.asarray(f.cdf(z)) - np.asarray(g.cdf(z)) + np.asarray(g.cdf(t - z))
     scan = lambda b: b.fz - b.gz + b.gt
     return min(float(f.cdf(0.5 * t)), _cdf_scan(f, g, t, objective, scan, -1, False))
@@ -586,7 +580,7 @@ def prob_upper(f: Dist, g: Dist, t: float) -> float:
 
 def prob_lower_unconstrained(f: Dist, g: Dist, t: float) -> float:
     """Lower bound on P(X+Y <= t) over all couplings: clip(sup_u [F(u) + G(t-u) - 1], 0, 1)."""
-    t = _check_t(t)
+    t = _check_real(t, "threshold t")
     objective = lambda u: np.asarray(f.cdf(u)) + np.asarray(g.cdf(t - u)) - 1.0
     scan = lambda b: b.fz + b.gt - 1.0
     return min(max(_cdf_scan(f, g, t, objective, scan, 0, True), 0.0), 1.0)
@@ -594,7 +588,7 @@ def prob_lower_unconstrained(f: Dist, g: Dist, t: float) -> float:
 
 def prob_upper_unconstrained(f: Dist, g: Dist, t: float) -> float:
     """Upper bound on P(X+Y <= t) over all couplings: clip(inf_u [F(u) + G(t-u)], 0, 1)."""
-    t = _check_t(t)
+    t = _check_real(t, "threshold t")
     objective = lambda u: np.asarray(f.cdf(u)) + np.asarray(g.cdf(t - u))
     scan = lambda b: b.fz + b.gt
     return min(max(_cdf_scan(f, g, t, objective, scan, 0, False), 0.0), 1.0)

@@ -101,6 +101,10 @@ def _validate(args: argparse.Namespace) -> None:
         raise DomainError("replicate count must be positive")
     if a.get("size", 1) < 1:
         raise DomainError("sample size must be positive")
+    if a.get("seed", 0) < 0:
+        raise DomainError("seed must be nonnegative")
+    if min(a.get("group_x", 1), a.get("group_y", 1)) < 1:
+        raise DomainError("group sizes must be positive")
     if "t_step" in a:
         if args.t_step <= 0.0:
             raise DomainError("t step must be positive")

@@ -15,16 +15,19 @@ and every level window its cell means, ``_window_means``, both through the
 16-entry per-pair memo ``dist._per_pair``. Every grid truncates at ``DEFAULT_TRUNC``.
 
 The transport map is ``T(x) = inf{z >= x : F(z)-G(z) < F(x)-G(x)}``
-(``+inf`` when the set is empty). All continuous evaluation is a grid
-scan refined by bisection; the bisection returns the upper end of its
-final bracket, so numeric transport values never undershoot the true
-infimum.
+(``+inf`` when the set is empty); no bound reads it. ``TransportEvaluator``
+finds it by scanning the pair's merged quantile nodes from x for the
+first one where F - G falls below the target, then bisecting that cell;
+the bisection returns the upper end of its final bracket, so numeric
+transport values never undershoot the true infimum. Points (x, y, t)
+that are NaN or not real numbers raise a DomainError.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -37,6 +40,7 @@ from .dist import (
     DEFAULT_TRUNC,
     Dist,
     _cell_means,
+    _check_real,
     _merged_grid,
     _per_pair,
     _write_table,
@@ -91,43 +95,17 @@ def _require_order(f: Dist, g: Dist) -> None:
         raise OrderViolationError(report)
 
 
-def _range_minima(v: np.ndarray) -> list[np.ndarray]:
-    """Levels ``mins[l][i] = min(v[i : i + 2**l])`` for every 2**l <= v.size.
-
-    ``fmin`` skips NaN, so a NaN never hides a real value in its block.
-    """
-    mins = [v]
-    while 1 << len(mins) <= v.size:
-        prev, half = mins[-1], 1 << (len(mins) - 1)
-        mins.append(np.fmin(prev[:-half], prev[half:]))
-    return mins
-
-
-def _first_below(mins: list[np.ndarray], start, target) -> np.ndarray:
-    """First index j >= start with v[j] < target, ``v.size`` if there is none.
-
-    ``mins`` is ``_range_minima(v)``. Binary lifting: from the widest level
-    down, a block is skipped while its minimum is not below the target.
-    """
-    n = mins[0].size
-    pos = np.array(start, dtype=np.int64)
-    for level in range(len(mins) - 1, -1, -1):
-        width = 1 << level
-        m = mins[level][np.minimum(pos, mins[level].size - 1)]
-        pos += np.where((pos + width <= n) & ~(m < target), width, 0)
-    return pos
-
-
 class TransportEvaluator:
-    """Shared evaluation grid for the level-``p`` transport map.
+    """Evaluation grid for the level-``p`` transport map.
 
-    Serves ``transport_upper``/``transport_lower``; no bound route uses it
-    (the constrained VaR and essential bounds are a closed form in
-    ``bounds``), and with ``p=`` it is the tests' reference for
-    that closed form. Built once per ordered pair and tail level; the order
-    check covers the whole pair. The grid merges both quantile functions
-    at the levels ``p + (1 - p) u`` with every atom, so a sign change of
-    the target between consecutive nodes is at most one cell wide.
+    Serves ``transport_upper``/``transport_lower``; no bound reads T (the
+    constrained VaR and essential bounds are a closed form in ``bounds``),
+    and with ``p=`` it is the tests' reference for that closed form. The
+    order check covers the whole pair. The grid merges both quantile
+    functions at the levels ``p + (1 - p) u`` with every atom, so a sign
+    change of the target between consecutive nodes is at most one cell
+    wide: ``upper_many`` scans the nodes from each x for the first one
+    below the target, then bisects that cell.
     """
 
     def __init__(self, f: Dist, g: Dist, *, p: float = 0.0):
@@ -138,7 +116,6 @@ class TransportEvaluator:
         self.f, self.g, self.p = f, g, p
         self.zs = _merged_grid((f, g), DEFAULT_SCAN_N, p)
         self.dz = self.diff(self.zs)
-        self._mins = _range_minima(self.dz)
 
     def diff(self, z):
         """F(z) - max(G(z), p): (1 - p) times the upper p-tails' F - G above F^{-1}(p)."""
@@ -149,7 +126,7 @@ class TransportEvaluator:
 
         The target is F(x) - max(G(x), p), so for x in [F^{-1}(p), G^{-1}(p)]
         this is T_p(x) = inf{z >= x : F(z) - G(z) < F(x) - p}, and T(x) at
-        p = 0. Range-minimum lookup of the first grid node at or after x
+        p = 0. A scan of the grid nodes from x, per point, for the first one
         strictly below the target, then a joint bisection over all active
         brackets; the upper bracket end is returned, hence >= the infimum.
         """
@@ -159,7 +136,11 @@ class TransportEvaluator:
         out = np.full(flat.shape, math.inf)
         idx = np.flatnonzero((dx > 0.0) & np.isfinite(flat))
         start = np.searchsorted(self.zs, flat[idx], side="left")
-        j = _first_below(self._mins, start, dx[idx])
+        # first node at or after x below the target, dz.size if there is none
+        j = np.array(
+            [k + np.argmax(np.append(self.dz[k:] < d, True)) for k, d in zip(start, dx[idx])],
+            dtype=np.int64,
+        )
         hit = j < self.dz.size
         idx, j = idx[hit], j[hit]
         if idx.size:
@@ -178,16 +159,14 @@ class TransportEvaluator:
             out[idx] = b
         return out.reshape(xs.shape)
 
-    def upper(self, x: float) -> float:
-        return float(self.upper_many(np.array([float(x)]))[0])
-
 
 def transport_upper(f: Dist, g: Dist, x: float) -> float:
     """T(x) = inf{z >= x : F(z)-G(z) < F(x)-G(x)}; +inf on an empty set.
 
-    Requires F <= G in the usual stochastic order.
+    Requires F <= G in the usual stochastic order; DomainError for a NaN or non-real x.
     """
-    return TransportEvaluator(f, g).upper(float(x))
+    x = _check_real(x, "point x")
+    return float(TransportEvaluator(f, g).upper_many(np.array([x]))[0])
 
 
 def transport_lower(f: Dist, g: Dist, x: float) -> float:
@@ -196,7 +175,7 @@ def transport_lower(f: Dist, g: Dist, x: float) -> float:
     Computed through the exact reflection identity
     ``-transport_upper(negate(G), negate(F), -x)``; no grid law is built.
     """
-    return -transport_upper(negate_dist(g), negate_dist(f), -float(x))
+    return -transport_upper(negate_dist(g), negate_dist(f), -_check_real(x, "point x"))
 
 
 def dl_cdf(f: Dist, g: Dist, x: float, y: float) -> float:
@@ -206,7 +185,7 @@ def dl_cdf(f: Dist, g: Dist, x: float, y: float) -> float:
     ``F(x) - inf_{z in [x,y]} (F(z) - G(z))``, clamped to [0, 1]: a scan of
     x, the pair's memoised nodes inside [x, y] and y, then one refinement.
     """
-    x, y = float(x), float(y)
+    x, y = _check_real(x, "point x"), _check_real(y, "point y")
     _require_order(f, g)
     if y <= x:
         return float(g.cdf(y))
@@ -333,11 +312,15 @@ def dl_plan_discrete(
 
 
 def dl_sum_cdf(plan: DlPlan, t):
-    """P(X + Y <= t) under the plan: (1/n) #. {k : x_k + y_k <= t}."""
-    scalar = np.ndim(t) == 0
-    tt = np.asarray(t, dtype=float)
+    """P(X + Y <= t) under the plan: (1/n) #. {k : x_k + y_k <= t}.
+
+    DomainError for a NaN or non-real t, or an array holding one.
+    """
+    tt = np.asarray(t)
+    if tt.dtype.kind not in "biuf" or np.isnan(tt).any():
+        raise DomainError("threshold t must be a real number, or an array of them, not NaN")
     out = np.searchsorted(plan.sums_sorted, tt, side="right") / plan.n
-    return float(out) if scalar else out
+    return float(out) if tt.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +364,11 @@ def sample_coupling(
     """
     if kind not in COUPLING_KINDS:
         raise DomainError(f"unknown coupling kind {kind!r}")
+    if not (isinstance(size, numbers.Integral) and size >= 1):
+        raise DomainError(f"sample size must be an integer >= 1: {size!r}")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise DomainError(f"seed must be an integer >= 0: {seed!r}")
     size = int(size)
-    if size < 1:
-        raise DomainError("sample size must be positive")
     rng = np.random.default_rng(seed)
     if kind == "comonotone":
         u = _safe_levels(rng.random(size))

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -339,6 +340,13 @@ def _check_grid_n(n) -> int:
     if not (n >= 2 and float(n).is_integer()):  # NaN and inf fail too
         raise DomainError("grid size must be at least 2 and an integer")
     return int(n)
+
+
+def _check_real(x, name: str) -> float:
+    """``x`` as a float; DomainError unless it is a real number other than NaN (+-inf pass)."""
+    if not isinstance(x, numbers.Real) or math.isnan(x):
+        raise DomainError(f"{name} must be a real number, not NaN: {x!r}")
+    return float(x)
 
 
 def _check_trunc(trunc: float) -> None:

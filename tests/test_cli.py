@@ -75,6 +75,10 @@ def test_config_validation():
         ["sample", *MARG, "--kind", "dl", "--size", "0"],
         ["probbounds", *MARG, "--t-from", "5", "--t-to", "8", "--t-step", "-1.0"],
         ["casestudy", *OBS, "--max-violation", "-0.1"],
+        ["sample", *MARG, "--kind", "dl", "--size", "10", "--seed", "-1"],
+        ["casestudy", *OBS, "--seed", "-1"],
+        ["casestudy", *OBS, "--groupX", "0"],
+        ["casestudy", *OBS, "--groupY", "-1"],
     ]:
         with pytest.raises(DomainError):
             _validate(parsed(*argv))

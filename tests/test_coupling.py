@@ -17,11 +17,9 @@ from ordrisk.coupling import (
     COUPLING_KINDS,
     DlPlan,
     TransportEvaluator,
-    _first_below,
     _grid_points,
     _match,
     _plan_levels,
-    _range_minima,
     dl_cdf,
     dl_plan_discrete,
     dl_sum_cdf,
@@ -83,8 +81,13 @@ def test_transport_dominates_identity(x):
 def test_transport_lower_mirror():
     # identical marginals leave nothing strictly below any point
     assert transport_lower(PF, PF, 3.0) == -math.inf
-    got = transport_lower(Uniform(0, 1), Uniform(0, 1.5), 1.2)
-    assert got <= 1.2
+    # F - G is t/3 on [0, 1] and 1 - t/1.5 on [1, 1.5]: below D(x) up to x, then up to 3 - 2x
+    f, g = Uniform(0, 1), Uniform(0, 1.5)
+    xs = np.linspace(0.05, 1.45, 29)
+    got = [transport_lower(f, g, x) for x in xs]
+    assert_allclose(got, np.where(xs <= 1.0, xs, 3.0 - 2.0 * xs), rtol=1e-9)
+    # D(0) = D(1.5) = 0 and F - G is never negative: nothing lies strictly below
+    assert transport_lower(f, g, 0.0) == transport_lower(f, g, 1.5) == -math.inf
 
 
 def test_transport_lower_pareto_exact():
@@ -99,7 +102,7 @@ def test_level_p_evaluator_is_the_tail_map():
     tails = TransportEvaluator(upper_tail(PF, p), upper_tail(PG, p))
     xs = np.linspace(10.0, 20.0, 11)
     assert_allclose(ev.upper_many(xs), tails.upper_many(xs), rtol=1e-9)
-    assert_allclose(ev.upper(15.0), 15.0 / (15.0 * (1.0 - p) - 1.0), rtol=1e-9)
+    assert_allclose(ev.upper_many([15.0]), [15.0 / (15.0 * (1.0 - p) - 1.0)], rtol=1e-9)
     with pytest.raises(DomainError):
         TransportEvaluator(PF, PG, p=1.0)
 
@@ -108,7 +111,7 @@ def test_transport_evaluator_matches_scalar():
     ev = TransportEvaluator(PF, PG)
     xs = np.array([1.2, 1.5, 1.8])
     many = ev.upper_many(xs)
-    single = [ev.upper(float(x)) for x in xs]
+    single = [transport_upper(PF, PG, x) for x in xs]
     assert_allclose(many, single, rtol=1e-9)
 
 
@@ -187,20 +190,6 @@ def test_upper_many_matches_loop_reference(name):
     np.testing.assert_array_equal(ev.upper_many(xs[:30].reshape(10, 3)), got[:30].reshape(10, 3))
 
 
-def test_first_below_brute_force_with_nan():
-    rng = np.random.default_rng(7)
-    for n in (1, 2, 3, 7, 64, 100):
-        v = rng.normal(size=n)
-        v[rng.random(n) < 0.3] = np.nan
-        mins = _range_minima(v)
-        start = rng.integers(0, n + 1, 200)
-        target = rng.normal(size=200)
-        got = _first_below(mins, start, target)
-        for s, t, j in zip(start, target, got):
-            below = np.flatnonzero(v[s:] < t)
-            assert j == (s + below[0] if below.size else n)
-
-
 # ---------------------------------------------------------------------------
 # joint CDF
 
@@ -211,6 +200,43 @@ def test_dl_cdf_values():
     assert_allclose(dl_cdf(PF, PG, 5.0, 3.0), PG.cdf(3.0), atol=1e-12)
 
 
+_PLAN = dl_plan_discrete(PF, PG, 50)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: transport_upper(PF, PG, math.nan),
+        lambda: transport_lower(PF, PG, math.nan),
+        lambda: transport_upper(PF, PG, "2"),
+        lambda: dl_cdf(PF, PG, 2.0, math.nan),
+        lambda: dl_cdf(PF, PG, math.nan, 3.0),
+        lambda: dl_cdf(PF, PG, "2", 3.0),
+        lambda: dl_sum_cdf(_PLAN, math.nan),
+        lambda: dl_sum_cdf(_PLAN, [4.0, math.nan]),
+        lambda: dl_sum_cdf(_PLAN, "4"),
+        lambda: dl_sum_cdf(_PLAN, ["4"]),
+    ],
+    ids=[
+        "upper-nan", "lower-nan", "upper-str", "cdf-y-nan", "cdf-x-nan", "cdf-str",
+        "sum-nan", "sum-array-nan", "sum-str", "sum-array-str",
+    ],
+)
+def test_coupling_points_refused(call):
+    # a NaN used to give a number (inf, 0.49988, 1.0, ...) and a string a ValueError
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_coupling_infinite_points_keep_their_values():
+    inf = math.inf
+    assert transport_upper(PF, PG, inf) == inf and transport_lower(PF, PG, -inf) == -inf
+    assert dl_cdf(PF, PG, 2.0, inf) == PF.cdf(2.0) and dl_cdf(PF, PG, -inf, inf) == 0.0
+    assert_allclose(dl_cdf(PF, PG, inf, 3.0), PG.cdf(3.0), rtol=1e-15)
+    assert dl_sum_cdf(_PLAN, -inf) == 0.0 and dl_sum_cdf(_PLAN, np.array(inf)) == 1.0
+    np.testing.assert_array_equal(dl_sum_cdf(_PLAN, [-inf, inf]), [0.0, 1.0])
+
+
 def test_dl_cdf_refuses_unordered_pair():
     # the y <= x shortcut still checks the order
     with pytest.raises(OrderViolationError):
@@ -219,7 +245,7 @@ def test_dl_cdf_refuses_unordered_pair():
 
 def test_dl_cdf_builds_no_evaluator(monkeypatch):
     # the joint CDF scans the pair's memoised nodes, which are the evaluator's
-    # nodes, without building the evaluator and its range-minimum table
+    # nodes, without building the evaluator and the F - G values on them
     built = {"evaluator": 0}
     original = TransportEvaluator.__init__
 
@@ -585,8 +611,13 @@ def test_sample_unknown_kind():
 
 
 def test_sample_size_validation():
-    with pytest.raises(DomainError):
-        sample_coupling(PF, PG, "dl", 0, 0)
+    # 2.5 used to draw 2 silently and "3" to pass; a float or negative seed
+    # ended in a numpy TypeError or ValueError
+    for size, seed in [(0, 0), (2.5, 0), ("3", 0), (3, 2.5), (3, -1), (3, "1")]:
+        with pytest.raises(DomainError):
+            sample_coupling(PF, PG, "dl", size, seed)
+    b = sample_coupling(PF, PG, "comonotone", np.int64(3), np.int64(1))
+    assert (b.size, b.seed) == (3, 1)
 
 
 # ---------------------------------------------------------------------------
