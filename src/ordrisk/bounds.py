@@ -70,7 +70,6 @@ mo/Mo exactly. Each is one CDF scan and one refinement.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
@@ -86,6 +85,8 @@ from .dist import (
     Dist,
     Normal,
     _Negated,
+    _check_count,
+    _check_level,
     _check_real,
     _merged_grid,
     _per_pair,
@@ -123,20 +124,6 @@ __all__ = [
     "ct_sum_var",
     "ct_sum_values",
 ]
-
-def _check_p(p: float | None) -> float:
-    if not (isinstance(p, numbers.Real) and 0.0 < p < 1.0):
-        raise DomainError("level p must lie in (0, 1)")
-    return float(p)
-
-
-def _check_pq(p: float, q: float, *, allow_p0: bool) -> tuple[float, float]:
-    real = isinstance(p, numbers.Real) and isinstance(q, numbers.Real)
-    lo_ok = real and (p >= 0.0 if allow_p0 else p > 0.0)
-    if not (lo_ok and p < q < 1.0):
-        kind = "0 <= p < q < 1" if allow_p0 else "0 < p < q < 1"
-        raise DomainError(f"rvar levels require {kind}")
-    return float(p), float(q)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +285,7 @@ def best_ess_sup_unconstrained(f: Dist, g: Dist) -> float:
 
 def worst_var_constrained(f: Dist, g: Dist, p: float) -> float:
     """Worst-case VaR at level p under the order constraint: ``_dl_min`` at level p."""
-    return _dl_min(f, g, _check_p(p))
+    return _dl_min(f, g, _check_level(p))
 
 
 def best_var_constrained(f: Dist, g: Dist, p: float) -> float:
@@ -308,18 +295,18 @@ def best_var_constrained(f: Dist, g: Dist, p: float) -> float:
     p, which is inf{t : Mo(t) >= p}. X <= Y gives X + Y >= 2X, so the
     value is raised to 2 F^{-1}(p) where rounding leaves it below.
     """
-    p = _check_p(p)
+    p = _check_level(p)
     return max(_dl_max(f, g, p), 2.0 * float(_quantile(f, p, False)))
 
 
 def worst_var_unconstrained(f: Dist, g: Dist, p: float) -> float:
     """Worst-case VaR over all couplings, inf{t : m(t) >= p}: unordered ``_dl_min``."""
-    return _dl_min(f, g, _check_p(p), ordered=False)
+    return _dl_min(f, g, _check_level(p), ordered=False)
 
 
 def best_var_unconstrained(f: Dist, g: Dist, p: float) -> float:
     """Best-case VaR over all couplings, inf{t : M(t) >= p}: unordered ``_dl_max``."""
-    return _dl_max(f, g, _check_p(p), ordered=False)
+    return _dl_max(f, g, _check_level(p), ordered=False)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +320,7 @@ def worst_es_constrained(f: Dist, g: Dist, p: float) -> float:
     generator of ES is the mean, which is coupling-invariant). Infinite
     tail means propagate as inf.
     """
-    p = _check_p(p)
+    p = _check_level(p)
     return es_eval(f, p) + es_eval(g, p)
 
 
@@ -345,7 +332,7 @@ def best_es_constrained(
     grid_n: int = DEFAULT_GRID_N,
 ) -> float:
     """Best-case ES under the order constraint: ES of the directed-coupling sum."""
-    p = _check_p(p)
+    p = _check_level(p)
     return _upper_frac_mean(_per_pair(_level_free, f, g, grid_n, 1.0, True)[1], 1.0 - p)
 
 
@@ -353,7 +340,7 @@ def best_es_unconstrained(
     f: Dist, g: Dist, p: float, *, grid_n: int = DEFAULT_GRID_N
 ) -> float:
     """Best-case ES over all couplings: ES of the countermonotone sum."""
-    p = _check_p(p)
+    p = _check_level(p)
     return _upper_frac_mean(_per_pair(_level_free, f, g, grid_n, 1.0, False), 1.0 - p)
 
 
@@ -374,7 +361,7 @@ def worst_rvar_constrained(
     Mean of the lowest a-fraction of directed-coupling upper-tail sums,
     a = (q-p)/(1-p).
     """
-    p, q = _check_pq(p, q, allow_p0=True)
+    p, q = _check_level(p, q, name="rvar levels", within="[0, 1)")
     plan = dl_plan_discrete(f, g, grid_n, p)
     return _lower_frac_mean(np.sort(plan.mean_sums), (q - p) / (1.0 - p))
 
@@ -391,7 +378,7 @@ def best_rvar_constrained(
 
     ES at level p/q of the directed coupling on the level window [0, q).
     """
-    p, q = _check_pq(p, q, allow_p0=False)
+    p, q = _check_level(p, q, name="rvar levels")
     return _upper_frac_mean(_per_pair(_level_free, f, g, grid_n, q, True)[1], 1.0 - p / q)
 
 
@@ -399,7 +386,7 @@ def worst_rvar_unconstrained(
     f: Dist, g: Dist, p: float, q: float, *, grid_n: int = DEFAULT_GRID_N
 ) -> float:
     """Worst-case RVaR over all couplings: countermonotone upper p-tails."""
-    p, q = _check_pq(p, q, allow_p0=True)
+    p, q = _check_level(p, q, name="rvar levels", within="[0, 1)")
     return _lower_frac_mean(np.sort(_ct_cells(f, g, grid_n, p)), (q - p) / (1.0 - p))
 
 
@@ -407,7 +394,7 @@ def best_rvar_unconstrained(
     f: Dist, g: Dist, p: float, q: float, *, grid_n: int = DEFAULT_GRID_N
 ) -> float:
     """Best-case RVaR over all couplings: countermonotone lower q-tails."""
-    p, q = _check_pq(p, q, allow_p0=False)
+    p, q = _check_level(p, q, name="rvar levels")
     return _upper_frac_mean(_per_pair(_level_free, f, g, grid_n, q, False), 1.0 - p / q)
 
 
@@ -454,14 +441,14 @@ def dl_sum_var(
     grid_n: int = DEFAULT_GRID_N,
 ) -> float:
     """VaR at level p of the directed-coupling sum of the whole marginals."""
-    p = _check_p(p)
+    p = _check_level(p)
     plan, _ = _per_pair(_level_free, f, g, grid_n, 1.0, True)
     return _sorted_quantile(plan.sums_sorted, p)
 
 
 def ct_sum_var(f: Dist, g: Dist, p: float, *, grid_n: int = DEFAULT_GRID_N) -> float:
     """VaR at level p of the countermonotone sum of the whole marginals."""
-    p = _check_p(p)
+    p = _check_level(p)
     return _sorted_quantile(_per_pair(_level_free, f, g, grid_n, 1.0, False), p)
 
 
@@ -702,7 +689,8 @@ def bound_report(
     A level or threshold the measure does not read (``q`` outside rvar,
     ``t`` outside prob, ``p`` with prob) raises instead of being ignored,
     and so does one that is not a real number or lies out of range (the
-    ``p`` that ess-inf and ess-sup only report included).
+    ``p`` that ess-inf and ess-sup only report included), or a ``grid_n``
+    that is not an integer of at least 1, which every report records.
     """
     try:
         measure = _MEASURE_ALIASES[str(measure).lower()]
@@ -716,7 +704,8 @@ def bound_report(
         if unread and value is not None:
             raise DomainError(f"measure {measure} does not take {name}")
     if p is not None:  # ess-inf and ess-sup report a p they do not read: a level too
-        p = _check_p(p)
+        p = _check_level(p)
+    grid_n = _check_count(grid_n, "cell count n")
     if measure == "var":
         cw = worst_var_constrained(f, g, p)
         cb = best_var_constrained(f, g, p)
@@ -729,7 +718,7 @@ def bound_report(
         ub = best_es_unconstrained(f, g, p, grid_n=grid_n)
     elif measure == "rvar":
         if p is None or q is None:
-            raise DomainError("rvar needs both p and q")
+            raise DomainError("rvar needs both levels p and q")
         cw = worst_rvar_constrained(f, g, p, q, grid_n=grid_n)
         cb = best_rvar_constrained(f, g, p, q, grid_n=grid_n)
         uw = worst_rvar_unconstrained(f, g, p, q, grid_n=grid_n)
@@ -768,7 +757,7 @@ def bound_report(
         r_u=r_u,
         r=r,
         attaining=_ATTAINING[measure],
-        grid_n=int(grid_n),
+        grid_n=grid_n,
         truncation_m=DEFAULT_TRUNC,
     )
 

@@ -58,6 +58,8 @@ from .dist import (
     Normal,
     Pareto,
     Uniform,
+    _check_count,
+    _check_level,
     _per_pair,
     _write_table,
     check_st,
@@ -92,19 +94,13 @@ def _validate(args: argparse.Namespace) -> None:
             raise DomainError("level grid must satisfy 0 < p_from <= p_to < 1")
         if args.p_step <= 0.0:
             raise DomainError("p step must be positive")
-    if a.get("grid_n", 100) < 100:
-        raise DomainError("grid_n must be at least 100")
+    counts = {"grid_n": 100, "replicates": 1, "size": 1, "seed": 0, "group_x": 1, "group_y": 1}
+    for dest, least in counts.items():
+        if dest in a:
+            _check_count(a[dest], dest, least)
     q = a.get("q")
-    if q is not None and not 0.0 < q < 1.0:
-        raise DomainError("q must lie in (0, 1)")
-    if a.get("replicates", 1) < 1:
-        raise DomainError("replicate count must be positive")
-    if a.get("size", 1) < 1:
-        raise DomainError("sample size must be positive")
-    if a.get("seed", 0) < 0:
-        raise DomainError("seed must be nonnegative")
-    if min(a.get("group_x", 1), a.get("group_y", 1)) < 1:
-        raise DomainError("group sizes must be positive")
+    if q is not None:
+        _check_level(q, name="q")
     if "t_step" in a:
         if args.t_step <= 0.0:
             raise DomainError("t step must be positive")

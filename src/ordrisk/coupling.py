@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -40,6 +39,8 @@ from .dist import (
     DEFAULT_TRUNC,
     Dist,
     _cell_means,
+    _check_count,
+    _check_level,
     _check_real,
     _merged_grid,
     _per_pair,
@@ -79,9 +80,7 @@ def _window_means(f: Dist, g: Dist, n: int, p: float, q: float):
     (``bounds._ct_cells``). DomainError unless n is a positive integer,
     or if X + Y has no mean.
     """
-    if not (n >= 1 and float(n).is_integer()):  # NaN fails too
-        raise DomainError("cell count n must be a positive integer")
-    n = int(n)
+    n = _check_count(n, "cell count n")
     fm, gm = _cell_means(f, n, p, q), _cell_means(g, n, p, q)
     if min(fm[0], gm[0]) == -np.inf and max(fm[-1], gm[-1]) == np.inf:
         raise DomainError("mean of X + Y undefined: one marginal has mean -inf, the other +inf")
@@ -109,9 +108,7 @@ class TransportEvaluator:
     """
 
     def __init__(self, f: Dist, g: Dist, *, p: float = 0.0):
-        p = float(p)
-        if not 0.0 <= p < 1.0:
-            raise DomainError("tail level p must lie in [0, 1)")
+        p = _check_level(p, name="tail level p", within="[0, 1)")
         _require_order(f, g)
         self.f, self.g, self.p = f, g, p
         self.zs = _merged_grid((f, g), DEFAULT_SCAN_N, p)
@@ -285,24 +282,20 @@ def dl_plan_discrete(
     p: float = 0.0,
     *,
     q: float = 1.0,
-    check: bool = True,
 ) -> DlPlan:
     """Directed coupling plan on the n equal level cells of [p, q).
 
     The points sit at the left cell ends p + (q-p)(n-i)/n, i = 1..n;
     iteration runs in decreasing x, matching each x_k with
-    min{y in S_k : y >= x_k} and removing the match from S_k. Raises
-    PlanInfeasibleError when no admissible y remains, which signals a
-    stochastic-order violation at grid resolution; ``check`` first checks
-    the order of the whole pair. ``mean_sums`` adds the paired cell means.
+    min{y in S_k : y >= x_k} and removing the match from S_k. The order
+    of the whole pair is checked first (OrderViolationError); a
+    PlanInfeasibleError, when no admissible y remains, signals an order
+    violation at grid resolution. ``mean_sums`` adds the paired cell means.
     """
-    p, q = float(p), float(q)
-    if not 0.0 <= p < q <= 1.0:
-        raise DomainError("plan level window must satisfy 0 <= p < q <= 1")
-    if check:
-        _require_order(f, g)
-    fm, gm = _per_pair(_window_means, f, g, n, p, q)  # refuses a bad n
-    n = int(n)
+    p, q = _check_level(p, q, name="plan levels", within="[0, 1]")
+    n = _check_count(n, "cell count n")
+    _require_order(f, g)
+    fm, gm = _per_pair(_window_means, f, g, n, p, q)
     levels = _plan_levels(n, p, q)
     xs = _grid_points(f, levels)
     ys = _grid_points(g, levels)
@@ -364,11 +357,8 @@ def sample_coupling(
     """
     if kind not in COUPLING_KINDS:
         raise DomainError(f"unknown coupling kind {kind!r}")
-    if not (isinstance(size, numbers.Integral) and size >= 1):
-        raise DomainError(f"sample size must be an integer >= 1: {size!r}")
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
-        raise DomainError(f"seed must be an integer >= 0: {seed!r}")
-    size = int(size)
+    size, seed = _check_count(size, "sample size"), _check_count(seed, "seed", 0)
+    plan_n = _check_count(plan_n, "cell count n")  # read by dl only, checked for every kind
     rng = np.random.default_rng(seed)
     if kind == "comonotone":
         u = _safe_levels(rng.random(size))
@@ -393,7 +383,7 @@ def sample_coupling(
         else:
             x = plan.x[idx].copy()
             y = plan.y[idx].copy()
-    return SampleBatch(coupling_kind=kind, x=x, y=y, seed=int(seed), size=size)
+    return SampleBatch(coupling_kind=kind, x=x, y=y, seed=seed, size=size)
 
 
 # ---------------------------------------------------------------------------

@@ -335,18 +335,37 @@ def _midpoints(n: int) -> np.ndarray:
     return (np.arange(n) + 0.5) / n
 
 
-def _check_grid_n(n) -> int:
-    """``n`` as an int; DomainError unless it is an integer of at least 2."""
-    if not (n >= 2 and float(n).is_integer()):  # NaN and inf fail too
-        raise DomainError("grid size must be at least 2 and an integer")
-    return int(n)
-
-
 def _check_real(x, name: str) -> float:
     """``x`` as a float; DomainError unless it is a real number other than NaN (+-inf pass)."""
     if not isinstance(x, numbers.Real) or math.isnan(x):
         raise DomainError(f"{name} must be a real number, not NaN: {x!r}")
     return float(x)
+
+
+def _check_level(*levels, name: str = "level p", within: str = "(0, 1)"):
+    """A level p, or a window p, q, as floats: the one level check.
+
+    DomainError unless each is a real number (numpy's too) inside ``within``, one of
+    "(0, 1)", "[0, 1)", "(0, 1]" and "[0, 1]", and a window has p < q.
+    """
+    lo, hi, one = levels[0], levels[-1], len(levels) == 1
+    ok = all(isinstance(u, numbers.Real) for u in levels) and (one or lo < hi)
+    ok = ok and (0.0 <= lo if within[0] == "[" else 0.0 < lo)
+    if not (ok and (hi <= 1.0 if within[-1] == "]" else hi < 1.0)):  # NaN fails too
+        rule, value = (within, lo) if one else (f"{within} with p < q", levels)
+        raise DomainError(f"{name} must lie in {rule}: {value!r}")
+    return float(lo) if one else (float(lo), float(hi))
+
+
+def _check_count(n, name: str, least: int = 1) -> int:
+    """``n`` as an int: the one count check (grid and cell sizes, sample size, seed).
+
+    DomainError unless it is an integer (numpy's too) of at least ``least``; 100.0 fails.
+    """
+    if not (isinstance(n, numbers.Integral) and n >= least):
+        rule = "a positive integer" if least == 1 else f"at least {least} and an integer"
+        raise DomainError(f"{name} must be {rule}: {n!r}")
+    return int(n)
 
 
 def _check_trunc(trunc: float) -> None:
@@ -360,7 +379,7 @@ def to_grid(d: Dist, n: int = DEFAULT_GRID_N, trunc: float = DEFAULT_TRUNC) -> Q
     Levels are clipped to ``[1 - trunc, trunc]`` so unbounded supports
     come out finite.
     """
-    n = _check_grid_n(n)
+    n = _check_count(n, "grid size", 2)
     _check_trunc(trunc)
     us = _midpoints(n)
     xs = d.quantile_left(np.clip(us, 1.0 - trunc, trunc))
@@ -377,10 +396,9 @@ def upper_tail(
     empirical inputs map to exact closed forms; other kinds are
     tabulated on a quantile grid of size ``grid_n``.
     """
-    p, grid_n = float(p), _check_grid_n(grid_n)
+    p = _check_level(p, name="tail level p", within="[0, 1)")
+    grid_n = _check_count(grid_n, "grid size", 2)
     _check_trunc(trunc)
-    if not 0.0 <= p < 1.0:
-        raise DomainError("tail level p must lie in [0, 1)")
     if p == 0.0:
         return d
     if isinstance(d, Pareto):
@@ -408,10 +426,9 @@ def lower_tail(
     The result has CDF ``min(F(x), p) / p``. Mirror of
     :func:`upper_tail`; ``p = 1`` returns ``d`` unchanged.
     """
-    p, grid_n = float(p), _check_grid_n(grid_n)
+    p = _check_level(p, name="tail level p", within="(0, 1]")
+    grid_n = _check_count(grid_n, "grid size", 2)
     _check_trunc(trunc)
-    if not 0.0 < p <= 1.0:
-        raise DomainError("tail level p must lie in (0, 1]")
     if p == 1.0:
         return d
     if isinstance(d, Uniform):
@@ -527,10 +544,11 @@ def _atom_points(d: Dist) -> np.ndarray:
 _TAIL_LEVELS = 1.0 - 0.5 ** np.arange(1, 61)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8, typed=True)
 def _scan_levels(grid_size: int, tail: bool) -> np.ndarray:
-    """The levels u of ``_merged_grid``, built once per argument pair (read-only)."""
-    us = np.clip(_midpoints(_check_grid_n(grid_size)), 1.0 - DEFAULT_TRUNC, DEFAULT_TRUNC)
+    """The levels u of ``_merged_grid``, built once per typed argument pair (read-only)."""
+    us = _midpoints(_check_count(grid_size, "grid size", 2))
+    us = np.clip(us, 1.0 - DEFAULT_TRUNC, DEFAULT_TRUNC)
     if tail:
         us = np.concatenate((us, _TAIL_LEVELS))
     us.flags.writeable = False
@@ -550,13 +568,14 @@ def _merged_grid(laws, grid_size: int, p: float = 0.0, tail: bool = False) -> np
     return np.unique(ts[np.isfinite(ts)])
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=16, typed=True)
 def _per_pair(build, *args):
     """``build(*args)`` once per key, the one memo of per-pair work (16 entries, LRU).
 
     Builders: the node grid ``_merged_grid``, the order check ``check_st``, a window's
     ``coupling._window_means`` and ``bounds._level_free``. Dist objects are immutable and
-    hashed by identity, so the key holds the objects, not their parameters. Every array
+    hashed by identity, so the key holds the objects, not their parameters. The memo is
+    typed: 100.0 is not the key 100, so it meets the count check of its build. Every array
     of a result is shared, so it is made read-only, in a tuple and in a plan's fields too.
     """
     out = build(*args)
@@ -567,7 +586,10 @@ def _per_pair(build, *args):
     return out
 
 
-def _default_check_tol(f: Dist, g: Dist, grid_size: int) -> float:
+def _order_tol(f: Dist, g: Dist, grid_size: int, tol) -> float:
+    """``tol`` as a float (DomainError unless it is a real number); None gives the default."""
+    if tol is not None:
+        return _check_real(tol, "tolerance tol")
     if f.kind in _PARAMETRIC_KINDS and g.kind in _PARAMETRIC_KINDS:
         return 1e-9
     return 2.0 / grid_size
@@ -584,8 +606,7 @@ def check_st(
     pairs and ``2/grid_size`` when an empirical or grid kind is involved.
     """
     ts = _per_pair(_merged_grid, (f, g), grid_size)
-    if tol is None:
-        tol = _default_check_tol(f, g, grid_size)
+    tol = _order_tol(f, g, grid_size, tol)
     d = np.asarray(f.cdf(ts)) - np.asarray(g.cdf(ts))
     i = int(np.argmin(d))
     mv = max(0.0, float(-d[i]))
@@ -600,8 +621,7 @@ def check_ss(f: Dist, g: Dist, grid_size: int = 2048, tol: float | None = None) 
     positive increase of ``F - G`` along the merged grid.
     """
     ts = _merged_grid((f, g), grid_size)
-    if tol is None:
-        tol = _default_check_tol(f, g, grid_size)
+    tol = _order_tol(f, g, grid_size, tol)
     lo = g.support_lo
     if math.isfinite(lo):
         ts = ts[ts >= lo]
@@ -626,8 +646,9 @@ def isotonic_pair_projection(f_hat: Dist, g_hat: Dist, w_f: float = 1.0, w_g: fl
     the order cone, but it is not the weighted least-squares projection
     onto it, which would pool across neighbouring atoms as well.
     """
-    if not (w_f > 0 and w_g > 0):
-        raise DomainError("projection weights must be positive")
+    w_f, w_g = _check_real(w_f, "weight w_f"), _check_real(w_g, "weight w_g")
+    if not (0.0 < w_f < math.inf and 0.0 < w_g < math.inf):
+        raise DomainError("projection weights must be positive and finite")
     if f_hat.kind not in ("empirical", "grid") or g_hat.kind not in ("empirical", "grid"):
         raise DomainError("projection expects empirical or grid inputs")
     ts = np.unique(np.concatenate([_atom_points(f_hat), _atom_points(g_hat)]))
@@ -747,17 +768,13 @@ def es_eval(d: Dist, p: float) -> float:
 
     Returns ``inf`` explicitly when the tail mean diverges.
     """
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise DomainError("es level must lie in (0, 1)")
+    p = _check_level(p)
     return float(_quantile_integral(d, p, 1.0)) / (1.0 - p)
 
 
 def rvar_eval(d: Dist, p: float, q: float) -> float:
     """Range value-at-risk: the average of the quantile over ``[p, q]``."""
-    p, q = float(p), float(q)
-    if not (0.0 <= p < q < 1.0):
-        raise DomainError("rvar levels require 0 <= p < q < 1")
+    p, q = _check_level(p, q, name="rvar levels", within="[0, 1)")
     return float(_quantile_integral(d, p, q)) / (q - p)
 
 

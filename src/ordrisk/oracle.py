@@ -19,7 +19,8 @@ from .dist import (
     DEFAULT_GRID_N,
     Dist,
     OrderCheckReport,
-    _check_grid_n,
+    _check_count,
+    _check_level,
     _midpoints,
     _write_table,
     check_ss,
@@ -47,10 +48,8 @@ def ra_unconstrained_var(f: Dist, g: Dist, p: float, n: int) -> float:
     needed: the value is the minimal row sum of the F-tail column paired
     with the reversed G-tail column on an n-point grid.
     """
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise DomainError("level p must lie in (0, 1)")
-    us = p + (1.0 - p) * _midpoints(_check_grid_n(n))
+    p = _check_level(p)
+    us = p + (1.0 - p) * _midpoints(_check_count(n, "grid size", 2))
     rows = np.asarray(f.quantile_left(us)) + np.asarray(g.quantile_left(us))[::-1]
     return float(rows.min())
 
@@ -104,7 +103,7 @@ def write_stop_loss_csv(curve: StopLossCurve, path):
 
 def grid_convergence(fn, levels, n: int) -> float:
     """Largest |fn(level, n) - fn(level, 2n)| over the level grid."""
-    n = int(n)
+    n = _check_count(n, "grid size n")
     worst = 0.0
     for level in levels:
         worst = max(worst, abs(fn(level, n) - fn(level, 2 * n)))
@@ -125,9 +124,7 @@ def conditional_tail_ss_check(
     mask = np.asarray(event_mask, dtype=bool).ravel()
     if mask.shape != samples.shape:
         raise DomainError("event mask must match samples")
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise DomainError("level p must lie in (0, 1)")
+    p = _check_level(p)
     required = math.ceil((1.0 - p) * samples.size)
     if int(mask.sum()) != required:
         raise DomainError(
@@ -143,9 +140,7 @@ def comonotone_es(f: Dist, g: Dist, p: float, *, grid_n: int = DEFAULT_GRID_N) -
 
     Exact-summation cross-check for the marginal-additivity route.
     """
-    p, grid_n = float(p), _check_grid_n(grid_n)
-    if not 0.0 < p < 1.0:
-        raise DomainError("level p must lie in (0, 1)")
+    p, grid_n = _check_level(p), _check_count(grid_n, "grid size", 2)
     us = p + (1.0 - p) * _midpoints(grid_n)
     vals = np.asarray(f.quantile_left(us)) + np.asarray(g.quantile_left(us))
     return math.fsum(vals.tolist()) / grid_n

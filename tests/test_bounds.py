@@ -1174,7 +1174,7 @@ _MEAN_ROUTES = {
 }
 
 
-@pytest.mark.parametrize("n", [0, -3, 1.5, math.nan, math.inf])
+@pytest.mark.parametrize("n", [0, -3, 1.5, math.nan, math.inf, 100.0, "100", None])
 @pytest.mark.parametrize("route", sorted(_MEAN_ROUTES))
 def test_mean_routes_refuse_a_bad_cell_count(route, n):
     # every route reads its cell means from one builder, which refuses n

@@ -360,8 +360,10 @@ def test_plan_identical_marginals_all_common():
 def test_plan_infeasible_reversed_pair():
     with pytest.raises((PlanInfeasibleError, OrderViolationError)):
         dl_plan_discrete(Uniform(0, 2), Uniform(0, 1), 100)
+    # the matching alone, without the plan's order check first
+    levels = _plan_levels(100, 0.0)
     with pytest.raises(PlanInfeasibleError):
-        dl_plan_discrete(Uniform(0, 2), Uniform(0, 1), 100, check=False)
+        _match(_grid_points(Uniform(0, 2), levels), _grid_points(Uniform(0, 1), levels))
 
 
 def test_plan_validation():
@@ -399,9 +401,11 @@ def test_plan_feasibility_tracks_order(n):
     g = Empirical(ys, np.full(n, 1.0 / n))
     ordered = bool(np.all(ys >= xs))
     violation = float(np.max(np.searchsorted(ys, xs, side="left") - np.arange(n))) / n
+    levels = _plan_levels(n, 0.0)
+    px, py = _grid_points(f, levels), _grid_points(g, levels)
     try:
-        plan = dl_plan_discrete(f, g, n, check=False)
-        assert np.all(plan.x <= plan.y)
+        y_idx = _match(px, py)  # the plan's matching, without its order check first
+        assert np.all(px <= py[y_idx])
         assert violation <= 2.0 / n
     except PlanInfeasibleError:
         assert not ordered
@@ -440,11 +444,13 @@ def test_plan_matching_matches_stack_loop(xv, yv, n, window):
         expected = _stack_match(xs, ys)
     except PlanInfeasibleError as exc:
         with pytest.raises(PlanInfeasibleError, match=re.escape(str(exc))):
-            dl_plan_discrete(f, g, n, p, q=q, check=False)
+            _match(_grid_points(f, levels), _grid_points(g, levels))
         return
-    plan = dl_plan_discrete(f, g, n, p, q=q, check=False)
-    np.testing.assert_array_equal(plan.y_index, expected)
-    np.testing.assert_array_equal(plan.y, ys[expected])
+    # the plan's matching on its grid points, without its order check first
+    gy = _grid_points(g, levels)
+    y_idx = _match(_grid_points(f, levels), gy)
+    np.testing.assert_array_equal(y_idx, expected)
+    np.testing.assert_array_equal(gy[y_idx], ys[expected])
 
 
 @pytest.mark.parametrize(
@@ -612,8 +618,9 @@ def test_sample_unknown_kind():
 
 def test_sample_size_validation():
     # 2.5 used to draw 2 silently and "3" to pass; a float or negative seed
-    # ended in a numpy TypeError or ValueError
-    for size, seed in [(0, 0), (2.5, 0), ("3", 0), (3, 2.5), (3, -1), (3, "1")]:
+    # ended in a numpy TypeError or ValueError; integral floats are refused too
+    bad = [(0, 0), (2.5, 0), ("3", 0), (3, 2.5), (3, -1), (3, "1")]
+    for size, seed in bad + [(3.0, 0), (3, 1.0), (None, 0), (3, None), (math.nan, 0)]:
         with pytest.raises(DomainError):
             sample_coupling(PF, PG, "dl", size, seed)
     b = sample_coupling(PF, PG, "comonotone", np.int64(3), np.int64(1))
