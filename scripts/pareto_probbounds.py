@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from ordrisk.bounds import (
-    ct_sum_values,
+    ct_sum_cdf,
     prob_lower,
     prob_lower_unconstrained,
     prob_upper,
@@ -34,7 +34,6 @@ def main(argv=None):
 
     f, g = Pareto(1.0, 1.0), Pareto(2.0, 1.0)
     plan = dl_plan_discrete(f, g, args.grid_n, 0.0)
-    ct = np.sort(ct_sum_values(f, g, grid_n=args.grid_n))
     count = int(round((args.t_to - args.t_from) / args.t_step))
     ts = np.linspace(args.t_from, args.t_to, count + 1)
 
@@ -54,7 +53,7 @@ def main(argv=None):
                 max(0.0, 1.0 - 4.0 / t),
                 max(0.0, 1.0 - 2.0 / (t - 1.0)) if t > 1.0 else 0.0,
                 dl_sum_cdf(plan, t),
-                float(np.searchsorted(ct, t, side="right")) / ct.size,
+                ct_sum_cdf(f, g, t, grid_n=args.grid_n),
             ]
             writer.writerow([f"{v:.8g}" for v in row])
     print(f"wrote {args.out} ({ts.size} thresholds)")

@@ -19,7 +19,7 @@ from .bounds import (
     best_var_constrained,
     best_var_unconstrained,
     bound_report,
-    ct_sum_values,
+    ct_sum_cdf,
     ct_sum_var,
     dl_sum_var,
     du_reduction,

@@ -27,8 +27,9 @@ bounds), the level p + F(z) - G(z) becomes p + 1 - G(z) and 2b becomes
 F^{-1}(1) + b: with z = G^{-1}(1 - a) this is the Makarov (1981) /
 Rueschendorf (1982) formula inf_{a in [0, 1-p]} [F^{-1}(p + a) + G^{-1}(1 - a)].
 
-The mean functionals (ES, RVaR) all read the exact means of F^{-1} and
-G^{-1} over the n equal level cells of the window, paired by the plan
+The mean functionals (ES, RVaR) and the coupling VaR and CDF read one sum
+law per coupling and window, ``_SumLaw``, whose means pair the exact means of
+F^{-1} and G^{-1} over the n equal level cells of the window by the plan
 (constrained) or countermonotonically (unconstrained). The cell-mean laws
 lie below F and G in convex order, and the countermonotone sum is the
 convex-order minimum, so L <= Lo <= Uo <= U holds in exact arithmetic.
@@ -40,8 +41,8 @@ Work shared by several bounds or levels is built once, in one memo,
 the pair's order check and node grid, each level window's cell means
 (``coupling._window_means``, shared by the window's directed plan and its
 countermonotone sums, the per-level [p, 1) windows of worst RVaR included)
-and the sums no level changes, ``_level_free`` (the whole-pair plan, the
-[0, q) plan of best RVaR, the countermonotone sums). The probability scans
+and the sum laws no level changes, ``_sum_law`` of the [0, q) windows (q = 1,
+or the upper level of best RVaR). The probability scans
 read the node grid of the order check. Per threshold they share one table,
 ``_threshold_table``: the scan points of each half-line around t/2 as one
 block, with the CDF columns F(z), G(z), G(t - z) and, above t/2, F(t - z)
@@ -122,29 +123,60 @@ __all__ = [
     "bound_report",
     "dl_sum_var",
     "ct_sum_var",
-    "ct_sum_values",
+    "ct_sum_cdf",
 ]
 
 
 # ---------------------------------------------------------------------------
-# fractional order-statistic means over sorted plan sums
+# sum laws of the reference couplings
 
 
-def _lower_frac_mean(sorted_vals: np.ndarray, frac: float) -> float:
-    """Mean of the lowest ``frac`` of the mass (uniform atoms, sorted input)."""
-    n = sorted_vals.size
-    if not 0.0 < frac <= 1.0 + 1e-12:
-        raise DomainError("fraction must lie in (0, 1]")
-    m = min(frac, 1.0) * n
-    k = int(math.floor(m))
-    total = float(np.sum(sorted_vals[:k]))
-    if k < n and m > k:
-        total += (m - k) * float(sorted_vals[k])
-    return total / m
+class _SumLaw(namedtuple("_SumLaw", "points means")):
+    """X + Y under a reference coupling on the n level cells of a window, mass 1/n each.
+
+    ``points``: sorted point sums, for ``cdf`` and ``var``; ``means``: sorted
+    sums of the paired cell means, for the fractional means (ES, RVaR).
+    """
+
+    __slots__ = ()
+
+    def cdf(self, t: float) -> float:
+        """P(X + Y <= t): the share of point sums at or below t."""
+        return float(np.searchsorted(self.points, t, side="right")) / self.points.size
+
+    def var(self, p: float) -> float:
+        """Left p-quantile of the point sums: the k-th smallest for the least k with k/n >= p."""
+        n = self.points.size
+        k = int(np.searchsorted((np.arange(n) + 1) / n, p, side="left"))
+        return float(self.points[min(k, n - 1)])
+
+    def lower_mean(self, frac: float) -> float:
+        """Mean of the lowest ``frac`` in (0, 1] of the cell-mean sums' mass (levels are checked)."""
+        vals, m = self.means, frac * self.means.size
+        k = int(m)
+        total = float(np.sum(vals[:k]))
+        if k < vals.size and m > k:
+            total += (m - k) * float(vals[k])
+        return total / m
+
+    def upper_mean(self, frac: float) -> float:
+        """Mean of the highest ``frac`` of the mass: minus the lower mean of -(X + Y)."""
+        return -_SumLaw(None, -self.means[::-1]).lower_mean(frac)
 
 
-def _upper_frac_mean(sorted_vals: np.ndarray, frac: float) -> float:
-    return -_lower_frac_mean(-sorted_vals[::-1], frac)
+def _sum_law(f: Dist, g: Dist, n: int, p: float, q: float, ordered: bool) -> _SumLaw:
+    """The sum law of the n cells of [p, q): directed (``ordered``) or countermonotone.
+
+    Directed: the window's plan (which checks the pair's order) gives both
+    fields. Countermonotone: the window's cell means paired in opposite order
+    give one array for both, with no order check.
+    """
+    if ordered:
+        plan = dl_plan_discrete(f, g, n, p, q=q)
+        return _SumLaw(plan.sums_sorted, np.sort(plan.mean_sums))
+    fm, gm = _per_pair(_window_means, f, g, n, p, q)
+    sums = np.sort(fm + gm[::-1])
+    return _SumLaw(sums, sums)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +365,7 @@ def best_es_constrained(
 ) -> float:
     """Best-case ES under the order constraint: ES of the directed-coupling sum."""
     p = _check_level(p)
-    return _upper_frac_mean(_per_pair(_level_free, f, g, grid_n, 1.0, True)[1], 1.0 - p)
+    return _per_pair(_sum_law, f, g, grid_n, 0.0, 1.0, True).upper_mean(1.0 - p)
 
 
 def best_es_unconstrained(
@@ -341,7 +373,7 @@ def best_es_unconstrained(
 ) -> float:
     """Best-case ES over all couplings: ES of the countermonotone sum."""
     p = _check_level(p)
-    return _upper_frac_mean(_per_pair(_level_free, f, g, grid_n, 1.0, False), 1.0 - p)
+    return _per_pair(_sum_law, f, g, grid_n, 0.0, 1.0, False).upper_mean(1.0 - p)
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +394,7 @@ def worst_rvar_constrained(
     a = (q-p)/(1-p).
     """
     p, q = _check_level(p, q, name="rvar levels", within="[0, 1)")
-    plan = dl_plan_discrete(f, g, grid_n, p)
-    return _lower_frac_mean(np.sort(plan.mean_sums), (q - p) / (1.0 - p))
+    return _sum_law(f, g, grid_n, p, 1.0, True).lower_mean((q - p) / (1.0 - p))
 
 
 def best_rvar_constrained(
@@ -379,7 +410,7 @@ def best_rvar_constrained(
     ES at level p/q of the directed coupling on the level window [0, q).
     """
     p, q = _check_level(p, q, name="rvar levels")
-    return _upper_frac_mean(_per_pair(_level_free, f, g, grid_n, q, True)[1], 1.0 - p / q)
+    return _per_pair(_sum_law, f, g, grid_n, 0.0, q, True).upper_mean(1.0 - p / q)
 
 
 def worst_rvar_unconstrained(
@@ -387,7 +418,7 @@ def worst_rvar_unconstrained(
 ) -> float:
     """Worst-case RVaR over all couplings: countermonotone upper p-tails."""
     p, q = _check_level(p, q, name="rvar levels", within="[0, 1)")
-    return _lower_frac_mean(np.sort(_ct_cells(f, g, grid_n, p)), (q - p) / (1.0 - p))
+    return _sum_law(f, g, grid_n, p, 1.0, False).lower_mean((q - p) / (1.0 - p))
 
 
 def best_rvar_unconstrained(
@@ -395,61 +426,29 @@ def best_rvar_unconstrained(
 ) -> float:
     """Best-case RVaR over all couplings: countermonotone lower q-tails."""
     p, q = _check_level(p, q, name="rvar levels")
-    return _upper_frac_mean(_per_pair(_level_free, f, g, grid_n, q, False), 1.0 - p / q)
+    return _per_pair(_sum_law, f, g, grid_n, 0.0, q, False).upper_mean(1.0 - p / q)
 
 
 # ---------------------------------------------------------------------------
 # reference coupling functionals (plot columns, probability bounds)
 
 
-def _ct_cells(f: Dist, g: Dist, n: int, p: float = 0.0, q: float = 1.0) -> np.ndarray:
-    """Countermonotone sums of the cell means of [p, q) that plans use (unsorted)."""
-    fm, gm = _per_pair(_window_means, f, g, n, p, q)
-    return fm + gm[::-1]
-
-
-def _level_free(f: Dist, g: Dist, n: int, q: float, ordered: bool):
-    """Sorted sums of the level window [0, q) that no level changes, one ``_per_pair`` build.
-
-    ``ordered``: the directed plan of the window and its sorted cell-mean
-    sums; the plan runs the pair's order check. Otherwise: the sorted
-    countermonotone cell sums, which need no order.
-    """
-    if not ordered:
-        return np.sort(_ct_cells(f, g, n, 0.0, q))
-    plan = dl_plan_discrete(f, g, n, 0.0, q=q)
-    plan.sums_sorted  # built now, so that the memo makes it read-only too
-    return plan, np.sort(plan.mean_sums)
-
-
-def ct_sum_values(f: Dist, g: Dist, *, grid_n: int = DEFAULT_GRID_N) -> np.ndarray:
-    """Countermonotone sum on the n level cells of [0, 1): paired cell means (unsorted)."""
-    return _ct_cells(f, g, grid_n)
-
-
-def _sorted_quantile(sorted_vals: np.ndarray, p: float) -> float:
-    n = sorted_vals.size
-    idx = int(np.searchsorted((np.arange(n) + 1) / n, p, side="left"))
-    return float(sorted_vals[min(idx, n - 1)])
-
-
-def dl_sum_var(
-    f: Dist,
-    g: Dist,
-    p: float,
-    *,
-    grid_n: int = DEFAULT_GRID_N,
-) -> float:
+def dl_sum_var(f: Dist, g: Dist, p: float, *, grid_n: int = DEFAULT_GRID_N) -> float:
     """VaR at level p of the directed-coupling sum of the whole marginals."""
     p = _check_level(p)
-    plan, _ = _per_pair(_level_free, f, g, grid_n, 1.0, True)
-    return _sorted_quantile(plan.sums_sorted, p)
+    return _per_pair(_sum_law, f, g, grid_n, 0.0, 1.0, True).var(p)
 
 
 def ct_sum_var(f: Dist, g: Dist, p: float, *, grid_n: int = DEFAULT_GRID_N) -> float:
     """VaR at level p of the countermonotone sum of the whole marginals."""
     p = _check_level(p)
-    return _sorted_quantile(_per_pair(_level_free, f, g, grid_n, 1.0, False), p)
+    return _per_pair(_sum_law, f, g, grid_n, 0.0, 1.0, False).var(p)
+
+
+def ct_sum_cdf(f: Dist, g: Dist, t: float, *, grid_n: int = DEFAULT_GRID_N) -> float:
+    """P(X + Y <= t) under the countermonotone sum of the whole marginals; t must be real."""
+    t = _check_real(t, "threshold t")
+    return _per_pair(_sum_law, f, g, grid_n, 0.0, 1.0, False).cdf(t)
 
 
 # ---------------------------------------------------------------------------

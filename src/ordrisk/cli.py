@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bounds import (
-    _level_free,
+    _sum_law,
     best_var_constrained,
     bound_report,
     ct_sum_var,
@@ -48,7 +48,6 @@ from .coupling import (
     COUPLING_KINDS,
     _order_report,
     dl_plan_discrete,  # unused here; perfbench/tracer.py patches this name
-    dl_sum_cdf,
     export_batch_csv,
     sample_coupling,
 )
@@ -227,14 +226,12 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def cmd_probbounds(args: argparse.Namespace) -> int:
     f, g = _ordered_marginals(args)
     os.makedirs(args.out_dir, exist_ok=True)
-    plan, _ = _per_pair(_level_free, f, g, args.grid_n, 1.0, True)
-    ct = _per_pair(_level_free, f, g, args.grid_n, 1.0, False)
+    dl, ct = (_per_pair(_sum_law, f, g, args.grid_n, 0.0, 1.0, o) for o in (True, False))
     rows = []
     for t in _grid(args.t_from, args.t_to, args.t_step):
         r = bound_report(f, g, "prob", t=float(t), grid_n=args.grid_n)
         m, mo, big_mo, big_m = _nested(r)
-        p_ct = float(np.searchsorted(ct, r.t, side="right")) / ct.size
-        rows.append((r.t, m, mo, big_mo, big_m, dl_sum_cdf(plan, r.t), p_ct))
+        rows.append((r.t, m, mo, big_mo, big_m, dl.cdf(r.t), ct.cdf(r.t)))
     _write_csv(
         os.path.join(args.out_dir, "probbounds.csv"),
         ["t", "m", "mo", "Mo", "M", "prob_dl", "prob_ct"],

@@ -76,8 +76,8 @@ def _order_report(f: Dist, g: Dist):
 def _window_means(f: Dist, g: Dist, n: int, p: float, q: float):
     """Cell means of F^{-1} and G^{-1} on the n cells of [p, q), one ``_per_pair`` build.
 
-    Read by the window's directed plan and its countermonotone sums
-    (``bounds._ct_cells``). DomainError unless n is a positive integer,
+    Read by the window's directed plan and its countermonotone sum law
+    (``bounds._sum_law``). DomainError unless n is a positive integer,
     or if X + Y has no mean.
     """
     n = _check_count(n, "cell count n")

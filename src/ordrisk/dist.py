@@ -71,10 +71,10 @@ _PARAMETRIC_KINDS = ("pareto", "uniform", "normal")
 
 
 def _validate_levels(u):
-    arr = np.asarray(u, dtype=float)
-    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails both
-        raise DomainError("quantile level must lie in [0, 1]")
-    return arr
+    arr = np.asarray(u)  # integer, unsigned or float: no bool, string or object levels
+    if arr.dtype.kind not in "iuf" or (arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0)):
+        raise DomainError("quantile level must be a real number in [0, 1]")
+    return arr.astype(float, copy=False)
 
 
 def _as_output(arr, scalar):
@@ -369,7 +369,7 @@ def _check_count(n, name: str, least: int = 1) -> int:
 
 
 def _check_trunc(trunc: float) -> None:
-    if not 0.5 < trunc < 1.0:  # NaN fails too
+    if not (isinstance(trunc, numbers.Real) and 0.5 < trunc < 1.0):  # NaN fails too
         raise DomainError("truncation level must lie in (0.5, 1)")
 
 
@@ -573,23 +573,24 @@ def _per_pair(build, *args):
     """``build(*args)`` once per key, the one memo of per-pair work (16 entries, LRU).
 
     Builders: the node grid ``_merged_grid``, the order check ``check_st``, a window's
-    ``coupling._window_means`` and ``bounds._level_free``. Dist objects are immutable and
-    hashed by identity, so the key holds the objects, not their parameters. The memo is
-    typed: 100.0 is not the key 100, so it meets the count check of its build. Every array
-    of a result is shared, so it is made read-only, in a tuple and in a plan's fields too.
+    ``coupling._window_means`` and a [0, q) window's ``bounds._sum_law``. Dist objects are
+    immutable and hashed by identity, so the key holds the objects, not their parameters.
+    The memo is typed: 100.0 is not the key 100, so it meets the count check of its build.
+    Every array of a result is shared, so it is made read-only, a tuple's items too.
     """
     out = build(*args)
-    for item in out if isinstance(out, tuple) else (out,):
-        for arr in (item, *getattr(item, "__dict__", {}).values()):
-            if isinstance(arr, np.ndarray):
-                arr.flags.writeable = False
+    for arr in out if isinstance(out, tuple) else (out,):
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
     return out
 
 
 def _order_tol(f: Dist, g: Dist, grid_size: int, tol) -> float:
-    """``tol`` as a float (DomainError unless it is a real number); None gives the default."""
+    """``tol`` as a float, DomainError unless it is a real number >= 0; None gives the default."""
     if tol is not None:
-        return _check_real(tol, "tolerance tol")
+        if not (isinstance(tol, numbers.Real) and tol >= 0.0):  # NaN fails too
+            raise DomainError(f"tolerance tol must be a real number of at least 0: {tol!r}")
+        return float(tol)
     if f.kind in _PARAMETRIC_KINDS and g.kind in _PARAMETRIC_KINDS:
         return 1e-9
     return 2.0 / grid_size

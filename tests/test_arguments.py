@@ -112,7 +112,7 @@ COUNTS = {
     ),
     "dl_sum_var": (lambda n: B.dl_sum_var(PF, PG, 0.9, grid_n=n), 1),
     "ct_sum_var": (lambda n: B.ct_sum_var(PF, PG, 0.9, grid_n=n), 1),
-    "ct_sum_values": (lambda n: B.ct_sum_values(PF, PG, grid_n=n), 1),
+    "ct_sum_cdf": (lambda n: B.ct_sum_cdf(PF, PG, 8.0, grid_n=n), 1),
     "report_var": (lambda n: B.bound_report(PF, PG, "var", p=0.9, grid_n=n), 1),
     "report_prob": (lambda n: B.bound_report(PF, PG, "prob", t=8.0, grid_n=n), 1),
     "report_essinf": (lambda n: B.bound_report(PF, PG, "essinf", grid_n=n), 1),
@@ -197,6 +197,15 @@ def test_integral_float_refused_after_its_int(entry):
 def test_non_real_tolerances_and_weights_refused(call):
     with pytest.raises(DomainError, match="real number"):
         call()
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, -np.inf, np.float64(-0.5)], ids=repr)
+@pytest.mark.parametrize("check", [check_st, check_ss])
+def test_negative_tolerances_refused(check, tol):
+    # tol = -1 used to fail every pair with a violation of 0
+    with pytest.raises(DomainError, match="at least 0"):
+        check(PF, PG, tol=tol)
+    assert check(PF, PG, tol=0.0).holds
 
 
 def test_tolerance_none_is_the_default():

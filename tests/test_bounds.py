@@ -17,7 +17,7 @@ import ordrisk.coupling
 import ordrisk.dist
 from ordrisk import bounds as B
 from ordrisk._search import refine_min
-from ordrisk.coupling import TransportEvaluator, dl_plan_discrete
+from ordrisk.coupling import TransportEvaluator, dl_plan_discrete, dl_sum_cdf
 from ordrisk.dist import (
     DEFAULT_SCAN_N,
     DEFAULT_TRUNC,
@@ -354,7 +354,7 @@ def test_per_pair_memo_builds_each_key_once(monkeypatch):
     counting("_merged_grid", (B, ordrisk.dist))
     counting("check_st", (ordrisk.coupling,))
     counting("_window_means", (B, ordrisk.coupling))
-    counting("_level_free", (B,))
+    counting("_sum_law", (B,))
     ordrisk.dist._per_pair.cache_clear()
     f, g, n = Uniform(0, 100), Uniform(0, 120), 400
     for _ in range(2):
@@ -365,7 +365,7 @@ def test_per_pair_memo_builds_each_key_once(monkeypatch):
             B.bound_report(f, g, "rvar", p=p, q=0.99, grid_n=n)
             B.dl_sum_var(f, g, p, grid_n=n)
             B.ct_sum_var(f, g, p, grid_n=n)
-        B.ct_sum_values(f, g, grid_n=n)
+        B.ct_sum_cdf(f, g, 110.0, grid_n=n)
         dl_plan_discrete(f, g, n)
     expected = [
         ("_merged_grid", (f, g), DEFAULT_SCAN_N),
@@ -374,11 +374,15 @@ def test_per_pair_memo_builds_each_key_once(monkeypatch):
         ("_window_means", f, g, n, 0.9, 1.0),
         ("_window_means", f, g, n, 0.95, 1.0),
         ("_window_means", f, g, n, 0.0, 0.99),
-        ("_level_free", f, g, n, 1.0, True),
-        ("_level_free", f, g, n, 1.0, False),
-        ("_level_free", f, g, n, 0.99, True),
-        ("_level_free", f, g, n, 0.99, False),
+        ("_sum_law", f, g, n, 0.0, 1.0, True),
+        ("_sum_law", f, g, n, 0.0, 1.0, False),
+        ("_sum_law", f, g, n, 0.0, 0.99, True),
+        ("_sum_law", f, g, n, 0.0, 0.99, False),
     ]
+    # worst RVaR's [p, 1) sum laws are built per call, outside the memo (their
+    # cell means are memoised above): both couplings, both levels, both rounds
+    for p in (0.9, 0.95):
+        expected += 2 * [("_sum_law", f, g, n, p, 1.0, True), ("_sum_law", f, g, n, p, 1.0, False)]
     assert sorted(builds, key=repr) == sorted(expected, key=repr)
 
 
@@ -566,39 +570,89 @@ def test_prob_row_reads_each_cdf_column_once(f, g):
 
 
 # ---------------------------------------------------------------------------
-# level-free plan memo
+# level-free sum-law memo
 
 
 @pytest.mark.parametrize("q", [1.0, 0.99])
 def test_level_free_memo_matches_fresh_builds(q):
     f, g, n = Pareto(25.0, 2.0), Pareto(30.0, 2.0), 500
     memo = ordrisk.dist._per_pair
-    plan, sums = memo(B._level_free, f, g, n, q, True)
-    ct = memo(B._level_free, f, g, n, q, False)
+    dl = memo(B._sum_law, f, g, n, 0.0, q, True)
+    ct = memo(B._sum_law, f, g, n, 0.0, q, False)
     fresh = dl_plan_discrete(f, g, n, 0.0, q=q)
-    for name in ("x", "y", "y_index", "mean_sums", "sums_sorted"):
-        got = getattr(plan, name)
-        assert np.array_equal(got, getattr(fresh, name)), name
-        assert not got.flags.writeable, name
-    assert np.array_equal(sums, np.sort(fresh.mean_sums))
-    assert np.array_equal(ct, np.sort(B._ct_cells(f, g, n, 0.0, q)))
-    for arr in (sums, ct):
+    fm, gm = ordrisk.coupling._window_means(f, g, n, 0.0, q)
+    assert np.array_equal(dl.points, np.sort(fresh.x + fresh.y))
+    assert np.array_equal(dl.means, np.sort(fresh.mean_sums))
+    assert np.array_equal(ct.points, np.sort(fm + gm[::-1])) and ct.means is ct.points
+    for arr in (*dl, *ct):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    assert memo(B._level_free, f, g, n, q, True)[0] is plan
-    assert memo(B._level_free, f, g, n, q, False) is ct
+    assert memo(B._sum_law, f, g, n, 0.0, q, True) is dl
+    assert memo(B._sum_law, f, g, n, 0.0, q, False) is ct
 
 
 def test_level_free_memo_keys_on_the_objects():
     # equal parameters, other objects: a separate build, never a stale hit
     n, memo = 300, ordrisk.dist._per_pair
-    a = memo(B._level_free, Uniform(0, 100), Uniform(0, 120), n, 1.0, False)
-    b = memo(B._level_free, Uniform(0, 100), Uniform(0, 140), n, 1.0, False)
-    assert not np.array_equal(a, b)
+    a = memo(B._sum_law, Uniform(0, 100), Uniform(0, 120), n, 0.0, 1.0, False)
+    b = memo(B._sum_law, Uniform(0, 100), Uniform(0, 140), n, 0.0, 1.0, False)
+    assert not np.array_equal(a.points, b.points)
     f, g = Uniform(0, 100), Uniform(0, 120)
-    assert memo(B._level_free, f, g, n, 1.0, False) is not a
-    assert np.array_equal(memo(B._level_free, f, g, n, 1.0, False), a)
+    assert memo(B._sum_law, f, g, n, 0.0, 1.0, False) is not a
+    assert np.array_equal(memo(B._sum_law, f, g, n, 0.0, 1.0, False).points, a.points)
+
+
+def _greedy_dl(xs, ys):
+    """(i, j) pairs of the directed plan: x from the largest down takes the least free y >= x."""
+    free, pairs = list(range(len(ys))), []
+    for i in sorted(range(len(xs)), key=lambda i: -xs[i]):
+        j = min((j for j in free if ys[j] >= xs[i]), key=lambda j: ys[j])
+        free.remove(j)
+        pairs.append((i, j))
+    return pairs
+
+
+def test_sum_laws_match_brute_force():
+    # U(0, 1) and U(0, 2) on 8 cells: left cell ends i/8 and 2i/8, cell means
+    # (i + 1/2)/8 and 2(i + 1/2)/8, all exact in binary
+    f, g, n = Uniform(0.0, 1.0), Uniform(0.0, 2.0), 8
+    ends, mids = np.arange(n) / n, (np.arange(n) + 0.5) / n
+    pairs = _greedy_dl(ends, 2.0 * ends)
+    dl_points = np.array([ends[i] + 2.0 * ends[j] for i, j in pairs])
+    dl_means = np.array([mids[i] + 2.0 * mids[j] for i, j in pairs])
+    ct_means = mids + 2.0 * mids[::-1]
+    for law, points, means in (
+        (B._sum_law(f, g, n, 0.0, 1.0, True), dl_points, dl_means),
+        (B._sum_law(f, g, n, 0.0, 1.0, False), ct_means, ct_means),
+    ):
+        assert_array_equal(law.points, np.sort(points))
+        assert_array_equal(law.means, np.sort(means))
+        for t in np.concatenate((points, points - 0.01, points + 0.01, [-1.0, 9.0])):
+            assert law.cdf(t) == np.count_nonzero(points <= t) / n
+        for p in (0.01, 0.125, 0.3, 0.5, 0.625, 0.99, 1.0):
+            assert law.var(p) == min(s for s in points if np.count_nonzero(points <= s) / n >= p)
+        halves = np.sort(np.repeat(means, 2))  # 16 atoms of mass 1/16
+        for frac in (1 / 16, 1 / 8, 5 / 16, 3 / 8, 0.5, 13 / 16, 1.0):
+            k = int(16 * frac)
+            assert_allclose(law.lower_mean(frac), halves[:k].mean(), rtol=1e-14)
+            assert_allclose(law.upper_mean(frac), halves[16 - k :].mean(), rtol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "f, g",
+    [
+        (PF, PG),
+        (Empirical([1.0, 2.0, 4.0, 7.0], [2.0, 3.0, 1.0, 2.0]), Empirical([2.0, 3.0, 5.0, 8.0], [1.0, 3.0, 2.0, 2.0])),
+    ],
+    ids=["pareto", "atoms"],
+)
+def test_dl_law_cdf_is_the_plan_sum_cdf(f, g):
+    # at every plan sum and at its two float neighbours
+    law, plan = B._sum_law(f, g, 500, 0.0, 1.0, True), dl_plan_discrete(f, g, 500)
+    sums = np.unique(plan.x + plan.y)
+    for t in np.concatenate((sums, np.nextafter(sums, -np.inf), np.nextafter(sums, np.inf))):
+        assert law.cdf(float(t)) == dl_sum_cdf(plan, float(t))
 
 
 def test_unconstrained_mean_bounds_need_no_order():
@@ -613,14 +667,20 @@ def test_unconstrained_mean_bounds_need_no_order():
 # coupling VaR curves
 
 
+def _atom_quantile(sums, p):
+    """Left p-quantile of n equal atoms: the k-th smallest for the least k with k/n >= p (floats)."""
+    s = np.sort(sums)
+    return float(s[next(k for k in range(1, s.size + 1) if k / s.size >= p) - 1])
+
+
 def test_dl_sum_var_reuse():
-    # the memo's whole-pair plan and countermonotone sums equal fresh builds
+    # the memo's whole-pair sum laws equal fresh builds
     n = 2000
     plan = dl_plan_discrete(PF, PG, n, 0.0)
-    ct = np.sort(B.ct_sum_values(PF, PG, grid_n=n))
+    fm, gm = ordrisk.coupling._window_means(PF, PG, n, 0.0, 1.0)
     for p in (0.1, 0.5, 0.9, 0.999):
-        assert B.dl_sum_var(PF, PG, p, grid_n=n) == B._sorted_quantile(np.sort(plan.x + plan.y), p)
-        assert B.ct_sum_var(PF, PG, p, grid_n=n) == B._sorted_quantile(ct, p)
+        assert B.dl_sum_var(PF, PG, p, grid_n=n) == _atom_quantile(plan.x + plan.y, p)
+        assert B.ct_sum_var(PF, PG, p, grid_n=n) == _atom_quantile(fm + gm[::-1], p)
 
 
 def test_ct_sum_var_constant():
@@ -739,9 +799,9 @@ def test_report_es_pareto_nesting():
         lambda: B.bound_report(negate_dist(PF), PF, "es", p=0.5),
         lambda: B.best_es_unconstrained(PF, negate_dist(PF), 0.5),
         lambda: B.worst_rvar_constrained(negate_dist(PF), PF, 0.0, 0.5),
-        lambda: B.ct_sum_values(negate_dist(PF), PG),
+        lambda: B.ct_sum_cdf(negate_dist(PF), PG, 4.0),
     ],
-    ids=["report", "best_es_unconstrained", "worst_rvar_p0", "ct_sum_values"],
+    ids=["report", "best_es_unconstrained", "worst_rvar_p0", "ct_sum_cdf"],
 )
 def test_undefined_sum_mean_raises(call):
     # E X = -inf and E Y = +inf: the -inf and +inf cell means would pair to NaN
@@ -1159,7 +1219,7 @@ def test_unknown_keyword_rejected(call):
 
 _MEAN_ROUTES = {
     "ct_sum_var": lambda n: B.ct_sum_var(PF, PG, 0.9, grid_n=n),
-    "ct_sum_values": lambda n: B.ct_sum_values(PF, PG, grid_n=n),
+    "ct_sum_cdf": lambda n: B.ct_sum_cdf(PF, PG, 8.0, grid_n=n),
     "dl_sum_var": lambda n: B.dl_sum_var(PF, PG, 0.9, grid_n=n),
     "best_es_constrained": lambda n: B.best_es_constrained(PF, PG, 0.9, grid_n=n),
     "best_es_unconstrained": lambda n: B.best_es_unconstrained(PF, PG, 0.9, grid_n=n),

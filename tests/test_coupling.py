@@ -216,10 +216,13 @@ _PLAN = dl_plan_discrete(PF, PG, 50)
         lambda: dl_sum_cdf(_PLAN, [4.0, math.nan]),
         lambda: dl_sum_cdf(_PLAN, "4"),
         lambda: dl_sum_cdf(_PLAN, ["4"]),
+        lambda: B.ct_sum_cdf(PF, PG, math.nan, grid_n=50),
+        lambda: B.ct_sum_cdf(PF, PG, "4", grid_n=50),
+        lambda: B.ct_sum_cdf(PF, PG, [4.0], grid_n=50),
     ],
     ids=[
         "upper-nan", "lower-nan", "upper-str", "cdf-y-nan", "cdf-x-nan", "cdf-str",
-        "sum-nan", "sum-array-nan", "sum-str", "sum-array-str",
+        "sum-nan", "sum-array-nan", "sum-str", "sum-array-str", "ct-nan", "ct-str", "ct-array",
     ],
 )
 def test_coupling_points_refused(call):
@@ -235,6 +238,7 @@ def test_coupling_infinite_points_keep_their_values():
     assert_allclose(dl_cdf(PF, PG, inf, 3.0), PG.cdf(3.0), rtol=1e-15)
     assert dl_sum_cdf(_PLAN, -inf) == 0.0 and dl_sum_cdf(_PLAN, np.array(inf)) == 1.0
     np.testing.assert_array_equal(dl_sum_cdf(_PLAN, [-inf, inf]), [0.0, 1.0])
+    assert B.ct_sum_cdf(PF, PG, -inf, grid_n=50) == 0.0 and B.ct_sum_cdf(PF, PG, inf, grid_n=50) == 1.0
 
 
 def test_dl_cdf_refuses_unordered_pair():
@@ -500,7 +504,7 @@ def test_window_means_are_shared_and_read_only():
     fm, gm = memo(ordrisk.coupling._window_means, f, g, 200, 0.9, 1.0)
     assert not fm.flags.writeable and not gm.flags.writeable
     np.testing.assert_array_equal(plan.mean_sums, fm[::-1] + gm[::-1][plan.y_index])
-    np.testing.assert_array_equal(B._ct_cells(f, g, 200, 0.9), fm + gm[::-1])
+    np.testing.assert_array_equal(B._sum_law(f, g, 200, 0.9, 1.0, False).means, np.sort(fm + gm[::-1]))
     again = memo(ordrisk.coupling._window_means, f, g, 200, 0.9, 1.0)
     assert again[0] is fm and again[1] is gm
     with pytest.raises(ValueError, match="read-only"):

@@ -108,6 +108,24 @@ def test_bad_levels_raise(bad, as_array, side):
             getattr(d, side)(u)
 
 
+@pytest.mark.parametrize(
+    "bad", ["0.5", True, False, np.array([True, False]), np.array(["0.5"]), [0.5, None], 0.5 + 0j]
+)
+@pytest.mark.parametrize("side", ["quantile_left", "quantile_right"])
+def test_non_real_levels_raise(bad, side):
+    # "0.5" read as 0.5 and True as level 1 (inf for a Pareto)
+    for d in (Pareto(1.0, 1.0), Uniform(0, 1), Empirical([1.0, 2.0], [1.0, 1.0])):
+        with pytest.raises(DomainError, match="quantile level"):
+            getattr(d, side)(bad)
+
+
+def test_integer_levels_pass():
+    d = Uniform(2.0, 4.0)
+    assert d.quantile_left(0) == 2.0 and d.quantile_right(1) == 4.0
+    assert_array_equal(d.quantile_left(np.array([0, 1], dtype=np.uint8)), [2.0, 4.0])
+    assert Pareto(1.0, 1.0).quantile_left(np.int64(0)) == 1.0
+
+
 def test_levels_at_the_ends_and_empty_pass():
     d = Uniform(2.0, 4.0)
     assert d.quantile_left(0.0) == 2.0
@@ -216,7 +234,7 @@ def test_to_grid_validation():
     # one grid-size and one truncation check in every Dist-to-grid conversion,
     # closed-form tails included; a tail truncated at 0.3 used to be one point
     bad = [(n, DEFAULT_TRUNC, "grid size must be at least 2") for n in (1, 0, -3, 2.5, math.nan)]
-    bad += [(100, trunc, "truncation level must lie in") for trunc in (0.4, 0.3, 1.0, math.nan)]
+    bad += [(100, trunc, "truncation level must lie in") for trunc in (0.4, 0.3, 1.0, math.nan, "0.9")]
     for n, trunc, match in bad:
         for d in (Normal(0, 1), Pareto(1.0, 1.0)):
             for convert in (
@@ -525,15 +543,14 @@ def test_per_pair_memo_evicts_past_its_bound():
 
 
 def test_per_pair_memo_results_are_read_only():
-    # every array of a shared result: a bare array, tuple items, a plan's fields
+    # every array of a shared result: a bare array, tuple items, both sum laws' fields
     from ordrisk import bounds, coupling
 
     memo = ordrisk.dist._per_pair
     f, g = Uniform(0.0, 1.0), Uniform(0.0, 1.5)
-    plan, sums = memo(bounds._level_free, f, g, 100, 1.0, DEFAULT_TRUNC)
-    arrays = [sums, memo(bounds._level_free, f, g, 100, 1.0, None)]
+    arrays = [*memo(bounds._sum_law, f, g, 100, 0.0, 1.0, True)]
+    arrays += [*memo(bounds._sum_law, f, g, 100, 0.0, 1.0, False)]
     arrays += list(memo(coupling._window_means, f, g, 100, 0.5, 1.0))
-    arrays += [getattr(plan, name) for name in ("x", "y", "y_index", "mean_sums", "sums_sorted")]
     arrays.append(memo(ordrisk.dist._merged_grid, (f, g), 64))
     for arr in arrays:
         assert not arr.flags.writeable
