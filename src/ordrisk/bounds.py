@@ -46,8 +46,10 @@ or the upper level of best RVaR). The probability scans
 read the node grid of the order check. Per threshold they share one table,
 ``_threshold_table``: the scan points of each half-line around t/2 as one
 block, with the CDF columns F(z), G(z), G(t - z) and, above t/2, F(t - z)
-that the four bounds read. It holds about 0.6 MB, lives for one threshold
-(one entry, outside ``_per_pair``) and is read-only. The VaR scans build
+that the four bounds read. ``_prob_row`` builds it once per threshold and
+computes all four bounds from it; one entry, outside ``_per_pair``, keeps
+their four values and the table (about 0.6 MB, read-only) until the next
+threshold. The VaR scans build
 their nodes per level, from the shared level table of ``dist._merged_grid``.
 
 The bounds on P(X + Y <= t) invert these formulas in closed form. With
@@ -65,7 +67,9 @@ G^{-1}(p) iff p <= G(z), and z + F^{-1}(p + F(z) - G(z)) <= t iff
 p <= G(z) - F(z) + F(t-z); for z <= t/2 the second condition is weaker
 than the first; m follows from the unordered scan in the same way, and
 Mo and M by the reflection of best VaR. So the VaR scans invert m/M and
-mo/Mo exactly. Each is one CDF scan and one refinement.
+mo/Mo exactly. At one t the four are one scan of the threshold table and one
+lockstep refinement, whose rounds read F and G once for all four; a single
+bound at a new t pays for the whole row.
 """
 
 from __future__ import annotations
@@ -73,11 +77,10 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from ._search import refine_max, refine_min
+from ._search import refine_max, refine_min  # refine_max unused here; perfbench/tracer.py patches both
 from .coupling import _require_order, _window_means, dl_plan_discrete
 from .dist import (
     DEFAULT_GRID_N,
@@ -460,7 +463,6 @@ def ct_sum_cdf(f: Dist, g: Dist, t: float, *, grid_n: int = DEFAULT_GRID_N) -> f
 _Block = namedtuple("_Block", "z fz gz gt ft", defaults=[None])
 
 
-@lru_cache(maxsize=1)
 def _threshold_table(f: Dist, g: Dist, t: float) -> tuple[_Block, _Block, int]:
     """The threshold-t scan points in two half-line blocks, with the CDF columns read there.
 
@@ -468,9 +470,8 @@ def _threshold_table(f: Dist, g: Dist, t: float) -> tuple[_Block, _Block, int]:
     symmetric about t/2 (up to rounding), so each half-line is a slice of it
     interleaved with its midpoints: the lower block zs0[:c + 1], the upper block
     zs0[c - 1:] (all of zs0 where c = 0), one point early, which keeps a midpoint
-    below t/2 that rounds to t/2. m, mo, Mo and M at one t are asked for back to
-    back, so one entry, keyed on f and g (by identity) and t, serves all four:
-    about 0.6 MB at the default grid, read-only.
+    below t/2 that rounds to t/2. About 0.6 MB at the default grid, read-only;
+    ``_prob_row`` builds it once per threshold and keeps it with the row.
     """
     nodes, h = _per_pair(_merged_grid, (f, g), DEFAULT_SCAN_N), 0.5 * t
     zs0 = np.unique(np.concatenate((nodes, t - nodes, [h])))
@@ -485,21 +486,18 @@ def _threshold_table(f: Dist, g: Dist, t: float) -> tuple[_Block, _Block, int]:
     return blocks[0], blocks[1], c
 
 
-def _cdf_scan(f: Dist, g: Dist, t: float, objective, scan, half: int, maximize: bool) -> float:
-    """``refine_max`` (``maximize``) or ``refine_min`` of ``objective`` over the threshold-t scan.
+def _row_window(table, t: float, scan, half: int, maximize: bool):
+    """The start window of one row of the threshold-t scan: three points and their ``scan`` values.
 
-    ``scan`` gives the objective's values on a block of ``_threshold_table`` from its
-    columns, ``objective`` those at any points. The scan is kept on z >= t/2
-    (``half`` +1: the upper block from t/2), z <= t/2 (-1: the lower block) or the
-    whole line (0: the lower block, then the upper one from the first point past
-    t/2, so t/2 is counted once). The refinement starts from the first best point
-    of the ascending scan and its two neighbours (``_best_window``). Step CDFs are
-    constant between nodes: for atoms the scan is exact. t is a checked threshold
-    (``dist._check_real``): t = -inf gives 0 and t = +inf 1.
+    ``scan`` gives the row's values on a block of ``_threshold_table`` from its
+    columns. The scan is kept on z >= t/2 (``half`` +1: the upper block from
+    t/2), z <= t/2 (-1: the lower block) or the whole line (0: the lower block,
+    then the upper one from the first point past t/2, so t/2 is counted once).
+    The window is the first best point of the ascending scan (the largest with
+    ``maximize``) and its two neighbours (``_best_window``). Step CDFs are
+    constant between nodes: for atoms the scan is exact.
     """
-    if math.isinf(t):
-        return float(t > 0)
-    lower, upper, c = _threshold_table(f, g, t)
+    lower, upper, c = table
     if half > 0:  # a midpoint below t/2 that rounds to t/2 lies on z >= t/2 too
         k = int(np.searchsorted(upper.z, 0.5 * t))
         blocks = [(upper.z[k:], scan(upper)[k:])]
@@ -509,9 +507,7 @@ def _cdf_scan(f: Dist, g: Dist, t: float, objective, scan, half: int, maximize: 
         k = 3 if c else 1
         blocks = [(lower.z, scan(lower)), (upper.z[k:], scan(upper)[k:])]
     blocks = [b for b in blocks if b[0].size]  # t/2 can be the only point
-    zs, vals = _best_window(*zip(*blocks), maximize)
-    refine = refine_max if maximize else refine_min
-    return float(refine(objective, zs, vals, tol=1e-10 * max(1.0, abs(t))))
+    return _best_window(*zip(*blocks), maximize)
 
 
 def _with_midpoints(zs: np.ndarray) -> np.ndarray:
@@ -528,16 +524,84 @@ def _best_window(blocks, vals, maximize: bool):
     """The first best point of the joined ascending ``blocks`` and its neighbours, with values.
 
     NaN ranks last, as in ``refine_min``; the neighbours of a block end come
-    from the next block. ``refine_min``/``refine_max`` read only this window.
+    from the next block. ``refine_min`` reads only this window.
     """
     keys = [np.fmin(-v if maximize else v, np.inf) for v in vals]
     ks = [int(np.argmin(key)) for key in keys]
     j = 1 if len(blocks) == 2 and keys[1][ks[1]] < keys[0][ks[0]] else 0
     n0 = blocks[0].size
     k = ks[j] + (n0 if j else 0)  # index in the joined scan
-    window = range(max(k - 1, 0), min(k + 2, sum(zs.size for zs in blocks)))
-    pick = lambda arrs, i: arrs[0][i] if i < n0 else arrs[1][i - n0]
-    return (np.array([pick(arrs, i) for i in window]) for arrs in (blocks, vals))
+    a, b = max(k - 1, 0), k + 2
+    if len(blocks) == 1 or b <= n0:
+        return blocks[0][a:b], vals[0][a:b]
+    return (np.concatenate((arrs[0][a:], arrs[1][max(a - n0, 0) : b - n0])) for arrs in (blocks, vals))
+
+
+# The four rows of a threshold: (scan, half-line, maximize) of m, mo, Mo and M,
+# each formula written once, over a block of CDF columns.
+_PROB_ROWS = (
+    (lambda b: b.fz + b.gt - 1.0, 0, True),  # m: sup_u [F(u) + G(t-u) - 1]
+    (lambda b: b.gz - b.fz + b.ft, 1, True),  # mo: sup_{z >= t/2} [G(z) - F(z) + F(t-z)]
+    (lambda b: b.fz - b.gz + b.gt, -1, False),  # Mo: inf_{z <= t/2} [F(z) - G(z) + G(t-z)]
+    (lambda b: b.fz + b.gt, 0, False),  # M: inf_u [F(u) + G(t-u)]
+)
+
+
+# One threshold row: the scans of m, mo, Mo and M before their caps and clips, and
+# the threshold table they were read from.
+_Row = namedtuple("_Row", "m mo big_mo big_m table")
+
+# The one-entry memo of ``_prob_row``: {(f, g, t): _Row}.
+_ROW_MEMO: dict = {}
+
+
+def _prob_row(f: Dist, g: Dist, t: float) -> _Row:
+    """The scans of m, mo, Mo and M at a checked threshold t, before their caps and clips.
+
+    m, mo, Mo and M at one t are asked for back to back, so one entry, keyed on
+    f and g (by identity) and t, serves all four. The build reads the threshold
+    table once, takes each row's window from its scan and refines the four in
+    lockstep (``refine_min``, maxima negated): each round evaluates F(z), G(z),
+    G(t - z) and F(t - z) once at the points of every row still refining.
+    t = -inf gives 0 and t = +inf 1.
+
+    The entry keeps its table, and a build drops the previous entry only once
+    its own table exists, so the build's temporaries reuse the old table's
+    space. A table freed with its row, 0.6 MB at the top of the heap, would be
+    handed back to the system and faulted in again by the next row (about 170
+    pages, a third of a row's time).
+    """
+    if math.isinf(t):
+        return _Row(*(float(t > 0),) * 4, None)
+    key = (f, g, t)
+    row = _ROW_MEMO.get(key)
+    if row is not None:
+        return row
+    table = _threshold_table(f, g, t)
+    _ROW_MEMO.clear()
+    xs, vals = [], []
+    for scan, half, maximize in _PROB_ROWS:
+        zs, v = _row_window(table, t, scan, half, maximize)
+        xs.append(zs)
+        vals.append(-v if maximize else v)
+
+    def objective(pts):
+        z = np.concatenate([p for p in pts if p is not None])
+        tz = t - z
+        b = _Block(z, f.cdf(z), g.cdf(z), g.cdf(tz), f.cdf(tz))
+        out, a = [], 0
+        for (scan, _, maximize), p in zip(_PROB_ROWS, pts):
+            if p is None:
+                out.append(None)
+                continue
+            v = scan(b)[a : a + p.size]
+            out.append(-v if maximize else v)
+            a += p.size
+        return out
+
+    best = refine_min(objective, xs, vals, tol=1e-10 * max(1.0, abs(t)))
+    row = _ROW_MEMO[key] = _Row(*(-v if r[2] else v for v, r in zip(best, _PROB_ROWS)), table)
+    return row
 
 
 def prob_lower(f: Dist, g: Dist, t: float) -> float:
@@ -547,9 +611,7 @@ def prob_lower(f: Dist, g: Dist, t: float) -> float:
     """
     _require_order(f, g)
     t = _check_real(t, "threshold t")
-    objective = lambda z: np.asarray(g.cdf(z)) - np.asarray(f.cdf(z)) + np.asarray(f.cdf(t - z))
-    scan = lambda b: b.gz - b.fz + b.ft
-    return max(float(g.cdf(0.5 * t)), _cdf_scan(f, g, t, objective, scan, 1, True))
+    return max(float(g.cdf(0.5 * t)), _prob_row(f, g, t).mo)
 
 
 def prob_upper(f: Dist, g: Dist, t: float) -> float:
@@ -559,25 +621,19 @@ def prob_upper(f: Dist, g: Dist, t: float) -> float:
     """
     _require_order(f, g)
     t = _check_real(t, "threshold t")
-    objective = lambda z: np.asarray(f.cdf(z)) - np.asarray(g.cdf(z)) + np.asarray(g.cdf(t - z))
-    scan = lambda b: b.fz - b.gz + b.gt
-    return min(float(f.cdf(0.5 * t)), _cdf_scan(f, g, t, objective, scan, -1, False))
+    return min(float(f.cdf(0.5 * t)), _prob_row(f, g, t).big_mo)
 
 
 def prob_lower_unconstrained(f: Dist, g: Dist, t: float) -> float:
     """Lower bound on P(X+Y <= t) over all couplings: clip(sup_u [F(u) + G(t-u) - 1], 0, 1)."""
     t = _check_real(t, "threshold t")
-    objective = lambda u: np.asarray(f.cdf(u)) + np.asarray(g.cdf(t - u)) - 1.0
-    scan = lambda b: b.fz + b.gt - 1.0
-    return min(max(_cdf_scan(f, g, t, objective, scan, 0, True), 0.0), 1.0)
+    return min(max(_prob_row(f, g, t).m, 0.0), 1.0)
 
 
 def prob_upper_unconstrained(f: Dist, g: Dist, t: float) -> float:
     """Upper bound on P(X+Y <= t) over all couplings: clip(inf_u [F(u) + G(t-u)], 0, 1)."""
     t = _check_real(t, "threshold t")
-    objective = lambda u: np.asarray(f.cdf(u)) + np.asarray(g.cdf(t - u))
-    scan = lambda b: b.fz + b.gt
-    return min(max(_cdf_scan(f, g, t, objective, scan, 0, False), 0.0), 1.0)
+    return min(max(_prob_row(f, g, t).big_m, 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------

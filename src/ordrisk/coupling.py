@@ -307,10 +307,10 @@ def dl_plan_discrete(
 def dl_sum_cdf(plan: DlPlan, t):
     """P(X + Y <= t) under the plan: (1/n) #. {k : x_k + y_k <= t}.
 
-    DomainError for a NaN or non-real t, or an array holding one.
+    DomainError for a NaN, bool or non-real t, or an array holding one.
     """
     tt = np.asarray(t)
-    if tt.dtype.kind not in "biuf" or np.isnan(tt).any():
+    if tt.dtype.kind not in "iuf" or np.isnan(tt).any():
         raise DomainError("threshold t must be a real number, or an array of them, not NaN")
     out = np.searchsorted(plan.sums_sorted, tt, side="right") / plan.n
     return float(out) if tt.ndim == 0 else out

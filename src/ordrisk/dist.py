@@ -336,8 +336,8 @@ def _midpoints(n: int) -> np.ndarray:
 
 
 def _check_real(x, name: str) -> float:
-    """``x`` as a float; DomainError unless it is a real number other than NaN (+-inf pass)."""
-    if not isinstance(x, numbers.Real) or math.isnan(x):
+    """``x`` as a float; DomainError unless it is a real number other than NaN or a bool (+-inf pass)."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or math.isnan(x):
         raise DomainError(f"{name} must be a real number, not NaN: {x!r}")
     return float(x)
 
@@ -345,11 +345,11 @@ def _check_real(x, name: str) -> float:
 def _check_level(*levels, name: str = "level p", within: str = "(0, 1)"):
     """A level p, or a window p, q, as floats: the one level check.
 
-    DomainError unless each is a real number (numpy's too) inside ``within``, one of
+    DomainError unless each is a real number (numpy's too, no bool) inside ``within``, one of
     "(0, 1)", "[0, 1)", "(0, 1]" and "[0, 1]", and a window has p < q.
     """
     lo, hi, one = levels[0], levels[-1], len(levels) == 1
-    ok = all(isinstance(u, numbers.Real) for u in levels) and (one or lo < hi)
+    ok = all(isinstance(u, numbers.Real) and not isinstance(u, bool) for u in levels) and (one or lo < hi)
     ok = ok and (0.0 <= lo if within[0] == "[" else 0.0 < lo)
     if not (ok and (hi <= 1.0 if within[-1] == "]" else hi < 1.0)):  # NaN fails too
         rule, value = (within, lo) if one else (f"{within} with p < q", levels)
@@ -360,9 +360,9 @@ def _check_level(*levels, name: str = "level p", within: str = "(0, 1)"):
 def _check_count(n, name: str, least: int = 1) -> int:
     """``n`` as an int: the one count check (grid and cell sizes, sample size, seed).
 
-    DomainError unless it is an integer (numpy's too) of at least ``least``; 100.0 fails.
+    DomainError unless it is an integer (numpy's too, no bool) of at least ``least``; 100.0 and True fail.
     """
-    if not (isinstance(n, numbers.Integral) and n >= least):
+    if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and n >= least):
         rule = "a positive integer" if least == 1 else f"at least {least} and an integer"
         raise DomainError(f"{name} must be {rule}: {n!r}")
     return int(n)

@@ -2,9 +2,10 @@
 
 Levels are real numbers (numpy's included) inside the entry's interval, and a
 window has p < q; counts are integers (numpy's included) of at least the
-entry's minimum, so an integral float such as 100.0 is refused too. Anything
-else raises a DomainError, and a numpy level or count gives the same result as
-the plain float or int.
+entry's minimum, so an integral float such as 100.0 is refused too, and so is a
+bool, which Python counts as the integer 0 or 1. Anything else raises a
+DomainError, and a numpy level or count gives the same result as the plain float
+or int.
 """
 
 import math
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from ordrisk import bounds as B
-from ordrisk.coupling import TransportEvaluator, dl_plan_discrete, sample_coupling
+from ordrisk.coupling import TransportEvaluator, dl_plan_discrete, dl_sum_cdf, sample_coupling
 from ordrisk.dist import (
     Normal,
     Pareto,
@@ -126,6 +127,16 @@ COUNTS = {
     "grid_convergence": (lambda n: grid_convergence(lambda u, m: u / m, [0.5, 0.9], n), 1),
 }
 
+# entry -> a call with a bool where a threshold, level or count goes; each returned a value
+BOOLS = {
+    "prob_lower_t": lambda: B.prob_lower(PF, PG, True),
+    "report_prob_t": lambda: B.bound_report(PF, PG, "prob", t=True),
+    "best_es_constrained_grid_n": lambda: B.best_es_constrained(PF, PG, 0.9, grid_n=True),
+    "sample_size_seed": lambda: sample_coupling(PF, PG, "dl", True, False, plan_n=100),
+    "dl_plan_discrete_window": lambda: dl_plan_discrete(PF, PG, 10, False, q=True),
+    "dl_sum_cdf_array": lambda: dl_sum_cdf(dl_plan_discrete(PF, PG, 10), np.array([True])),
+}
+
 BAD_LEVELS = ["0.5", None, math.nan, 1.5, -0.5, [0.5], np.array(0.5), 0.5 + 0j]
 
 
@@ -181,6 +192,12 @@ def test_integral_float_refused_after_its_int(entry):
     call(n)
     with pytest.raises(DomainError, match="integer"):
         call(float(n))
+
+
+@pytest.mark.parametrize("entry", sorted(BOOLS))
+def test_bools_refused(entry):
+    with pytest.raises(DomainError, match="real number|integer|level"):
+        BOOLS[entry]()
 
 
 @pytest.mark.parametrize(

@@ -251,8 +251,9 @@ _PROB_BOUNDS = (B.prob_lower_unconstrained, B.prob_lower, B.prob_upper, B.prob_u
     ids=["pareto", "uniform"],
 )
 def test_prob_bounds_are_one_scan(monkeypatch, f, g, ts):
-    # each bound is one scan over the CDFs and one refinement, no VaR solve;
-    # the replaced inversion made 5 to 42 VaR solves per bound
+    # the four bounds at one threshold are one scan over the CDFs and one
+    # joint refinement, no VaR solve; the replaced inversion made 5 to 42 VaR
+    # solves per bound
     calls = {"var": 0, "refine": 0}
 
     def counted(fn, key):
@@ -266,11 +267,12 @@ def test_prob_bounds_are_one_scan(monkeypatch, f, g, ts):
         monkeypatch.setattr(B, name, counted(getattr(B, name), "var"))
     for name in ("refine_min", "refine_max"):
         monkeypatch.setattr(B, name, counted(getattr(B, name), "refine"))
+    B._ROW_MEMO.clear()
     for t in ts:
+        calls.update(var=0, refine=0)
         for bound in _PROB_BOUNDS:
-            calls.update(var=0, refine=0)
             bound(f, g, t)
-            assert calls == {"var": 0, "refine": 1}, (bound.__name__, t)
+        assert calls == {"var": 0, "refine": 1}, t
 
 
 @pytest.mark.parametrize(
@@ -459,8 +461,18 @@ def test_upper_half_keeps_a_midpoint_that_rounds_to_t_half():
     # the whole line holds t/2 twice there, so its half z >= t/2 refines the
     # empty bracket [1, 1] and never sees the spike on (1, 2)
     spike = lambda z: np.where(z == 1.0, 1.0, np.where((z > 1.0) & (z < 2.0), 1.5, 0.0))
-    got = B._cdf_scan(*_SEAM_PAIR, 2.0, spike, lambda b: spike(b.z), 1, True)
+    got = _window_refine(*_SEAM_PAIR, 2.0, spike, 1, True)
     assert got == _full_line_scan(*_SEAM_PAIR, 2.0, spike, 1, B.refine_max) == 1.0
+
+
+def _window_refine(f, g, t, objective, half, maximize):
+    """``objective`` refined alone from its start window of ``B._row_window``."""
+    if math.isinf(t):
+        return float(t > 0)
+    table = B._threshold_table(f, g, t)
+    zs, vals = B._row_window(table, t, lambda b: objective(b.z), half, maximize)
+    refine = B.refine_max if maximize else B.refine_min
+    return float(refine(objective, zs, vals, tol=1e-10 * max(1.0, abs(t))))
 
 
 def _rippled(z):
@@ -474,24 +486,15 @@ def _rippled(z):
 
 
 @pytest.mark.parametrize("t, bound", [(1.0, B.prob_lower_unconstrained), (-1.0, B.prob_upper_unconstrained)])
-def test_whole_line_scan_refines_across_the_seam(monkeypatch, t, bound):
+def test_whole_line_scan_refines_across_the_seam(t, bound):
     # for X = Y = N(0, 1), F(u) + F(t - u) is extreme at u = t/2 alone, the
     # last point of the lower block: its right neighbour comes from the upper one
     f = g = Normal(0.0, 1.0)
-    windows = []
-    for name in ("refine_min", "refine_max"):
-        original = getattr(B, name)
-
-        def wrapped(fn, xs, vals, *, tol, original=original):
-            windows.append(np.array(xs))
-            return original(fn, xs, vals, tol=tol)
-
-        monkeypatch.setattr(B, name, wrapped)
-    got = bound(f, g, t)
-    (xs,) = windows
+    row = 0 if t > 0 else 3
+    scan, half, maximize = B._PROB_ROWS[row]
+    xs, _ = B._row_window(B._threshold_table(f, g, t), t, scan, half, maximize)
     assert xs.size == 3 and xs[1] == 0.5 * t and xs[0] < xs[1] < xs[2]
-    monkeypatch.undo()
-    assert got == _reference_prob_bounds(f, g, t)[0 if t > 0 else 3]
+    assert bound(f, g, t) == _reference_prob_bounds(f, g, t)[row]
 
 
 def _recording(d, sizes):
@@ -521,18 +524,21 @@ def test_prob_scans_stay_below_malloc_threshold(f, g):
     assert max(sizes) > 4_000  # the node grid was scanned, not skipped
 
 
-def test_one_threshold_table_per_row():
+def test_one_threshold_table_per_row(monkeypatch):
+    # the row memo: 3 misses (one table each) and 9 hits for 12 bound calls
     f, g = Pareto(25.0, 2.0), Pareto(30.0, 2.0)
-    table = B._threshold_table
-    table.cache_clear()
+    tables = []
+    original = B._threshold_table
+    monkeypatch.setattr(B, "_threshold_table", lambda *args: tables.append(args) or original(*args))
+    B._ROW_MEMO.clear()
     for t in (70.0, 71.0, 70.0):  # a fresh threshold each time: one entry lives
         for bound in _PROB_BOUNDS:
             bound(f, g, t)
-    info = table.cache_info()
-    assert (info.misses, info.hits) == (3, 9)
+    assert tables == [(f, g, 70.0), (f, g, 71.0), (f, g, 70.0)]
+    assert list(B._ROW_MEMO) == [(f, g, 70.0)]
     for bound in _PROB_BOUNDS:  # a bound at the last threshold again builds nothing
         bound(f, g, 70.0)
-    assert table.cache_info().misses == 3
+    assert len(tables) == 3
 
 
 def test_threshold_table_is_read_only():
@@ -556,7 +562,8 @@ def test_threshold_table_is_read_only():
 )
 def test_prob_row_reads_each_cdf_column_once(f, g):
     # the table's columns F, G and G(t - z) on both blocks and F(t - z) on the
-    # upper one; everything else is a refinement round or a CDF at t/2
+    # upper one; everything else is a joint refinement round (at most 4 rows of
+    # 33 points) or a CDF at t/2
     sizes = []
     f, g = _recording(f, sizes), _recording(g, sizes)
     B._require_order(f, g)  # the pair's order check, once per pair
@@ -564,9 +571,9 @@ def test_prob_row_reads_each_cdf_column_once(f, g):
         sizes.clear()
         for bound in _PROB_BOUNDS:
             bound(f, g, t)
-        big = [n for n in sizes if n > 33]
+        big = [n for n in sizes if n > 4 * 33]
         assert len(big) == 7, t
-        assert set(sizes) - set(big) <= {1, 33}
+        assert max(set(sizes) - set(big)) <= 4 * 33
 
 
 # ---------------------------------------------------------------------------
@@ -1363,7 +1370,7 @@ def test_scan_window_matches_full_line_for_any_objective(pair, half_t, half, max
     f, g = pair
     t = 0.5 * half_t
     objective, refine = (_rippled, B.refine_max) if maximize else (lambda z: -_rippled(z), B.refine_min)
-    got = B._cdf_scan(f, g, t, objective, lambda b: objective(b.z), half, maximize)
+    got = _window_refine(f, g, t, objective, half, maximize)
     assert got == _full_line_scan(f, g, t, objective, half, refine)
 
 

@@ -8,6 +8,8 @@ rounds a last bit differently may move a digest without any code change.
 The plan-route digests (ES and RVaR curves, couplings and reports) were
 recorded from the cell means that evaluated each closed form at both
 ends of every cell, before the one-pass kernel of ``dist._cell_means``.
+The normal, uniform and atom ``probbounds`` digests were recorded from the
+per-bound refinements, before the four bounds at a threshold refined together.
 """
 
 import csv
@@ -52,10 +54,23 @@ PLAN_RUNS = {
 }
 PLAN_TABLES = ("curve.csv", "couplings.csv", "reports.json")
 
+# The CI's other probbounds commands: infinite supports, t/2 below both supports
+# up to the upper end of G's, and the threshold tables of step CDFs.
+PROB_RUNS = {
+    "prob_normal": ["--margF", "normal:0,1", "--margG", "normal:0.5,1"]
+    + ["--t-from", "-2", "--t-to", "4", "--t-step", "0.5"],
+    "prob_uniform": [*UNIFORM, "--t-from", "-20", "--t-to", "240", "--t-step", "10"],
+    "prob_atoms": ["--margF", "csv:{x}", "--margG", "csv:{y}", "--t-from", "1", "--t-to", "17", "--t-step", "0.5"],
+}
+ATOMS = {"x": "value,weight\n1,2\n2,3\n4,1\n7,2\n", "y": "value,weight\n2,1\n3,3\n5,2\n8,2\n"}
+
 PINS = {
     "bounds/curve.csv": "843cda05ea6401122a9a611efcbd65ab631b67b6ef9452f89d2f10fecc4940a3",
     "bounds/couplings.csv": "76f9dea02d675d92f1f7f7c9eb5e151f055a5f2c74266cd5a9dc8ace211b3c61",
     "probbounds/probbounds.csv": "accd7e2af2f8bd0be3ae527b36ab86d06ec515dd65a8f7cfde698d0d4ceeb695",
+    "prob_normal/probbounds.csv": "51d5b6f7534c5d73b0ded7a58401a9ee101c9548a76d0c4067d5ad8444af855b",
+    "prob_uniform/probbounds.csv": "39e5f069d1634706570ea907f59385be6e9c35dca29f646ea504a9b50d86caeb",
+    "prob_atoms/probbounds.csv": "b9200b19d8141060af43b508107e12d0574337ac4d094ede3360020de66fdd6a",
     "sample/samples.csv": "3885b75ad6a6cce0d43e7165da5804a5bf0bbbc8135367b9c880152269ea5c4a",
     "plan.csv": "22de35a86ca63ebde88e7835c06e6945677304edf1f5d3721a0ede805627077d",
     "stop_loss.csv": "55d03104c8121cb328e5816c8507e59a1306a15cc9eda70f59b3de1ae6273e20",
@@ -115,6 +130,18 @@ def test_readme_tables_are_pinned(tmp_path, name):
     assert entry([*argv, "--out", str(tmp_path)]) == 0
     for table in tables:
         assert _sha256(tmp_path / table) == PINS[f"{name}/{table}"], table
+
+
+@pytest.mark.parametrize("name", sorted(PROB_RUNS))
+def test_prob_tables_are_pinned(tmp_path, name):
+    paths = {}
+    for side, text in ATOMS.items():
+        paths[side] = tmp_path / f"{side}.csv"
+        paths[side].write_text(text)
+    argv = [arg.format(**paths) for arg in PROB_RUNS[name]]
+    out = tmp_path / "out"
+    assert entry(["probbounds", *argv, "--out", str(out)]) == 0
+    assert _sha256(out / "probbounds.csv") == PINS[f"{name}/probbounds.csv"]
 
 
 def test_library_tables_are_pinned(tmp_path):
