@@ -162,24 +162,29 @@ def _project(f: Dist, g: Dist):
     return f, g
 
 
-def _ordered_marginals(args: argparse.Namespace):
-    """Parse --margF/--margG and check F <= G stochastically.
+def _gate(f: Dist, g: Dist, args: argparse.Namespace, limit: float | None = None):
+    """The one order gate: ``(f, g, report, projected)`` for a pair that holds F <= G.
 
-    A failing pair is refused, or repaired when ``--project`` is set.
+    A violation above ``limit`` is refused; a pair that then fails the check is
+    repaired when ``--project`` is set (``projected``), or refused.
     """
-    f = parse_marginal(args.marg_f)
-    g = parse_marginal(args.marg_g)
     rep = _order_report(f, g)
+    mv = rep.max_violation
+    if limit is not None and mv > limit:
+        print(f"max violation {mv:.6g} exceeds threshold {limit:.6g}", file=sys.stderr)
+        raise OrderViolationError(rep)
     if not rep.holds:
         if not args.project:
             print(
-                "order check failed; --project repairs empirical or grid marginals",
+                f"order check failed (max violation {mv:.6g}); --project repairs "
+                "empirical or grid marginals, so rerun with --project",
                 file=sys.stderr,
             )
             raise OrderViolationError(rep)
         f, g = _project(f, g)
-    print(f"order check: max violation {rep.max_violation:.6g}")
-    return f, g
+    bound = "" if limit is None else f" (threshold {limit:.6g})"
+    print(f"order check: max violation {mv:.6g}{bound}")
+    return f, g, rep, not rep.holds
 
 
 def _nested(r):
@@ -187,51 +192,41 @@ def _nested(r):
     return r.unconstrained_best, r.constrained_best, r.constrained_worst, r.unconstrained_worst
 
 
-def _emit_bound_outputs(f: Dist, g: Dist, args: argparse.Namespace) -> None:
-    """Curve CSV, per-level coupling VaRs and JSON reports for one pair."""
-    os.makedirs(args.out_dir, exist_ok=True)
-    levels = np.round(_grid(args.p_from, args.p_to, args.p_step), 12)
-    ps = [float(p) for p in levels]
-    reports = [
-        bound_report(
-            f, g, args.measure, p=p, q=args.q, grid_n=args.grid_n
-        )
-        for p in ps
-    ]
-    rows = [(r.p, *_nested(r), r.r) for r in reports]
-    _write_csv(
-        os.path.join(args.out_dir, "curve.csv"),
-        ["p", "L", "Lo", "Uo", "U", "R"],
-        rows,
-    )
+def _emit_bound_outputs(f: Dist, g: Dist, args: argparse.Namespace, preprocessing=None) -> None:
+    """Curve CSV, per-level coupling VaRs and JSON reports for one pair.
+
+    Every row is computed before any file is written, so a failing bound
+    leaves no partial output; ``preprocessing`` (casestudy's record) goes first.
+    """
+    ps = [float(p) for p in np.round(_grid(args.p_from, args.p_to, args.p_step), 12)]
+    reports = [bound_report(f, g, args.measure, p=p, q=args.q, grid_n=args.grid_n) for p in ps]
     n = args.grid_n
     crows = [(p, dl_sum_var(f, g, p, grid_n=n), ct_sum_var(f, g, p, grid_n=n)) for p in ps]
-    _write_csv(
-        os.path.join(args.out_dir, "couplings.csv"),
-        ["p", "var_dl", "var_ct"],
-        crows,
-    )
-    _write_json(
-        os.path.join(args.out_dir, "reports.json"),
-        [r.to_json_dict() for r in reports],
-    )
+    rows = [(r.p, *_nested(r), r.r) for r in reports]
+    d = args.out_dir
+    os.makedirs(d, exist_ok=True)
+    if preprocessing is not None:
+        _write_json(os.path.join(d, "preprocessing.json"), preprocessing)
+    _write_csv(os.path.join(d, "curve.csv"), ["p", "L", "Lo", "Uo", "U", "R"], rows)
+    _write_csv(os.path.join(d, "couplings.csv"), ["p", "var_dl", "var_ct"], crows)
+    _write_json(os.path.join(d, "reports.json"), [r.to_json_dict() for r in reports])
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    f, g = _ordered_marginals(args)
+    f, g, *_ = _gate(parse_marginal(args.marg_f), parse_marginal(args.marg_g), args)
     _emit_bound_outputs(f, g, args)
     return 0
 
 
 def cmd_probbounds(args: argparse.Namespace) -> int:
-    f, g = _ordered_marginals(args)
-    os.makedirs(args.out_dir, exist_ok=True)
+    f, g, *_ = _gate(parse_marginal(args.marg_f), parse_marginal(args.marg_g), args)
     dl, ct = (_per_pair(_sum_law, f, g, args.grid_n, 0.0, 1.0, o) for o in (True, False))
     rows = []
     for t in _grid(args.t_from, args.t_to, args.t_step):
         r = bound_report(f, g, "prob", t=float(t), grid_n=args.grid_n)
         m, mo, big_mo, big_m = _nested(r)
         rows.append((r.t, m, mo, big_mo, big_m, dl.cdf(r.t), ct.cdf(r.t)))
+    os.makedirs(args.out_dir, exist_ok=True)
     _write_csv(
         os.path.join(args.out_dir, "probbounds.csv"),
         ["t", "m", "mo", "Mo", "M", "prob_dl", "prob_ct"],
@@ -278,48 +273,21 @@ def cmd_casestudy(args: argparse.Namespace) -> int:
     fhat = empirical_from_samples(tot_x)
     ghat = empirical_from_samples(tot_y)
 
-    rep = _order_report(fhat, ghat)
-    mv = rep.max_violation
-    thr = (
-        args.max_violation
-        if args.max_violation is not None
-        else 2.0 / math.sqrt(args.replicates)
-    )
-    projected = False
-    if mv > thr:
-        print(
-            f"max violation {mv:.6g} exceeds threshold {thr:.6g}", file=sys.stderr
-        )
-        raise OrderViolationError(rep)
-    if mv > 0.0:
-        if not args.project:
-            print(
-                f"violation {mv:.6g} within threshold {thr:.6g}; "
-                "rerun with --project to repair",
-                file=sys.stderr,
-            )
-            raise OrderViolationError(rep)
-        fhat, ghat = _project(fhat, ghat)
-        projected = True
-    print(f"order check: max violation {mv:.6g} (threshold {thr:.6g})")
-
-    os.makedirs(args.out_dir, exist_ok=True)
-    _write_json(
-        os.path.join(args.out_dir, "preprocessing.json"),
-        {
-            "obs_x": str(args.obs_x),
-            "obs_y": str(args.obs_y),
-            "group_x": args.group_x,
-            "group_y": args.group_y,
-            "replicates": args.replicates,
-            "seed": args.seed,
-            "max_violation": mv,
-            "witness": rep.witness,
-            "threshold": thr,
-            "projected": projected,
-        },
-    )
-    _emit_bound_outputs(fhat, ghat, args)
+    thr = args.max_violation if args.max_violation is not None else 2.0 / math.sqrt(args.replicates)
+    fhat, ghat, rep, projected = _gate(fhat, ghat, args, thr)
+    preprocessing = {
+        "obs_x": str(args.obs_x),
+        "obs_y": str(args.obs_y),
+        "group_x": args.group_x,
+        "group_y": args.group_y,
+        "replicates": args.replicates,
+        "seed": args.seed,
+        "max_violation": rep.max_violation,
+        "witness": rep.witness,
+        "threshold": thr,
+        "projected": projected,
+    }
+    _emit_bound_outputs(fhat, ghat, args, preprocessing)
     return 0
 
 

@@ -255,7 +255,10 @@ def _match(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     and the stable sorts by depth line them up position by position. One
     merge search, one count and two stable argsorts. Once no x meets an
     empty stack, every ``stacked`` count lies in [1, n], so it fits
-    ``np.bincount`` with n + 1 bins.
+    ``np.bincount`` with n + 1 bins. An x that meets an empty stack raises
+    PlanInfeasibleError; on a pair the order gate admitted, that is a defect of
+    the plan (float cumulative weights can stop the ranks meeting at an atom
+    boundary), not an order violation.
     """
     n = xs.size
     i = np.arange(n)
@@ -288,9 +291,10 @@ def dl_plan_discrete(
     The points sit at the left cell ends p + (q-p)(n-i)/n, i = 1..n;
     iteration runs in decreasing x, matching each x_k with
     min{y in S_k : y >= x_k} and removing the match from S_k. The order
-    of the whole pair is checked first (OrderViolationError); a
-    PlanInfeasibleError, when no admissible y remains, signals an order
-    violation at grid resolution. ``mean_sums`` adds the paired cell means.
+    of the whole pair is checked first (OrderViolationError), so a
+    PlanInfeasibleError, when no admissible y remains, signals a defect of
+    the plan on an admitted pair (see ``_match``). ``mean_sums`` adds the
+    paired cell means.
     """
     p, q = _check_level(p, q, name="plan levels", within="[0, 1]")
     n = _check_count(n, "cell count n")

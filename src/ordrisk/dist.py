@@ -67,8 +67,6 @@ DEFAULT_GRID_N = 10_000
 DEFAULT_TRUNC = 1.0 - 1e-6
 DEFAULT_SCAN_N = 2048  # midpoint levels of the merged node grid of order checks and scans
 
-_PARAMETRIC_KINDS = ("pareto", "uniform", "normal")
-
 
 def _validate_levels(u):
     arr = np.asarray(u)  # integer, unsigned or float: no bool, string or object levels
@@ -451,7 +449,6 @@ class _Negated(Dist):
 
     def __init__(self, d: Dist):
         self.d = d
-        self.kind = d.kind  # -X takes the order-check tolerance of X
 
     def __repr__(self):
         return f"negate_dist({self.d!r})"
@@ -585,15 +582,14 @@ def _per_pair(build, *args):
     return out
 
 
-def _order_tol(f: Dist, g: Dist, grid_size: int, tol) -> float:
-    """``tol`` as a float, DomainError unless it is a real number >= 0; None gives the default."""
-    if tol is not None:
-        if not (isinstance(tol, numbers.Real) and tol >= 0.0):  # NaN fails too
-            raise DomainError(f"tolerance tol must be a real number of at least 0: {tol!r}")
-        return float(tol)
-    if f.kind in _PARAMETRIC_KINDS and g.kind in _PARAMETRIC_KINDS:
+def _order_tol(tol) -> float:
+    """``tol`` as a float; DomainError unless it is a finite real number >= 0 (no bool); None gives 1e-9."""
+    if tol is None:
         return 1e-9
-    return 2.0 / grid_size
+    # NaN fails the range test too
+    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
+        raise DomainError(f"tolerance tol must be a finite real number of at least 0: {tol!r}")
+    return float(tol)
 
 
 def check_st(
@@ -603,11 +599,11 @@ def check_st(
 
     Evaluated on the union of both quantile grids and all atoms, the pair's
     node grid from ``_per_pair`` (at the default size, the nodes of the
-    probability scans). The default tolerance is ``1e-9`` for parametric
-    pairs and ``2/grid_size`` when an empirical or grid kind is involved.
+    probability scans). The default tolerance is ``1e-9`` for every kind: a
+    rounding error, since step CDFs are exact at the atoms on the grid.
     """
     ts = _per_pair(_merged_grid, (f, g), grid_size)
-    tol = _order_tol(f, g, grid_size, tol)
+    tol = _order_tol(tol)
     d = np.asarray(f.cdf(ts)) - np.asarray(g.cdf(ts))
     i = int(np.argmin(d))
     mv = max(0.0, float(-d[i]))
@@ -619,10 +615,11 @@ def check_ss(f: Dist, g: Dist, grid_size: int = 2048, tol: float | None = None) 
 
     Equivalent to ``G(y) - G(x) >= F(y) - F(x)`` for all
     ``y >= x >= G^{-1}(0)``. The reported violation is the largest
-    positive increase of ``F - G`` along the merged grid.
+    positive increase of ``F - G`` along the merged grid; the default
+    tolerance is ``1e-9`` for every kind, as in ``check_st``.
     """
     ts = _merged_grid((f, g), grid_size)
-    tol = _order_tol(f, g, grid_size, tol)
+    tol = _order_tol(tol)
     lo = g.support_lo
     if math.isfinite(lo):
         ts = ts[ts >= lo]

@@ -25,7 +25,8 @@ class OrderViolationError(OrdriskError):
 class PlanInfeasibleError(OrdriskError):
     """The discrete coupling ran out of admissible targets.
 
-    Signals a stochastic-order violation at grid resolution.
+    The order gate runs first, so on an admitted pair this signals a
+    defect of the plan, not an order violation.
     """
 
 

@@ -118,7 +118,9 @@ def conditional_tail_ss_check(
     ``event_mask`` must select exactly ceil((1-p) * size) elements, the
     mass of a probability-(1-p) event in the empirical population. The
     comparison runs the strong-order check of the conditional empirical
-    CDF against the empirical upper p-tail.
+    CDF against the empirical upper p-tail. Both laws are sampled, so the
+    default tolerance is the statistical ``2/grid_size``, not ``check_ss``'s
+    rounding-size one.
     """
     samples = np.asarray(samples, dtype=float).ravel()
     mask = np.asarray(event_mask, dtype=bool).ravel()
@@ -130,6 +132,8 @@ def conditional_tail_ss_check(
         raise DomainError(
             f"event mask selects {int(mask.sum())} elements, needs exactly {required}"
         )
+    if tol is None:
+        tol = 2.0 / _check_count(grid_size, "grid size", 2)
     conditional = empirical_from_samples(samples[mask])
     tail = upper_tail(empirical_from_samples(samples), p)
     return check_ss(conditional, tail, grid_size, tol)

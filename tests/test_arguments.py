@@ -18,6 +18,7 @@ from ordrisk.coupling import TransportEvaluator, dl_plan_discrete, dl_sum_cdf, s
 from ordrisk.dist import (
     Normal,
     Pareto,
+    Uniform,
     check_ss,
     check_st,
     empirical_from_samples,
@@ -135,6 +136,10 @@ BOOLS = {
     "sample_size_seed": lambda: sample_coupling(PF, PG, "dl", True, False, plan_n=100),
     "dl_plan_discrete_window": lambda: dl_plan_discrete(PF, PG, 10, False, q=True),
     "dl_sum_cdf_array": lambda: dl_sum_cdf(dl_plan_discrete(PF, PG, 10), np.array([True])),
+    # tol=True read as 1 passed a pair whose violation is 1/3
+    "check_st_tol": lambda: check_st(Uniform(0.0, 1.5), Uniform(0.0, 1.0), tol=True),
+    "check_ss_tol": lambda: check_ss(Uniform(0.0, 1.5), Uniform(0.0, 1.0), tol=True),
+    "conditional_tail_ss_check_tol": lambda: conditional_tail_ss_check(_SAMPLES, _TOP_HALF, 0.5, tol=True),
 }
 
 BAD_LEVELS = ["0.5", None, math.nan, 1.5, -0.5, [0.5], np.array(0.5), 0.5 + 0j]
@@ -206,10 +211,23 @@ def test_bools_refused(entry):
         lambda: check_st(PF, PG, tol="x"),
         lambda: check_ss(PF, PG, tol="1e-9"),
         lambda: check_st(PF, PG, tol=math.nan),
+        # an infinite tolerance passed every pair
+        lambda: check_st(Uniform(0.0, 1.5), Uniform(0.0, 1.0), tol=math.inf),
+        lambda: check_ss(Uniform(0.0, 1.5), Uniform(0.0, 1.0), tol=np.inf),
+        lambda: conditional_tail_ss_check(_SAMPLES, _TOP_HALF, 0.5, tol=math.inf),
         lambda: isotonic_pair_projection(_E, _E, w_f="1"),
         lambda: isotonic_pair_projection(_E, _E, w_g=None),
     ],
-    ids=["check_st-str", "check_ss-str", "check_st-nan", "projection-w_f", "projection-w_g"],
+    ids=[
+        "check_st-str",
+        "check_ss-str",
+        "check_st-nan",
+        "check_st-inf",
+        "check_ss-inf",
+        "conditional_tail_ss_check-inf",
+        "projection-w_f",
+        "projection-w_g",
+    ],
 )
 def test_non_real_tolerances_and_weights_refused(call):
     with pytest.raises(DomainError, match="real number"):

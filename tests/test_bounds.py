@@ -27,6 +27,7 @@ from ordrisk.dist import (
     QuantileGrid,
     Uniform,
     empirical_from_samples,
+    check_st,
     es_eval,
     negate_dist,
     to_grid,
@@ -303,12 +304,15 @@ def test_prob_nesting():
 
 
 def test_prob_report_refuses_inversion_beyond_rounding():
-    # the pair passes the 2/2048 order gate, but mo = 0.5 > Mo = 0.4998 at
-    # t = 1; a grid-sized snap tolerance used to hide that inversion
+    # F(0) - G(0) = -2e-4: the pair used to pass a 2/2048 order gate for atoms,
+    # and then mo = 0.5 > Mo = 0.4998 at t = 1; the one rounding-size gate
+    # refuses it before any bound is computed
     f = Empirical([0.0, 1.0], [0.4998, 0.5002])
     g = Empirical([0.0, 2.0], [0.5, 0.5])
-    assert B.prob_lower(f, g, 1.0) - B.prob_upper(f, g, 1.0) > 1e-4
-    with pytest.raises(DomainError, match="bounds must nest"):
+    for bound in (B.prob_lower, B.prob_upper):
+        with pytest.raises(OrderViolationError):
+            bound(f, g, 1.0)
+    with pytest.raises(OrderViolationError):
         B.bound_report(f, g, "prob", t=1.0)
 
 
@@ -1499,3 +1503,37 @@ def test_prob_bounds_nest_and_rise(pair, a1, a2):
     for vals in (lo, hi):
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:])), vals
     assert all(a <= b + 1e-12 for a, b in zip(lo, hi)), (lo, hi)
+
+
+@st.composite
+def _crossing_atoms(draw):
+    # an ordered atom pair, then mass of up to 2/2048 moved up between two X
+    # atoms: F falls by that much between them, so the CDFs may cross
+    f, g = draw(_ordered_atoms())
+    i, j = sorted(draw(st.lists(st.integers(0, f.values.size - 1), min_size=2, max_size=2, unique=True)))
+    w = f.weights.copy()
+    moved = min(draw(st.floats(0.0, 2.0 / 2048)), w[i] / 2.0)
+    w[i] -= moved
+    w[j] += moved
+    return Empirical(f.values, w), g
+
+
+_FOUND_PAIR = (Empirical([0.0, 1.0], [0.4995, 0.5005]), Empirical([0.0, 2.0], [0.5, 0.5]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_crossing_atoms(), st.integers(-2, 70), st.floats(0.001, 0.999))
+@example(_FOUND_PAIR, 2, 0.5)  # F(0) - G(0) = -5e-4 used to pass a 2/2048 gate for atoms
+def test_order_gate_admits_only_pairs_whose_bounds_nest(pair, half_t, p):
+    # one rounding-size tolerance: an admitted pair gives nested reports, and
+    # every constrained bound refuses the rest at the gate
+    f, g = pair
+    t = half_t / 2.0
+    if check_st(f, g).holds:
+        for r in (B.bound_report(f, g, "prob", t=t), B.bound_report(f, g, "var", p=p)):
+            vals = [r.unconstrained_best, r.constrained_best, r.constrained_worst, r.unconstrained_worst]
+            assert vals == sorted(vals), vals
+    else:
+        for bound, x in ((B.prob_lower, t), (B.prob_upper, t), (B.worst_var_constrained, p), (B.best_var_constrained, p)):
+            with pytest.raises(OrderViolationError):
+                bound(f, g, x)

@@ -438,6 +438,54 @@ def test_bounds_order_gate(tmp_path, capsys):
     assert run(*args, "--project") == 0
 
 
+def _found_pair(tmp_path):
+    """X = {0: 0.4995, 1: 0.5005}, Y = {0: 0.5, 2: 0.5}: F(0) - G(0) = -5e-4, not ordered."""
+    x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+    x.write_text("value,weight\n0,0.4995\n1,0.5005\n")
+    y.write_text("value,weight\n0,0.5\n2,0.5\n")
+    return ["--margF", f"csv:{x}", "--margG", f"csv:{y}"]
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["bounds", "--p-from", "0.9", "--p-to", "0.99", "--p-step", "0.03"], "curve.csv"),
+        (["probbounds", "--t-from", "-1", "--t-to", "4", "--t-step", "0.5"], "probbounds.csv"),
+    ],
+    ids=["bounds", "probbounds"],
+)
+def test_gate_refuses_a_crossing_below_the_old_atom_tolerance(tmp_path, capsys, argv, name):
+    # the violation 5e-4 lies below 2/2048, the tolerance atoms used to get; the
+    # pair then passed the gate and every bound failed after the first output
+    out = tmp_path / "o"
+    args = [*argv, *_found_pair(tmp_path), "--out", str(out)]
+    assert run(*args) == 2
+    assert "--project repairs" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(*args, "--project") == 0
+    for row in read_rows(out / name)[1:]:
+        vals = [float(v) for v in row[1:5]]
+        assert vals == sorted(vals)
+
+
+@pytest.mark.parametrize("command", ["bounds", "casestudy"])
+def test_failing_bound_writes_no_output(obs_files, tmp_path, monkeypatch, capsys, command):
+    # every row is computed before the first file is written, casestudy's
+    # preprocessing.json included
+    def fail(*args, **kwargs):
+        raise ordrisk.cli.OrdriskError("no available y")
+
+    monkeypatch.setattr(ordrisk.cli, "dl_sum_var", fail)
+    out = tmp_path / "o"
+    if command == "bounds":
+        args = ["bounds", *MARG, "--p-from", "0.9", "--p-to", "0.92", "--p-step", "0.01", "--out", str(out)]
+    else:
+        args = casestudy_args(obs_files["x"], obs_files["y"], out)
+    assert run(*args) == 2
+    assert "no available y" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_csv_is_io_error(tmp_path, capsys):
     args = [
         "bounds",
