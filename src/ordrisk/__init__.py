@@ -5,7 +5,8 @@ couplings of (X, Y) with X ~ F, Y ~ G and X <= Y. This package computes
 the extremes of VaR, ES, RVaR, essential infimum/supremum and of
 P(X+Y <= t) over that family and over all couplings, via the directed
 coupling that attains the constrained extremes, plus samplers and
-independent oracles for verification.
+independent oracles for verification. The imports below are the one list
+of public names.
 """
 
 from .bounds import (

@@ -101,34 +101,6 @@ from .dist import (
 )
 from .errors import DegenerateSpreadError, DomainError
 
-__all__ = [
-    "BoundReport",
-    "worst_ess_inf_constrained",
-    "best_ess_sup_constrained",
-    "worst_ess_inf_unconstrained",
-    "best_ess_sup_unconstrained",
-    "worst_var_constrained",
-    "best_var_constrained",
-    "worst_var_unconstrained",
-    "best_var_unconstrained",
-    "worst_es_constrained",
-    "best_es_constrained",
-    "best_es_unconstrained",
-    "worst_rvar_constrained",
-    "best_rvar_constrained",
-    "worst_rvar_unconstrained",
-    "best_rvar_unconstrained",
-    "prob_upper",
-    "prob_lower",
-    "prob_upper_unconstrained",
-    "prob_lower_unconstrained",
-    "du_reduction",
-    "bound_report",
-    "dl_sum_var",
-    "ct_sum_var",
-    "ct_sum_cdf",
-]
-
 
 # ---------------------------------------------------------------------------
 # sum laws of the reference couplings
@@ -189,9 +161,10 @@ def _sum_law(f: Dist, g: Dist, n: int, p: float, q: float, ordered: bool) -> _Su
 def _quantile(d: Dist, u, strict: bool):
     """Left quantile of ``d`` at u, or with ``strict`` the right one.
 
-    A level within ``d._level_tol`` of a cumulative weight reads as that
-    weight: the left quantile is read at u - tol and the right one at
-    u + tol, which is the same while every atom weighs more than 2 tol.
+    A level within ``d._level_tol`` (``ROUNDING_TOL`` = 1e-9 for atoms) of a
+    cumulative weight reads as that weight: the left quantile is read at
+    u - tol and the right one at u + tol, which is the same while every atom
+    weighs more than 2 tol = 2e-9.
     Every caller passes levels in [0, 1], so they are not validated again.
     """
     if strict:
@@ -463,15 +436,16 @@ def ct_sum_cdf(f: Dist, g: Dist, t: float, *, grid_n: int = DEFAULT_GRID_N) -> f
 _Block = namedtuple("_Block", "z fz gz gt ft", defaults=[None])
 
 
-def _threshold_table(f: Dist, g: Dist, t: float) -> tuple[_Block, _Block, int]:
+def _threshold_table(f: Dist, g: Dist, t: float) -> tuple[_Block, _Block]:
     """The threshold-t scan points in two half-line blocks, with the CDF columns read there.
 
     zs0 = the pair's nodes (those of ``check_st``), t - nodes and t/2 = zs0[c]. zs0 is
     symmetric about t/2 (up to rounding), so each half-line is a slice of it
     interleaved with its midpoints: the lower block zs0[:c + 1], the upper block
     zs0[c - 1:] (all of zs0 where c = 0), one point early, which keeps a midpoint
-    below t/2 that rounds to t/2. About 0.6 MB at the default grid, read-only;
-    ``_prob_row`` builds it once per threshold and keeps it with the row.
+    below t/2 that rounds to t/2. So the upper block starts with the lower one's
+    last three points (t/2 alone where c = 0). About 0.6 MB at the default grid,
+    read-only; ``_prob_row`` builds it once per threshold and keeps it with the row.
     """
     nodes, h = _per_pair(_merged_grid, (f, g), DEFAULT_SCAN_N), 0.5 * t
     zs0 = np.unique(np.concatenate((nodes, t - nodes, [h])))
@@ -483,7 +457,7 @@ def _threshold_table(f: Dist, g: Dist, t: float) -> tuple[_Block, _Block, int]:
         for col in cols:
             col.flags.writeable = False
         blocks.append(_Block(*cols))
-    return blocks[0], blocks[1], c
+    return blocks[0], blocks[1]
 
 
 def _row_window(table, t: float, scan, half: int, maximize: bool):
@@ -491,23 +465,25 @@ def _row_window(table, t: float, scan, half: int, maximize: bool):
 
     ``scan`` gives the row's values on a block of ``_threshold_table`` from its
     columns. The scan is kept on z >= t/2 (``half`` +1: the upper block from
-    t/2), z <= t/2 (-1: the lower block) or the whole line (0: the lower block,
-    then the upper one from the first point past t/2, so t/2 is counted once).
-    The window is the first best point of the ascending scan (the largest with
-    ``maximize``) and its two neighbours (``_best_window``). Step CDFs are
+    t/2), z <= t/2 (-1: the lower block) or the whole line (0). The window is
+    the first best point of the ascending scan (the largest with ``maximize``;
+    NaN ranks last, as in ``refine_min``, which reads only this window) and its
+    two neighbours. On the whole line it is the lower block's, unless the upper
+    block's best is strictly better or the lower block's first best point is
+    t/2, whose right neighbour only the upper block holds. Step CDFs are
     constant between nodes: for atoms the scan is exact.
     """
-    lower, upper, c = table
+    lower, upper = table
     if half > 0:  # a midpoint below t/2 that rounds to t/2 lies on z >= t/2 too
         k = int(np.searchsorted(upper.z, 0.5 * t))
         blocks = [(upper.z[k:], scan(upper)[k:])]
-    elif half < 0:  # (one above t/2 that rounds to it would only repeat the last point)
-        blocks = [(lower.z, scan(lower))]
-    else:  # the upper block less zs0[c - 1], a midpoint and t/2 (less t/2 alone where c = 0)
-        k = 3 if c else 1
-        blocks = [(lower.z, scan(lower)), (upper.z[k:], scan(upper)[k:])]
-    blocks = [b for b in blocks if b[0].size]  # t/2 can be the only point
-    return _best_window(*zip(*blocks), maximize)
+    else:  # (one above t/2 that rounds to it would only repeat the last point)
+        blocks = [(lower.z, scan(lower))] + ([(upper.z, scan(upper))] if half == 0 else [])
+    keys = [np.fmin(-v if maximize else v, np.inf) for _, v in blocks]
+    ks = [int(np.argmin(key)) for key in keys]
+    j = int(len(blocks) == 2 and (keys[1][ks[1]] < keys[0][ks[0]] or ks[0] == keys[0].size - 1))
+    (zs, vals), a = blocks[j], max(ks[j] - 1, 0)
+    return zs[a : ks[j] + 2], vals[a : ks[j] + 2]
 
 
 def _with_midpoints(zs: np.ndarray) -> np.ndarray:
@@ -518,23 +494,6 @@ def _with_midpoints(zs: np.ndarray) -> np.ndarray:
     np.add(zs[1:], zs[:-1], out=mids)
     mids *= 0.5
     return out
-
-
-def _best_window(blocks, vals, maximize: bool):
-    """The first best point of the joined ascending ``blocks`` and its neighbours, with values.
-
-    NaN ranks last, as in ``refine_min``; the neighbours of a block end come
-    from the next block. ``refine_min`` reads only this window.
-    """
-    keys = [np.fmin(-v if maximize else v, np.inf) for v in vals]
-    ks = [int(np.argmin(key)) for key in keys]
-    j = 1 if len(blocks) == 2 and keys[1][ks[1]] < keys[0][ks[0]] else 0
-    n0 = blocks[0].size
-    k = ks[j] + (n0 if j else 0)  # index in the joined scan
-    a, b = max(k - 1, 0), k + 2
-    if len(blocks) == 1 or b <= n0:
-        return blocks[0][a:b], vals[0][a:b]
-    return (np.concatenate((arrs[0][a:], arrs[1][max(a - n0, 0) : b - n0])) for arrs in (blocks, vals))
 
 
 # The four rows of a threshold: (scan, half-line, maximize) of m, mo, Mo and M,

@@ -115,6 +115,8 @@ def _validate(args: argparse.Namespace) -> None:
             raise DomainError("q must exceed the top of the level grid")
     elif q is not None:
         raise DomainError("--q is read by --measure rvar only")
+    if a.get("jitter") and args.kind != "dl":
+        raise DomainError("--jitter is read by --kind dl only")
 
 
 def parse_marginal(spec: str) -> Dist:
@@ -256,7 +258,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 def _bootstrap_totals(rng, d, group: int, replicates: int) -> np.ndarray:
     w = d.weights
-    if np.allclose(w, 1.0 / w.size):
+    if np.all(w == w[0]):  # equal weights: the uniform draw
         w = None
     draws = rng.choice(d.values, size=(replicates, group), replace=True, p=w)
     return draws.sum(axis=1)

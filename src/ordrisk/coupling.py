@@ -38,6 +38,7 @@ from .dist import (
     DEFAULT_SCAN_N,
     DEFAULT_TRUNC,
     Dist,
+    _cell_edges,
     _cell_means,
     _check_count,
     _check_level,
@@ -50,20 +51,6 @@ from .dist import (
     upper_tail,  # unused here; perfbench/tracer.py patches this name
 )
 from .errors import DomainError, OrderViolationError, PlanInfeasibleError
-
-__all__ = [
-    "DlPlan",
-    "SampleBatch",
-    "TransportEvaluator",
-    "transport_upper",
-    "transport_lower",
-    "dl_cdf",
-    "dl_plan_discrete",
-    "dl_sum_cdf",
-    "sample_coupling",
-    "export_plan_csv",
-    "export_batch_csv",
-]
 
 COUPLING_KINDS = ("comonotone", "countermonotone", "dl")
 
@@ -231,8 +218,8 @@ class DlPlan:
 
 
 def _plan_levels(n: int, p: float, q: float = 1.0) -> np.ndarray:
-    # descending left cell ends: p + (q-p)(n-i)/n for i = 1..n
-    return p + (q - p) * (n - np.arange(1, n + 1)) / n
+    """The left ends of the n cells of ``_cell_edges(n, p, q)``, descending: the plan's levels."""
+    return _cell_edges(n, p, q)[-2::-1]
 
 
 def _grid_points(d: Dist, levels: np.ndarray) -> np.ndarray:
@@ -358,9 +345,13 @@ def sample_coupling(
     dl draws resample plan atoms uniformly; with ``jitter`` each draw is
     displaced within its quantile cell (the same cell fraction on both
     sides, clamped to keep x <= y exact). Deterministic given the seed.
+    ``jitter`` must be a bool; comonotone and countermonotone draws have no
+    plan cells to jitter in and do not read it (the CLI refuses ``--jitter`` there).
     """
     if kind not in COUPLING_KINDS:
         raise DomainError(f"unknown coupling kind {kind!r}")
+    if not isinstance(jitter, (bool, np.bool_)):
+        raise DomainError(f"jitter must be a bool: {jitter!r}")
     size, seed = _check_count(size, "sample size"), _check_count(seed, "seed", 0)
     plan_n = _check_count(plan_n, "cell count n")  # read by dl only, checked for every kind
     rng = np.random.default_rng(seed)

@@ -42,30 +42,10 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = [
-    "Dist",
-    "Pareto",
-    "Uniform",
-    "Normal",
-    "Empirical",
-    "QuantileGrid",
-    "OrderCheckReport",
-    "upper_tail",
-    "lower_tail",
-    "negate_dist",
-    "to_grid",
-    "check_st",
-    "check_ss",
-    "es_eval",
-    "rvar_eval",
-    "empirical_from_samples",
-    "isotonic_pair_projection",
-    "read_empirical_csv",
-]
-
 DEFAULT_GRID_N = 10_000
 DEFAULT_TRUNC = 1.0 - 1e-6
 DEFAULT_SCAN_N = 2048  # midpoint levels of the merged node grid of order checks and scans
+ROUNDING_TOL = 1e-9  # the order gate's default tolerance and the atoms' level tolerance
 
 
 def _validate_levels(u):
@@ -224,7 +204,7 @@ class Empirical(Dist):
     """
 
     kind = "empirical"
-    _level_tol = 1e-12  # ``_cumw`` is a float cumulative sum; ``_ql``/``_qr`` stay exact
+    _level_tol = ROUNDING_TOL  # ``_cumw`` is a float sum, and the order gate admits this much
 
     def __init__(self, values, weights):
         values = np.asarray(values, dtype=float)
@@ -311,10 +291,7 @@ class QuantileGrid(Dist):
             rm = r[mid]
             xl, xr = xs[rm - 1], xs[rm]
             ul, ur = us[rm - 1], us[rm]
-            xm = x[mid]
-            at_node = xm == xl
-            interp = ul + (ur - ul) * (xm - xl) / np.where(xr > xl, xr - xl, 1.0)
-            out[mid] = np.where(at_node, ul, interp)
+            out[mid] = ul + (ur - ul) * (x[mid] - xl) / (xr - xl)  # xl <= x < xr
         return _as_output(out, scalar)
 
     def _ql(self, u):
@@ -583,9 +560,9 @@ def _per_pair(build, *args):
 
 
 def _order_tol(tol) -> float:
-    """``tol`` as a float; DomainError unless it is a finite real number >= 0 (no bool); None gives 1e-9."""
+    """``tol`` as a float; DomainError unless it is a finite real number >= 0 (no bool); None gives ROUNDING_TOL."""
     if tol is None:
-        return 1e-9
+        return ROUNDING_TOL
     # NaN fails the range test too
     if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
         raise DomainError(f"tolerance tol must be a finite real number of at least 0: {tol!r}")
@@ -599,8 +576,10 @@ def check_st(
 
     Evaluated on the union of both quantile grids and all atoms, the pair's
     node grid from ``_per_pair`` (at the default size, the nodes of the
-    probability scans). The default tolerance is ``1e-9`` for every kind: a
-    rounding error, since step CDFs are exact at the atoms on the grid.
+    probability scans). The default tolerance is ``ROUNDING_TOL`` = 1e-9 for
+    every kind: a rounding error, since step CDFs are exact at the atoms on the
+    grid. The bounds read a level within it of an atom's cumulative weight as
+    that weight, so an admitted pair's bounds nest.
     """
     ts = _per_pair(_merged_grid, (f, g), grid_size)
     tol = _order_tol(tol)
@@ -610,7 +589,7 @@ def check_st(
     return OrderCheckReport(mv <= tol, mv, ts[i], ts.size)
 
 
-def check_ss(f: Dist, g: Dist, grid_size: int = 2048, tol: float | None = None) -> OrderCheckReport:
+def check_ss(f: Dist, g: Dist, grid_size: int = DEFAULT_SCAN_N, tol: float | None = None) -> OrderCheckReport:
     """Check strong stochastic order: ``F - G`` nonincreasing above ``G``'s lower endpoint.
 
     Equivalent to ``G(y) - G(x) >= F(y) - F(x)`` for all
@@ -741,20 +720,26 @@ def _quantile_integral(d: Dist, a, b):
         return combine(a, b, piece(a), piece(b))
 
 
+def _cell_edges(n: int, p: float = 0.0, q: float = 1.0) -> np.ndarray:
+    """The n + 1 edges of the n equal level cells of [p, q): the one cell partition of means and plans."""
+    edges = p + (q - p) * np.arange(n + 1) / n
+    edges[-1] = q
+    return edges
+
+
 def _cell_means(d: Dist, n: int, p: float = 0.0, q: float = 1.0) -> np.ndarray:
     """Means of ``F^{-1}`` over the ``n`` equal level cells of ``[p, q)``, ascending.
 
-    Cell ``k`` is ``[p + (q - p) k / n, p + (q - p)(k + 1) / n)``; a
-    diverging cell mean is ``inf``. The cell-mean law lies below ``F`` in
-    convex order. The piece of ``_integral_parts`` is evaluated once on the
-    n + 1 edges and neighbouring edges are combined, with the same bytes as
+    The cells are those of ``_cell_edges``; a diverging cell mean is ``inf``.
+    The cell-mean law lies below ``F`` in convex order. The piece of
+    ``_integral_parts`` is evaluated once on the n + 1 edges and
+    neighbouring edges are combined, with the same bytes as
     ``_quantile_integral`` on the cell ends: numpy ufuncs on arrays round
     each element alike. ``es_eval`` and ``rvar_eval`` keep 0-d arrays,
     because ``power`` and ``exp`` on a 0-d array can differ in the last bit
     from the array loop, which would move the worst-ES digits.
     """
-    edges = p + (q - p) * np.arange(n + 1) / n
-    edges[-1] = q
+    edges = _cell_edges(n, p, q)
     piece, combine = _integral_parts(d)
     with np.errstate(divide="ignore"):
         pe = piece(edges)
@@ -781,7 +766,7 @@ def rvar_eval(d: Dist, p: float, q: float) -> float:
 
 
 def read_empirical_csv(path) -> Empirical:
-    """Read observations from a CSV with header ``value`` or ``value,weight``."""
+    """Read observations from a CSV with header ``value`` or ``value,weight``; DomainError on a bad row."""
     values, weights = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -792,8 +777,11 @@ def read_empirical_csv(path) -> Empirical:
         for row in reader:
             if not row:
                 continue
-            values.append(float(row[0]))
-            weights.append(float(row[1]) if has_w else 1.0)
+            try:
+                values.append(float(row[0]))
+                weights.append(float(row[1]) if has_w else 1.0)
+            except (ValueError, IndexError):
+                raise DomainError(f"{path}, line {reader.line_num}: bad row {row!r}") from None
     return empirical_from_samples(np.asarray(values), np.asarray(weights))
 
 

@@ -17,6 +17,7 @@ import numpy as np
 from .coupling import SampleBatch
 from .dist import (
     DEFAULT_GRID_N,
+    DEFAULT_SCAN_N,
     Dist,
     OrderCheckReport,
     _check_count,
@@ -28,16 +29,6 @@ from .dist import (
     upper_tail,
 )
 from .errors import DomainError
-
-__all__ = [
-    "StopLossCurve",
-    "ra_unconstrained_var",
-    "stop_loss_curve",
-    "write_stop_loss_csv",
-    "grid_convergence",
-    "conditional_tail_ss_check",
-    "comonotone_es",
-]
 
 
 def ra_unconstrained_var(f: Dist, g: Dist, p: float, n: int) -> float:
@@ -111,7 +102,7 @@ def grid_convergence(fn, levels, n: int) -> float:
 
 
 def conditional_tail_ss_check(
-    samples, event_mask, p: float, *, grid_size: int = 2048, tol=None
+    samples, event_mask, p: float, *, grid_size: int = DEFAULT_SCAN_N, tol=None
 ) -> OrderCheckReport:
     """Check that the law of the sample on the event is below the p-tail law.
 

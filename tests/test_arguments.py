@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from ordrisk import bounds as B
+from ordrisk.cli import entry
 from ordrisk.coupling import TransportEvaluator, dl_plan_discrete, dl_sum_cdf, sample_coupling
 from ordrisk.dist import (
     Normal,
@@ -246,3 +247,20 @@ def test_negative_tolerances_refused(check, tol):
 def test_tolerance_none_is_the_default():
     for check in (check_st, check_ss):
         assert _plain(check(PF, PG, tol=None)) == _plain(check(PF, PG, tol=1e-9))
+
+
+@pytest.mark.parametrize("jitter", ["no", 1, None], ids=repr)
+def test_non_bool_jitter_refused(jitter):
+    # jitter="no" turned jittering on
+    with pytest.raises(DomainError, match="bool"):
+        sample_coupling(PF, PG, "dl", 10, 7, jitter=jitter, plan_n=100)
+
+
+@pytest.mark.parametrize("kind", ["comonotone", "countermonotone"])
+def test_jitter_flag_refused_outside_dl(kind, tmp_path, capsys):
+    # those draws never read it, and the run exited 0
+    out = tmp_path / "out"
+    marg = ["--margF", "uniform:0,1", "--margG", "uniform:0,1.5"]
+    assert entry(["sample", *marg, "--kind", kind, "--size", "10", "--jitter", "--out", str(out)]) == 2
+    assert "--jitter is read by --kind dl only" in capsys.readouterr().err
+    assert not out.exists()

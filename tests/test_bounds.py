@@ -403,6 +403,21 @@ def _full_line_scan(f, g, t, objective, half, refine):
     return float(refine(objective, zs, objective(zs), tol=1e-10 * max(1.0, abs(t))))
 
 
+def _joined_window(table, t, scan, half, maximize):
+    """The start window of the joined scan (the lower block, then the upper one past t/2), kept as the reference."""
+    lower, upper = table
+    if half > 0:
+        k = int(np.searchsorted(upper.z, 0.5 * t))
+        zs, vals = upper.z[k:], scan(upper)[k:]
+    elif half < 0:
+        zs, vals = lower.z, scan(lower)
+    else:  # the upper block repeats the lower one's last three points, or t/2 alone where it is the only one
+        k = min(3, lower.z.size)
+        zs, vals = np.concatenate((lower.z, upper.z[k:])), np.concatenate((scan(lower), scan(upper)[k:]))
+    i = int(np.argmin(np.fmin(-vals if maximize else vals, np.inf)))  # NaN ranks last
+    return zs[max(i - 1, 0) : i + 2], vals[max(i - 1, 0) : i + 2]
+
+
 def _reference_prob_bounds(f, g, t):
     """m, mo, Mo and M from ``_full_line_scan``."""
     fc, gc = (lambda z, d=d: np.asarray(d.cdf(z)) for d in (f, g))
@@ -546,7 +561,7 @@ def test_one_threshold_table_per_row(monkeypatch):
 
 
 def test_threshold_table_is_read_only():
-    lower, upper, _ = B._threshold_table(PF, PG, 9.0)
+    lower, upper = B._threshold_table(PF, PG, 9.0)
     arrays = [a for block in (lower, upper) for a in block if a is not None]
     assert len(arrays) == 9 and lower.ft is None
     for a in arrays:
@@ -1378,6 +1393,28 @@ def test_scan_window_matches_full_line_for_any_objective(pair, half_t, half, max
     assert got == _full_line_scan(f, g, t, objective, half, refine)
 
 
+# the four rows, then the rippled objective, maximized and minimized on each half-line
+_WINDOW_SCANS = list(B._PROB_ROWS) + [
+    (lambda b, sign=sign: sign * _rippled(b.z), half, sign > 0) for half in (-1, 0, 1) for sign in (1.0, -1.0)
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ordered_atoms(), st.integers(-2, 70))
+@example(_SEAM_PAIR, 4)
+@example((_SEAM_PAIR[1], Empirical([float(np.nextafter(1.0, 2.0)), 3.0], [1.0, 1.0])), 4)
+@example((Empirical([1.0], [1.0]), Empirical([1.0], [1.0])), 2)  # t/2 is the one scan point
+def test_row_window_matches_the_joined_scan(pair, half_t):
+    # the whole-line window from one block: the same points and values, to the bit
+    f, g = pair
+    t = 0.5 * half_t
+    table = B._threshold_table(f, g, t)
+    for scan, half, maximize in _WINDOW_SCANS:
+        got = B._row_window(table, t, scan, half, maximize)
+        want = _joined_window(table, t, scan, half, maximize)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want], (half, maximize)
+
+
 def test_worst_var_at_atom_boundary():
     # the LP gives 13; F and G both reach 1/2 here, but Empirical._cumw sums
     # 7/14 as 0.49999999999999994 for one of them, which made the old plan
@@ -1506,24 +1543,28 @@ def test_prob_bounds_nest_and_rise(pair, a1, a2):
 
 
 @st.composite
-def _crossing_atoms(draw):
-    # an ordered atom pair, then mass of up to 2/2048 moved up between two X
+def _crossing_atoms(draw, least=0.0, most=2.0 / 2048):
+    # an ordered atom pair, then mass of ``least`` to ``most`` moved up between two X
     # atoms: F falls by that much between them, so the CDFs may cross
     f, g = draw(_ordered_atoms())
     i, j = sorted(draw(st.lists(st.integers(0, f.values.size - 1), min_size=2, max_size=2, unique=True)))
     w = f.weights.copy()
-    moved = min(draw(st.floats(0.0, 2.0 / 2048)), w[i] / 2.0)
+    moved = min(draw(st.floats(least, most)), w[i] / 2.0)
     w[i] -= moved
     w[j] += moved
     return Empirical(f.values, w), g
 
 
 _FOUND_PAIR = (Empirical([0.0, 1.0], [0.4995, 0.5005]), Empirical([0.0, 2.0], [0.5, 0.5]))
+# crosses by 1e-10, which the gate admits; read at p = 1/2 within 1e-12 of the
+# cumulative weights, best constrained VaR was 2 and worst 0
+_NEAR_PAIR = (Empirical([0.0, 1.0], [0.5 - 1e-10, 0.5 + 1e-10]), Empirical([0.0, 1.0], [0.5, 0.5]))
 
 
 @settings(max_examples=80, deadline=None)
 @given(_crossing_atoms(), st.integers(-2, 70), st.floats(0.001, 0.999))
 @example(_FOUND_PAIR, 2, 0.5)  # F(0) - G(0) = -5e-4 used to pass a 2/2048 gate for atoms
+@example(_NEAR_PAIR, 2, 0.5)
 def test_order_gate_admits_only_pairs_whose_bounds_nest(pair, half_t, p):
     # one rounding-size tolerance: an admitted pair gives nested reports, and
     # every constrained bound refuses the rest at the gate
@@ -1537,3 +1578,22 @@ def test_order_gate_admits_only_pairs_whose_bounds_nest(pair, half_t, p):
         for bound, x in ((B.prob_lower, t), (B.prob_upper, t), (B.worst_var_constrained, p), (B.best_var_constrained, p)):
             with pytest.raises(OrderViolationError):
                 bound(f, g, x)
+
+
+def test_var_report_nests_on_a_pair_crossing_by_1e_10():
+    r = B.bound_report(*_NEAR_PAIR, "var", p=0.5)
+    assert [r.unconstrained_best, r.constrained_best, r.constrained_worst, r.unconstrained_worst] == [0.0, 0.0, 0.0, 1.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_crossing_atoms(1e-13, 9e-10))
+@example(_NEAR_PAIR)
+def test_var_reports_nest_at_every_cumulative_weight_of_nearly_ordered_pairs(pair):
+    # the gate admits these crossings; the atoms' quantiles must read a level
+    # within the gate's tolerance of a cumulative weight as that weight
+    f, g = pair
+    assert check_st(f, g).holds
+    for p in np.unique(np.concatenate((f._cumw[:-1], g._cumw[:-1]))):
+        r = B.bound_report(f, g, "var", p=float(p))
+        vals = [r.unconstrained_best, r.constrained_best, r.constrained_worst, r.unconstrained_worst]
+        assert vals == sorted(vals), (p, vals)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ordrisk.cli
-from ordrisk.cli import _grid, _validate, build_parser, entry, parse_marginal
+from ordrisk.cli import _bootstrap_totals, _grid, _validate, build_parser, entry, parse_marginal
 from ordrisk.bounds import bound_report
 from ordrisk.coupling import dl_plan_discrete
 from ordrisk.dist import DEFAULT_TRUNC, Empirical, Normal, Pareto, Uniform
@@ -500,6 +500,25 @@ def test_missing_csv_is_io_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [("value\n1\nabc\n", 3), ("value,weight\n1,2\n2\n", 3)],
+    ids=["non-numeric", "missing-weight"],
+)
+@pytest.mark.parametrize("command", ["bounds", "casestudy"])
+def test_malformed_csv_exits_2_naming_the_line(tmp_path, capsys, command, text, line):
+    # a ValueError and an IndexError used to escape as tracebacks (exit 1)
+    bad, out = tmp_path / "bad.csv", tmp_path / "out"
+    bad.write_text(text)
+    if command == "bounds":
+        argv = ["bounds", "--margF", f"csv:{bad}", "--margG", "uniform:0,1", "--out", str(out)]
+    else:
+        argv = ["casestudy", "--obsX", str(bad), "--obsY", str(bad), "--groupX", "5", "--groupY", "5", "--out", str(out)]
+    assert run(*argv) == 2
+    assert f"{bad}, line {line}: bad row" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # probbounds
 
@@ -657,6 +676,15 @@ def obs_files(tmp_path_factory):
         "y": write("y.csv", ys),
         "near": write("near.csv", near),
     }
+
+
+@pytest.mark.parametrize("weights", [[1.0, 1.00001], [1.0, 1.0]], ids=["unequal", "equal"])
+def test_bootstrap_draws_read_unequal_weights(weights):
+    # weights within np.allclose of 1/n used to be drawn as equal ones: [8, 7, 7] for both
+    d = Empirical([1.0, 2.0], weights)
+    p = None if weights[0] == weights[1] else d.weights
+    want = np.random.default_rng(1).choice(d.values, size=(3, 5), replace=True, p=p).sum(axis=1)
+    np.testing.assert_array_equal(_bootstrap_totals(np.random.default_rng(1), d, 5, 3), want)
 
 
 def casestudy_args(obs_x, obs_y, out):
