@@ -27,7 +27,6 @@ def main(argv=None):
     ap.add_argument("--p-from", type=float, default=0.900)
     ap.add_argument("--p-to", type=float, default=0.995)
     ap.add_argument("--p-step", type=float, default=0.005)
-    ap.add_argument("--grid-n", type=int, default=10_000)
     ap.add_argument("--out", default="table1_curves.csv")
     args = ap.parse_args(argv)
 
@@ -40,7 +39,7 @@ def main(argv=None):
         for family, gp, f, g in pairs():
             rs = []
             for p in ps:
-                rep = bound_report(f, g, "var", p=float(p), grid_n=args.grid_n)
+                rep = bound_report(f, g, "var", p=float(p))
                 rs.append(rep.r)
                 writer.writerow(
                     [

@@ -12,7 +12,8 @@ X ~ F, Y ~ G and X <= Y, here called the directed coupling:
 
 Every route that needs F <= G reads the pair's one order check, ``_order_report``,
 and every level window its cell means, ``_window_means``, both through the
-16-entry per-pair memo ``dist._per_pair``. Every grid truncates at ``DEFAULT_TRUNC``.
+16-entry per-pair memo ``dist._per_pair``. Plans and draws read levels through
+``dist._grid_points``, which clips a level only where its quantile is infinite.
 
 The transport map is ``T(x) = inf{z >= x : F(z)-G(z) < F(x)-G(x)}``
 (``+inf`` when the set is empty); no bound reads it. ``TransportEvaluator``
@@ -36,13 +37,13 @@ from ._search import refine_min
 from .dist import (
     DEFAULT_GRID_N,
     DEFAULT_SCAN_N,
-    DEFAULT_TRUNC,
     Dist,
     _cell_edges,
     _cell_means,
     _check_count,
     _check_level,
     _check_real,
+    _grid_points,
     _merged_grid,
     _per_pair,
     _write_table,
@@ -222,15 +223,6 @@ def _plan_levels(n: int, p: float, q: float = 1.0) -> np.ndarray:
     return _cell_edges(n, p, q)[-2::-1]
 
 
-def _grid_points(d: Dist, levels: np.ndarray) -> np.ndarray:
-    pts = np.asarray(d.quantile_left(levels), dtype=float)
-    bad = ~np.isfinite(pts)
-    if bad.any():
-        clipped = np.clip(levels[bad], 1.0 - DEFAULT_TRUNC, DEFAULT_TRUNC)
-        pts[bad] = d.quantile_left(clipped)
-    return pts
-
-
 def _match(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Index of the y each x takes when x runs down and takes the last y stacked.
 
@@ -243,9 +235,8 @@ def _match(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     merge search, one count and two stable argsorts. Once no x meets an
     empty stack, every ``stacked`` count lies in [1, n], so it fits
     ``np.bincount`` with n + 1 bins. An x that meets an empty stack raises
-    PlanInfeasibleError; on a pair the order gate admitted, that is a defect of
-    the plan (float cumulative weights can stop the ranks meeting at an atom
-    boundary), not an order violation.
+    PlanInfeasibleError. Where x <= y at every level, as in ``dl_plan_discrete``,
+    every x finds its y: the y's of its level and all above it are stacked first.
     """
     n = xs.size
     i = np.arange(n)
@@ -278,10 +269,10 @@ def dl_plan_discrete(
     The points sit at the left cell ends p + (q-p)(n-i)/n, i = 1..n;
     iteration runs in decreasing x, matching each x_k with
     min{y in S_k : y >= x_k} and removing the match from S_k. The order
-    of the whole pair is checked first (OrderViolationError), so a
-    PlanInfeasibleError, when no admissible y remains, signals a defect of
-    the plan on an admitted pair (see ``_match``). ``mean_sums`` adds the
-    paired cell means.
+    of the whole pair is checked first (OrderViolationError). Each y point
+    is clamped to the x point of its level, so a pair the gate admits, whose
+    quantiles may cross by a rounding, still has a y >= x at every level
+    and ``_match`` never runs out. ``mean_sums`` adds the paired cell means.
     """
     p, q = _check_level(p, q, name="plan levels", within="[0, 1]")
     n = _check_count(n, "cell count n")
@@ -289,7 +280,7 @@ def dl_plan_discrete(
     fm, gm = _per_pair(_window_means, f, g, n, p, q)
     levels = _plan_levels(n, p, q)
     xs = _grid_points(f, levels)
-    ys = _grid_points(g, levels)
+    ys = np.maximum(xs, _grid_points(g, levels))
     y_idx = _match(xs, ys)
     means = fm[::-1] + gm[::-1][y_idx]
     return DlPlan(n=n, p=p, q=q, x=xs, y=ys[y_idx], y_index=y_idx, mean_sums=means)
@@ -325,11 +316,6 @@ class SampleBatch:
         return f"SampleBatch(kind={self.coupling_kind!r}, size={self.size}, seed={self.seed})"
 
 
-def _safe_levels(u: np.ndarray) -> np.ndarray:
-    # keep quantile arguments strictly inside (0, 1)
-    return np.clip(u, 1e-12, 1.0 - 1e-12)
-
-
 def sample_coupling(
     f: Dist,
     g: Dist,
@@ -355,14 +341,10 @@ def sample_coupling(
     size, seed = _check_count(size, "sample size"), _check_count(seed, "seed", 0)
     plan_n = _check_count(plan_n, "cell count n")  # read by dl only, checked for every kind
     rng = np.random.default_rng(seed)
-    if kind == "comonotone":
-        u = _safe_levels(rng.random(size))
-        x = np.asarray(f.quantile_left(u), dtype=float)
-        y = np.asarray(g.quantile_left(u), dtype=float)
-    elif kind == "countermonotone":
-        u = _safe_levels(rng.random(size))
-        x = np.asarray(f.quantile_left(u), dtype=float)
-        y = np.asarray(g.quantile_left(1.0 - u), dtype=float)
+    if kind != "dl":
+        u = rng.random(size)
+        x = _grid_points(f, u)
+        y = _grid_points(g, u if kind == "comonotone" else 1.0 - u)
     else:
         plan = dl_plan_discrete(f, g, plan_n, 0.0)
         idx = rng.integers(0, plan.n, size)
@@ -370,11 +352,8 @@ def sample_coupling(
             frac = rng.random(size)
             w = (plan.q - plan.p) / plan.n
             levels = _plan_levels(plan.n, plan.p, plan.q)
-            x_lev = levels[idx]
-            y_lev = levels[plan.y_index[idx]]
-            x = np.asarray(f.quantile_left(_safe_levels(x_lev + frac * w)), dtype=float)
-            y = np.asarray(g.quantile_left(_safe_levels(y_lev + frac * w)), dtype=float)
-            y = np.maximum(x, y)
+            x = _grid_points(f, levels[idx] + frac * w)
+            y = np.maximum(x, _grid_points(g, levels[plan.y_index[idx]] + frac * w))
         else:
             x = plan.x[idx].copy()
             y = plan.y[idx].copy()

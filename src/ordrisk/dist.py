@@ -17,10 +17,12 @@ Conventions. ``quantile_left(u) = inf{t : F(t) >= u}`` and
 ``quantile_right(u) = inf{t : F(t) > u}``; by convention the left
 quantile at 0 and the right quantile at 1 return the support endpoints
 (possibly infinite). Infinite values are returned as ``inf`` floats,
-never as large finite surrogates. Every scan and plan truncates an
-unbounded support at the one quantile level ``DEFAULT_TRUNC`` = 1 - 1e-6,
-which bound reports carry as ``truncation_m``; only the Dist-to-grid
-conversions ``to_grid``, ``upper_tail`` and ``lower_tail`` take a ``trunc``.
+never as large finite surrogates. The one truncation level is
+``DEFAULT_TRUNC`` = 1 - 1e-6, which bound reports carry as ``truncation_m``.
+Plans, draws and tail grids read levels through one grid read,
+``_grid_points``: the exact left quantile, with the level clipped to
+``[1 - DEFAULT_TRUNC, DEFAULT_TRUNC]`` only where that quantile is
+infinite. ``to_grid(trunc=)`` is the one explicit truncation.
 
 ``scipy.special`` (for the normal CDF ``ndtr`` and quantile ``ndtri``) is
 imported on first use by a normal law, in ``Normal.cdf``, ``Normal._ql``
@@ -343,82 +345,79 @@ def _check_count(n, name: str, least: int = 1) -> int:
     return int(n)
 
 
-def _check_trunc(trunc: float) -> None:
-    if not (isinstance(trunc, numbers.Real) and 0.5 < trunc < 1.0):  # NaN fails too
-        raise DomainError("truncation level must lie in (0.5, 1)")
-
-
 def to_grid(d: Dist, n: int = DEFAULT_GRID_N, trunc: float = DEFAULT_TRUNC) -> QuantileGrid:
     """Quantile-grid approximation of ``d`` at midpoint levels ``(i - 1/2)/n``.
 
     Levels are clipped to ``[1 - trunc, trunc]`` so unbounded supports
-    come out finite.
+    come out finite: the one explicit truncation, where ``_grid_points``
+    clips a level only where its quantile is infinite.
     """
     n = _check_count(n, "grid size", 2)
-    _check_trunc(trunc)
+    if not (isinstance(trunc, numbers.Real) and 0.5 < trunc < 1.0):  # NaN fails too
+        raise DomainError("truncation level must lie in (0.5, 1)")
     us = _midpoints(n)
     xs = d.quantile_left(np.clip(us, 1.0 - trunc, trunc))
     return QuantileGrid(us, xs)
 
 
-def upper_tail(
-    d: Dist, p: float, *, grid_n: int = DEFAULT_GRID_N, trunc: float = DEFAULT_TRUNC
-) -> Dist:
+def _grid_points(d: Dist, levels: np.ndarray) -> np.ndarray:
+    """``F^{-1}`` at each level: the one grid read of plans, draws and tail grids.
+
+    The exact left quantile, read at the level clipped to ``[1 - DEFAULT_TRUNC, DEFAULT_TRUNC]``
+    only where that quantile is infinite (an unbounded support's end).
+    """
+    pts = np.asarray(d.quantile_left(levels), dtype=float)
+    bad = ~np.isfinite(pts)
+    if bad.any():
+        pts[bad] = d.quantile_left(np.clip(levels[bad], 1.0 - DEFAULT_TRUNC, DEFAULT_TRUNC))
+    return pts
+
+
+def _window_law(d: Dist, lo: float, hi: float, grid_n: int) -> Dist:
+    """Law of ``F^{-1}(U)`` with ``U`` uniform on the level window ``[lo, hi]``, [p, 1] or [0, p].
+
+    A Pareto upper tail, a uniform and atoms map to closed forms; any other kind is
+    tabulated through ``_grid_points`` at the ``grid_n`` midpoints of the window, plus a
+    node 1e-9 inside each end that lies inside (0, 1), where ``F^{-1}`` is finite, so the
+    grid does not overshoot that end. Where a level rounds to 0 or 1 and its quantile is
+    infinite, the clipped read may fall outside the window; the running maximum keeps the
+    table nondecreasing.
+    """
+    if isinstance(d, Pareto) and hi == 1.0:
+        return Pareto(d.scale * (1.0 - lo) ** (-1.0 / d.shape), d.shape)
+    if isinstance(d, Uniform):
+        width = d.hi - d.lo
+        return Uniform(d.lo + lo * width, d.hi if hi == 1.0 else d.lo + hi * width)
+    if isinstance(d, Empirical):
+        w = np.clip(d._cumw, lo, hi) - np.clip(d._cumw0[:-1], lo, hi)
+        keep = w > 0
+        return Empirical(d.values[keep], w[keep] / (hi - lo))
+    us = np.concatenate(([1e-9] if lo else [], _midpoints(grid_n), [1.0 - 1e-9] if hi < 1.0 else []))
+    return QuantileGrid(us, np.maximum.accumulate(_grid_points(d, lo + (hi - lo) * us)))
+
+
+def upper_tail(d: Dist, p: float, *, grid_n: int = DEFAULT_GRID_N) -> Dist:
     """Distribution of ``d`` conditioned above its ``p`` quantile.
 
     The result has CDF ``(F(x) - p)_+ / (1 - p)``, the law of
-    ``F^{-1}(U)`` with ``U`` uniform on ``[p, 1]``. Pareto, uniform and
-    empirical inputs map to exact closed forms; other kinds are
-    tabulated on a quantile grid of size ``grid_n``.
+    ``F^{-1}(U)`` with ``U`` uniform on ``[p, 1]`` (``_window_law``). Pareto,
+    uniform and empirical inputs map to exact closed forms; other kinds are
+    tabulated on a quantile grid of size ``grid_n``. ``p = 0`` returns ``d``.
     """
     p = _check_level(p, name="tail level p", within="[0, 1)")
     grid_n = _check_count(grid_n, "grid size", 2)
-    _check_trunc(trunc)
-    if p == 0.0:
-        return d
-    if isinstance(d, Pareto):
-        return Pareto(d.scale * (1.0 - p) ** (-1.0 / d.shape), d.shape)
-    if isinstance(d, Uniform):
-        return Uniform(d.lo + p * (d.hi - d.lo), d.hi)
-    if isinstance(d, Empirical):
-        hi = np.minimum(d._cumw, 1.0)
-        lo = d._cumw0[:-1]
-        w = np.maximum(hi, p) - np.maximum(lo, p)
-        keep = w > 0
-        return Empirical(d.values[keep], w[keep] / (1.0 - p))
-    # The conditional support has a finite lower endpoint at F^{-1}(p);
-    # pin it with a near-zero node so tail grids do not undershoot it.
-    us = np.concatenate(([1e-9], _midpoints(grid_n)))
-    levels = np.clip(p + (1.0 - p) * us, 1.0 - trunc, trunc)
-    return QuantileGrid(us, d.quantile_left(levels))
+    return d if p == 0.0 else _window_law(d, p, 1.0, grid_n)
 
 
-def lower_tail(
-    d: Dist, p: float, *, grid_n: int = DEFAULT_GRID_N, trunc: float = DEFAULT_TRUNC
-) -> Dist:
+def lower_tail(d: Dist, p: float, *, grid_n: int = DEFAULT_GRID_N) -> Dist:
     """Distribution of ``d`` conditioned below its ``p`` quantile.
 
-    The result has CDF ``min(F(x), p) / p``. Mirror of
-    :func:`upper_tail`; ``p = 1`` returns ``d`` unchanged.
+    The result has CDF ``min(F(x), p) / p``, the law of ``F^{-1}(U)`` with
+    ``U`` uniform on ``[0, p]``; ``p = 1`` returns ``d`` unchanged.
     """
     p = _check_level(p, name="tail level p", within="(0, 1]")
     grid_n = _check_count(grid_n, "grid size", 2)
-    _check_trunc(trunc)
-    if p == 1.0:
-        return d
-    if isinstance(d, Uniform):
-        return Uniform(d.lo, d.lo + p * (d.hi - d.lo))
-    if isinstance(d, Empirical):
-        hi = np.minimum(d._cumw, p)
-        lo = np.minimum(d._cumw0[:-1], p)
-        w = hi - lo
-        keep = w > 0
-        return Empirical(d.values[keep], w[keep] / p)
-    # Mirror of the endpoint pin in upper_tail: the conditional support
-    # ends at the finite quantile F^{-1}(p).
-    us = np.concatenate((_midpoints(grid_n), [1.0 - 1e-9]))
-    levels = np.clip(p * us, 1.0 - trunc, trunc)
-    return QuantileGrid(us, d.quantile_left(levels))
+    return d if p == 1.0 else _window_law(d, 0.0, p, grid_n)
 
 
 class _Negated(Dist):
@@ -522,7 +521,6 @@ _TAIL_LEVELS = 1.0 - 0.5 ** np.arange(1, 61)
 def _scan_levels(grid_size: int, tail: bool) -> np.ndarray:
     """The levels u of ``_merged_grid``, built once per typed argument pair (read-only)."""
     us = _midpoints(_check_count(grid_size, "grid size", 2))
-    us = np.clip(us, 1.0 - DEFAULT_TRUNC, DEFAULT_TRUNC)
     if tail:
         us = np.concatenate((us, _TAIL_LEVELS))
     us.flags.writeable = False
@@ -532,8 +530,8 @@ def _scan_levels(grid_size: int, tail: bool) -> np.ndarray:
 def _merged_grid(laws, grid_size: int, p: float = 0.0, tail: bool = False) -> np.ndarray:
     """Finite quantiles of each law at levels p and p + (1 - p) u, its atoms and upper end.
 
-    ``u`` are the midpoints clipped to ``[1 - DEFAULT_TRUNC, DEFAULT_TRUNC]`` (truncation is
-    of the tail's levels) and, with ``tail``, the levels 1 - 2^-k, k = 1..60, which reach
+    ``u`` are the midpoints, which stay inside ``[1 - DEFAULT_TRUNC, DEFAULT_TRUNC]`` up to
+    500,000 nodes, and, with ``tail``, the levels 1 - 2^-k, k = 1..60, which reach
     the tail's far end. The levels lie in [0, 1], so the quantiles are read without validation.
     """
     us = np.concatenate(([p], p + (1.0 - p) * _scan_levels(grid_size, tail)))

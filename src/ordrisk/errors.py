@@ -25,8 +25,9 @@ class OrderViolationError(OrdriskError):
 class PlanInfeasibleError(OrdriskError):
     """The discrete coupling ran out of admissible targets.
 
-    The order gate runs first, so on an admitted pair this signals a
-    defect of the plan, not an order violation.
+    Raised by the matching of grid points where some x has no y left at or
+    above it. ``dl_plan_discrete`` checks the order first and clamps each y
+    point to the x point of its level, so a plan never raises it.
     """
 
 

@@ -1597,3 +1597,26 @@ def test_var_reports_nest_at_every_cumulative_weight_of_nearly_ordered_pairs(pai
         r = B.bound_report(f, g, "var", p=float(p))
         vals = [r.unconstrained_best, r.constrained_best, r.constrained_worst, r.unconstrained_worst]
         assert vals == sorted(vals), (p, vals)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_crossing_atoms(1e-13, 9e-10), st.integers(0, 20))
+@example(_NEAR_PAIR, 0)  # the plan used to find no y >= 1 for pair 5000 of 10000
+@example((_XA, _YA), 3)  # p = 1/2, where the ranks meet; the plan found no y >= 9
+def test_plan_reports_and_draws_hold_on_admitted_crossing_pairs(pair, k):
+    # the plan clamps each y point to the x point of its level, so a pair the
+    # gate admits has a plan at a cumulative weight, where the ranks meet
+    f, g = pair
+    assert check_st(f, g).holds
+    levels = np.unique(np.concatenate((f._cumw[:-1], g._cumw[:-1])))
+    p = float(levels[k % levels.size])
+    for r in (B.bound_report(f, g, "es", p=p), B.bound_report(f, g, "rvar", p=p, q=0.5 + p / 2.0)):
+        vals = [r.unconstrained_best, r.constrained_best, r.constrained_worst, r.unconstrained_worst]
+        assert all(map(math.isfinite, vals)) and vals == sorted(vals), (r.measure, p, vals)
+    batch = ordrisk.coupling.sample_coupling(f, g, "dl", 500, 1)
+    assert np.all(batch.x <= batch.y)
+
+
+def test_ranks_meet_pair_best_es_matches_the_lp():
+    # the LP gives ES_0.5 = 150/7 under the order constraint
+    assert abs(B.bound_report(_XA, _YA, "es", p=0.5).constrained_best - 150.0 / 7.0) <= 1e-3

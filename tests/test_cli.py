@@ -468,6 +468,22 @@ def test_gate_refuses_a_crossing_below_the_old_atom_tolerance(tmp_path, capsys, 
         assert vals == sorted(vals)
 
 
+def test_es_bounds_and_plan_draws_on_a_pair_crossing_by_1e_10(tmp_path):
+    # the gate admits X = {0: 0.5 - 1e-10, 1: 0.5 + 1e-10}, Y = {0: 0.5, 1: 0.5};
+    # the plan used to find no y >= 1 for pair 5000 of 10000 and exit 2
+    x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+    x.write_text("value,weight\n0,0.4999999999\n1,0.5000000001\n")
+    y.write_text("value,weight\n0,0.5\n1,0.5\n")
+    marg = ["--margF", f"csv:{x}", "--margG", f"csv:{y}"]
+    levels = ["--p-from", "0.5", "--p-to", "0.9", "--p-step", "0.2"]
+    assert run("bounds", *marg, "--measure", "es", *levels, "--out", str(tmp_path / "es")) == 0
+    for row in read_rows(tmp_path / "es" / "curve.csv")[1:]:
+        vals = [float(v) for v in row[1:5]]
+        assert vals == sorted(vals)
+    assert run("sample", *marg, "--kind", "dl", "--size", "100", "--out", str(tmp_path / "dl")) == 0
+    assert all(float(a) <= float(b) for a, b in read_rows(tmp_path / "dl" / "samples.csv")[1:])
+
+
 @pytest.mark.parametrize("command", ["bounds", "casestudy"])
 def test_failing_bound_writes_no_output(obs_files, tmp_path, monkeypatch, capsys, command):
     # every row is computed before the first file is written, casestudy's

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
@@ -231,19 +231,20 @@ def test_to_grid_matches_source_quantiles(n):
 
 
 def test_to_grid_validation():
-    # one grid-size and one truncation check in every Dist-to-grid conversion,
-    # closed-form tails included; a tail truncated at 0.3 used to be one point
+    # one grid-size check in every Dist-to-grid conversion, closed-form tails
+    # included; to_grid's truncation is the one explicit one, and the tails refuse it
     bad = [(n, DEFAULT_TRUNC, "grid size must be at least 2") for n in (1, 0, -3, 2.5, math.nan)]
     bad += [(100, trunc, "truncation level must lie in") for trunc in (0.4, 0.3, 1.0, math.nan, "0.9")]
     for n, trunc, match in bad:
         for d in (Normal(0, 1), Pareto(1.0, 1.0)):
-            for convert in (
-                lambda: to_grid(d, n, trunc),
-                lambda: upper_tail(d, 0.5, grid_n=n, trunc=trunc),
-                lambda: lower_tail(d, 0.5, grid_n=n, trunc=trunc),
-            ):
-                with pytest.raises(DomainError, match=match):
-                    convert()
+            with pytest.raises(DomainError, match=match):
+                to_grid(d, n, trunc)
+            for tail in (upper_tail, lower_tail):
+                if trunc == DEFAULT_TRUNC:
+                    with pytest.raises(DomainError, match=match):
+                        tail(d, 0.5, grid_n=n)
+                with pytest.raises(TypeError, match="trunc"):
+                    tail(d, 0.5, trunc=trunc)
 
 
 @pytest.mark.parametrize("grid_size", [1, 0, -5, np.nan])
@@ -319,6 +320,90 @@ def test_empirical_tail_reweights_boundary_atom():
     # the atom at 2 straddles the cut: keeps half of its mass
     assert_allclose(t.values, [2.0, 3.0, 4.0])
     assert_allclose(t.weights, [0.2, 0.4, 0.4])
+
+
+def test_tail_grids_lie_in_their_windows_beyond_the_truncation_level():
+    # the tails used to clip every level to [1e-6, 1 - 1e-6]: a point mass at 1.000001
+    # above the window end 1.0000001, and the point 4.75342 below the start 5.19934
+    d = Pareto(1.0, 1.0)
+    t = lower_tail(d, 1e-7)
+    assert 1.0 <= t.support_lo and t.support_hi <= d.quantile_left(1e-7)
+    n = Normal(0.0, 1.0)
+    assert abs(upper_tail(n, 1.0 - 1e-7).quantile_left(0.0) - n.quantile_left(1.0 - 1e-7)) <= 1e-6
+    # the top levels round to 1, where F^{-1} = inf; the table still rises inside the window
+    t = upper_tail(n, 1.0 - 1e-12)
+    assert n.quantile_left(1.0 - 1e-12) <= t.support_lo < t.support_hi <= 8.3
+
+
+def _old_tail(d, p, grid_n, upper, trunc=DEFAULT_TRUNC):
+    """The mirrored bodies of upper_tail and lower_tail before the one window law.
+
+    Returns the law and whether the truncation clip moved a level.
+    """
+    if upper and isinstance(d, Pareto):
+        return Pareto(d.scale * (1.0 - p) ** (-1.0 / d.shape), d.shape), False
+    if isinstance(d, Uniform):
+        if upper:
+            return Uniform(d.lo + p * (d.hi - d.lo), d.hi), False
+        return Uniform(d.lo, d.lo + p * (d.hi - d.lo)), False
+    if isinstance(d, Empirical):
+        if upper:
+            hi = np.minimum(d._cumw, 1.0)
+            lo = d._cumw0[:-1]
+            w = np.maximum(hi, p) - np.maximum(lo, p)
+            keep = w > 0
+            return Empirical(d.values[keep], w[keep] / (1.0 - p)), False
+        hi = np.minimum(d._cumw, p)
+        lo = np.minimum(d._cumw0[:-1], p)
+        w = hi - lo
+        keep = w > 0
+        return Empirical(d.values[keep], w[keep] / p), False
+    mids = (np.arange(grid_n) + 0.5) / grid_n
+    if upper:
+        us = np.concatenate(([1e-9], mids))
+        raw = p + (1.0 - p) * us
+    else:
+        us = np.concatenate((mids, [1.0 - 1e-9]))
+        raw = p * us
+    levels = np.clip(raw, 1.0 - trunc, trunc)
+    return QuantileGrid(us, d.quantile_left(levels)), bool(np.any(levels != raw))
+
+
+_TAIL_LAWS = [
+    Pareto(1.0, 1.0),
+    Pareto(25.0, 2.0),
+    Uniform(-1.0, 3.0),
+    Normal(0.5, 2.0),
+    negate_dist(Pareto(2.0, 1.5)),
+    negate_dist(Uniform(0.0, 1.0)),
+    Empirical([0.0, 1.0, 2.5, 4.0], [1.0, 3.0, 2.0, 2.0]),
+    empirical_from_samples(np.arange(14.0)),
+    to_grid(Normal(0.0, 1.0), 50),
+]
+tail_levels = st.one_of(
+    levels_open, st.floats(1e-12, 1e-5, **finite), st.floats(1.0 - 1e-5, 1.0 - 1e-12, **finite)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(range(len(_TAIL_LAWS))), tail_levels, st.integers(2, 50), st.booleans())
+@example(0, 1e-7, 50, False)
+@example(3, 1.0 - 1e-7, 50, True)
+def test_window_law_matches_the_mirrored_tails(i, p, grid_n, upper):
+    # bit for bit wherever the old level clip moved nothing; where it moved a
+    # level, the grid now lies inside its window [F^{-1}(p), sup] or [inf, F^{-1}(p)]
+    d = _TAIL_LAWS[i]
+    got = (upper_tail if upper else lower_tail)(d, p, grid_n=grid_n)
+    want, clipped = _old_tail(d, p, grid_n, upper)
+    assert type(got) is type(want)
+    if not clipped:
+        assert vars(got).keys() == vars(want).keys()
+        for key, value in vars(want).items():
+            assert np.asarray(vars(got)[key]).tobytes() == np.asarray(value).tobytes(), key
+    elif upper:
+        assert d.quantile_left(p) <= got.support_lo and got.support_hi <= d.support_hi
+    else:
+        assert d.support_lo <= got.support_lo and got.support_hi <= d.quantile_left(p)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,9 @@ recorded from the cell means that evaluated each closed form at both
 ends of every cell, before the one-pass kernel of ``dist._cell_means``.
 The normal, uniform and atom ``probbounds`` digests were recorded from the
 per-bound refinements, before the four bounds at a threshold refined together.
+The comonotone and countermonotone draw digests were recorded while the
+samplers clipped every level to [1e-12, 1 - 1e-12], before they read levels
+through ``dist._grid_points``.
 """
 
 import csv
@@ -64,6 +67,13 @@ PROB_RUNS = {
 }
 ATOMS = {"x": "value,weight\n1,2\n2,3\n4,1\n7,2\n", "y": "value,weight\n2,1\n3,3\n5,2\n8,2\n"}
 
+# The draws that read quantiles at raw uniform levels: comonotone on a pair with
+# unbounded upper supports, countermonotone on a normal pair (unbounded at both ends).
+DRAW_RUNS = {
+    "sample_comonotone": [*PARETO, "--kind", "comonotone"],
+    "sample_countermonotone": ["--margF", "normal:0,1", "--margG", "normal:0.5,1", "--kind", "countermonotone"],
+}
+
 PINS = {
     "bounds/curve.csv": "843cda05ea6401122a9a611efcbd65ab631b67b6ef9452f89d2f10fecc4940a3",
     "bounds/couplings.csv": "76f9dea02d675d92f1f7f7c9eb5e151f055a5f2c74266cd5a9dc8ace211b3c61",
@@ -72,6 +82,8 @@ PINS = {
     "prob_uniform/probbounds.csv": "39e5f069d1634706570ea907f59385be6e9c35dca29f646ea504a9b50d86caeb",
     "prob_atoms/probbounds.csv": "b9200b19d8141060af43b508107e12d0574337ac4d094ede3360020de66fdd6a",
     "sample/samples.csv": "3885b75ad6a6cce0d43e7165da5804a5bf0bbbc8135367b9c880152269ea5c4a",
+    "sample_comonotone/samples.csv": "065e4fcd763443f5fb7018bd97fe29301e11bc8a4ae6b7013b2ed4864cd2528a",
+    "sample_countermonotone/samples.csv": "f1cbc803c25db17a595f122866e83533f8c04a23ab719a149fbf60afe847b685",
     "plan.csv": "22de35a86ca63ebde88e7835c06e6945677304edf1f5d3721a0ede805627077d",
     "stop_loss.csv": "55d03104c8121cb328e5816c8507e59a1306a15cc9eda70f59b3de1ae6273e20",
     "casestudy_es/curve.csv": "ae16f3ea64dad161e5f51eed8e2be9849144f7fa3b085f98cb30cc266818c38c",
@@ -142,6 +154,13 @@ def test_prob_tables_are_pinned(tmp_path, name):
     out = tmp_path / "out"
     assert entry(["probbounds", *argv, "--out", str(out)]) == 0
     assert _sha256(out / "probbounds.csv") == PINS[f"{name}/probbounds.csv"]
+
+
+@pytest.mark.parametrize("name", sorted(DRAW_RUNS))
+def test_draw_tables_are_pinned(tmp_path, name):
+    argv = ["sample", *DRAW_RUNS[name], "--size", "10000", "--seed", "7", "--out", str(tmp_path)]
+    assert entry(argv) == 0
+    assert _sha256(tmp_path / "samples.csv") == PINS[f"{name}/samples.csv"]
 
 
 def test_library_tables_are_pinned(tmp_path):

@@ -21,7 +21,7 @@ def _rows(path):
 
 def test_run_table1(tmp_path, capsys):
     out = tmp_path / "table1.csv"
-    argv = ["--p-from", "0.9", "--p-to", "0.95", "--p-step", "0.05", "--grid-n", "1000", "--out", str(out)]
+    argv = ["--p-from", "0.9", "--p-to", "0.95", "--p-step", "0.05", "--out", str(out)]
     assert _main("run_table1")(argv) == 0
     rows = _rows(out)
     assert len(rows) == 6 * 2
