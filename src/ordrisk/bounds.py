@@ -39,10 +39,12 @@ best ES where the two are equal, so every measure goes through the snap of
 Work shared by several bounds or levels is built once, in one memo,
 ``dist._per_pair``, which holds 16 entries and returns read-only arrays:
 the pair's order check and node grid, each level window's cell means
-(``coupling._window_means``, shared by the window's directed plan and its
-countermonotone sums, the per-level [p, 1) windows of worst RVaR included)
-and the sum laws no level changes, ``_sum_law`` of the [0, q) windows (q = 1,
-or the upper level of best RVaR). The probability scans
+(``coupling._window_means``, from one edge table for both marginals, shared
+by the window's directed plan and its countermonotone sums, the per-level
+[p, 1) windows of worst RVaR included) and the sum laws no level changes,
+``_sum_law`` of the [0, q) windows (q = 1, or the upper level of best RVaR).
+A sum law sorts each of its fields when first read, so a window read for one
+field (worst RVaR's [p, 1), best RVaR's [0, q)) never sorts the other. The probability scans
 read the node grid of the order check. Per threshold they share one table,
 ``_threshold_table``: the scan points of each half-line around t/2 as one
 block, with the CDF columns F(z), G(z), G(t - z) and, above t/2, F(t - z)
@@ -51,6 +53,8 @@ computes all four bounds from it; one entry, outside ``_per_pair``, keeps
 their four values and the table (about 0.6 MB, read-only) until the next
 threshold. The VaR scans build
 their nodes per level, from the shared level table of ``dist._merged_grid``.
+Where both laws are ``Empirical`` (step CDFs), the VaR, essential and
+probability scans are exact and are not refined (``_steps``).
 
 The bounds on P(X + Y <= t) invert these formulas in closed form. With
 F, G right-continuous and t finite (t = -inf, +inf give 0, 1; NaN, or a t that
@@ -87,6 +91,7 @@ from .dist import (
     DEFAULT_SCAN_N,
     DEFAULT_TRUNC,
     Dist,
+    Empirical,
     Normal,
     _Negated,
     _check_count,
@@ -106,37 +111,76 @@ from .errors import DegenerateSpreadError, DomainError
 # sum laws of the reference couplings
 
 
-class _SumLaw(namedtuple("_SumLaw", "points means")):
+class _SumLaw:
     """X + Y under a reference coupling on the n level cells of a window, mass 1/n each.
 
     ``points``: sorted point sums, for ``cdf`` and ``var``; ``means``: sorted
-    sums of the paired cell means, for the fractional means (ES, RVaR).
+    sums of the paired cell means, for the fractional means (ES, RVaR). A law
+    owns its two arrays (one array for both in the countermonotone law) and keeps
+    each unsorted until its first read, which sorts it in place and makes it
+    read-only: many windows read one field only. It unpacks to its two fields.
     """
 
-    __slots__ = ()
+    __slots__ = ("_points", "_means")
+
+    def __init__(self, points: np.ndarray, means: np.ndarray):
+        self._points, self._means = points, means
+
+    @property
+    def points(self) -> np.ndarray:
+        return _sorted_once(self._points)
+
+    @property
+    def means(self) -> np.ndarray:
+        return _sorted_once(self._means)
+
+    def __iter__(self):
+        return iter((self.points, self.means))
 
     def cdf(self, t: float) -> float:
         """P(X + Y <= t): the share of point sums at or below t."""
-        return float(np.searchsorted(self.points, t, side="right")) / self.points.size
+        pts = self.points
+        return float(np.searchsorted(pts, t, side="right")) / pts.size
 
     def var(self, p: float) -> float:
-        """Left p-quantile of the point sums: the k-th smallest for the least k with k/n >= p."""
-        n = self.points.size
-        k = int(np.searchsorted((np.arange(n) + 1) / n, p, side="left"))
-        return float(self.points[min(k, n - 1)])
+        """Left p-quantile of the point sums: the k-th smallest for the least k with k/n >= p.
+
+        The float quotient k/n rises with k, so k is a step or two from ceil(p n).
+        """
+        pts = self.points
+        n = pts.size
+        k = max(math.ceil(p * n), 1)
+        while k > 1 and (k - 1) / n >= p:
+            k -= 1
+        while k < n and k / n < p:
+            k += 1
+        return float(pts[k - 1])
 
     def lower_mean(self, frac: float) -> float:
         """Mean of the lowest ``frac`` in (0, 1] of the cell-mean sums' mass (levels are checked)."""
-        vals, m = self.means, frac * self.means.size
-        k = int(m)
-        total = float(np.sum(vals[:k]))
-        if k < vals.size and m > k:
-            total += (m - k) * float(vals[k])
-        return total / m
+        return _lower_mean(self.means, frac)
 
     def upper_mean(self, frac: float) -> float:
         """Mean of the highest ``frac`` of the mass: minus the lower mean of -(X + Y)."""
-        return -_SumLaw(None, -self.means[::-1]).lower_mean(frac)
+        return -_lower_mean(-self.means[::-1], frac)
+
+
+def _sorted_once(arr: np.ndarray) -> np.ndarray:
+    """``arr`` sorted in place on its first read; read-only from then on, which marks it sorted."""
+    if arr.flags.writeable:
+        arr.sort()
+        arr.flags.writeable = False
+    return arr
+
+
+def _lower_mean(vals: np.ndarray, frac: float) -> float:
+    """Mean of the lowest ``frac`` of the mass of the ascending ``vals``, 1/n each."""
+    m = frac * vals.size
+    k = int(m)
+    total = float(np.sum(vals[:k]))
+    if k < vals.size and m > k:
+        total += (m - k) * float(vals[k])
+    return total / m
 
 
 def _sum_law(f: Dist, g: Dist, n: int, p: float, q: float, ordered: bool) -> _SumLaw:
@@ -144,13 +188,13 @@ def _sum_law(f: Dist, g: Dist, n: int, p: float, q: float, ordered: bool) -> _Su
 
     Directed: the window's plan (which checks the pair's order) gives both
     fields. Countermonotone: the window's cell means paired in opposite order
-    give one array for both, with no order check.
+    give one array for both, with no order check. Either is sorted when first read.
     """
     if ordered:
         plan = dl_plan_discrete(f, g, n, p, q=q)
-        return _SumLaw(plan.sums_sorted, np.sort(plan.mean_sums))
+        return _SumLaw(plan.x + plan.y, plan.mean_sums)
     fm, gm = _per_pair(_window_means, f, g, n, p, q)
-    sums = np.sort(fm + gm[::-1])
+    sums = fm + gm[::-1]
     return _SumLaw(sums, sums)
 
 
@@ -197,8 +241,9 @@ def _dl_min(
     objective reads (F and G, or G alone unordered) at the levels p and
     p + (1 - p) u of ``_merged_grid`` (half as many unordered) and the tail
     levels p + (1 - p)(1 - 2^-k), k = 1..60, so the scan reaches the far
-    tail. Step CDFs are constant between atoms, so the scan is exact there;
-    nodes with F(z) = G(z) stay in, as the l -> 0+ limit.
+    tail. Step CDFs are constant between atoms, so where both laws are
+    ``Empirical`` the scan is exact and is not refined; nodes with F(z) = G(z)
+    stay in, as the l -> 0+ limit.
 
     The ends are z = b (value 2b, or F^{-1}(1) + b) and z -> sup G (value
     sup G + F^{-1}(p)); an end of -inf is the answer. Where an infinite upper
@@ -227,8 +272,23 @@ def _dl_min(
         level = p + np.asarray(f.cdf(z)) - gz if ordered else p + (1.0 - gz)
         return z + np.asarray(_quantile(f, np.clip(level, lo, 1.0), strict))
 
-    inner = refine_min(objective, zs, objective(zs), tol=1e-10 * max(1.0, abs(zs[0])))
+    vals = objective(zs)
+    if _steps(f, g):
+        inner = _scan_min(vals)
+    else:
+        inner = refine_min(objective, zs, vals, tol=1e-10 * max(1.0, abs(zs[0])))
     return float(min(inner, end))
+
+
+def _steps(f: Dist, g: Dist) -> bool:
+    """Both laws have step CDFs (atoms, reflected ones too): the node scans are exact, with no refinement."""
+    return isinstance(f, Empirical) and isinstance(g, Empirical)
+
+
+def _scan_min(vals: np.ndarray) -> float:
+    """The least scanned value, NaN as +inf: where ``refine_min`` starts, and what it returns on exact scans."""
+    v = np.fmin(vals, np.inf)
+    return v.item(int(v.argmin()))
 
 
 def _end_sum(up: Dist, down: Dist, lo: float) -> float:
@@ -522,6 +582,7 @@ def _prob_row(f: Dist, g: Dist, t: float) -> _Row:
     table once, takes each row's window from its scan and refines the four in
     lockstep (``refine_min``, maxima negated): each round evaluates F(z), G(z),
     G(t - z) and F(t - z) once at the points of every row still refining.
+    Where both laws are step CDFs the scan is exact and each row is its window's best.
     t = -inf gives 0 and t = +inf 1.
 
     The entry keeps its table, and a build drops the previous entry only once
@@ -558,7 +619,10 @@ def _prob_row(f: Dist, g: Dist, t: float) -> _Row:
             a += p.size
         return out
 
-    best = refine_min(objective, xs, vals, tol=1e-10 * max(1.0, abs(t)))
+    if _steps(f, g):
+        best = [_scan_min(v) for v in vals]
+    else:
+        best = refine_min(objective, xs, vals, tol=1e-10 * max(1.0, abs(t)))
     row = _ROW_MEMO[key] = _Row(*(-v if r[2] else v for v, r in zip(best, _PROB_ROWS)), table)
     return row
 

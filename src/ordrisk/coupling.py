@@ -64,12 +64,13 @@ def _order_report(f: Dist, g: Dist):
 def _window_means(f: Dist, g: Dist, n: int, p: float, q: float):
     """Cell means of F^{-1} and G^{-1} on the n cells of [p, q), one ``_per_pair`` build.
 
-    Read by the window's directed plan and its countermonotone sum law
-    (``bounds._sum_law``). DomainError unless n is a positive integer,
-    or if X + Y has no mean.
+    Both laws read one edge table. Read by the window's directed plan and its
+    countermonotone sum law (``bounds._sum_law``). DomainError unless n is a
+    positive integer, or if X + Y has no mean.
     """
     n = _check_count(n, "cell count n")
-    fm, gm = _cell_means(f, n, p, q), _cell_means(g, n, p, q)
+    edges = _cell_edges(n, p, q)
+    fm, gm = _cell_means(f, edges), _cell_means(g, edges)
     if min(fm[0], gm[0]) == -np.inf and max(fm[-1], gm[-1]) == np.inf:
         raise DomainError("mean of X + Y undefined: one marginal has mean -inf, the other +inf")
     return fm, gm
@@ -241,9 +242,7 @@ def _match(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     n = xs.size
     i = np.arange(n)
     # y's stacked when x_i arrives: the first y below every x so far stops the merge
-    stacked = np.searchsorted(
-        -np.minimum.accumulate(ys), -np.minimum.accumulate(xs), side="right"
-    )
+    stacked = np.searchsorted(-_running_min(ys), -_running_min(xs), side="right")
     depth_x = stacked - i
     empty = np.flatnonzero(depth_x <= 0)
     if empty.size:
@@ -254,6 +253,11 @@ def _match(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     y_idx = np.empty(n, dtype=np.int64)
     y_idx[np.argsort(depth_x, kind="stable")] = np.argsort(depth_y, kind="stable")
     return y_idx
+
+
+def _running_min(a: np.ndarray) -> np.ndarray:
+    """``np.minimum.accumulate(a)``: ``a`` itself where it is already nonincreasing, as a plan's points are."""
+    return a if (a[1:] <= a[:-1]).all() else np.minimum.accumulate(a)
 
 
 def dl_plan_discrete(
@@ -331,13 +335,15 @@ def sample_coupling(
     dl draws resample plan atoms uniformly; with ``jitter`` each draw is
     displaced within its quantile cell (the same cell fraction on both
     sides, clamped to keep x <= y exact). Deterministic given the seed.
-    ``jitter`` must be a bool; comonotone and countermonotone draws have no
-    plan cells to jitter in and do not read it (the CLI refuses ``--jitter`` there).
+    ``jitter`` must be a bool, and comonotone and countermonotone draws, which
+    have no plan cells to jitter in, refuse ``jitter=True`` (DomainError).
     """
     if kind not in COUPLING_KINDS:
         raise DomainError(f"unknown coupling kind {kind!r}")
     if not isinstance(jitter, (bool, np.bool_)):
         raise DomainError(f"jitter must be a bool: {jitter!r}")
+    if jitter and kind != "dl":
+        raise DomainError(f"jitter is read by dl draws only, not {kind}")
     size, seed = _check_count(size, "sample size"), _check_count(seed, "seed", 0)
     plan_n = _check_count(plan_n, "cell count n")  # read by dl only, checked for every kind
     rng = np.random.default_rng(seed)

@@ -381,7 +381,9 @@ def _window_law(d: Dist, lo: float, hi: float, grid_n: int) -> Dist:
     node 1e-9 inside each end that lies inside (0, 1), where ``F^{-1}`` is finite, so the
     grid does not overshoot that end. Where a level rounds to 0 or 1 and its quantile is
     infinite, the clipped read may fall outside the window; the running maximum keeps the
-    table nondecreasing.
+    table nondecreasing. The node next to the window's inner end (p) may read past
+    ``F^{-1}(p)`` by a rounding (a reflected law reads ``F^{-1}`` at 1 - u, and an array
+    read can differ from a scalar one in the last bit), so the table is held to that end.
     """
     if isinstance(d, Pareto) and hi == 1.0:
         return Pareto(d.scale * (1.0 - lo) ** (-1.0 / d.shape), d.shape)
@@ -393,7 +395,11 @@ def _window_law(d: Dist, lo: float, hi: float, grid_n: int) -> Dist:
         keep = w > 0
         return Empirical(d.values[keep], w[keep] / (hi - lo))
     us = np.concatenate(([1e-9] if lo else [], _midpoints(grid_n), [1.0 - 1e-9] if hi < 1.0 else []))
-    return QuantileGrid(us, np.maximum.accumulate(_grid_points(d, lo + (hi - lo) * us)))
+    xs = np.maximum.accumulate(_grid_points(d, lo + (hi - lo) * us))
+    end = float(d.quantile_left(lo or hi))  # F^{-1} at the inner end, p
+    if math.isfinite(end):
+        xs = np.maximum(xs, end) if lo else np.minimum(xs, end)
+    return QuantileGrid(us, xs)
 
 
 def upper_tail(d: Dist, p: float, *, grid_n: int = DEFAULT_GRID_N) -> Dist:
@@ -548,7 +554,8 @@ def _per_pair(build, *args):
     ``coupling._window_means`` and a [0, q) window's ``bounds._sum_law``. Dist objects are
     immutable and hashed by identity, so the key holds the objects, not their parameters.
     The memo is typed: 100.0 is not the key 100, so it meets the count check of its build.
-    Every array of a result is shared, so it is made read-only, a tuple's items too.
+    Every array of a result is shared, so it is made read-only, a tuple's items too;
+    a sum law makes each of its fields read-only when it sorts it, on first read.
     """
     out = build(*args)
     for arr in out if isinstance(out, tuple) else (out,):
@@ -725,19 +732,19 @@ def _cell_edges(n: int, p: float = 0.0, q: float = 1.0) -> np.ndarray:
     return edges
 
 
-def _cell_means(d: Dist, n: int, p: float = 0.0, q: float = 1.0) -> np.ndarray:
-    """Means of ``F^{-1}`` over the ``n`` equal level cells of ``[p, q)``, ascending.
+def _cell_means(d: Dist, edges: np.ndarray) -> np.ndarray:
+    """Means of ``F^{-1}`` over the level cells between consecutive ``edges``, ascending.
 
-    The cells are those of ``_cell_edges``; a diverging cell mean is ``inf``.
+    The edges are those of ``_cell_edges``, built once per window for both laws;
+    a diverging cell mean is ``inf``.
     The cell-mean law lies below ``F`` in convex order. The piece of
-    ``_integral_parts`` is evaluated once on the n + 1 edges and
+    ``_integral_parts`` is evaluated once on the edges and
     neighbouring edges are combined, with the same bytes as
     ``_quantile_integral`` on the cell ends: numpy ufuncs on arrays round
     each element alike. ``es_eval`` and ``rvar_eval`` keep 0-d arrays,
     because ``power`` and ``exp`` on a 0-d array can differ in the last bit
     from the array loop, which would move the worst-ES digits.
     """
-    edges = _cell_edges(n, p, q)
     piece, combine = _integral_parts(d)
     with np.errstate(divide="ignore"):
         pe = piece(edges)

@@ -160,7 +160,7 @@ def test_c07_stop_loss_sandwich():
     worst_mean = 0.0
     ok = True
     for i, (f, g) in enumerate(pairs):
-        como = sample_coupling(f, g, "comonotone", n, 800 + i, jitter=True)
+        como = sample_coupling(f, g, "comonotone", n, 800 + i)
         dl = sample_coupling(f, g, "dl", n, 900 + i, jitter=True)
         thresholds = np.quantile(como.x + como.y, np.linspace(0.01, 0.99, 50))
         cc = stop_loss_curve(como, thresholds)

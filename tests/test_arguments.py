@@ -257,6 +257,14 @@ def test_non_bool_jitter_refused(jitter):
 
 
 @pytest.mark.parametrize("kind", ["comonotone", "countermonotone"])
+def test_jitter_refused_outside_dl_in_the_library(kind):
+    # these draws have no plan cells to jitter in, and jitter=True was ignored
+    with pytest.raises(DomainError, match="jitter"):
+        sample_coupling(PF, PG, kind, 10, 7, jitter=True)
+    assert sample_coupling(PF, PG, kind, 10, 7, jitter=False).size == 10
+
+
+@pytest.mark.parametrize("kind", ["comonotone", "countermonotone"])
 def test_jitter_flag_refused_outside_dl(kind, tmp_path, capsys):
     # those draws never read it, and the run exited 0
     out = tmp_path / "out"

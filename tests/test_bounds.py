@@ -665,6 +665,49 @@ def test_sum_laws_match_brute_force():
             assert_allclose(law.upper_mean(frac), halves[16 - k :].mean(), rtol=1e-14)
 
 
+def _table_index(n, ps):
+    """The index ``_SumLaw.var`` read before: a search of the table of every k/n, clipped to n - 1."""
+    return np.minimum(np.searchsorted((np.arange(n) + 1) / n, ps, side="left"), n - 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 10_000, 12_345])
+def test_sum_law_var_index_matches_the_level_table(n):
+    # at every k/n, its two float neighbours, 0, 1 and seeded random levels
+    ks = np.arange(n + 1) / n
+    ps = np.concatenate((ks, np.nextafter(ks, -1.0), np.nextafter(ks, 2.0), [0.0, 1.0]))
+    ps = np.concatenate((ps[(ps >= 0.0) & (ps <= 1.0)], np.random.default_rng(n).random(500)))
+    law = B._SumLaw(np.arange(n, dtype=float), np.arange(n, dtype=float))
+    assert_array_equal([law.var(float(p)) for p in ps], _table_index(n, ps))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 50_000), st.floats(0.0, 1.0))
+def test_sum_law_var_index_matches_the_level_table_anywhere(n, p):
+    law = B._SumLaw(np.arange(n, dtype=float), np.arange(n, dtype=float))
+    for u in (p, math.nextafter(p, 0.0), math.nextafter(p, 1.0)):
+        assert law.var(u) == _table_index(n, u)
+
+
+def test_sum_law_sorts_each_field_on_first_read():
+    # a field stays unsorted until read, then is sorted in place and read-only:
+    # reading one field leaves the other unsorted
+    f, g, n = Pareto(25.0, 2.0), Pareto(30.0, 2.0), 500
+    plan = dl_plan_discrete(f, g, n, 0.9)
+    law = B._sum_law(f, g, n, 0.9, 1.0, True)
+    assert law._points.flags.writeable and np.any(np.diff(law._points) < 0.0)
+    assert_array_equal(law.points, np.sort(plan.x + plan.y))
+    assert law._means.flags.writeable
+    assert_array_equal(law.means, np.sort(plan.mean_sums))
+    fm, gm = ordrisk.coupling._window_means(f, g, n, 0.9, 1.0)
+    ct = B._sum_law(f, g, n, 0.9, 1.0, False)
+    assert_array_equal(ct.means, np.sort(fm + gm[::-1]))
+    assert ct.points is ct.means
+    for arr in (*law, *ct):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
 @pytest.mark.parametrize(
     "f, g",
     [
@@ -1620,3 +1663,51 @@ def test_plan_reports_and_draws_hold_on_admitted_crossing_pairs(pair, k):
 def test_ranks_meet_pair_best_es_matches_the_lp():
     # the LP gives ES_0.5 = 150/7 under the order constraint
     assert abs(B.bound_report(_XA, _YA, "es", p=0.5).constrained_best - 150.0 / 7.0) <= 1e-3
+
+
+
+# ---------------------------------------------------------------------------
+# exact scans of step-CDF pairs
+
+
+def _step_reports(f, g, p, t):
+    """The var, prob, ess-inf and ess-sup reports of a pair, as JSON text (signs of zero kept)."""
+    B._ROW_MEMO.clear()
+    reports = [
+        B.bound_report(f, g, "var", p=p),
+        B.bound_report(f, g, "prob", t=t),
+        B.bound_report(f, g, "ess_inf"),
+        B.bound_report(f, g, "ess_sup"),
+    ]
+    return json.dumps([r.to_json_dict() for r in reports])
+
+
+@pytest.mark.parametrize("t", [12.0, 15.5, 17.0])
+def test_step_cdf_pairs_are_not_refined(monkeypatch, t):
+    # the scans over the atoms are exact, so no VaR, essential or probability
+    # bound of an atom pair (reflected for the best bounds) is refined
+    calls = []
+    original = B.refine_min
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(B, "refine_min", counted)
+    _step_reports(_XA, _YA, 0.5, t)
+    assert calls == []
+    _step_reports(_XA, Uniform(6.0, 13.0), 0.5, t)  # one step CDF is not enough
+    assert calls
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ordered_atoms(), st.floats(0.001, 0.999), st.integers(-2, 70))
+@example((_XA, _YA), 0.5, 31)
+@example(_SEAM_PAIR, 0.5, 4)
+def test_step_cdf_scans_equal_their_refinement(pair, p, half_t):
+    # to the bit: the refinement of an exact scan finds nothing lower
+    f, g = pair
+    fast = _step_reports(f, g, p, 0.5 * half_t)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(B, "_steps", lambda f, g: False)
+        assert _step_reports(f, g, p, 0.5 * half_t) == fast

@@ -35,6 +35,7 @@ from ordrisk.dist import (
     Normal,
     Pareto,
     Uniform,
+    _cell_edges,
     _cell_means,
     empirical_from_samples,
     to_grid,
@@ -496,6 +497,33 @@ def test_plan_matching_matches_stack_loop_continuous(f, g, p, n, bottom):
     np.testing.assert_array_equal(plan.y, ys[plan.y_index])
 
 
+@pytest.mark.parametrize(
+    "f, g, p",
+    [
+        (PF, PG, 0.0),
+        (PF, PG, 0.9),
+        (Uniform(0, 1), Uniform(0, 1.5), 0.0),
+        (Normal(0, 1), Normal(0.5, 1), 0.0),
+        (_EMP_F, _EMP_G, 0.0),
+        (Empirical([0.0, 1.0], [1.0, 1.0]), Empirical([0.0, 1.0], [1.0, 1.0]), 0.5),
+    ],
+    ids=["pareto", "pareto_tail", "uniform", "normal", "empirical", "ties"],
+)
+def test_match_reads_nonincreasing_points_as_their_running_minima(monkeypatch, f, g, p):
+    # a plan's points fall with the level, so _match skips the running minima;
+    # the running-minimum path gives the same matching, ties and clips included
+    levels = _plan_levels(3000, p)
+    xs = _grid_points(f, levels)
+    ys = np.maximum(xs, _grid_points(g, levels))
+    assert ordrisk.coupling._running_min(xs) is xs and ordrisk.coupling._running_min(ys) is ys
+    fast = _match(xs, ys)
+    monkeypatch.setattr(ordrisk.coupling, "_running_min", np.minimum.accumulate)
+    np.testing.assert_array_equal(_match(xs, ys), fast)
+    bumped = xs.copy()
+    bumped[-1] = bumped[0] + 1.0  # one point out of order takes the general path
+    np.testing.assert_array_equal(ordrisk.coupling._running_min(bumped), np.minimum.accumulate(bumped))
+
+
 def test_window_means_are_shared_and_read_only():
     # one set of cell means per window, read by its plan and its countermonotone sums
     f, g = Uniform(0, 100), Uniform(0, 120)
@@ -540,7 +568,8 @@ def test_plan_sum_between_counter_and_comonotone(f, g):
     xs, ys = plan.x, np.sort(plan.y)[::-1]
     cases = [(plan.x + plan.y, xs + ys, xs + ys[::-1])]
     if np.all(np.isfinite(plan.mean_sums)):  # Pareto shape 1 has an infinite top cell
-        mx, my = _cell_means(f, n)[::-1], _cell_means(g, n)[::-1]
+        edges = _cell_edges(n)
+        mx, my = _cell_means(f, edges)[::-1], _cell_means(g, edges)[::-1]
         cases.append((plan.mean_sums, mx + my, mx + my[::-1]))
     for dl, como, counter in cases:
         scale = np.abs(como).max()
