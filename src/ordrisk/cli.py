@@ -76,10 +76,20 @@ from .errors import (
 _MEASURES = ("var", "es", "rvar", "essinf", "esssup")
 
 
+_GRID_CAP = 100_000  # points of a --p-step or --t-step grid
+
+
+def _grid_size(lo: float, hi: float, step: float) -> int:
+    """Points of ``_grid(lo, hi, step)``, counted before any is made; DomainError above ``_GRID_CAP``."""
+    k = (hi - lo) / step + 1e-9  # the slack keeps ``hi`` despite rounding
+    if not k < _GRID_CAP:
+        raise DomainError(f"step {step:g} from {lo:g} to {hi:g} makes more than {_GRID_CAP} grid points")
+    return math.floor(k) + 1
+
+
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
-    """``lo, lo + step, ...`` up to ``hi``; the slack keeps ``hi`` despite rounding."""
-    k = int(math.floor((hi - lo) / step + 1e-9))
-    return lo + step * np.arange(k + 1)
+    """``lo, lo + step, ...`` up to ``hi``."""
+    return lo + step * np.arange(_grid_size(lo, hi, step))
 
 
 def _validate(args: argparse.Namespace) -> None:
@@ -93,6 +103,7 @@ def _validate(args: argparse.Namespace) -> None:
             raise DomainError("level grid must satisfy 0 < p_from <= p_to < 1")
         if args.p_step <= 0.0:
             raise DomainError("p step must be positive")
+        _grid_size(args.p_from, args.p_to, args.p_step)
     counts = {"grid_n": 100, "replicates": 1, "size": 1, "seed": 0, "group_x": 1, "group_y": 1}
     for dest, least in counts.items():
         if dest in a:
@@ -105,6 +116,7 @@ def _validate(args: argparse.Namespace) -> None:
             raise DomainError("t step must be positive")
         if args.t_from > args.t_to:
             raise DomainError("threshold grid must satisfy t_from <= t_to")
+        _grid_size(args.t_from, args.t_to, args.t_step)
     mv = a.get("max_violation")
     if mv is not None and mv < 0.0:
         raise DomainError("violation threshold must be nonnegative")
@@ -144,8 +156,8 @@ def parse_marginal(spec: str) -> Dist:
 
 
 def _write_csv(path, header, rows) -> None:
-    cells = [tuple("" if v is None else f"{float(v):.12g}" for v in row) for row in rows]
-    _write_table(path, header, ",".join(["%s"] * len(header)), cells)
+    cells = [["" if row[j] is None else f"{float(row[j]):.12g}" for row in rows] for j in range(len(header))]
+    _write_table(path, header, cells)
     print(f"wrote {path}")
 
 

@@ -372,13 +372,12 @@ def sample_coupling(
 
 def export_plan_csv(plan: DlPlan, path):
     """Write plan pairs as CSV with header ``k,x,y,tag``."""
-    rows = zip(range(1, plan.n + 1), plan.x.tolist(), plan.y.tolist(), plan.tag.tolist())
-    _write_table(path, ("k", "x", "y", "tag"), "%d,%.12g,%.12g,%s", rows)
+    _write_table(path, ("k", "x", "y", "tag"), (np.arange(1, plan.n + 1), plan.x, plan.y, plan.tag))
 
 
 def export_batch_csv(batch: SampleBatch, path, sidecar_path=None):
     """Write batch pairs as CSV ``x,y`` plus a JSON sidecar {kind, seed, size}."""
-    _write_table(path, ("x", "y"), "%.12g,%.12g", zip(batch.x.tolist(), batch.y.tolist()))
+    _write_table(path, ("x", "y"), (batch.x, batch.y))
     if sidecar_path is None:
         sidecar_path = str(path) + ".json"
     meta = {"kind": batch.coupling_kind, "seed": batch.seed, "size": batch.size}

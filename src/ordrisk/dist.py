@@ -31,6 +31,14 @@ than the rest of the library, and no other kind needs it.
 
 Work shared by the bounds of a pair is built once, in one memo of 16
 entries, ``_per_pair``; every array it returns is read-only.
+
+Every CSV table is written by one column writer, ``_write_table``: float
+columns are formatted to ``%.12g`` in blocks of rows by one numpy kernel,
+``_g12.format_g12``, which leaves to Python's ``'%.12g' % v`` only the cells
+whose digits it cannot prove (zeros, inf, nan, exponent notation,
+near-ties and carries), so the bytes equal one Python call per float. The
+kernel's module is imported by the first float column written, so runs
+that write none never load it.
 """
 
 from __future__ import annotations
@@ -790,12 +798,53 @@ def read_empirical_csv(path) -> Empirical:
     return empirical_from_samples(np.asarray(values), np.asarray(weights))
 
 
-def _write_table(path, header, fmt: str, rows) -> None:
-    """Write a CSV in one ``write``: the ``header`` cells, then ``fmt % row`` for each row.
+_WORD = np.dtype("<u8")  # tables are built from fixed-width cells of 8-byte words, NUL-padded
+_BLOCK_ROWS = 4096
 
-    The bytes are ``csv.writer``'s (``\\r\\n`` line ends; ``%.12g`` is ``format(v, ".12g")``):
-    no output cell needs quoting, as cells are numbers, ``inf``/``nan``, empty or plain tags.
+
+def _write_table(path, header, columns) -> None:
+    """Write a CSV: the ``header`` cells, then row k of each of the equal-length ``columns``.
+
+    Columns of str cells only, such as the CLI's tables of a few rows, are
+    joined as they are: building their words costs more than the cells. Else
+    a float array's cells are ``'%.12g' % x``, from ``_g12.format_g12``, and
+    any other column is cast to numpy bytes cells (str as it is, integers as
+    ``%d``); rows are built ``_BLOCK_ROWS`` at a time as NUL-padded words,
+    one ``write`` per block. The bytes are ``csv.writer``'s (``\\r\\n`` line
+    ends): no output cell needs quoting, as cells are numbers, ``inf``/``nan``,
+    empty or plain tags.
     """
-    text = "\r\n".join([",".join(header), *(fmt % row for row in rows), ""])
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    head = ",".join(header).encode() + b"\r\n"
+    if not any(isinstance(col, np.ndarray) for col in columns):
+        with open(path, "wb") as fh:
+            fh.write(head + "".join(",".join(row) + "\r\n" for row in zip(*columns)).encode())
+        return
+    cols, spans = [], []
+    for col in columns:
+        if isinstance(col, np.ndarray) and col.dtype.kind == "f":
+            cols.append(col.astype(float, copy=False))
+            spans.append(3)
+        else:
+            cells = np.array(col, dtype="S")
+            span = (cells.itemsize + 9) // 8  # two bytes left for the separator
+            cols.append(cells.astype(f"S{8 * span}").view(_WORD).reshape(-1, span))
+            spans.append(span)
+    ends = np.cumsum(spans)
+    sep = np.zeros(ends[-1], _WORD)
+    sep[ends - 1] = ord(",") << 56
+    sep[-1] = (ord("\r") << 48) | (ord("\n") << 56)
+    rows = len(cols[0])
+    with open(path, "wb") as fh:
+        fh.write(head)
+        for start in range(0, rows, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, rows)
+            block = np.empty((stop - start, ends[-1]), _WORD)
+            for col, end, span in zip(cols, ends, spans):
+                if col.ndim == 1:
+                    from ._g12 import format_g12  # imported by the first float column only
+
+                    format_g12(col[start:stop], block[:, end - span : end])
+                else:
+                    block[:, end - span : end] = col[start:stop]
+            block |= sep
+            fh.write(block.tobytes().translate(None, b"\0"))

@@ -88,8 +88,7 @@ def stop_loss_curve(batch: SampleBatch, thresholds) -> StopLossCurve:
 
 def write_stop_loss_csv(curve: StopLossCurve, path):
     """Write the curve as CSV with header ``d,value,stderr``."""
-    cols = (curve.thresholds.tolist(), curve.values.tolist(), curve.stderr.tolist())
-    _write_table(path, ("d", "value", "stderr"), "%.12g,%.12g,%.12g", zip(*cols))
+    _write_table(path, ("d", "value", "stderr"), (curve.thresholds, curve.values, curve.stderr))
 
 
 def grid_convergence(fn, levels, n: int) -> float:

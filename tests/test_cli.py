@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ordrisk.cli
-from ordrisk.cli import _bootstrap_totals, _grid, _validate, build_parser, entry, parse_marginal
+from ordrisk.cli import _GRID_CAP, _bootstrap_totals, _grid, _grid_size, _validate, build_parser, entry, parse_marginal
 from ordrisk.bounds import bound_report
 from ordrisk.coupling import dl_plan_discrete
 from ordrisk.dist import DEFAULT_TRUNC, Empirical, Normal, Pareto, Uniform
@@ -586,6 +586,38 @@ def test_probbounds_bad_grid(capsys):
     )
     assert rc == 2
     assert "t_from <= t_to" in capsys.readouterr().err
+
+
+# A level step of 2**-20 from 0.25 is exact, so these grids hold _GRID_CAP + 1 points.
+OVER_CAP_P = ["--p-from", "0.25", "--p-to", repr(0.25 + _GRID_CAP * 2.0**-20), "--p-step", repr(2.0**-20)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["probbounds", *MARG, "--t-from", "4.5", "--t-to", "16", "--t-step", "1e-300"],
+        ["probbounds", *MARG, "--t-from", "0", "--t-to", str(_GRID_CAP), "--t-step", "1"],
+        ["probbounds", *MARG, "--t-from=-1e308", "--t-to", "1e308", "--t-step", "1"],
+        ["bounds", *MARG, "--p-from", "0.5", "--p-to", "0.9", "--p-step", "1e-300"],
+        ["bounds", *MARG, *OVER_CAP_P],
+    ],
+    ids=["t_tiny", "t_over_cap", "t_overflow", "p_tiny", "p_over_cap"],
+)
+def test_grid_over_cap_exits_2_before_output(tmp_path, capsys, argv):
+    # a tiny step used to end in an uncaught ValueError from np.arange, or in
+    # an allocation of (hi - lo) / step floats; the count is refused first
+    out = tmp_path / "o"
+    assert run(*argv, "--out", str(out)) == 2
+    assert "grid points" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_grid_size_counts_without_building():
+    assert _grid_size(0.0, _GRID_CAP - 1.0, 1.0) == _GRID_CAP
+    assert _grid_size(0.25, 0.25 + (_GRID_CAP - 1) * 2.0**-20, 2.0**-20) == _GRID_CAP
+    assert _grid_size(5.0, 8.0, 1.5) == 3
+    with pytest.raises(DomainError):
+        _grid_size(0.25, 0.25 + _GRID_CAP * 2.0**-20, 2.0**-20)
 
 
 # ---------------------------------------------------------------------------

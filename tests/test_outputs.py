@@ -1,7 +1,12 @@
 """Byte pins of the CSV tables the library writes, and the one table writer.
 
-Every table (CLI outputs, plan, stop-loss curve) goes
-through ``dist._write_table``. The sha256 digests below were recorded
+Every table (CLI outputs, plan, samples, stop-loss curve) goes through
+``dist._write_table``, which takes columns: each float column is formatted
+in blocks of rows by one numpy ``%.12g`` kernel, ``_g12.format_g12``, and
+the cells it cannot prove (zeros, inf, nan, exponent notation, near-ties
+and carries) by Python's ``'%.12g' % v``; the CLI's tables of preformatted
+string cells are joined as they are. The tests below compare the kernel with ``'%.12g' % v`` cell
+by cell. The sha256 digests below were recorded
 from the row-by-row ``csv.writer`` output that writer replaced, with
 numpy 2.4 and scipy 1.17 on x86-64 Linux; a platform whose math library
 rounds a last bit differently may move a digest without any code change.
@@ -12,7 +17,9 @@ The normal, uniform and atom ``probbounds`` digests were recorded from the
 per-bound refinements, before the four bounds at a threshold refined together.
 The comonotone and countermonotone draw digests were recorded while the
 samplers clipped every level to [1e-12, 1 - 1e-12], before they read levels
-through ``dist._grid_points``.
+through ``dist._grid_points``. The unjittered uniform, normal and near-atom
+plan draw digests were recorded from the writer's ``'%.12g' % row`` format,
+one Python call per float, before the column kernel.
 """
 
 import csv
@@ -24,7 +31,11 @@ import pytest
 
 from ordrisk.cli import _write_csv, entry
 from ordrisk.coupling import dl_plan_discrete, export_plan_csv, sample_coupling
-from ordrisk.dist import Uniform, _write_table, empirical_from_samples
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ordrisk._g12 import format_g12
+from ordrisk.dist import _BLOCK_ROWS, Uniform, _write_table, empirical_from_samples
 from ordrisk.oracle import stop_loss_curve, write_stop_loss_csv
 
 PARETO = ["--margF", "pareto:1,1", "--margG", "pareto:2,1"]
@@ -67,12 +78,20 @@ PROB_RUNS = {
 }
 ATOMS = {"x": "value,weight\n1,2\n2,3\n4,1\n7,2\n", "y": "value,weight\n2,1\n3,3\n5,2\n8,2\n"}
 
+SEED7 = ["--size", "10000", "--seed", "7"]
 # The draws that read quantiles at raw uniform levels: comonotone on a pair with
-# unbounded upper supports, countermonotone on a normal pair (unbounded at both ends).
+# unbounded upper supports, countermonotone on a normal pair (unbounded at both ends);
+# and the CI's unjittered plan draws: uniform, normal (whose bottom points sit at the
+# truncation clip) and an atom pair crossing by 1e-10, which the order gate admits.
 DRAW_RUNS = {
-    "sample_comonotone": [*PARETO, "--kind", "comonotone"],
-    "sample_countermonotone": ["--margF", "normal:0,1", "--margG", "normal:0.5,1", "--kind", "countermonotone"],
+    "sample_comonotone": [*PARETO, "--kind", "comonotone", *SEED7],
+    "sample_countermonotone": ["--margF", "normal:0,1", "--margG", "normal:0.5,1", "--kind", "countermonotone", *SEED7],
+    "sample_plan": ["--margF", "uniform:0,1", "--margG", "uniform:0,1.5", "--kind", "dl", *SEED7],
+    "sample_plan_normal": ["--margF", "normal:0,1", "--margG", "normal:0.5,1", "--kind", "dl", *SEED7],
+    "sample_plan_near_atoms": ["--margF", "csv:{x}", "--margG", "csv:{y}"]
+    + ["--kind", "dl", "--size", "1000", "--seed", "1"],
 }
+NEAR_ATOMS = {"x": "value,weight\n0,0.4999999999\n1,0.5000000001\n", "y": "value,weight\n0,0.5\n1,0.5\n"}
 
 PINS = {
     "bounds/curve.csv": "843cda05ea6401122a9a611efcbd65ab631b67b6ef9452f89d2f10fecc4940a3",
@@ -84,6 +103,9 @@ PINS = {
     "sample/samples.csv": "3885b75ad6a6cce0d43e7165da5804a5bf0bbbc8135367b9c880152269ea5c4a",
     "sample_comonotone/samples.csv": "065e4fcd763443f5fb7018bd97fe29301e11bc8a4ae6b7013b2ed4864cd2528a",
     "sample_countermonotone/samples.csv": "f1cbc803c25db17a595f122866e83533f8c04a23ab719a149fbf60afe847b685",
+    "sample_plan/samples.csv": "3479e89a88ef73690a73d73f26e943401b07e664d13bb266257c588ba9eae0e1",
+    "sample_plan_normal/samples.csv": "ecbf77bb06a9cb9e5d63180dfe6dead67f47d96c0afa44c8f607d34d2a5f8ea4",
+    "sample_plan_near_atoms/samples.csv": "76b76f2fc6aac759775fd4d91dbb1f7d91dd41eda09966c79db56fdeec6e8854",
     "plan.csv": "22de35a86ca63ebde88e7835c06e6945677304edf1f5d3721a0ede805627077d",
     "stop_loss.csv": "55d03104c8121cb328e5816c8507e59a1306a15cc9eda70f59b3de1ae6273e20",
     "casestudy_es/curve.csv": "ae16f3ea64dad161e5f51eed8e2be9849144f7fa3b085f98cb30cc266818c38c",
@@ -158,8 +180,12 @@ def test_prob_tables_are_pinned(tmp_path, name):
 
 @pytest.mark.parametrize("name", sorted(DRAW_RUNS))
 def test_draw_tables_are_pinned(tmp_path, name):
-    argv = ["sample", *DRAW_RUNS[name], "--size", "10000", "--seed", "7", "--out", str(tmp_path)]
-    assert entry(argv) == 0
+    paths = {}
+    for side, text in NEAR_ATOMS.items():
+        paths[side] = tmp_path / f"{side}.csv"
+        paths[side].write_text(text)
+    argv = [arg.format(**paths) for arg in DRAW_RUNS[name]]
+    assert entry(["sample", *argv, "--out", str(tmp_path)]) == 0
     assert _sha256(tmp_path / "samples.csv") == PINS[f"{name}/samples.csv"]
 
 
@@ -182,7 +208,7 @@ def _csv_writer_reference(path, header, rows) -> None:
 
 def test_write_table_matches_csv_writer(tmp_path):
     rows = [(a, b) for a in SPECIAL for b in reversed(SPECIAL)]
-    _write_table(tmp_path / "got.csv", ["a", "b"], "%.12g,%.12g", rows)
+    _write_table(tmp_path / "got.csv", ["a", "b"], [np.array(col) for col in zip(*rows)])
     _csv_writer_reference(tmp_path / "want.csv", ["a", "b"], rows)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
@@ -195,5 +221,89 @@ def test_cli_table_writes_none_cells_empty(tmp_path):
 
 
 def test_write_table_empty_body(tmp_path):
-    _write_table(tmp_path / "t.csv", ["x", "y"], "%.12g,%.12g", [])
+    _write_table(tmp_path / "t.csv", ["x", "y"], [np.empty(0), np.empty(0)])
     assert (tmp_path / "t.csv").read_bytes() == b"x,y\r\n"
+
+
+def _g12_cells(values):
+    """The kernel's cells for ``values`` as str, and the indices Python formatted."""
+    v = np.asarray(values, dtype=float)
+    out = np.zeros((v.size, 3), "<u8")
+    rest = format_g12(v, out)
+    return [bytes(c).replace(b"\0", b"").decode() for c in out.view("S24").ravel()], rest
+
+
+def _assert_g12(values):
+    cells, rest = _g12_cells(values)
+    want = ["%.12g" % v for v in np.asarray(values, dtype=float).tolist()]
+    bad = [(w, c) for w, c in zip(want, cells) if w != c]
+    assert not bad, bad[:5]
+    return rest
+
+
+def test_g12_matches_python_on_random_bit_patterns():
+    rng = np.random.default_rng(27)
+    values = rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64)
+    rest = _assert_g12(values)
+    assert 0 < rest.size < values.size - 1000  # both the kernel and the Python path
+
+
+def test_g12_matches_python_in_fixed_notation():
+    rng = np.random.default_rng(28)
+    mantissas = rng.uniform(-10.0, 10.0, 200_000)
+    values = np.concatenate([mantissas * 10.0 ** rng.integers(-6, 14, mantissas.size), np.round(mantissas, 4)])
+    rest = _assert_g12(values)
+    assert 0 < rest.size < values.size // 3
+
+
+def _neighbours(values):
+    v = np.asarray(values, dtype=float)
+    near = np.concatenate([v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)])
+    return np.concatenate([near, -near])
+
+
+def test_g12_matches_python_at_the_edges():
+    rng = np.random.default_rng(29)
+    digits = rng.integers(10**11, 10**12, 200).astype(float)
+    exps = np.arange(-4, 12)
+    halfway = ((digits[:, None] + 0.5) * 10.0 ** (exps - 11)).ravel()  # exact ties at X = 11
+    beyond = (digits[:, None] + 0.5 + np.array([-2e-3, 2e-3])).ravel()  # just past the tie margin
+    edges = [
+        1e-4, 1e-5, 9.99999999999e-5, 0.000999999999999, 1e12, 1e11, 999999999999.0, 999999999999.4,
+        *(999999999999.5 * 10.0 ** np.arange(-24, 24)),
+        *(10.0 ** np.arange(-6, 14)),
+        5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1e-310, 0.0, 0.1, 0.055, 1.5, 120.0,
+    ]
+    rest = _assert_g12(_neighbours([*edges, *halfway, *beyond]))
+    assert rest.size > 0
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324])
+    assert _assert_g12(specials).size == specials.size
+    subnormals = rng.integers(1, 2**52, 1000, dtype=np.uint64).view(np.float64)
+    assert _assert_g12(np.concatenate([subnormals, -subnormals])).size == 2000
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=40))
+def test_g12_matches_python_on_any_floats(values):
+    _assert_g12(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(min_value=1e-5, max_value=1e12), min_size=1, max_size=40))
+def test_g12_matches_python_on_fixed_notation_floats(values):
+    _assert_g12(values + [-v for v in values])
+
+
+def test_write_table_blocks_match_csv_writer(tmp_path):
+    rng = np.random.default_rng(30)
+    n = 2 * _BLOCK_ROWS + 7
+    x = rng.normal(size=n) * 10.0 ** rng.integers(-8, 15, n)
+    x[rng.integers(0, n, 50)] = rng.choice(SPECIAL, 50)
+    tags = rng.choice(["common", "singular", ""], n)
+    _write_table(tmp_path / "got.csv", ["k", "x", "tag", "y"], [np.arange(1, n + 1), x, tags, -x[::-1]])
+    with open(tmp_path / "want.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["k", "x", "tag", "y"])
+        for k, a, tag, b in zip(range(1, n + 1), x.tolist(), tags.tolist(), (-x[::-1]).tolist()):
+            writer.writerow(["%d" % k, "%.12g" % a, tag, "%.12g" % b])
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
