@@ -54,7 +54,8 @@ their four values and the table (about 0.6 MB, read-only) until the next
 threshold. The VaR scans build
 their nodes per level, from the shared level table of ``dist._merged_grid``.
 Where both laws are ``Empirical`` (step CDFs), the VaR, essential and
-probability scans are exact and are not refined (``_steps``).
+probability scans are exact: they are refined at tolerance inf (``_steps``),
+so ``refine_min`` runs no round and returns the best scanned value.
 
 The bounds on P(X + Y <= t) invert these formulas in closed form. With
 F, G right-continuous and t finite (t = -inf, +inf give 0, 1; NaN, or a t that
@@ -242,8 +243,9 @@ def _dl_min(
     p + (1 - p) u of ``_merged_grid`` (half as many unordered) and the tail
     levels p + (1 - p)(1 - 2^-k), k = 1..60, so the scan reaches the far
     tail. Step CDFs are constant between atoms, so where both laws are
-    ``Empirical`` the scan is exact and is not refined; nodes with F(z) = G(z)
-    stay in, as the l -> 0+ limit.
+    ``Empirical`` the scan is exact and the tolerance is inf (``_steps``):
+    the refinement runs no round. Nodes with F(z) = G(z) stay in, as the
+    l -> 0+ limit.
 
     The ends are z = b (value 2b, or F^{-1}(1) + b) and z -> sup G (value
     sup G + F^{-1}(p)); an end of -inf is the answer. Where an infinite upper
@@ -272,23 +274,13 @@ def _dl_min(
         level = p + np.asarray(f.cdf(z)) - gz if ordered else p + (1.0 - gz)
         return z + np.asarray(_quantile(f, np.clip(level, lo, 1.0), strict))
 
-    vals = objective(zs)
-    if _steps(f, g):
-        inner = _scan_min(vals)
-    else:
-        inner = refine_min(objective, zs, vals, tol=1e-10 * max(1.0, abs(zs[0])))
-    return float(min(inner, end))
+    tol = math.inf if _steps(f, g) else 1e-10 * max(1.0, abs(zs[0]))
+    return float(min(refine_min(objective, zs, objective(zs), tol=tol), end))
 
 
 def _steps(f: Dist, g: Dist) -> bool:
-    """Both laws have step CDFs (atoms, reflected ones too): the node scans are exact, with no refinement."""
+    """Both laws have step CDFs (atoms, reflected ones too): the node scans are exact, refined at tolerance inf."""
     return isinstance(f, Empirical) and isinstance(g, Empirical)
-
-
-def _scan_min(vals: np.ndarray) -> float:
-    """The least scanned value, NaN as +inf: where ``refine_min`` starts, and what it returns on exact scans."""
-    v = np.fmin(vals, np.inf)
-    return v.item(int(v.argmin()))
 
 
 def _end_sum(up: Dist, down: Dist, lo: float) -> float:
@@ -582,7 +574,8 @@ def _prob_row(f: Dist, g: Dist, t: float) -> _Row:
     table once, takes each row's window from its scan and refines the four in
     lockstep (``refine_min``, maxima negated): each round evaluates F(z), G(z),
     G(t - z) and F(t - z) once at the points of every row still refining.
-    Where both laws are step CDFs the scan is exact and each row is its window's best.
+    Where both laws are step CDFs the scan is exact: the tolerance is inf
+    (``_steps``), so no round runs and each row is its window's best.
     t = -inf gives 0 and t = +inf 1.
 
     The entry keeps its table, and a build drops the previous entry only once
@@ -619,10 +612,7 @@ def _prob_row(f: Dist, g: Dist, t: float) -> _Row:
             a += p.size
         return out
 
-    if _steps(f, g):
-        best = [_scan_min(v) for v in vals]
-    else:
-        best = refine_min(objective, xs, vals, tol=1e-10 * max(1.0, abs(t)))
+    best = refine_min(objective, xs, vals, tol=math.inf if _steps(f, g) else 1e-10 * max(1.0, abs(t)))
     row = _ROW_MEMO[key] = _Row(*(-v if r[2] else v for v, r in zip(best, _PROB_ROWS)), table)
     return row
 

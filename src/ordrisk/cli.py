@@ -10,8 +10,8 @@ casestudy    bootstrap totals from two observation files, order repair,
 selftest     analytic oracle checks; nonzero exit on any failure
 
 Every flag is checked before any marginal is parsed, any input file is
-read or any output is written. Exit codes: 0 success, 2 precondition or
-order failure, 3 I/O failure, 4 selftest failure. All outputs are
+read or any output is written. Exit codes: 0 success, 2 precondition,
+order or memory failure, 3 I/O failure, 4 selftest failure. All outputs are
 deterministic for fixed flags and seed. Infinite values are written as
 ``inf``/``-inf`` in CSV and as the strings ``"inf"``/``"-inf"`` in JSON;
 undefined cells are empty in CSV and ``null`` in JSON. The parser is built
@@ -31,9 +31,9 @@ from functools import lru_cache
 import numpy as np
 
 from .bounds import (
-    _sum_law,
     best_var_constrained,
     bound_report,
+    ct_sum_cdf,
     ct_sum_var,
     dl_sum_var,
     prob_lower,
@@ -47,7 +47,8 @@ from .bounds import (
 from .coupling import (
     COUPLING_KINDS,
     _order_report,
-    dl_plan_discrete,  # unused here; perfbench/tracer.py patches this name
+    dl_plan_discrete,
+    dl_sum_cdf,
     export_batch_csv,
     sample_coupling,
 )
@@ -59,7 +60,6 @@ from .dist import (
     Uniform,
     _check_count,
     _check_level,
-    _per_pair,
     _write_table,
     check_st,
     empirical_from_samples,
@@ -108,6 +108,13 @@ def _validate(args: argparse.Namespace) -> None:
     for dest, least in counts.items():
         if dest in a:
             _check_count(a[dest], dest, least)
+    cap = np.iinfo(np.intp).max // 8  # the most 8-byte values numpy can size in one array
+    wanted = [(f"--{dest.replace('_', '-')}", a[dest]) for dest in ("size", "grid_n") if dest in a]
+    if "replicates" in a:
+        wanted.append(("--replicates times the larger group", args.replicates * max(args.group_x, args.group_y)))
+    for flag, k in wanted:
+        if k > cap:
+            raise DomainError(f"{flag} asks for an array of {k} values; numpy sizes at most {cap}")
     q = a.get("q")
     if q is not None:
         _check_level(q, name="q")
@@ -234,12 +241,12 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def cmd_probbounds(args: argparse.Namespace) -> int:
     f, g, *_ = _gate(parse_marginal(args.marg_f), parse_marginal(args.marg_g), args)
-    dl, ct = (_per_pair(_sum_law, f, g, args.grid_n, 0.0, 1.0, o) for o in (True, False))
+    n = args.grid_n
+    plan = dl_plan_discrete(f, g, n)
     rows = []
     for t in _grid(args.t_from, args.t_to, args.t_step):
-        r = bound_report(f, g, "prob", t=float(t), grid_n=args.grid_n)
-        m, mo, big_mo, big_m = _nested(r)
-        rows.append((r.t, m, mo, big_mo, big_m, dl.cdf(r.t), ct.cdf(r.t)))
+        r = bound_report(f, g, "prob", t=float(t), grid_n=n)
+        rows.append((r.t, *_nested(r), dl_sum_cdf(plan, r.t), ct_sum_cdf(f, g, r.t, grid_n=n)))
     os.makedirs(args.out_dir, exist_ok=True)
     _write_csv(
         os.path.join(args.out_dir, "probbounds.csv"),
@@ -456,6 +463,9 @@ def entry(argv=None) -> int:
         return int(args.func(args))
     except OrdriskError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -236,13 +236,14 @@ def _match(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     merge search, one count and two stable argsorts. Once no x meets an
     empty stack, every ``stacked`` count lies in [1, n], so it fits
     ``np.bincount`` with n + 1 bins. An x that meets an empty stack raises
-    PlanInfeasibleError. Where x <= y at every level, as in ``dl_plan_discrete``,
-    every x finds its y: the y's of its level and all above it are stacked first.
+    PlanInfeasibleError. Both sequences must be nonincreasing, as a plan's
+    points are: the merge search reads them as they are. Where x <= y at every
+    level, as in ``dl_plan_discrete``, every x finds its y: the y's of its level
+    and all above it are stacked first.
     """
     n = xs.size
     i = np.arange(n)
-    # y's stacked when x_i arrives: the first y below every x so far stops the merge
-    stacked = np.searchsorted(-_running_min(ys), -_running_min(xs), side="right")
+    stacked = np.searchsorted(-ys, -xs, side="right")  # y's stacked when x_i arrives
     depth_x = stacked - i
     empty = np.flatnonzero(depth_x <= 0)
     if empty.size:
@@ -253,11 +254,6 @@ def _match(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     y_idx = np.empty(n, dtype=np.int64)
     y_idx[np.argsort(depth_x, kind="stable")] = np.argsort(depth_y, kind="stable")
     return y_idx
-
-
-def _running_min(a: np.ndarray) -> np.ndarray:
-    """``np.minimum.accumulate(a)``: ``a`` itself where it is already nonincreasing, as a plan's points are."""
-    return a if (a[1:] <= a[:-1]).all() else np.minimum.accumulate(a)
 
 
 def dl_plan_discrete(
@@ -276,7 +272,9 @@ def dl_plan_discrete(
     of the whole pair is checked first (OrderViolationError). Each y point
     is clamped to the x point of its level, so a pair the gate admits, whose
     quantiles may cross by a rounding, still has a y >= x at every level
-    and ``_match`` never runs out. ``mean_sums`` adds the paired cell means.
+    and ``_match`` never runs out. The bottom point is held to the next one:
+    where F^{-1} is -inf there, ``_grid_points`` reads a stand-in that can lie
+    above the next point (at n >= 10^6). ``mean_sums`` adds the paired cell means.
     """
     p, q = _check_level(p, q, name="plan levels", within="[0, 1]")
     n = _check_count(n, "cell count n")
@@ -285,6 +283,7 @@ def dl_plan_discrete(
     levels = _plan_levels(n, p, q)
     xs = _grid_points(f, levels)
     ys = np.maximum(xs, _grid_points(g, levels))
+    xs[-1], ys[-1] = xs[-2:].min(), ys[-2:].min()
     y_idx = _match(xs, ys)
     means = fm[::-1] + gm[::-1][y_idx]
     return DlPlan(n=n, p=p, q=q, x=xs, y=ys[y_idx], y_index=y_idx, mean_sums=means)

@@ -70,7 +70,8 @@ def _as_output(arr, scalar):
 
 
 class Dist:
-    """Common distribution interface. Instances are immutable value objects."""
+    """Common distribution interface. Instances are immutable value objects; each
+    constructor stores the support ends, ``support_lo`` and ``support_hi`` (possibly infinite)."""
 
     kind: str = "abstract"
     _level_tol = 0.0  # levels this close to a cumulative weight read as it
@@ -94,14 +95,6 @@ class Dist:
         arr = _validate_levels(u)
         return _as_output(self._qr(arr), scalar)
 
-    @property
-    def support_lo(self) -> float:
-        raise NotImplementedError
-
-    @property
-    def support_hi(self) -> float:
-        raise NotImplementedError
-
 
 class Pareto(Dist):
     """Pareto distribution, ``F(x) = 1 - (scale/x)**shape`` for ``x >= scale``."""
@@ -115,6 +108,7 @@ class Pareto(Dist):
             raise DomainError("pareto shape must be positive and finite")
         self.scale = float(scale)
         self.shape = float(shape)
+        self.support_lo, self.support_hi = self.scale, math.inf
 
     def __repr__(self):
         return f"Pareto(scale={self.scale!r}, shape={self.shape!r})"
@@ -129,14 +123,6 @@ class Pareto(Dist):
         with np.errstate(divide="ignore"):
             return self.scale * (1.0 - u) ** (-1.0 / self.shape)
 
-    @property
-    def support_lo(self):
-        return self.scale
-
-    @property
-    def support_hi(self):
-        return math.inf
-
 
 class Uniform(Dist):
     """Continuous uniform distribution on ``[lo, hi]``."""
@@ -148,6 +134,7 @@ class Uniform(Dist):
             raise DomainError("uniform requires finite lo < hi")
         self.lo = float(lo)
         self.hi = float(hi)
+        self.support_lo, self.support_hi = self.lo, self.hi
 
     def __repr__(self):
         return f"Uniform(lo={self.lo!r}, hi={self.hi!r})"
@@ -161,14 +148,6 @@ class Uniform(Dist):
     def _ql(self, u):
         return self.lo + u * (self.hi - self.lo)
 
-    @property
-    def support_lo(self):
-        return self.lo
-
-    @property
-    def support_hi(self):
-        return self.hi
-
 
 class Normal(Dist):
     """Gaussian distribution with the given mean and standard deviation."""
@@ -180,6 +159,7 @@ class Normal(Dist):
             raise DomainError("normal requires finite mean and positive sd")
         self.mean = float(mean)
         self.sd = float(sd)
+        self.support_lo, self.support_hi = -math.inf, math.inf
 
     def __repr__(self):
         return f"Normal(mean={self.mean!r}, sd={self.sd!r})"
@@ -196,14 +176,6 @@ class Normal(Dist):
 
         with np.errstate(divide="ignore"):
             return self.mean + self.sd * ndtri(u)
-
-    @property
-    def support_lo(self):
-        return -math.inf
-
-    @property
-    def support_hi(self):
-        return math.inf
 
 
 class Empirical(Dist):
@@ -232,6 +204,7 @@ class Empirical(Dist):
         self._cumw = np.cumsum(self.weights)
         self._cumw[-1] = 1.0
         self._cumw0 = np.concatenate(([0.0], self._cumw))  # F below each atom, then 1
+        self.support_lo, self.support_hi = float(values[0]), float(values[-1])
 
     def __repr__(self):
         return f"Empirical(n={self.values.size})"
@@ -251,14 +224,6 @@ class Empirical(Dist):
         idx = np.searchsorted(self._cumw, u, side="right")
         idx = np.minimum(idx, self.values.size - 1)
         return self.values[idx]
-
-    @property
-    def support_lo(self):
-        return float(self.values[0])
-
-    @property
-    def support_hi(self):
-        return float(self.values[-1])
 
 
 class QuantileGrid(Dist):
@@ -284,6 +249,7 @@ class QuantileGrid(Dist):
             raise DomainError("grid values must be finite and nondecreasing")
         self.us = us
         self.xs = xs
+        self.support_lo, self.support_hi = float(xs[0]), float(xs[-1])
 
     def __repr__(self):
         return f"QuantileGrid(n={self.us.size})"
@@ -306,14 +272,6 @@ class QuantileGrid(Dist):
 
     def _ql(self, u):
         return np.interp(u, self.us, self.xs)
-
-    @property
-    def support_lo(self):
-        return float(self.xs[0])
-
-    @property
-    def support_hi(self):
-        return float(self.xs[-1])
 
 
 def _midpoints(n: int) -> np.ndarray:
@@ -439,6 +397,7 @@ class _Negated(Dist):
 
     def __init__(self, d: Dist):
         self.d = d
+        self.support_lo, self.support_hi = -d.support_hi, -d.support_lo
 
     def __repr__(self):
         return f"negate_dist({self.d!r})"
@@ -448,14 +407,6 @@ class _Negated(Dist):
 
     def _ql(self, u):
         return -self.d._ql(1.0 - u)
-
-    @property
-    def support_lo(self):
-        return -self.d.support_hi
-
-    @property
-    def support_hi(self):
-        return -self.d.support_lo
 
 
 def negate_dist(d: Dist) -> Dist:

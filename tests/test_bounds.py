@@ -1685,19 +1685,25 @@ def _step_reports(f, g, p, t):
 @pytest.mark.parametrize("t", [12.0, 15.5, 17.0])
 def test_step_cdf_pairs_are_not_refined(monkeypatch, t):
     # the scans over the atoms are exact, so no VaR, essential or probability
-    # bound of an atom pair (reflected for the best bounds) is refined
-    calls = []
+    # bound of an atom pair (reflected for the best bounds) evaluates its
+    # objective beyond its scan: refine_min runs no round at tolerance inf
+    calls, evals = [], []
     original = B.refine_min
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(objective, *args, **kwargs):
+        calls.append(kwargs["tol"])
+
+        def each(pts):
+            evals.append(1)
+            return objective(pts)
+
+        return original(each, *args, **kwargs)
 
     monkeypatch.setattr(B, "refine_min", counted)
     _step_reports(_XA, _YA, 0.5, t)
-    assert calls == []
+    assert calls and all(tol == math.inf for tol in calls) and evals == []
     _step_reports(_XA, Uniform(6.0, 13.0), 0.5, t)  # one step CDF is not enough
-    assert calls
+    assert evals
 
 
 @settings(max_examples=80, deadline=None)

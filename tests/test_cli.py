@@ -13,8 +13,8 @@ import pytest
 
 import ordrisk.cli
 from ordrisk.cli import _GRID_CAP, _bootstrap_totals, _grid, _grid_size, _validate, build_parser, entry, parse_marginal
-from ordrisk.bounds import bound_report
-from ordrisk.coupling import dl_plan_discrete
+from ordrisk.bounds import bound_report, ct_sum_cdf
+from ordrisk.coupling import dl_plan_discrete, dl_sum_cdf
 from ordrisk.dist import DEFAULT_TRUNC, Empirical, Normal, Pareto, Uniform
 from ordrisk.errors import DomainError
 
@@ -568,6 +568,12 @@ def test_probbounds_outputs(tmp_path):
     assert last["t"] == 8.0
     assert abs(last["mo"] - 0.5) < 2e-3
     assert abs(last["Mo"] - 5.0 / 7.0) < 2e-3
+    # the coupling columns are the public sum CDFs of the default grid
+    f, g = Pareto(1, 1), Pareto(2, 1)
+    plan = dl_plan_discrete(f, g, 10_000)
+    for row in rows[1:]:
+        t = float(row[0])
+        assert row[5:] == ["%.12g" % dl_sum_cdf(plan, t), "%.12g" % ct_sum_cdf(f, g, t)]
 
 
 def test_probbounds_bad_grid(capsys):
@@ -609,6 +615,52 @@ def test_grid_over_cap_exits_2_before_output(tmp_path, capsys, argv):
     out = tmp_path / "o"
     assert run(*argv, "--out", str(out)) == 2
     assert "grid points" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_CAP = np.iinfo(np.intp).max // 8  # the most 8-byte values numpy sizes in one array
+_HUGE = "4611686018427387904"  # 2**62: numpy refuses such an array before allocating
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", *MARG, "--kind", "dl", "--size", _HUGE],
+        ["sample", *MARG, "--kind", "comonotone", "--size", str(_CAP + 1)],
+        ["bounds", *MARG, "--grid-n", _HUGE],
+        ["casestudy", *OBS, "--replicates", _HUGE],
+        ["casestudy", *OBS, "--replicates", str(_CAP // 5 + 1)],  # times the group of 5
+    ],
+    ids=["size", "size_cap", "grid_n", "replicates", "replicates_times_group"],
+)
+def test_count_numpy_cannot_size_exits_2_before_output(tmp_path, capsys, argv):
+    # numpy's "array is too big" ValueError used to end in a traceback (exit 1)
+    out = tmp_path / "o"
+    assert run(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"numpy sizes at most {_CAP}" in err
+    assert not out.exists()
+
+
+def test_counts_numpy_can_size_pass_validation():
+    _validate(parsed("sample", *MARG, "--kind", "dl", "--size", str(_CAP)))
+    _validate(parsed("bounds", *MARG, "--grid-n", str(_CAP)))
+    _validate(parsed("casestudy", *OBS, "--replicates", str(_CAP // 5)))
+
+
+@pytest.mark.parametrize(
+    "exc, line",
+    [(MemoryError(), "error: out of memory"), (MemoryError("Unable to allocate"), "error: out of memory: Unable to allocate")],
+    ids=["bare", "numpy"],
+)
+def test_memory_error_exits_2_before_output(tmp_path, capsys, monkeypatch, exc, line):
+    def no_memory(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(ordrisk.cli, "sample_coupling", no_memory)
+    out = tmp_path / "o"
+    assert run("sample", *MARG, "--kind", "dl", "--size", "10", "--out", str(out)) == 2
+    assert capsys.readouterr().err == line + "\n"
     assert not out.exists()
 
 

@@ -459,69 +459,52 @@ def test_plan_matching_matches_stack_loop(xv, yv, n, window):
 
 
 @pytest.mark.parametrize(
-    "f, g, p, n, bottom",
+    "f, g, p, n",
     [
-        (PF, PG, 0.0, 3000, None),
-        (PF, PG, 0.9, 3000, None),
-        (Uniform(0, 1), Uniform(0, 1.5), 0.0, 3000, None),
-        (Normal(0, 1), Normal(0.5, 1), 0.0, 3000, None),
-        # level 0 read at 0.01, above the next levels: the bottom points
-        # are out of order, and the stack loop's merge stops early
-        (Normal(0, 1), Normal(0.5, 1), 0.0, 3000, 0.01),
-        (_EMP_F, _EMP_G, 0.0, 3000, None),
+        (PF, PG, 0.0, 3000),
+        (PF, PG, 0.9, 3000),
+        (Uniform(0, 1), Uniform(0, 1.5), 0.0, 3000),
+        (Normal(0, 1), Normal(0.5, 1), 0.0, 3000),
+        (_EMP_F, _EMP_G, 0.0, 3000),
         # the default plan size, where the depth counts span thousands of levels
-        (Pareto(1.0, 1.1), Pareto(2.0, 1.1), 0.9, 10_000, None),
-        (Uniform(0, 1), Uniform(0, 1.5), 0.0, 10_000, None),
+        (Pareto(1.0, 1.1), Pareto(2.0, 1.1), 0.9, 10_000),
+        (Uniform(0, 1), Uniform(0, 1.5), 0.0, 10_000),
     ],
     ids=[
         "pareto",
         "pareto_tail",
         "uniform",
         "normal",
-        "normal_clipped",
         "empirical",
         "pareto_tail_10k",
         "uniform_10k",
     ],
 )
-def test_plan_matching_matches_stack_loop_continuous(f, g, p, n, bottom):
+def test_plan_matching_matches_stack_loop_continuous(f, g, p, n):
     levels = _plan_levels(n, p)
-    if bottom is not None:  # no plan reads such points: they go straight to the matching
-        levels[levels == 0.0] = bottom
-        xs, ys = f.quantile_left(levels), g.quantile_left(levels)
-        np.testing.assert_array_equal(_match(xs, ys), _stack_match(xs, ys))
-        return
     ys = _grid_points(g, levels)
     plan = dl_plan_discrete(f, g, n, p)
     np.testing.assert_array_equal(plan.y_index, _stack_match(plan.x, ys))
     np.testing.assert_array_equal(plan.y, ys[plan.y_index])
 
 
-@pytest.mark.parametrize(
-    "f, g, p",
-    [
-        (PF, PG, 0.0),
-        (PF, PG, 0.9),
-        (Uniform(0, 1), Uniform(0, 1.5), 0.0),
-        (Normal(0, 1), Normal(0.5, 1), 0.0),
-        (_EMP_F, _EMP_G, 0.0),
-        (Empirical([0.0, 1.0], [1.0, 1.0]), Empirical([0.0, 1.0], [1.0, 1.0]), 0.5),
-    ],
-    ids=["pareto", "pareto_tail", "uniform", "normal", "empirical", "ties"],
-)
-def test_match_reads_nonincreasing_points_as_their_running_minima(monkeypatch, f, g, p):
-    # a plan's points fall with the level, so _match skips the running minima;
-    # the running-minimum path gives the same matching, ties and clips included
-    levels = _plan_levels(3000, p)
+def test_plan_holds_a_clipped_bottom_point_to_the_next_level(monkeypatch):
+    # F^{-1}(0) = -inf reads as F^{-1}(1 - DEFAULT_TRUNC); with cells narrower
+    # than 1 - DEFAULT_TRUNC (n >= 10^6 at the real truncation) that stand-in lies
+    # above the next level's point. The plan holds it there, so both point
+    # sequences fall with the level and its matching is the stack loop's.
+    monkeypatch.setattr(ordrisk.dist, "DEFAULT_TRUNC", 1.0 - 1e-2)
+    f, g, n = Normal(0, 1), Normal(0.5, 1), 3000
+    levels = _plan_levels(n, 0.0)
     xs = _grid_points(f, levels)
-    ys = np.maximum(xs, _grid_points(g, levels))
-    assert ordrisk.coupling._running_min(xs) is xs and ordrisk.coupling._running_min(ys) is ys
-    fast = _match(xs, ys)
-    monkeypatch.setattr(ordrisk.coupling, "_running_min", np.minimum.accumulate)
-    np.testing.assert_array_equal(_match(xs, ys), fast)
-    bumped = xs.copy()
-    bumped[-1] = bumped[0] + 1.0  # one point out of order takes the general path
-    np.testing.assert_array_equal(ordrisk.coupling._running_min(bumped), np.minimum.accumulate(bumped))
+    assert xs[-1] > xs[-2]  # the stand-in, out of order as read
+    plan = dl_plan_discrete(f, g, n)
+    x, ys = plan.x, plan.y[np.argsort(plan.y_index)]  # the y points by level
+    assert x[-1] == x[-2] and ys[-1] == ys[-2]
+    np.testing.assert_array_equal(x[:-1], xs[:-1])
+    assert np.all(x[1:] <= x[:-1]) and np.all(ys[1:] <= ys[:-1]) and np.all(x <= ys)
+    np.testing.assert_array_equal(plan.y_index, _stack_match(x, ys))
+    assert np.all(plan.x <= plan.y)
 
 
 def test_window_means_are_shared_and_read_only():

@@ -158,16 +158,42 @@ exact = 1.0 + 2.0 * np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi) / 0.1
 assert abs(es - exact) <= 1e-12 * abs(exact), (es, exact)
 print("ok")
 """
+    assert _run_fresh(code) == "ok"
+
+
+def _run_fresh(code, *argv):
+    """Run ``code`` in a fresh interpreter that imports this tree's ordrisk; its stdout, stripped."""
     src = str(Path(ordrisk.dist.__file__).resolve().parents[1])
     path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, *map(str, argv)],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "ok"
+    return proc.stdout.strip()
+
+
+def test_column_kernel_loads_only_for_float_tables(tmp_path):
+    # a fresh interpreter: the CLI's tables are str cells, so the float kernel
+    # of _write_table loads with the first float column, here a sample export
+    code = """
+import sys
+import ordrisk.cli
+from ordrisk import Pareto, bound_report, export_batch_csv, sample_coupling
+out = sys.argv[1]
+assert "ordrisk._g12" not in sys.modules, "imported by ordrisk.cli"
+bound_report(Pareto(1.0, 1.0), Pareto(2.0, 1.0), "var", p=0.9)
+rc = ordrisk.cli.entry(["bounds", "--margF", "pareto:1,1", "--margG", "pareto:2,1", "--out", out + "/b"])
+assert rc == 0
+assert "ordrisk._g12" not in sys.modules, "imported by a bound report or the CLI's str tables"
+export_batch_csv(sample_coupling(Pareto(1.0, 1.0), Pareto(2.0, 1.0), "dl", 10, 1), out + "/s.csv")
+assert "ordrisk._g12" in sys.modules, "not imported by a float table"
+print("ok")
+"""
+    assert _run_fresh(code, tmp_path).splitlines()[-1] == "ok"
+    assert (tmp_path / "b" / "curve.csv").exists() and (tmp_path / "s.csv").exists()
 
 
 # ---------------------------------------------------------------------------
