@@ -55,7 +55,12 @@ threshold. The VaR scans build
 their nodes per level, from the shared level table of ``dist._merged_grid``.
 Where both laws are ``Empirical`` (step CDFs), the VaR, essential and
 probability scans are exact: they are refined at tolerance inf (``_steps``),
-so ``refine_min`` runs no round and returns the best scanned value.
+so ``refine_min`` runs no round and returns the best scanned value. There a
+law's quantiles are its atoms, so the node grid is the same at every level,
+and the VaR and essential scans read it from ``_per_pair`` once per law
+tuple: the order check's (f, g), the reflected pair's and the unordered
+scans' one-law grids. ``dist.negate_dist`` holds an empirical law's
+reflection, so every reflected scan of a pair reads the same two laws.
 
 The bounds on P(X + Y <= t) invert these formulas in closed form. With
 F, G right-continuous and t finite (t = -inf, +inf give 0, 1; NaN, or a t that
@@ -244,8 +249,10 @@ def _dl_min(
     levels p + (1 - p)(1 - 2^-k), k = 1..60, so the scan reaches the far
     tail. Step CDFs are constant between atoms, so where both laws are
     ``Empirical`` the scan is exact and the tolerance is inf (``_steps``):
-    the refinement runs no round. Nodes with F(z) = G(z) stay in, as the
-    l -> 0+ limit.
+    the refinement runs no round. There the node grid is the laws' atoms at
+    every level, so it is read from ``_per_pair`` once per law tuple (the
+    ordered (f, g) one is the order check's). Nodes with F(z) = G(z) stay in,
+    as the l -> 0+ limit.
 
     The ends are z = b (value 2b, or F^{-1}(1) + b) and z -> sup G (value
     sup G + F^{-1}(p)); an end of -inf is the answer. Where an infinite upper
@@ -266,7 +273,8 @@ def _dl_min(
         return -math.inf  # e.g. X + Y <= X + sup Y, unbounded below where a = -inf
     lo = p if a > -math.inf else p + (1.0 - p) * (1.0 - DEFAULT_TRUNC)
     laws, n = ((f, g), DEFAULT_SCAN_N) if ordered else ((g,), DEFAULT_SCAN_N // 2)
-    zs = _merged_grid(laws, n, p, tail=True)
+    steps = _steps(f, g)
+    zs = _per_pair(_merged_grid, laws, n) if steps else _merged_grid(laws, n, p, tail=True)
     zs = np.concatenate(([b] if b > -math.inf else [], zs[zs > b]))
 
     def objective(z):
@@ -274,7 +282,7 @@ def _dl_min(
         level = p + np.asarray(f.cdf(z)) - gz if ordered else p + (1.0 - gz)
         return z + np.asarray(_quantile(f, np.clip(level, lo, 1.0), strict))
 
-    tol = math.inf if _steps(f, g) else 1e-10 * max(1.0, abs(zs[0]))
+    tol = math.inf if steps else 1e-10 * max(1.0, abs(zs[0]))
     return float(min(refine_min(objective, zs, objective(zs), tol=tol), end))
 
 

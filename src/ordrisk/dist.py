@@ -30,7 +30,8 @@ and the normal piece of ``_integral_parts``; its import costs more
 than the rest of the library, and no other kind needs it.
 
 Work shared by the bounds of a pair is built once, in one memo of 16
-entries, ``_per_pair``; every array it returns is read-only.
+entries, ``_per_pair``; every array it returns is read-only. An empirical
+law holds its reflection (``negate_dist``), built on first use.
 
 Every CSV table is written by one column writer, ``_write_table``: float
 columns are formatted to ``%.12g`` in blocks of rows by one numpy kernel,
@@ -102,12 +103,12 @@ class Pareto(Dist):
     kind = "pareto"
 
     def __init__(self, scale: float, shape: float):
+        scale, shape = _check_real(scale, "pareto scale"), _check_real(shape, "pareto shape")
         if not (scale > 0 and math.isfinite(scale)):
             raise DomainError("pareto scale must be positive and finite")
         if not (shape > 0 and math.isfinite(shape)):
             raise DomainError("pareto shape must be positive and finite")
-        self.scale = float(scale)
-        self.shape = float(shape)
+        self.scale, self.shape = scale, shape
         self.support_lo, self.support_hi = self.scale, math.inf
 
     def __repr__(self):
@@ -130,10 +131,10 @@ class Uniform(Dist):
     kind = "uniform"
 
     def __init__(self, lo: float, hi: float):
+        lo, hi = _check_real(lo, "uniform lo"), _check_real(hi, "uniform hi")
         if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
             raise DomainError("uniform requires finite lo < hi")
-        self.lo = float(lo)
-        self.hi = float(hi)
+        self.lo, self.hi = lo, hi
         self.support_lo, self.support_hi = self.lo, self.hi
 
     def __repr__(self):
@@ -155,10 +156,10 @@ class Normal(Dist):
     kind = "normal"
 
     def __init__(self, mean: float, sd: float):
+        mean, sd = _check_real(mean, "normal mean"), _check_real(sd, "normal sd")
         if not (math.isfinite(mean) and sd > 0 and math.isfinite(sd)):
             raise DomainError("normal requires finite mean and positive sd")
-        self.mean = float(mean)
-        self.sd = float(sd)
+        self.mean, self.sd = mean, sd
         self.support_lo, self.support_hi = -math.inf, math.inf
 
     def __repr__(self):
@@ -182,15 +183,19 @@ class Empirical(Dist):
     """Weighted atoms with a right-continuous step CDF.
 
     ``values`` must be nondecreasing; ``weights`` positive. Use
-    :func:`empirical_from_samples` to build one from raw draws.
+    :func:`empirical_from_samples` to build one from raw draws. ``values``
+    and the cumulative weights are views of tables that end in a NaN node, so
+    the CDF's one search reads a NaN point as NaN. The reflected law of
+    ``negate_dist`` is built on first use and held by the law.
     """
 
     kind = "empirical"
     _level_tol = ROUNDING_TOL  # ``_cumw`` is a float sum, and the order gate admits this much
+    _reflection = None
 
     def __init__(self, values, weights):
-        values = np.asarray(values, dtype=float)
-        weights = np.asarray(weights, dtype=float)
+        values = _real_array(values, "empirical values")
+        weights = _real_array(weights, "empirical weights")
         if values.ndim != 1 or values.size == 0 or values.shape != weights.shape:
             raise DomainError("empirical requires matching 1-d values and weights")
         if np.any(np.diff(values) < 0):
@@ -199,11 +204,13 @@ class Empirical(Dist):
             raise DomainError("empirical weights must be positive and finite")
         if not np.all(np.isfinite(values)):
             raise DomainError("empirical values must be finite")
-        self.values = values
+        self._nodes = np.append(values, np.nan)  # NaN sorts last, past every atom
+        self.values = self._nodes[:-1]
         self.weights = weights / weights.sum()
-        self._cumw = np.cumsum(self.weights)
-        self._cumw[-1] = 1.0
-        self._cumw0 = np.concatenate(([0.0], self._cumw))  # F below each atom, then 1
+        self._levels = np.concatenate(([0.0], np.cumsum(self.weights), [np.nan]))
+        self._levels[-2] = 1.0
+        self._cumw0 = self._levels[:-1]  # F below each atom, then 1
+        self._cumw = self._levels[1:-1]
         self.support_lo, self.support_hi = float(values[0]), float(values[-1])
 
     def __repr__(self):
@@ -212,8 +219,8 @@ class Empirical(Dist):
     def cdf(self, x):
         scalar = np.ndim(x) == 0
         x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self.values, x, side="right")
-        return _as_output(self._cumw0[idx], scalar)
+        idx = np.searchsorted(self._nodes, x, side="right")  # past the NaN node only for NaN
+        return _as_output(self._levels[idx], scalar)
 
     def _ql(self, u):
         idx = np.searchsorted(self._cumw, u, side="left")
@@ -233,14 +240,15 @@ class QuantileGrid(Dist):
     nondecreasing. The quantile function is held constant outside
     ``[us[0], us[-1]]``, so the endpoints carry atoms of mass ``us[0]``
     and ``1 - us[-1]``. The CDF is the generalized inverse, linear in
-    ``x`` between table nodes.
+    ``x`` between table nodes. ``xs`` is a view of a table that ends in a NaN
+    node, so the CDF's one search reads a NaN point as NaN.
     """
 
     kind = "grid"
 
     def __init__(self, us, xs):
-        us = np.asarray(us, dtype=float)
-        xs = np.asarray(xs, dtype=float)
+        us = _real_array(us, "grid levels")
+        xs = _real_array(xs, "grid values")
         if us.ndim != 1 or us.size == 0 or us.shape != xs.shape:
             raise DomainError("grid requires matching 1-d level and value tables")
         if np.any(us <= 0.0) or np.any(us >= 1.0) or np.any(np.diff(us) <= 0):
@@ -248,7 +256,10 @@ class QuantileGrid(Dist):
         if np.any(np.diff(xs) < 0) or not np.all(np.isfinite(xs)):
             raise DomainError("grid values must be finite and nondecreasing")
         self.us = us
-        self.xs = xs
+        self._nodes = np.append(xs, np.nan)  # NaN sorts last, past every node
+        self.xs = self._nodes[:-1]
+        self._ends = np.zeros(xs.size + 2)  # F by search index: 0 below, 1 at or above the top, NaN
+        self._ends[-2:] = 1.0, np.nan
         self.support_lo, self.support_hi = float(xs[0]), float(xs[-1])
 
     def __repr__(self):
@@ -258,10 +269,8 @@ class QuantileGrid(Dist):
         scalar = np.ndim(x) == 0
         x = np.asarray(x, dtype=float)
         xs, us = self.xs, self.us
-        r = np.searchsorted(xs, x, side="right")
-        out = np.empty(x.shape, dtype=float)
-        out[r == 0] = 0.0
-        out[r == xs.size] = 1.0
+        r = np.searchsorted(self._nodes, x, side="right")
+        out = np.asarray(self._ends[r])  # the nodes between are interpolated
         mid = (r > 0) & (r < xs.size)
         if np.any(mid):
             rm = r[mid]
@@ -283,6 +292,14 @@ def _check_real(x, name: str) -> float:
     if isinstance(x, bool) or not isinstance(x, numbers.Real) or math.isnan(x):
         raise DomainError(f"{name} must be a real number, not NaN: {x!r}")
     return float(x)
+
+
+def _real_array(x, name: str) -> np.ndarray:
+    """``x`` as a float array; DomainError where numpy cannot convert it (strings, objects)."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be real numbers: {x!r}") from None
 
 
 def _check_level(*levels, name: str = "level p", within: str = "(0, 1)"):
@@ -416,12 +433,23 @@ def negate_dist(d: Dist) -> Dist:
     own closed forms; any other kind maps to its reflected law, whose
     left quantile at ``1 - u`` is ``-F^{-1}(u)`` to the last bit for
     ``u >= 1/2`` (a negated uniform's closed form is one rounding off).
-    Negating a reflected law returns ``d``.
+    Negating a reflected law returns ``d``. An empirical law's reflection is
+    built once and held by the law, so every call returns the one object
+    and the reflected scans of ``bounds`` find its node grid in ``_per_pair``.
+    DomainError unless ``d`` is a Dist.
     """
+    if not isinstance(d, Dist):
+        raise DomainError(f"negate_dist expects a Dist, not {d!r}")
     if isinstance(d, Normal):
         return Normal(-d.mean, d.sd)
     if isinstance(d, Empirical):
-        return Empirical(-d.values[::-1], d.weights[::-1])
+        if d._reflection is None:
+            nd = Empirical(-d.values[::-1], d.weights[::-1])
+            for arr in vars(nd).values():
+                if isinstance(arr, np.ndarray):
+                    arr.flags.writeable = False  # shared by every caller
+            d._reflection = nd
+        return d._reflection
     if isinstance(d, QuantileGrid):
         return QuantileGrid(1.0 - d.us[::-1], -d.xs[::-1])
     if isinstance(d, _Negated):
@@ -431,7 +459,7 @@ def negate_dist(d: Dist) -> Dist:
 
 def empirical_from_samples(values, weights=None) -> Empirical:
     """Build an :class:`Empirical` from raw draws, merging duplicate atoms."""
-    values = np.asarray(values, dtype=float).ravel()
+    values = _real_array(values, "samples").ravel()
     if values.size == 0:
         raise DomainError("no samples given")
     if not np.all(np.isfinite(values)):
@@ -439,7 +467,7 @@ def empirical_from_samples(values, weights=None) -> Empirical:
     if weights is None:
         weights = np.ones_like(values)
     else:
-        weights = np.asarray(weights, dtype=float).ravel()
+        weights = _real_array(weights, "weights").ravel()
         if weights.shape != values.shape:
             raise DomainError("weights must match samples")
         if np.any(weights <= 0) or not np.all(np.isfinite(weights)):
@@ -498,10 +526,16 @@ def _merged_grid(laws, grid_size: int, p: float = 0.0, tail: bool = False) -> np
     ``u`` are the midpoints, which stay inside ``[1 - DEFAULT_TRUNC, DEFAULT_TRUNC]`` up to
     500,000 nodes, and, with ``tail``, the levels 1 - 2^-k, k = 1..60, which reach
     the tail's far end. The levels lie in [0, 1], so the quantiles are read without validation.
+    An ``Empirical`` law's quantiles are its atoms, so it adds only its atoms and upper
+    end, and the grid of step laws is the same array for every p, size and tail flag.
+    The array is the one its reads would give, to the bit, except where the values hold
+    both 0.0 and -0.0: ``np.unique`` keeps one of them, not always the same one.
     """
-    us = np.concatenate(([p], p + (1.0 - p) * _scan_levels(grid_size, tail)))
-    pieces = [d._ql(us) for d in laws] + [_atom_points(d) for d in laws]
-    ts = np.concatenate(pieces + [[d.support_hi for d in laws]])
+    levels = _scan_levels(grid_size, tail)  # checks the grid size for every kind
+    reads = [d for d in laws if not isinstance(d, Empirical)]
+    us = np.concatenate(([p], p + (1.0 - p) * levels)) if reads else None
+    pieces = [d._ql(us) for d in reads]
+    ts = np.concatenate(pieces + [_atom_points(d) for d in laws] + [[d.support_hi for d in laws]])
     return np.unique(ts[np.isfinite(ts)])
 
 
@@ -509,8 +543,10 @@ def _merged_grid(laws, grid_size: int, p: float = 0.0, tail: bool = False) -> np
 def _per_pair(build, *args):
     """``build(*args)`` once per key, the one memo of per-pair work (16 entries, LRU).
 
-    Builders: the node grid ``_merged_grid``, the order check ``check_st``, a window's
-    ``coupling._window_means`` and a [0, q) window's ``bounds._sum_law``. Dist objects are
+    Builders: the node grid ``_merged_grid`` (the order check's, and on a step pair
+    the VaR and essential scans' grid of each law tuple, which no level changes), the
+    order check ``check_st``, a window's ``coupling._window_means`` and a [0, q)
+    window's ``bounds._sum_law``. Dist objects are
     immutable and hashed by identity, so the key holds the objects, not their parameters.
     The memo is typed: 100.0 is not the key 100, so it meets the count check of its build.
     Every array of a result is shared, so it is made read-only, a tuple's items too;

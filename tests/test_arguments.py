@@ -46,9 +46,13 @@ _E = empirical_from_samples([1.0, 2.0])
 
 
 def _plain(x):
-    """A result as nested lists and dicts of Python values, for ``==``."""
+    """A result as nested lists and dicts of Python values, for ``==``.
+
+    An array is its dtype, shape and bytes, so two results are equal only bit for
+    bit (-0.0 is not 0.0), and a table that ends in a NaN node equals its copy.
+    """
     if isinstance(x, np.ndarray):
-        return x.tolist()
+        return x.dtype.str, x.shape, x.tobytes()
     if isinstance(x, (tuple, list)):
         return [_plain(v) for v in x]
     fields = getattr(x, "__slots__", None) or getattr(x, "__dict__", None)

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import warnings
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 
@@ -339,6 +340,32 @@ def test_prob_report_builds_one_grid_per_pair(monkeypatch):
     nodes = memo(grid, (PF, PG), DEFAULT_SCAN_N)
     assert not nodes.flags.writeable
     assert_array_equal(nodes, original((PF, PG), DEFAULT_SCAN_N))
+
+
+def test_step_pair_scans_build_one_grid_per_law_tuple(monkeypatch):
+    # on step laws the node grid is the atoms at every level: the VaR and
+    # essential scans of a curve read the order check's (f, g) grid, the
+    # reflected pair's, and the unordered scans' (g,) and (-f,), once each,
+    # which holds only while each law's reflection is built once
+    built = []
+    original = ordrisk.dist._merged_grid
+
+    def grid(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(B, "_merged_grid", grid)
+    monkeypatch.setattr(ordrisk.dist, "_merged_grid", grid)
+    ordrisk.dist._per_pair.cache_clear()
+    f = Empirical([1.0, 2.0, 4.0, 7.0], [2.0, 3.0, 1.0, 2.0])
+    g = Empirical([2.0, 3.0, 5.0, 8.0], [1.0, 3.0, 2.0, 2.0])
+    for p in (0.25, 0.6, 0.9):
+        B.bound_report(f, g, "var", p=p)
+    for measure in ("essinf", "esssup"):
+        B.bound_report(f, g, measure)
+    nf, ng = negate_dist(f), negate_dist(g)
+    n = DEFAULT_SCAN_N
+    assert Counter(built) == Counter([((f, g), n), ((ng, nf), n), ((g,), n // 2), ((nf,), n // 2)])
 
 
 def test_per_pair_memo_builds_each_key_once(monkeypatch):

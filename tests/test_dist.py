@@ -249,6 +249,62 @@ def test_quantile_grid_validation():
         QuantileGrid(np.array([0.2, 0.8]), np.array([1.0, 0.0]))
 
 
+# one law of each kind; the grid's flat top segment is an atom at 1
+CDF_KINDS = {
+    "pareto": Pareto(1.0, 2.0),
+    "uniform": Uniform(0.0, 1.0),
+    "normal": Normal(0.0, 1.0),
+    "empirical": Empirical([0.0, 1.0, 3.0], [1.0, 2.0, 1.0]),
+    "grid": QuantileGrid([0.2, 0.5, 0.8], [0.0, 1.0, 1.0]),
+    "negated": negate_dist(Pareto(1.0, 2.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CDF_KINDS))
+def test_cdf_reads_a_nan_point_as_nan(name):
+    # the step and grid CDFs used to read NaN as 1.0, past the last node
+    d = CDF_KINDS[name]
+    assert math.isnan(d.cdf(math.nan))
+    pts = np.array([math.nan, -math.inf, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0, math.inf, math.nan])
+    got = d.cdf(pts)
+    assert_array_equal(np.isnan(got), np.isnan(pts))
+    assert_array_equal(got, [d.cdf(float(x)) for x in pts])
+    assert_array_equal(d.cdf(pts.reshape(2, 5)), got.reshape(2, 5))
+
+
+NON_REAL_PARAMETERS = {
+    "pareto-scale-str": lambda: Pareto("a", 1),
+    "pareto-shape-none": lambda: Pareto(1.0, None),
+    "uniform-lo-str": lambda: Uniform("a", 1),
+    "uniform-hi-bool": lambda: Uniform(0.0, True),
+    "normal-mean-str": lambda: Normal("a", 1),
+    "normal-mean-bool": lambda: Normal(True, 1),
+    "normal-sd-bool": lambda: Normal(0.0, True),
+    "empirical-values-str": lambda: Empirical(["a"], [1]),
+    "empirical-weights-str": lambda: Empirical([1.0], ["a"]),
+    "empirical-values-object": lambda: Empirical([object()], [1]),
+    "grid-levels-str": lambda: QuantileGrid(["a"], [1]),
+    "grid-values-str": lambda: QuantileGrid([0.5], ["a"]),
+    "samples-str": lambda: empirical_from_samples(["a"]),
+    "samples-weights-str": lambda: empirical_from_samples([1.0], ["a"]),
+    "negate-str": lambda: negate_dist("x"),
+    "negate-none": lambda: negate_dist(None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_REAL_PARAMETERS))
+def test_non_real_parameters_raise_domain_error(name):
+    # these used to raise TypeError, ValueError or AttributeError, or (a bool) pass
+    with pytest.raises(DomainError):
+        NON_REAL_PARAMETERS[name]()
+
+
+def test_numpy_and_integer_parameters_pass():
+    assert vars(Pareto(np.float64(1.0), np.int64(2))) == vars(Pareto(1.0, 2.0))
+    assert vars(Normal(np.float32(0.5), 1)) == vars(Normal(0.5, 1.0))
+    assert type(Uniform(0, 1).lo) is float
+
+
 @given(st.integers(200, 2000))
 def test_to_grid_matches_source_quantiles(n):
     d = Uniform(-1.0, 3.0)
@@ -459,6 +515,25 @@ def test_negate_empirical():
     assert_allclose(nd.weights, [0.75, 0.25])
 
 
+def _fields(d):
+    """A law's fields, arrays as dtype, shape and bytes."""
+    return {k: (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v for k, v in vars(d).items()}
+
+
+def test_negate_empirical_builds_one_reflection():
+    d = Empirical([1.0, 2.0, 2.5, 7.0], [0.1, 0.3, 0.2, 0.7])
+    nd = negate_dist(d)
+    assert negate_dist(d) is nd
+    assert _fields(nd) == _fields(Empirical(-d.values[::-1], d.weights[::-1]))
+    with pytest.raises(ValueError, match="read-only"):
+        nd.values[0] = 0.0
+    assert math.isnan(nd.cdf(math.nan)) and nd.cdf(-2.5) == d.cdf(-2.5) + 1.0 - d.cdf(2.0)
+    # the reflection's own reflection is built by the same rule, once
+    back = negate_dist(nd)
+    assert negate_dist(nd) is back
+    assert _fields(back) == _fields(Empirical(-nd.values[::-1], nd.weights[::-1]))
+
+
 def test_negate_pareto_cdf():
     d = Pareto(1.0, 1.0)
     nd = negate_dist(d)
@@ -628,6 +703,51 @@ def test_merged_grid_matches_validated_quantiles(tail):
             ref = np.unique(ts[np.isfinite(ts)])
             assert_array_equal(ordrisk.dist._merged_grid(laws, 512, p, tail), ref)
     assert not ordrisk.dist._scan_levels(512, tail).flags.writeable
+
+
+def _grid_with_reads(laws, n, p, tail):
+    """The node grid with every law's quantiles read at the scan levels, atom laws' too."""
+    levels = ordrisk.dist._scan_levels(n, tail)
+    us = np.concatenate(([p], p + (1.0 - p) * levels))
+    ts = np.concatenate(
+        [d._ql(us) for d in laws]
+        + [ordrisk.dist._atom_points(d) for d in laws]
+        + [[d.support_hi for d in laws]]
+    )
+    return np.unique(ts[np.isfinite(ts)])
+
+
+_TIES = Empirical([1.0, 2.0, 4.0, 7.0], [2.0, 3.0, 1.0, 2.0])
+_SHARED = Empirical([2.0, 3.0, 4.0, 7.0, 8.0], [1.0, 3.0, 1e-6, 2.0, 2.0])  # 2, 4, 7 shared
+_TOTALS = empirical_from_samples(np.random.default_rng(29).integers(0, 40, 300).astype(float))
+STEP_GRID_LAWS = {
+    "ties": (_TIES, _SHARED),
+    "unequal-weights": (Empirical([0.5, 0.75, 9.0], [1e-8, 1.0, 3.0]), _TOTALS),
+    "one-atom": (Empirical([3.0], [1.0]), _TIES),
+    "one-atom-alone": (Empirical([-1.5], [2.0]),),
+    "negated": (negate_dist(_SHARED), negate_dist(_TIES)),
+    "negated-alone": (negate_dist(_TOTALS),),
+    "mixed-normal": (_TIES, Normal(3.0, 2.0)),
+    "mixed-pareto": (Pareto(1.0, 2.0), _SHARED),
+    "mixed-grid": (to_grid(Uniform(0.0, 9.0), 300), _TOTALS),
+    "mixed-negated": (negate_dist(Pareto(1.0, 2.0)), negate_dist(_TIES)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_GRID_LAWS))
+def test_merged_grid_of_step_laws_equals_the_grid_with_their_reads(name):
+    # an atom law's quantile reads are atoms the grid holds: leaving them out
+    # gives the same array to the bit, and on step laws alone one array for all
+    laws = STEP_GRID_LAWS[name]
+    steps = all(isinstance(d, Empirical) for d in laws)
+    first = ordrisk.dist._merged_grid(laws, 2048)
+    for p in (0.0, 0.3, 0.95):
+        for tail in (False, True):
+            for n in (2, 7, 1024, 2048):
+                got = ordrisk.dist._merged_grid(laws, n, p, tail)
+                assert got.tobytes() == _grid_with_reads(laws, n, p, tail).tobytes()
+                if steps:
+                    assert got.tobytes() == first.tobytes()
 
 
 def test_default_order_check_reads_the_pair_nodes():

@@ -19,7 +19,10 @@ The comonotone and countermonotone draw digests were recorded while the
 samplers clipped every level to [1e-12, 1 - 1e-12], before they read levels
 through ``dist._grid_points``. The unjittered uniform, normal and near-atom
 plan draw digests were recorded from the writer's ``'%.12g' % row`` format,
-one Python call per float, before the column kernel.
+one Python call per float, before the column kernel. The step-pair digests
+(the case study's VaR curve and the atom pair's VaR and essential curves) were
+recorded while each VaR scan read the quantiles of its step laws at the scan
+levels into the node grid and each reflected scan rebuilt both reflected laws.
 """
 
 import csv
@@ -78,6 +81,18 @@ PROB_RUNS = {
 }
 ATOMS = {"x": "value,weight\n1,2\n2,3\n4,1\n7,2\n", "y": "value,weight\n2,1\n3,3\n5,2\n8,2\n"}
 
+# The step-pair (atom) VaR and essential scans: the case study after its projection,
+# and the CI's atom pair of the probbounds run, the VaR curve at levels that include
+# cumulative weights of both laws (0.25, 0.5, 0.75).
+ATOM_PAIR = ["--margF", "csv:{x}", "--margG", "csv:{y}"]
+STEP_RUNS = {
+    "casestudy_var": ["casestudy", "--groupX", "30", "--groupY", "30", "--replicates", "500"]
+    + ["--seed", "3", "--project", "--measure", "var"],
+    "var_atoms": ["bounds", *ATOM_PAIR, "--measure", "var", "--p-from", "0.05", "--p-to", "0.95", "--p-step", "0.05"],
+    "essinf_atoms": ["bounds", *ATOM_PAIR, "--measure", "essinf"],
+    "esssup_atoms": ["bounds", *ATOM_PAIR, "--measure", "esssup"],
+}
+
 SEED7 = ["--size", "10000", "--seed", "7"]
 # The draws that read quantiles at raw uniform levels: comonotone on a pair with
 # unbounded upper supports, countermonotone on a normal pair (unbounded at both ends);
@@ -120,6 +135,18 @@ PINS = {
     "rvar_uniform/curve.csv": "5433d6e9d93926cb7200a6d51d87ab86f91d2759b6ab9976006dc2a401dc1957",
     "rvar_uniform/couplings.csv": "9f7c1ae177c7a25adc9482de57375ac16b0c9411cef24f313d8f702c326d7a4d",
     "rvar_uniform/reports.json": "4de1f8553070c0e762e4e67fc45d0384a9eb38f8ffe6f17e7ce8bb202babc175",
+    "casestudy_var/curve.csv": "dcb645571c1d65ea0d7bb1b150427fe26f6d93b070998037b0d2f3c56a78c815",
+    "casestudy_var/couplings.csv": "b2949a7a29423e601a67b1467d5806cc3e5e7d0b8cc27e60a0fefd364fedf67a",
+    "casestudy_var/reports.json": "cdc2c737210c0ad8aa58bc075ff72e350b67054dacea4f2c20c2fc9b4212e1d2",
+    "var_atoms/curve.csv": "c612ef9dd8da65a0cbcb981d210dca9c43df4ee231a5483fac7641a5b1f57a78",
+    "var_atoms/couplings.csv": "085897e1756ff5dee8a87e3588460b26a298e2033dd1458e5d241c2659e00d56",
+    "var_atoms/reports.json": "2bb76ff5465ab4ec64503da8db3b92880d637389074d77285fad125b92e8e151",
+    "essinf_atoms/curve.csv": "4cdd497dffe764f4f62e43dee76d894a3a26b7289600b22f1b1a43b8d52bb39f",
+    "essinf_atoms/couplings.csv": "a4218a6233fc2da3b0e1d2b3266e652dab6e91913999fa927688253883428fae",
+    "essinf_atoms/reports.json": "5ecd523738643101a2aac1cf9d9a220545a9f1d30947ca33678a97cf5c9cfb27",
+    "esssup_atoms/curve.csv": "eb1c96b4be313af6b7cb0fc8caf45a8a919177fbc13ffae99e06720447e4e62b",
+    "esssup_atoms/couplings.csv": "a4218a6233fc2da3b0e1d2b3266e652dab6e91913999fa927688253883428fae",
+    "esssup_atoms/reports.json": "ad528c6e1dcc2169b52d2bb3dace5411f47d3385e25c664f98abffc0d4074c20",
 }
 
 
@@ -152,6 +179,20 @@ def _observations(root) -> list[str]:
 @pytest.mark.parametrize("name", sorted(PLAN_RUNS))
 def test_plan_route_tables_are_pinned(tmp_path, name):
     argv = PLAN_RUNS[name] + (_observations(tmp_path) if name == "casestudy_es" else [])
+    out = tmp_path / "out"
+    assert entry([*argv, "--out", str(out)]) == 0
+    for table in PLAN_TABLES:
+        assert _sha256(out / table) == PINS[f"{name}/{table}"], table
+
+
+@pytest.mark.parametrize("name", sorted(STEP_RUNS))
+def test_step_pair_tables_are_pinned(tmp_path, name):
+    paths = {}
+    for side, text in ATOMS.items():
+        paths[side] = tmp_path / f"{side}.csv"
+        paths[side].write_text(text)
+    argv = [arg.format(**paths) for arg in STEP_RUNS[name]]
+    argv += _observations(tmp_path) if name == "casestudy_var" else []
     out = tmp_path / "out"
     assert entry([*argv, "--out", str(out)]) == 0
     for table in PLAN_TABLES:
