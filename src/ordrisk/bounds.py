@@ -215,8 +215,11 @@ def _quantile(d: Dist, u, strict: bool):
     cumulative weight reads as that weight: the left quantile is read at
     u - tol and the right one at u + tol, which is the same while every atom
     weighs more than 2 tol = 2e-9.
-    Every caller passes levels in [0, 1], so they are not validated again.
+    Every caller passes levels in [0, 1], so they are not validated again. With no
+    tolerance a level array goes to ``_ql``/``_qr`` as it is (a float takes the numpy path).
     """
+    if not d._level_tol and isinstance(u, np.ndarray):
+        return d._qr(u) if strict else d._ql(u)
     if strict:
         return d._qr(np.minimum(np.add(u, d._level_tol), 1.0))
     return d._ql(np.maximum(np.subtract(u, d._level_tol), 0.0))
@@ -247,7 +250,9 @@ def _dl_min(
     objective reads (F and G, or G alone unordered) at the levels p and
     p + (1 - p) u of ``_merged_grid`` (half as many unordered) and the tail
     levels p + (1 - p)(1 - 2^-k), k = 1..60, so the scan reaches the far
-    tail. Step CDFs are constant between atoms, so where both laws are
+    tail. A 33-point round costs more in calls than in arithmetic, so the objective
+    wraps no read in ``np.asarray`` and clips by two ufuncs (``np.clip``'s bytes at
+    half its cost). Step CDFs are constant between atoms, so where both laws are
     ``Empirical`` the scan is exact and the tolerance is inf (``_steps``):
     the refinement runs no round. There the node grid is the laws' atoms at
     every level, so it is read from ``_per_pair`` once per law tuple (the
@@ -277,10 +282,10 @@ def _dl_min(
     zs = _per_pair(_merged_grid, laws, n) if steps else _merged_grid(laws, n, p, tail=True)
     zs = np.concatenate(([b] if b > -math.inf else [], zs[zs > b]))
 
-    def objective(z):
-        gz = np.asarray(g.cdf(z))
-        level = p + np.asarray(f.cdf(z)) - gz if ordered else p + (1.0 - gz)
-        return z + np.asarray(_quantile(f, np.clip(level, lo, 1.0), strict))
+    def objective(z):  # z is an array, so each CDF read is one
+        gz = g.cdf(z)
+        level = p + f.cdf(z) - gz if ordered else p + (1.0 - gz)
+        return z + _quantile(f, np.minimum(np.maximum(lo, level), 1.0), strict)  # np.clip to the bit
 
     tol = math.inf if steps else 1e-10 * max(1.0, abs(zs[0]))
     return float(min(refine_min(objective, zs, objective(zs), tol=tol), end))

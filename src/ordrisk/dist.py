@@ -24,10 +24,10 @@ Plans, draws and tail grids read levels through one grid read,
 ``[1 - DEFAULT_TRUNC, DEFAULT_TRUNC]`` only where that quantile is
 infinite. ``to_grid(trunc=)`` is the one explicit truncation.
 
-``scipy.special`` (for the normal CDF ``ndtr`` and quantile ``ndtri``) is
-imported on first use by a normal law, in ``Normal.cdf``, ``Normal._ql``
-and the normal piece of ``_integral_parts``; its import costs more
-than the rest of the library, and no other kind needs it.
+``scipy.special`` (the normal CDF ``ndtr`` and quantile ``ndtri``) is bound
+once, by ``_special`` on first use by a normal law, not imported per call;
+its import costs more than the rest of the library, and no other kind needs
+it.
 
 Work shared by the bounds of a pair is built once, in one memo of 16
 entries, ``_per_pair``; every array it returns is read-only. An empirical
@@ -45,6 +45,7 @@ that write none never load it.
 from __future__ import annotations
 
 import csv
+import importlib
 import math
 import numbers
 from functools import lru_cache
@@ -143,7 +144,7 @@ class Uniform(Dist):
     def cdf(self, x):
         scalar = np.ndim(x) == 0
         x = np.asarray(x, dtype=float)
-        out = np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
+        out = np.minimum(np.maximum(0.0, (x - self.lo) / (self.hi - self.lo)), 1.0)  # np.clip to the bit
         return _as_output(out, scalar)
 
     def _ql(self, u):
@@ -168,15 +169,15 @@ class Normal(Dist):
     def cdf(self, x):
         scalar = np.ndim(x) == 0
         x = np.asarray(x, dtype=float)
-        from scipy.special import ndtr  # first use loads scipy.special (module docstring)
-
-        return _as_output(ndtr((x - self.mean) / self.sd), scalar)
+        return _as_output(_special().ndtr((x - self.mean) / self.sd), scalar)
 
     def _ql(self, u):
-        from scipy.special import ndtri
+        return self.mean + self.sd * _special().ndtri(u)  # +-inf at 0 and 1, without a warning
 
-        with np.errstate(divide="ignore"):
-            return self.mean + self.sd * ndtri(u)
+
+@lru_cache(maxsize=1)
+def _special():  # scipy.special, imported by the first normal law that reads it (module docstring)
+    return importlib.import_module("scipy.special")
 
 
 class Empirical(Dist):
@@ -295,11 +296,14 @@ def _check_real(x, name: str) -> float:
 
 
 def _real_array(x, name: str) -> np.ndarray:
-    """``x`` as a float array; DomainError where numpy cannot convert it (strings, objects)."""
+    """``x`` as a float array; DomainError unless numpy reads it as integers or floats (no str, bool, object)."""
     try:
-        return np.asarray(x, dtype=float)
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be real numbers: {x!r}") from None
+        arr = np.asarray(x)
+        if arr.dtype.kind in "iuf":
+            return arr.astype(float, copy=False)
+    except (TypeError, ValueError):  # ragged nesting
+        pass
+    raise DomainError(f"{name} must be real numbers: {x!r}")
 
 
 def _check_level(*levels, name: str = "level p", within: str = "(0, 1)"):
@@ -528,14 +532,15 @@ def _merged_grid(laws, grid_size: int, p: float = 0.0, tail: bool = False) -> np
     the tail's far end. The levels lie in [0, 1], so the quantiles are read without validation.
     An ``Empirical`` law's quantiles are its atoms, so it adds only its atoms and upper
     end, and the grid of step laws is the same array for every p, size and tail flag.
-    The array is the one its reads would give, to the bit, except where the values hold
-    both 0.0 and -0.0: ``np.unique`` keeps one of them, not always the same one.
+    The array is the one its reads would give, to the bit, with -0.0 read as 0.0: the
+    sign is cleared in place before ``np.unique``, which would keep either zero.
     """
     levels = _scan_levels(grid_size, tail)  # checks the grid size for every kind
     reads = [d for d in laws if not isinstance(d, Empirical)]
     us = np.concatenate(([p], p + (1.0 - p) * levels)) if reads else None
     pieces = [d._ql(us) for d in reads]
     ts = np.concatenate(pieces + [_atom_points(d) for d in laws] + [[d.support_hi for d in laws]])
+    np.add(ts, 0.0, out=ts)  # -0.0 + 0.0 is 0.0; every other value stays
     return np.unique(ts[np.isfinite(ts)])
 
 
@@ -682,8 +687,7 @@ def _integral_parts(d: Dist):
             lambda a, b, pa, pb: (b - a) * (d.lo + 0.5 * (d.hi - d.lo) * (a + b))
         )
     if isinstance(d, Normal):
-        from scipy.special import ndtri
-
+        ndtri = _special().ndtri
         return (lambda u: np.exp(-0.5 * ndtri(u) ** 2) / math.sqrt(2.0 * math.pi)), (
             lambda a, b, pa, pb: d.mean * (b - a) + d.sd * (pa - pb)
         )

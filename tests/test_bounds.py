@@ -148,6 +148,70 @@ def test_best_var_at_least_twice_lower_quantile_below_half():
     assert B.best_var_constrained(f, g, 0.1) == 20.0
 
 
+# (unconstrained best, constrained best, constrained worst, unconstrained worst) of
+# bound_report(f, g, "var", p) as float.hex; the Pareto(1.2345, 2.9348)/Pareto(1.5039, 2.9348)
+# pair is the seed-1 shared-shape Pareto pair of the benchmark's var_curves workload
+VAR_PIN_PAIRS = {
+    "uniform": (Uniform(0.0, 100.0), Uniform(0.0, 120.0)),
+    "pareto_table1": (Pareto(25.0, 2.0), Pareto(30.0, 2.0)),
+    "pareto_1_2": (Pareto(1.0, 1.0), Pareto(2.0, 1.0)),
+    "normal": (Normal(0.0, 1.0), Normal(0.5, 1.0)),
+    "pareto_shared": (Pareto(1.2345, 2.9348), Pareto(1.5039, 2.9348)),
+}
+VAR_PINS = {
+    "uniform": {
+        0.1: ("0x1.7fffffffffffep+3", "0x1.4000000000000p+4", "0x1.8000000000000p+4", "0x1.c000000000000p+6"),
+        0.5: ("0x1.e000000000000p+5", "0x1.9000000000000p+6", "0x1.e000000000000p+6", "0x1.4000000000000p+7"),
+        0.9: ("0x1.b000000000000p+6", "0x1.6800000000000p+7", "0x1.a000000000000p+7", "0x1.a000000000000p+7"),
+        0.95: ("0x1.c800000000000p+6", "0x1.7c00000000000p+7", "0x1.ac00000000000p+7", "0x1.ac00000000000p+7"),
+        0.99: ("0x1.db33333333333p+6", "0x1.8c00000000000p+7", "0x1.b59999999999ap+7", "0x1.b59999999999ap+7"),
+        0.995: ("0x1.dd9999999999ap+6", "0x1.8e00000000000p+7", "0x1.b6ccccccccccdp+7", "0x1.b6ccccccccccdp+7"),
+    },
+    "pareto_table1": {
+        0.1: ("0x1.c4fb724c87914p+5", "0x1.c4fb724c87914p+5", "0x1.f9f6e4990f228p+5", "0x1.478108a5a8ffap+6"),
+        0.5: ("0x1.0db4a400ba408p+6", "0x1.1ad7bc01366b8p+6", "0x1.536948017480fp+6", "0x1.b7648ced797cep+6"),
+        0.9: ("0x1.df792b72cb59ep+6", "0x1.3c3a4edfa9759p+7", "0x1.7b792b72cb59ep+7", "0x1.eb418cf87d7f7p+7"),
+        0.95: ("0x1.3e54021de755cp+7", "0x1.bf36ae31d6e43p+7", "0x1.0c54021de755cp+8", "0x1.5b5ed864daf94p+8"),
+        0.99: ("0x1.44ffffffffffdp+8", "0x1.f400000000004p+8", "0x1.2bffffffffffep+9", "0x1.845f3c4cb2d7ep+9"),
+        0.995: ("0x1.c1439a01d1a10p+8", "0x1.618dab0184068p+9", "0x1.a8439a01d1a10p+9", "0x1.129ed8146bec7p+10"),
+    },
+    "pareto_1_2": {
+        0.1: ("0x1.9c71c71c71c72p+1", "0x1.9c71c71c71c72p+1", "0x1.1c71c71c71c71p+2", "0x1.9e77471d4e854p+2"),
+        0.5: ("0x1.4000000000000p+2", "0x1.4000000000000p+2", "0x1.ffffffffffffep+2", "0x1.7504f333f9de6p+3"),
+        0.9: ("0x1.5000000000001p+4", "0x1.5000000000001p+4", "0x1.3fffffffffffap+5", "0x1.d2463000f855ep+5"),
+        0.95: ("0x1.47ffffffffffbp+5", "0x1.47ffffffffffbp+5", "0x1.3ffffffffffe7p+6", "0x1.d2463000f8550p+6"),
+        0.99: ("0x1.91ffffffffffap+7", "0x1.91ffffffffffap+7", "0x1.8ffffffffff76p+8", "0x1.236bde009b33cp+9"),
+        0.995: ("0x1.90ffffffffffap+8", "0x1.90ffffffffffap+8", "0x1.8fffffffffeeep+9", "0x1.236bde009b320p+10"),
+    },
+    "normal": {
+        0.1: ("-0x1.6515209676abcp+1", "-0x1.479b420193fc4p+1", "-0x1.902786dc4da66p+0", "0x1.80ad5e3c74966p-1"),
+        0.5: ("-0x1.b2ad70ea51491p-1", "-0x0.0p+0", "0x1.0000000000000p+0", "0x1.d956b87528a48p+0"),
+        0.9: ("0x1.fd4a870e2da67p-3", "0x1.4813c36e26d33p+1", "0x1.c79b420193fc4p+1", "0x1.e515209676abcp+1"),
+        0.95: ("0x1.7f9396bbf88d1p-2", "0x1.a515209676abcp+1", "0x1.10b100bda3469p+2", "0x1.1ae0198f77fc0p+2"),
+        0.99: ("0x1.e654da32dc040p-2", "0x1.29c5c4630ff0ep+2", "0x1.6423d12cd60dbp+2", "0x1.69b4c64d6915bp+2"),
+        0.995: ("0x1.f32a7d9d7958ap-2", "0x1.49b4c64d69160p+2", "0x1.82c38e98bd612p+2", "0x1.874ce1ece6f22p+2"),
+    },
+    "pareto_shared": {
+        0.1: ("0x1.658d323dcb026p+1", "0x1.658d323dcb026p+1", "0x1.8f123354ac8bep+1", "0x1.cb8d7526234d9p+1"),
+        0.5: ("0x1.91cc44ea1a49ap+1", "0x1.91cc44ea1a49ap+1", "0x1.e79058ad4b1a6p+1", "0x1.18ba7bc4e3ecdp+2"),
+        0.9: ("0x1.21f00a8eb8059p+2", "0x1.5a4a34d27f15ap+2", "0x1.a5dbfc89fb4ecp+2", "0x1.e5cb62ffd1c69p+2"),
+        0.95: ("0x1.5a215ec72f11fp+2", "0x1.b68b0dd5e1595p+2", "0x1.0b1f527d74b3bp+3", "0x1.339b333378458p+3"),
+        0.99: ("0x1.0ea0f330ea371p+3", "0x1.7b71d90520c81p+3", "0x1.ce3fda181a0ffp+3", "0x1.0a27289488c73p+4"),
+        0.995: ("0x1.4c3393031dc00p+3", "0x1.e087d833f041ep+3", "0x1.24b28cde4090ep+4", "0x1.510eb28504cf8p+4"),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(VAR_PINS))
+def test_var_reports_are_pinned_to_the_bit(name):
+    # the %.12g output pins cannot see the last bits of a VaR bound
+    f, g = VAR_PIN_PAIRS[name]
+    for p, want in VAR_PINS[name].items():
+        r = B.bound_report(f, g, "var", p=p)
+        got = (r.unconstrained_best, r.constrained_best, r.constrained_worst, r.unconstrained_worst)
+        assert tuple(v.hex() for v in got) == want, p
+
+
 def test_makarov_values():
     assert_allclose(B.worst_var_unconstrained(PF, PG, 0.5), 6.0 + 4.0 * SQ2, rtol=1e-6)
     assert_allclose(B.best_var_unconstrained(PF, PG, 0.5), 5.0, rtol=1e-9)

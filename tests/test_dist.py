@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from scipy.integrate import quad
 from scipy.special import ndtri
 
 import ordrisk.dist
+from ordrisk import bound_report
 from ordrisk.dist import (
     DEFAULT_TRUNC,
     Empirical,
@@ -82,6 +84,32 @@ def test_uniform_quantile_roundtrip(lo, width, u):
 def test_uniform_validation():
     with pytest.raises(DomainError):
         Uniform(1.0, 1.0)
+
+
+NORMAL_ENDS = {
+    "quantile-scalar": lambda d: [d.quantile_left(0.0), d.quantile_left(1.0)],
+    "quantile-array": lambda d: d.quantile_left([0.0, 1.0]).tolist(),
+    "cdf-scalar": lambda d: [d.cdf(-math.inf), d.cdf(math.inf)],
+    "cdf-array": lambda d: d.cdf([-math.inf, math.inf]).tolist(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NORMAL_ENDS))
+def test_normal_ends_raise_no_warning(name):
+    # ndtri reads +-inf at 0 and 1 with no numpy warning, so no errstate guards it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ends = NORMAL_ENDS[name](Normal(1.0, 2.0))
+    assert ends == ([-math.inf, math.inf] if name.startswith("quantile") else [0.0, 1.0])
+
+
+def test_normal_pair_var_report_raises_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in (0.001, 0.5, 0.9, 0.999):
+            rep = bound_report(Normal(0.0, 1.0), Normal(0.5, 1.0), "var", p=p)
+            assert rep.unconstrained_best <= rep.constrained_best <= rep.constrained_worst
+            assert rep.constrained_worst <= rep.unconstrained_worst
 
 
 def test_normal_matches_ndtri():
@@ -289,12 +317,29 @@ NON_REAL_PARAMETERS = {
     "samples-weights-str": lambda: empirical_from_samples([1.0], ["a"]),
     "negate-str": lambda: negate_dist("x"),
     "negate-none": lambda: negate_dist(None),
+    # numpy parses these as numbers: Empirical(["1.5", "2"], [1, "3"]) had weights 0.25/0.75
+    "empirical-values-numeric-str": lambda: Empirical(["1.5", "2"], [1, 3]),
+    "empirical-weights-numeric-str": lambda: Empirical([1.5, 2.0], [1, "3"]),
+    "empirical-values-bytes": lambda: Empirical([b"1.5", b"2"], [1, 3]),
+    "empirical-values-bool": lambda: Empirical([False, True], [1, 3]),
+    "empirical-weights-bool": lambda: Empirical([1.5, 2.0], [True, True]),
+    "empirical-values-object-floats": lambda: Empirical(np.array([1.0, 2.0], dtype=object), [1, 3]),
+    "grid-levels-numeric-str": lambda: QuantileGrid(["0.25", "0.75"], [1.0, 2.0]),
+    "grid-values-bytes": lambda: QuantileGrid([0.25, 0.75], [b"1", b"2"]),
+    "grid-values-bool": lambda: QuantileGrid([0.25, 0.75], [False, True]),
+    "grid-values-object-floats": lambda: QuantileGrid([0.25, 0.75], np.array([1.0, 2.0], dtype=object)),
+    "samples-numeric-str": lambda: empirical_from_samples(["1.5", "2"]),
+    "samples-bytes": lambda: empirical_from_samples([b"1.5"]),
+    "samples-bool": lambda: empirical_from_samples([False, True]),
+    "samples-object-floats": lambda: empirical_from_samples(np.array([1.0, 2.0], dtype=object)),
+    "samples-weights-numeric-str": lambda: empirical_from_samples([1.0, 2.0], ["1", "3"]),
+    "samples-weights-bool": lambda: empirical_from_samples([1.0, 2.0], [True, True]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(NON_REAL_PARAMETERS))
 def test_non_real_parameters_raise_domain_error(name):
-    # these used to raise TypeError, ValueError or AttributeError, or (a bool) pass
+    # these used to raise TypeError, ValueError or AttributeError, or (a bool, a numeric string) pass
     with pytest.raises(DomainError):
         NON_REAL_PARAMETERS[name]()
 
@@ -303,6 +348,9 @@ def test_numpy_and_integer_parameters_pass():
     assert vars(Pareto(np.float64(1.0), np.int64(2))) == vars(Pareto(1.0, 2.0))
     assert vars(Normal(np.float32(0.5), 1)) == vars(Normal(0.5, 1.0))
     assert type(Uniform(0, 1).lo) is float
+    d = Empirical(np.array([1, 2], dtype=np.int8), np.array([1, 3], dtype=np.uint16))
+    assert d.values.dtype == np.float64 and d.weights.tolist() == [0.25, 0.75]
+    assert QuantileGrid(np.float32([0.25, 0.75]), [1, 2]).xs.tolist() == [1.0, 2.0]
 
 
 @given(st.integers(200, 2000))
@@ -706,7 +754,7 @@ def test_merged_grid_matches_validated_quantiles(tail):
 
 
 def _grid_with_reads(laws, n, p, tail):
-    """The node grid with every law's quantiles read at the scan levels, atom laws' too."""
+    """The node grid with every law's quantiles read at the scan levels, atom laws' too; -0.0 read as 0.0."""
     levels = ordrisk.dist._scan_levels(n, tail)
     us = np.concatenate(([p], p + (1.0 - p) * levels))
     ts = np.concatenate(
@@ -714,7 +762,7 @@ def _grid_with_reads(laws, n, p, tail):
         + [ordrisk.dist._atom_points(d) for d in laws]
         + [[d.support_hi for d in laws]]
     )
-    return np.unique(ts[np.isfinite(ts)])
+    return np.unique(ts[np.isfinite(ts)] + 0.0)
 
 
 _TIES = Empirical([1.0, 2.0, 4.0, 7.0], [2.0, 3.0, 1.0, 2.0])
@@ -748,6 +796,27 @@ def test_merged_grid_of_step_laws_equals_the_grid_with_their_reads(name):
                 assert got.tobytes() == _grid_with_reads(laws, n, p, tail).tobytes()
                 if steps:
                     assert got.tobytes() == first.tobytes()
+
+
+SIGNED_ZERO_LAWS = {
+    "two-atoms": (Empirical([-0.0, 1.0], [1.0, 1.0]), Empirical([0.0, 2.0], [1.0, 1.0])),
+    "totals-and-reflection": (_TOTALS, negate_dist(_TOTALS)),
+    "reflection-and-uniform": (negate_dist(_TOTALS), Uniform(0.0, 8.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIGNED_ZERO_LAWS))
+@pytest.mark.parametrize("order", ["as-given", "swapped"])
+def test_merged_grid_zero_is_positive_in_either_order(name, order):
+    # np.unique kept whichever of -0.0 and 0.0 its sort put first, so the grid's
+    # zero had its sign bit set in one order of the laws and clear in the other
+    laws = SIGNED_ZERO_LAWS[name]
+    laws = laws if order == "as-given" else laws[::-1]
+    for p, tail in ((0.0, False), (0.3, True)):
+        grid = ordrisk.dist._merged_grid(laws, 64, p, tail)
+        zero = grid[grid == 0.0]
+        assert zero.size == 1 and not np.signbit(zero[0])
+        assert grid.tobytes() == ordrisk.dist._merged_grid(laws[::-1], 64, p, tail).tobytes()
 
 
 def test_default_order_check_reads_the_pair_nodes():
