@@ -122,9 +122,9 @@ class _SumLaw:
 
     ``points``: sorted point sums, for ``cdf`` and ``var``; ``means``: sorted
     sums of the paired cell means, for the fractional means (ES, RVaR). A law
-    owns its two arrays (one array for both in the countermonotone law) and keeps
-    each unsorted until its first read, which sorts it in place and makes it
-    read-only: many windows read one field only. It unpacks to its two fields.
+    owns its two arrays (one array for both in the countermonotone law, sorted
+    when built) and keeps each unsorted until its first read, which sorts it in
+    place and makes it read-only: many windows read one field only. It unpacks to its two fields.
     """
 
     __slots__ = ("_points", "_means")
@@ -194,13 +194,16 @@ def _sum_law(f: Dist, g: Dist, n: int, p: float, q: float, ordered: bool) -> _Su
 
     Directed: the window's plan (which checks the pair's order) gives both
     fields. Countermonotone: the window's cell means paired in opposite order
-    give one array for both, with no order check. Either is sorted when first read.
+    give one array for both, with no order check, sorted by a stable sort, which
+    takes monotone runs whole (with convex quantiles the sums fall, then rise).
     """
     if ordered:
         plan = dl_plan_discrete(f, g, n, p, q=q)
         return _SumLaw(plan.x + plan.y, plan.mean_sums)
     fm, gm = _per_pair(_window_means, f, g, n, p, q)
     sums = fm + gm[::-1]
+    sums.sort(kind="stable")
+    sums.flags.writeable = False  # sorted: ``_sorted_once`` leaves it
     return _SumLaw(sums, sums)
 
 

@@ -13,7 +13,9 @@ X ~ F, Y ~ G and X <= Y, here called the directed coupling:
 Every route that needs F <= G reads the pair's one order check, ``_order_report``,
 and every level window its cell means, ``_window_means``, both through the
 16-entry per-pair memo ``dist._per_pair``. Plans and draws read levels through
-``dist._grid_points``, which clips a level only where its quantile is infinite.
+``dist._grid_points``, which clips a level only where its quantile is infinite
+(an atom law reads a plan's points by one count). Plans and dl draws share one
+point-and-match step, ``_plan_pairs``; draws read no cell means.
 
 The transport map is ``T(x) = inf{z >= x : F(z)-G(z) < F(x)-G(x)}``
 (``+inf`` when the set is empty); no bound reads it. ``TransportEvaluator``
@@ -40,6 +42,7 @@ from .dist import (
     Dist,
     _cell_edges,
     _cell_means,
+    _cell_points,
     _check_count,
     _check_level,
     _check_real,
@@ -71,9 +74,14 @@ def _window_means(f: Dist, g: Dist, n: int, p: float, q: float):
     n = _check_count(n, "cell count n")
     edges = _cell_edges(n, p, q)
     fm, gm = _cell_means(f, edges), _cell_means(g, edges)
+    _require_sum_mean(fm, gm)
+    return fm, gm
+
+
+def _require_sum_mean(fm, gm) -> None:
+    """DomainError if X + Y has no mean, read from the first and last cell means of each law."""
     if min(fm[0], gm[0]) == -np.inf and max(fm[-1], gm[-1]) == np.inf:
         raise DomainError("mean of X + Y undefined: one marginal has mean -inf, the other +inf")
-    return fm, gm
 
 
 def _require_order(f: Dist, g: Dist) -> None:
@@ -219,11 +227,6 @@ class DlPlan:
         return f"DlPlan(n={self.n}, p={self.p!r}, q={self.q!r}, common={common})"
 
 
-def _plan_levels(n: int, p: float, q: float = 1.0) -> np.ndarray:
-    """The left ends of the n cells of ``_cell_edges(n, p, q)``, descending: the plan's levels."""
-    return _cell_edges(n, p, q)[-2::-1]
-
-
 def _match(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Index of the y each x takes when x runs down and takes the last y stacked.
 
@@ -232,7 +235,9 @@ def _match(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     As brackets (a y opens, an x closes), the k-th x that arrives at stack
     depth h takes the k-th y that raised the stack to h. Every bracket
     closes at the depth it opened, so each depth has as many x's as y's,
-    and the stable sorts by depth line them up position by position. One
+    and the stable sorts by depth line them up position by position in any
+    group order both share: deepest first where the x depths never rise (on
+    overlapping windows), so the stable sorts meet long runs, else shallowest first. One
     merge search, one count and two stable argsorts. Once no x meets an
     empty stack, every ``stacked`` count lies in [1, n], so it fits
     ``np.bincount`` with n + 1 bins. An x that meets an empty stack raises
@@ -251,9 +256,26 @@ def _match(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         raise PlanInfeasibleError(f"no available y >= {xs[k]:.6g} for pair {k + 1} of {n}")
     # y_i raises the stack to i + 1 less the x's that arrived before it
     depth_y = i + 1 - np.cumsum(np.bincount(stacked, minlength=n + 1))[:n]
+    if np.all(depth_x[1:] <= depth_x[:-1]):
+        depth_x, depth_y = -depth_x, -depth_y  # deepest group first
     y_idx = np.empty(n, dtype=np.int64)
     y_idx[np.argsort(depth_x, kind="stable")] = np.argsort(depth_y, kind="stable")
     return y_idx
+
+
+def _plan_pairs(f: Dist, g: Dist, edges: np.ndarray):
+    """The order check, then the x and y points on the cells between ``edges``, top first, and their matching.
+
+    Each y point is clamped to the x point of its level, so a pair the gate admits, whose quantiles
+    may cross by a rounding, still has a y >= x at every level and ``_match`` never runs out. The bottom
+    point is held to the next one: where F^{-1} is -inf there, ``_grid_points`` reads a stand-in that
+    can lie above the next point (at n >= 10^6).
+    """
+    _require_order(f, g)
+    xs = _cell_points(f, edges)
+    ys = np.maximum(xs, _cell_points(g, edges))
+    xs[-1], ys[-1] = xs[-2:].min(), ys[-2:].min()
+    return xs, ys, _match(xs, ys)
 
 
 def dl_plan_discrete(
@@ -269,22 +291,13 @@ def dl_plan_discrete(
     The points sit at the left cell ends p + (q-p)(n-i)/n, i = 1..n;
     iteration runs in decreasing x, matching each x_k with
     min{y in S_k : y >= x_k} and removing the match from S_k. The order
-    of the whole pair is checked first (OrderViolationError). Each y point
-    is clamped to the x point of its level, so a pair the gate admits, whose
-    quantiles may cross by a rounding, still has a y >= x at every level
-    and ``_match`` never runs out. The bottom point is held to the next one:
-    where F^{-1} is -inf there, ``_grid_points`` reads a stand-in that can lie
-    above the next point (at n >= 10^6). ``mean_sums`` adds the paired cell means.
+    of the whole pair is checked first (OrderViolationError), by ``_plan_pairs``, which
+    reads and matches the points; ``mean_sums`` adds the paired cell means.
     """
     p, q = _check_level(p, q, name="plan levels", within="[0, 1]")
     n = _check_count(n, "cell count n")
-    _require_order(f, g)
+    xs, ys, y_idx = _plan_pairs(f, g, _cell_edges(n, p, q))
     fm, gm = _per_pair(_window_means, f, g, n, p, q)
-    levels = _plan_levels(n, p, q)
-    xs = _grid_points(f, levels)
-    ys = np.maximum(xs, _grid_points(g, levels))
-    xs[-1], ys[-1] = xs[-2:].min(), ys[-2:].min()
-    y_idx = _match(xs, ys)
     means = fm[::-1] + gm[::-1][y_idx]
     return DlPlan(n=n, p=p, q=q, x=xs, y=ys[y_idx], y_index=y_idx, mean_sums=means)
 
@@ -334,6 +347,8 @@ def sample_coupling(
     dl draws resample plan atoms uniformly; with ``jitter`` each draw is
     displaced within its quantile cell (the same cell fraction on both
     sides, clamped to keep x <= y exact). Deterministic given the seed.
+    A draw reads the plan's points and matching (``_plan_pairs``), no cell means:
+    the plan's DomainError for an undefined mean of X + Y reads the end cells only.
     ``jitter`` must be a bool, and comonotone and countermonotone draws, which
     have no plan cells to jitter in, refuse ``jitter=True`` (DomainError).
     """
@@ -351,17 +366,18 @@ def sample_coupling(
         x = _grid_points(f, u)
         y = _grid_points(g, u if kind == "comonotone" else 1.0 - u)
     else:
-        plan = dl_plan_discrete(f, g, plan_n, 0.0)
-        idx = rng.integers(0, plan.n, size)
+        edges = _cell_edges(plan_n)
+        xs, ys, y_idx = _plan_pairs(f, g, edges)
+        _require_sum_mean(*[(_cell_means(d, edges[:2])[0], _cell_means(d, edges[-2:])[0]) for d in (f, g)])
+        idx = rng.integers(0, plan_n, size)
         if jitter:
             frac = rng.random(size)
-            w = (plan.q - plan.p) / plan.n
-            levels = _plan_levels(plan.n, plan.p, plan.q)
+            w = 1.0 / plan_n
+            levels = edges[-2::-1]  # the plan's levels, top cell first
             x = _grid_points(f, levels[idx] + frac * w)
-            y = np.maximum(x, _grid_points(g, levels[plan.y_index[idx]] + frac * w))
+            y = np.maximum(x, _grid_points(g, levels[y_idx[idx]] + frac * w))
         else:
-            x = plan.x[idx].copy()
-            y = plan.y[idx].copy()
+            x, y = xs[idx], ys[y_idx[idx]]
     return SampleBatch(coupling_kind=kind, x=x, y=y, seed=seed, size=size)
 
 

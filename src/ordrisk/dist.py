@@ -462,7 +462,7 @@ def negate_dist(d: Dist) -> Dist:
 
 
 def empirical_from_samples(values, weights=None) -> Empirical:
-    """Build an :class:`Empirical` from raw draws, merging duplicate atoms."""
+    """Build an :class:`Empirical` from raw draws, merging duplicate atoms (-0.0 and 0.0 into 0.0)."""
     values = _real_array(values, "samples").ravel()
     if values.size == 0:
         raise DomainError("no samples given")
@@ -476,7 +476,7 @@ def empirical_from_samples(values, weights=None) -> Empirical:
             raise DomainError("weights must match samples")
         if np.any(weights <= 0) or not np.all(np.isfinite(weights)):
             raise DomainError("weights must be positive and finite")
-    uniq, inverse = np.unique(values, return_inverse=True)
+    uniq, inverse = np.unique(values + 0.0, return_inverse=True)  # -0.0 reads 0.0, whatever the order
     merged = np.bincount(inverse, weights=weights, minlength=uniq.size)
     return Empirical(uniq, merged)
 
@@ -633,7 +633,7 @@ def isotonic_pair_projection(f_hat: Dist, g_hat: Dist, w_f: float = 1.0, w_g: fl
         raise DomainError("projection weights must be positive and finite")
     if f_hat.kind not in ("empirical", "grid") or g_hat.kind not in ("empirical", "grid"):
         raise DomainError("projection expects empirical or grid inputs")
-    ts = np.unique(np.concatenate([_atom_points(f_hat), _atom_points(g_hat)]))
+    ts = np.unique(np.concatenate([_atom_points(f_hat), _atom_points(g_hat)]) + 0.0)  # -0.0 reads 0.0
     fv = np.asarray(f_hat.cdf(ts), dtype=float)
     gv = np.asarray(g_hat.cdf(ts), dtype=float)
     pooled = (w_f * fv + w_g * gv) / (w_f + w_g)
@@ -676,11 +676,21 @@ def _difference(a, b, pa, pb):
     return pb - pa
 
 
+def _atom_index(d: Empirical, levels, strict: bool) -> np.ndarray:
+    """Per ascending level, how many inner cumulative weights lie below it (``strict``, ``_ql``'s index) or
+    at or below it (its level cell's): one search of the weights into the levels, then a count."""
+    flat = np.reshape(levels, -1)
+    pos = np.searchsorted(flat, d._cumw[:-1], side="right" if strict else "left")
+    return np.cumsum(np.bincount(pos, minlength=flat.size + 1)[: flat.size]).reshape(np.shape(levels))
+
+
 def _integral_parts(d: Dist):
     """``(piece, combine)`` with ``\\int_a^b F^{-1} = combine(a, b, piece(a), piece(b))``.
 
     The piece is the per-level part of each closed form, so a partition
-    evaluates it once per edge (``_cell_means``).
+    evaluates it once per edge (``_cell_means``); it reads one level or ascending ones.
+    An ``Empirical`` piece is cum[k] + v[k] (u - b[k]) on atom k's level cell, k by ``_atom_index``:
+    the zero-slope ``_piecewise_anti`` to the bit (``v + 0.0`` reads -0.0 as its (v + qu) / 2 does).
     """
     if isinstance(d, Uniform):
         return (lambda u: u), (
@@ -702,7 +712,10 @@ def _integral_parts(d: Dist):
             lambda a, b, pa, pb: -combine(1.0 - b, 1.0 - a, pb, pa)
         )
     if isinstance(d, Empirical):
-        return _piecewise_anti(d._cumw0, d.values, d.values), _difference
+        b, v = d._cumw0, d.values
+        cum, vz = np.concatenate(([0.0], np.cumsum(v * np.diff(b)))), v + 0.0
+        at = lambda u, k: cum[k] + vz[k] * (u - b[k])
+        return (lambda u: at(u, _atom_index(d, u, strict=False))), _difference
     if isinstance(d, QuantileGrid):
         # flat below us[0], linear between nodes, flat above us[-1]
         breaks = np.concatenate(([0.0], d.us, [1.0]))
@@ -735,7 +748,7 @@ def _cell_means(d: Dist, edges: np.ndarray) -> np.ndarray:
     """Means of ``F^{-1}`` over the level cells between consecutive ``edges``, ascending.
 
     The edges are those of ``_cell_edges``, built once per window for both laws;
-    a diverging cell mean is ``inf``.
+    a diverging cell mean is ``inf``; an atom law finds each edge's cell by one count.
     The cell-mean law lies below ``F`` in convex order. The piece of
     ``_integral_parts`` is evaluated once on the edges and
     neighbouring edges are combined, with the same bytes as
@@ -748,6 +761,13 @@ def _cell_means(d: Dist, edges: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         pe = piece(edges)
         return combine(edges[:-1], edges[1:], pe[:-1], pe[1:]) / np.diff(edges)
+
+
+def _cell_points(d: Dist, edges: np.ndarray) -> np.ndarray:
+    """``_grid_points`` at the left ends of the cells between ``edges``, top cell first; atoms by one count."""
+    if isinstance(d, Empirical):
+        return d.values[_atom_index(d, edges[:-1], strict=True)[::-1]]
+    return _grid_points(d, edges[-2::-1])
 
 
 def es_eval(d: Dist, p: float) -> float:

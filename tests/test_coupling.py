@@ -19,7 +19,6 @@ from ordrisk.coupling import (
     TransportEvaluator,
     _grid_points,
     _match,
-    _plan_levels,
     dl_cdf,
     dl_plan_discrete,
     dl_sum_cdf,
@@ -38,12 +37,19 @@ from ordrisk.dist import (
     _cell_edges,
     _cell_means,
     empirical_from_samples,
+    negate_dist,
     to_grid,
     upper_tail,
 )
 from ordrisk.errors import DomainError, OrderViolationError, PlanInfeasibleError
 
 finite = dict(allow_nan=False, allow_infinity=False)
+
+
+def _plan_levels(n, p, q=1.0):
+    # a plan's levels: the left cell ends, top cell first
+    return _cell_edges(n, p, q)[-2::-1]
+
 
 PF = Pareto(1.0, 1.0)
 PG = Pareto(2.0, 1.0)
@@ -458,17 +464,30 @@ def test_plan_matching_matches_stack_loop(xv, yv, n, window):
     np.testing.assert_array_equal(gy[y_idx], ys[expected])
 
 
+def _spy_argsort(monkeypatch):
+    # the keys of every np.argsort call, as called
+    keys, argsort = [], np.argsort
+
+    def spy(a, *args, **kwargs):
+        keys.append(np.array(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    return keys
+
+
 @pytest.mark.parametrize(
-    "f, g, p, n",
+    "f, g, p, n, deepest_first",
     [
-        (PF, PG, 0.0, 3000),
-        (PF, PG, 0.9, 3000),
-        (Uniform(0, 1), Uniform(0, 1.5), 0.0, 3000),
-        (Normal(0, 1), Normal(0.5, 1), 0.0, 3000),
-        (_EMP_F, _EMP_G, 0.0, 3000),
+        (PF, PG, 0.0, 3000, False),
+        (PF, PG, 0.9, 3000, False),
+        # overlapping windows: the x depths never rise
+        (Uniform(0, 1), Uniform(0, 1.5), 0.0, 3000, True),
+        (Normal(0, 1), Normal(0.5, 1), 0.0, 3000, False),
+        (_EMP_F, _EMP_G, 0.0, 3000, False),
         # the default plan size, where the depth counts span thousands of levels
-        (Pareto(1.0, 1.1), Pareto(2.0, 1.1), 0.9, 10_000),
-        (Uniform(0, 1), Uniform(0, 1.5), 0.0, 10_000),
+        (Pareto(1.0, 1.1), Pareto(2.0, 1.1), 0.9, 10_000, False),
+        (Uniform(0, 1), Uniform(0, 1.5), 0.0, 10_000, True),
     ],
     ids=[
         "pareto",
@@ -480,12 +499,34 @@ def test_plan_matching_matches_stack_loop(xv, yv, n, window):
         "uniform_10k",
     ],
 )
-def test_plan_matching_matches_stack_loop_continuous(f, g, p, n):
+def test_plan_matching_matches_stack_loop_continuous(f, g, p, n, deepest_first, monkeypatch):
+    # either group order of the depth sorts gives the stack loop's matching;
+    # ``_match`` sorts the deepest group first by negating both depth arrays
     levels = _plan_levels(n, p)
     ys = _grid_points(g, levels)
+    keys = _spy_argsort(monkeypatch)
     plan = dl_plan_discrete(f, g, n, p)
+    assert len(keys) == 2
+    assert all(np.all(k < 0) if deepest_first else np.all(k > 0) for k in keys)
     np.testing.assert_array_equal(plan.y_index, _stack_match(plan.x, ys))
     np.testing.assert_array_equal(plan.y, ys[plan.y_index])
+
+
+@pytest.mark.parametrize("draw", ["plan", "sample", "sample_jitter"])
+def test_plan_and_dl_draws_refuse_an_undefined_sum_mean(draw):
+    # X has mean -inf and Y mean +inf: the plan reads it from its cell means,
+    # the draws, which read none, from the two end cells of each law
+    def run(f, g):
+        if draw == "plan":
+            return dl_plan_discrete(f, g, 1000)
+        return sample_coupling(f, g, "dl", 100, 3, jitter=draw == "sample_jitter")
+
+    with pytest.raises(DomainError, match=r"mean of X \+ Y undefined"):
+        run(negate_dist(Pareto(1, 0.5)), Pareto(1, 0.5))
+    # one infinite mean, or two of one sign, leave the mean of X + Y defined
+    for f, g in ((Pareto(1, 0.5), Pareto(2, 0.5)), (negate_dist(Pareto(2, 0.5)), Uniform(0, 1))):
+        out = run(f, g)
+        assert np.all(out.x <= out.y) and np.all(np.isfinite(out.x))
 
 
 def test_plan_holds_a_clipped_bottom_point_to_the_next_level(monkeypatch):

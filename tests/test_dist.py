@@ -250,6 +250,29 @@ def test_empirical_from_samples_merges():
     assert_allclose(d.weights.sum(), 1.0)
 
 
+def test_empirical_from_samples_reads_a_zero_atom_as_0_whatever_the_order():
+    # np.unique keeps whichever of -0.0 and 0.0 its sort puts first, so the
+    # zero atom's sign followed the order of the samples; it reads 0.0 now
+    sample = np.array([-0.0, 0.0, 1.0, -0.0, 2.0, 0.0, -1.0, 0.0])
+    ref = empirical_from_samples(sample)
+    assert ref.values.tolist() == [-1.0, 0.0, 1.0, 2.0] and not np.signbit(ref.values[1])
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        d = empirical_from_samples(rng.permutation(sample))
+        assert_array_equal(d.values.view(np.int64), ref.values.view(np.int64))
+        assert_array_equal(d.weights, ref.weights)
+    assert not np.signbit(empirical_from_samples([-0.0, -0.0]).values).any()
+    assert np.signbit(sample).sum() == 3  # the caller's samples keep their signs
+
+
+def test_isotonic_projection_reads_a_zero_atom_as_0():
+    for pair in ((Empirical([-0.0, 1.0], [1, 1]), Empirical([0.0, 2.0], [1, 1])),
+                 (Empirical([0.0, 1.0], [1, 1]), Empirical([-0.0, 2.0], [1, 1]))):
+        for f2, g2 in (isotonic_pair_projection(*pair), isotonic_pair_projection(*pair[::-1])):
+            for d in (f2, g2):
+                assert 0.0 in d.values and not np.signbit(d.values).any()
+
+
 def test_empirical_validation():
     with pytest.raises(DomainError):
         Empirical([2.0, 1.0], [0.5, 0.5])
@@ -713,6 +736,68 @@ def test_cell_means_equal_two_sided_evaluation(name, window, n):
     ref = _two_sided_integral(d, edges[:-1], edges[1:]) / np.diff(edges)
     np.testing.assert_array_equal(_cell_edges(n, p, q), edges)
     np.testing.assert_array_equal(_cell_means(d, edges), ref)
+
+
+def _zero_slope_anti(breaks, v):
+    # the step law's antiderivative as it was read before the atom-side read:
+    # ``_piecewise_anti`` with ql = qr = v, one search per level
+    width = np.diff(breaks)
+    cum = np.concatenate(([0.0], np.cumsum(0.5 * (v + v) * width)))
+    safe = np.where(width > 0.0, width, 1.0)
+
+    def anti(u):
+        k = np.clip(np.searchsorted(breaks, u, side="right") - 1, 0, width.size - 1)
+        t = u - breaks[k]
+        qu = v[k] + (v[k] - v[k]) * (t / safe[k])
+        return cum[k] + 0.5 * (v[k] + qu) * t
+
+    return anti
+
+
+STEP_ATOMS = [-7.25, -2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0, 1e-300, 6.5]
+
+
+@st.composite
+def step_laws(draw):
+    # ties, both zeros and negative atoms; with a total weight of a power of two
+    # (padded by a tie at the top) the cumulative weights are dyadic and land
+    # exactly on levels of the dyadic windows below
+    vals = sorted(draw(st.lists(st.sampled_from(STEP_ATOMS), min_size=1, max_size=12)))
+    w = draw(st.lists(st.integers(1, 6), min_size=len(vals), max_size=len(vals)))
+    pad = (1 << (sum(w) - 1).bit_length()) - sum(w)
+    if pad and draw(st.booleans()):
+        vals, w = vals + vals[-1:], w + [pad]
+    return Empirical(vals, w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.tuples(step_laws(), step_laws()),
+    st.sampled_from([(0.0, 1.0), (0.5, 1.0), (0.3, 1.0), (0.0, 0.75), (0.0, 0.9)]),
+    st.sampled_from([1, 7, 1000, 10_000]),
+)
+@example((Empirical([-0.0, 0.0, 1.0], [1, 1, 2]), Empirical([-1.0, -0.0], [3, 1])), (0.0, 1.0), 1000)
+@example((Empirical([-0.0, -0.0], [1, 3]), Empirical([-0.0, 2.0], [1, 1])), (0.0, 1.0), 7)
+def test_step_law_cell_means_and_points_read_at_atom_cost(pair, window, n):
+    # the cell means of the atom-side read equal the one-search-per-level read to
+    # the bit, signed zeros included, and a plan's points equal ``_grid_points``
+    (p, q), laws = window, [*pair, *(negate_dist(d) for d in pair)]
+    edges = _cell_edges(n, p, q)
+    levels = edges[-2::-1]  # the plan's levels, top cell first
+    for d in laws:
+        pe = _zero_slope_anti(d._cumw0, d.values)(edges)
+        ref = (pe[1:] - pe[:-1]) / np.diff(edges)
+        assert_array_equal(_cell_means(d, edges).view(np.int64), ref.view(np.int64))
+        pts = ordrisk.dist._cell_points(d, edges)
+        assert_array_equal(pts.view(np.int64), ordrisk.dist._grid_points(d, levels).view(np.int64))
+
+
+def test_step_law_means_of_atoms_near_the_float_limit():
+    # the zero-slope trapezoid summed v + v, which overflows above half the
+    # float limit and read NaN cell means and a NaN ES; the atom-side read does not
+    d = Empirical([1.0, 1e308], [1, 1])
+    assert es_eval(d, 0.5) == 1e308 and rvar_eval(d, 0.0, 0.5) == 1.0
+    assert_array_equal(_cell_means(d, _cell_edges(4)), [1.0, 1.0, 1e308, 1e308])
 
 
 def test_cell_means_heavy_tail():
