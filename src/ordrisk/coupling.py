@@ -12,10 +12,10 @@ X ~ F, Y ~ G and X <= Y, here called the directed coupling:
 
 Every route that needs F <= G reads the pair's one order check, ``_order_report``,
 and every level window its cell means, ``_window_means``, both through the
-16-entry per-pair memo ``dist._per_pair``. Plans and draws read levels through
-``dist._grid_points``, which clips a level only where its quantile is infinite
-(an atom law reads a plan's points by one count). Plans and dl draws share one
-point-and-match step, ``_plan_pairs``; draws read no cell means.
+16-entry per-pair memo ``dist._per_pair``. Plans and draws read both laws' levels in
+one pair read, ``dist._grid_points`` (an atom law reads a plan's points by one count);
+a plan hands its one edge table to its window means on a memo miss.
+Plans and dl draws share one point-and-match step, ``_plan_pairs``; draws read no cell means.
 
 The transport map is ``T(x) = inf{z >= x : F(z)-G(z) < F(x)-G(x)}``
 (``+inf`` when the set is empty); no bound reads it. ``TransportEvaluator``
@@ -64,16 +64,15 @@ def _order_report(f: Dist, g: Dist):
     return _per_pair(check_st, f, g)
 
 
-def _window_means(f: Dist, g: Dist, n: int, p: float, q: float):
+def _window_means(f: Dist, g: Dist, n: int, p: float, q: float, edges=None):
     """Cell means of F^{-1} and G^{-1} on the n cells of [p, q), one ``_per_pair`` build.
 
-    Both laws read one edge table. Read by the window's directed plan and its
-    countermonotone sum law (``bounds._sum_law``). DomainError unless n is a
-    positive integer, or if X + Y has no mean.
+    Both laws read one edge table (a plan's ``edges``, else one built here) in one pair read.
+    Read by the window's directed plan and its countermonotone sum law (``bounds._sum_law``).
+    DomainError unless n is a positive integer, or if X + Y has no mean.
     """
     n = _check_count(n, "cell count n")
-    edges = _cell_edges(n, p, q)
-    fm, gm = _cell_means(f, edges), _cell_means(g, edges)
+    fm, gm = _cell_means((f, g), _cell_edges(n, p, q) if edges is None else edges)
     _require_sum_mean(fm, gm)
     return fm, gm
 
@@ -272,8 +271,8 @@ def _plan_pairs(f: Dist, g: Dist, edges: np.ndarray):
     can lie above the next point (at n >= 10^6).
     """
     _require_order(f, g)
-    xs = _cell_points(f, edges)
-    ys = np.maximum(xs, _cell_points(g, edges))
+    xs, ys = _cell_points((f, g), edges)
+    ys = np.maximum(xs, ys)
     xs[-1], ys[-1] = xs[-2:].min(), ys[-2:].min()
     return xs, ys, _match(xs, ys)
 
@@ -296,8 +295,9 @@ def dl_plan_discrete(
     """
     p, q = _check_level(p, q, name="plan levels", within="[0, 1]")
     n = _check_count(n, "cell count n")
-    xs, ys, y_idx = _plan_pairs(f, g, _cell_edges(n, p, q))
-    fm, gm = _per_pair(_window_means, f, g, n, p, q)
+    edges = _cell_edges(n, p, q)
+    xs, ys, y_idx = _plan_pairs(f, g, edges)
+    fm, gm = _per_pair(_window_means, f, g, n, p, q, edges=edges)
     means = fm[::-1] + gm[::-1][y_idx]
     return DlPlan(n=n, p=p, q=q, x=xs, y=ys[y_idx], y_index=y_idx, mean_sums=means)
 
@@ -363,19 +363,20 @@ def sample_coupling(
     rng = np.random.default_rng(seed)
     if kind != "dl":
         u = rng.random(size)
-        x = _grid_points(f, u)
-        y = _grid_points(g, u if kind == "comonotone" else 1.0 - u)
+        if kind == "comonotone":
+            x, y = _grid_points((f, g), u)
+        else:
+            (x,), (y,) = _grid_points((f,), u), _grid_points((g,), 1.0 - u)
     else:
         edges = _cell_edges(plan_n)
         xs, ys, y_idx = _plan_pairs(f, g, edges)
-        _require_sum_mean(*[(_cell_means(d, edges[:2])[0], _cell_means(d, edges[-2:])[0]) for d in (f, g)])
+        first, last = _cell_means((f, g), edges[:2]), _cell_means((f, g), edges[-2:])
+        _require_sum_mean(*np.concatenate((first, last), axis=1))  # rows F, G: the two end cells of each
         idx = rng.integers(0, plan_n, size)
         if jitter:
-            frac = rng.random(size)
-            w = 1.0 / plan_n
-            levels = edges[-2::-1]  # the plan's levels, top cell first
-            x = _grid_points(f, levels[idx] + frac * w)
-            y = np.maximum(x, _grid_points(g, levels[y_idx[idx]] + frac * w))
+            levels, shift = edges[-2::-1], rng.random(size) * (1.0 / plan_n)  # the plan's levels, top cell first
+            (x,), (y,) = _grid_points((f,), levels[idx] + shift), _grid_points((g,), levels[y_idx[idx]] + shift)
+            y = np.maximum(x, y)
         else:
             x, y = xs[idx], ys[y_idx[idx]]
     return SampleBatch(coupling_kind=kind, x=x, y=y, seed=seed, size=size)

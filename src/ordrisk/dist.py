@@ -23,6 +23,11 @@ Plans, draws and tail grids read levels through one grid read,
 ``_grid_points``: the exact left quantile, with the level clipped to
 ``[1 - DEFAULT_TRUNC, DEFAULT_TRUNC]`` only where that quantile is
 infinite. ``to_grid(trunc=)`` is the one explicit truncation.
+A closed-form quantile is an affine map of a level-only kernel, ``_affine(_kernel(u))`` to
+the bit; ``_key`` names the kernel: ``(1-u)**(-1/shape)`` (Pareto laws of one shape), ``u``
+(uniforms), ``ndtri(u)`` (normals), a reflected law's kernel at ``1 - u``. The pair reads
+``_grid_points``, ``_cell_means`` and ``_quantiles`` take a tuple of laws and read each distinct
+kernel and cell-mean piece once per level array, unvalidated: the library built the levels.
 
 ``scipy.special`` (the normal CDF ``ndtr`` and quantile ``ndtri``) is bound
 once, by ``_special`` on first use by a normal law, not imported per call;
@@ -48,7 +53,8 @@ import csv
 import importlib
 import math
 import numbers
-from functools import lru_cache
+from collections import OrderedDict
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -77,12 +83,13 @@ class Dist:
 
     kind: str = "abstract"
     _level_tol = 0.0  # levels this close to a cumulative weight read as it
+    _key = None  # a closed form's kernel key: laws of one key share ``_kernel`` (module docstring)
 
     def cdf(self, x):
         raise NotImplementedError
 
-    def _ql(self, u):
-        raise NotImplementedError
+    def _ql(self, u):  # a closed form defines its level-only ``_kernel`` and its own ``_affine`` map
+        return self._affine(self._kernel(u))
 
     def _qr(self, u):
         return self._ql(u)
@@ -110,7 +117,7 @@ class Pareto(Dist):
         if not (shape > 0 and math.isfinite(shape)):
             raise DomainError("pareto shape must be positive and finite")
         self.scale, self.shape = scale, shape
-        self.support_lo, self.support_hi = self.scale, math.inf
+        self.support_lo, self.support_hi, self._key = self.scale, math.inf, ("pareto", shape)
 
     def __repr__(self):
         return f"Pareto(scale={self.scale!r}, shape={self.shape!r})"
@@ -121,15 +128,19 @@ class Pareto(Dist):
         out = 1.0 - (self.scale / np.maximum(x, self.scale)) ** self.shape
         return _as_output(out, scalar)
 
-    def _ql(self, u):
+    def _kernel(self, u):
         with np.errstate(divide="ignore"):
-            return self.scale * (1.0 - u) ** (-1.0 / self.shape)
+            return (1.0 - u) ** (-1.0 / self.shape)
+
+    def _affine(self, k):
+        return self.scale * k
 
 
 class Uniform(Dist):
     """Continuous uniform distribution on ``[lo, hi]``."""
 
     kind = "uniform"
+    _key = ("uniform",)
 
     def __init__(self, lo: float, hi: float):
         lo, hi = _check_real(lo, "uniform lo"), _check_real(hi, "uniform hi")
@@ -147,14 +158,18 @@ class Uniform(Dist):
         out = np.minimum(np.maximum(0.0, (x - self.lo) / (self.hi - self.lo)), 1.0)  # np.clip to the bit
         return _as_output(out, scalar)
 
-    def _ql(self, u):
-        return self.lo + u * (self.hi - self.lo)
+    def _kernel(self, u):
+        return u
+
+    def _affine(self, k):
+        return self.lo + k * (self.hi - self.lo)
 
 
 class Normal(Dist):
     """Gaussian distribution with the given mean and standard deviation."""
 
     kind = "normal"
+    _key = ("normal",)
 
     def __init__(self, mean: float, sd: float):
         mean, sd = _check_real(mean, "normal mean"), _check_real(sd, "normal sd")
@@ -171,8 +186,11 @@ class Normal(Dist):
         x = np.asarray(x, dtype=float)
         return _as_output(_special().ndtr((x - self.mean) / self.sd), scalar)
 
-    def _ql(self, u):
-        return self.mean + self.sd * _special().ndtri(u)  # +-inf at 0 and 1, without a warning
+    def _kernel(self, u):
+        return _special().ndtri(u)  # +-inf at 0 and 1, without a warning
+
+    def _affine(self, k):
+        return self.mean + self.sd * k
 
 
 @lru_cache(maxsize=1)
@@ -347,16 +365,25 @@ def to_grid(d: Dist, n: int = DEFAULT_GRID_N, trunc: float = DEFAULT_TRUNC) -> Q
     return QuantileGrid(us, xs)
 
 
-def _grid_points(d: Dist, levels: np.ndarray) -> np.ndarray:
-    """``F^{-1}`` at each level: the one grid read of plans, draws and tail grids.
+def _quantiles(laws, levels) -> list:
+    """Each law's ``_ql`` at levels the library built in [0, 1] (no validation), each distinct kernel read once."""
+    kernels = {key: d._kernel(levels) for key, d in {d._key: d for d in laws if d._key}.items()}
+    return [d._affine(kernels[d._key]) if d._key else d._ql(levels) for d in laws]
+
+
+def _grid_points(laws, levels: np.ndarray) -> list:
+    """``F^{-1}`` of each law at each level: the one grid read of plans, draws and tail grids.
 
     The exact left quantile, read at the level clipped to ``[1 - DEFAULT_TRUNC, DEFAULT_TRUNC]``
-    only where that quantile is infinite (an unbounded support's end).
+    only where that quantile is infinite (an unbounded support's end), for all laws in one read.
     """
-    pts = np.asarray(d.quantile_left(levels), dtype=float)
-    bad = ~np.isfinite(pts)
-    if bad.any():
-        pts[bad] = d.quantile_left(np.clip(levels[bad], 1.0 - DEFAULT_TRUNC, DEFAULT_TRUNC))
+    pts = _quantiles(laws, levels)
+    bad = [~np.isfinite(x) for x in pts]
+    if any(b.any() for b in bad):
+        anybad = reduce(np.logical_or, bad)
+        fixed = _quantiles(laws, np.clip(levels[anybad], 1.0 - DEFAULT_TRUNC, DEFAULT_TRUNC))
+        for x, b, y in zip(pts, bad, fixed):
+            x[b] = y[b[anybad]]
     return pts
 
 
@@ -373,16 +400,15 @@ def _window_law(d: Dist, lo: float, hi: float, grid_n: int) -> Dist:
     read can differ from a scalar one in the last bit), so the table is held to that end.
     """
     if isinstance(d, Pareto) and hi == 1.0:
-        return Pareto(d.scale * (1.0 - lo) ** (-1.0 / d.shape), d.shape)
+        return Pareto(d._ql(lo), d.shape)
     if isinstance(d, Uniform):
-        width = d.hi - d.lo
-        return Uniform(d.lo + lo * width, d.hi if hi == 1.0 else d.lo + hi * width)
+        return Uniform(d._ql(lo), d.hi if hi == 1.0 else d._ql(hi))
     if isinstance(d, Empirical):
         w = np.clip(d._cumw, lo, hi) - np.clip(d._cumw0[:-1], lo, hi)
         keep = w > 0
         return Empirical(d.values[keep], w[keep] / (hi - lo))
     us = np.concatenate(([1e-9] if lo else [], _midpoints(grid_n), [1.0 - 1e-9] if hi < 1.0 else []))
-    xs = np.maximum.accumulate(_grid_points(d, lo + (hi - lo) * us))
+    xs = np.maximum.accumulate(_grid_points((d,), lo + (hi - lo) * us)[0])
     end = float(d.quantile_left(lo or hi))  # F^{-1} at the inner end, p
     if math.isfinite(end):
         xs = np.maximum(xs, end) if lo else np.minimum(xs, end)
@@ -419,6 +445,7 @@ class _Negated(Dist):
     def __init__(self, d: Dist):
         self.d = d
         self.support_lo, self.support_hi = -d.support_hi, -d.support_lo
+        self._key = d._key and ("reflected", d._key)  # a reflected family shares its kernel
 
     def __repr__(self):
         return f"negate_dist({self.d!r})"
@@ -426,8 +453,11 @@ class _Negated(Dist):
     def cdf(self, x):
         return 1.0 - self.d.cdf(np.negative(x))
 
-    def _ql(self, u):
-        return -self.d._ql(1.0 - u)
+    def _kernel(self, u):
+        return self.d._kernel(1.0 - u)
+
+    def _affine(self, k):
+        return -self.d._affine(k)
 
 
 def negate_dist(d: Dist) -> Dist:
@@ -538,30 +568,47 @@ def _merged_grid(laws, grid_size: int, p: float = 0.0, tail: bool = False) -> np
     levels = _scan_levels(grid_size, tail)  # checks the grid size for every kind
     reads = [d for d in laws if not isinstance(d, Empirical)]
     us = np.concatenate(([p], p + (1.0 - p) * levels)) if reads else None
-    pieces = [d._ql(us) for d in reads]
-    ts = np.concatenate(pieces + [_atom_points(d) for d in laws] + [[d.support_hi for d in laws]])
+    ts = np.concatenate(_quantiles(reads, us) + [_atom_points(d) for d in laws] + [[d.support_hi for d in laws]])
     np.add(ts, 0.0, out=ts)  # -0.0 + 0.0 is 0.0; every other value stays
     return np.unique(ts[np.isfinite(ts)])
 
 
-@lru_cache(maxsize=16, typed=True)
-def _per_pair(build, *args):
+class _PairMemo(OrderedDict):
     """``build(*args)`` once per key, the one memo of per-pair work (16 entries, LRU).
 
     Builders: the node grid ``_merged_grid`` (the order check's, and on a step pair
     the VaR and essential scans' grid of each law tuple, which no level changes), the
-    order check ``check_st``, a window's ``coupling._window_means`` and a [0, q)
-    window's ``bounds._sum_law``. Dist objects are
-    immutable and hashed by identity, so the key holds the objects, not their parameters.
+    order check ``check_st``, a window's ``coupling._window_means`` and a [0, q) window's
+    ``bounds._sum_law``. Dist objects are immutable and hashed by identity, so the key holds
+    the objects, not their parameters.
     The memo is typed: 100.0 is not the key 100, so it meets the count check of its build.
+    Keyword arguments (a plan's edge table) go to the build on a miss, not into the key.
     Every array of a result is shared, so it is made read-only, a tuple's items too;
     a sum law makes each of its fields read-only when it sorts it, on first read.
     """
-    out = build(*args)
-    for arr in out if isinstance(out, tuple) else (out,):
-        if isinstance(arr, np.ndarray):
-            arr.flags.writeable = False
-    return out
+
+    maxsize, misses = 16, 0
+
+    def __call__(self, build, *args, **given):
+        key = (build, *args, *map(type, args))
+        if key in self:
+            self.move_to_end(key)
+            return self[key]
+        self.misses += 1
+        out = self[key] = build(*args, **given)
+        for arr in out if isinstance(out, tuple) else (out,):
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
+        if len(self) > self.maxsize:
+            self.popitem(last=False)
+        return out
+
+    def cache_clear(self):
+        self.clear()
+        self.misses = 0
+
+
+_per_pair = _PairMemo()
 
 
 def _order_tol(tol) -> float:
@@ -659,15 +706,15 @@ def _empirical_from_cdf(ts, cdf_vals):
 
 def _piecewise_anti(breaks, ql, qr):
     """Antiderivative of a quantile linear from ``ql[k]`` to ``qr[k]`` on level segment k."""
-    width = np.diff(breaks)
-    cum = np.concatenate(([0.0], np.cumsum(0.5 * (ql + qr) * width)))
+    width = np.diff(breaks)  # ends are halved before they are added: exact, and no overflow
+    cum = np.concatenate(([0.0], np.cumsum((0.5 * ql + 0.5 * qr) * width)))
     safe = np.where(width > 0.0, width, 1.0)
 
     def anti(u):
         k = np.clip(np.searchsorted(breaks, u, side="right") - 1, 0, width.size - 1)
         t = u - breaks[k]
         qu = ql[k] + (qr[k] - ql[k]) * (t / safe[k])
-        return cum[k] + 0.5 * (ql[k] + qu) * t
+        return cum[k] + (0.5 * ql[k] + 0.5 * qu) * t
 
     return anti
 
@@ -687,8 +734,8 @@ def _atom_index(d: Empirical, levels, strict: bool) -> np.ndarray:
 def _integral_parts(d: Dist):
     """``(piece, combine)`` with ``\\int_a^b F^{-1} = combine(a, b, piece(a), piece(b))``.
 
-    The piece is the per-level part of each closed form, so a partition
-    evaluates it once per edge (``_cell_means``); it reads one level or ascending ones.
+    The piece is the per-level part of each closed form, a function of its ``_key`` alone, so a
+    partition evaluates it once per edge and key (``_cell_means``); it reads one level or ascending ones.
     An ``Empirical`` piece is cum[k] + v[k] (u - b[k]) on atom k's level cell, k by ``_atom_index``:
     the zero-slope ``_piecewise_anti`` to the bit (``v + 0.0`` reads -0.0 as its (v + qu) / 2 does).
     """
@@ -744,30 +791,30 @@ def _cell_edges(n: int, p: float = 0.0, q: float = 1.0) -> np.ndarray:
     return edges
 
 
-def _cell_means(d: Dist, edges: np.ndarray) -> np.ndarray:
-    """Means of ``F^{-1}`` over the level cells between consecutive ``edges``, ascending.
+def _cell_means(laws, edges: np.ndarray) -> list:
+    """Means of each law's ``F^{-1}`` over the level cells between consecutive ``edges``, ascending.
 
     The edges are those of ``_cell_edges``, built once per window for both laws;
     a diverging cell mean is ``inf``; an atom law finds each edge's cell by one count.
     The cell-mean law lies below ``F`` in convex order. The piece of
-    ``_integral_parts`` is evaluated once on the edges and
+    ``_integral_parts`` is evaluated once on the edges for all laws of one kernel key, and
     neighbouring edges are combined, with the same bytes as
     ``_quantile_integral`` on the cell ends: numpy ufuncs on arrays round
     each element alike. ``es_eval`` and ``rvar_eval`` keep 0-d arrays,
     because ``power`` and ``exp`` on a 0-d array can differ in the last bit
     from the array loop, which would move the worst-ES digits.
     """
-    piece, combine = _integral_parts(d)
-    with np.errstate(divide="ignore"):
-        pe = piece(edges)
-        return combine(edges[:-1], edges[1:], pe[:-1], pe[1:]) / np.diff(edges)
+    parts, width = [(d._key or d, *_integral_parts(d)) for d in laws], np.diff(edges)
+    with np.errstate(divide="ignore"):  # one piece read per kernel key, and per law without one
+        pes = {key: piece(edges) for key, piece, _ in {part[0]: part for part in parts}.values()}
+        return [combine(edges[:-1], edges[1:], pes[key][:-1], pes[key][1:]) / width for key, _, combine in parts]
 
 
-def _cell_points(d: Dist, edges: np.ndarray) -> np.ndarray:
-    """``_grid_points`` at the left ends of the cells between ``edges``, top cell first; atoms by one count."""
-    if isinstance(d, Empirical):
-        return d.values[_atom_index(d, edges[:-1], strict=True)[::-1]]
-    return _grid_points(d, edges[-2::-1])
+def _cell_points(laws, edges: np.ndarray) -> list:
+    """``_grid_points`` of each law at the cells' left ends between ``edges``, top cell first; atoms by one count."""
+    reads = iter(_grid_points([d for d in laws if not isinstance(d, Empirical)], edges[-2::-1]))
+    steps = lambda d: d.values[_atom_index(d, edges[:-1], strict=True)[::-1]]
+    return [steps(d) if isinstance(d, Empirical) else next(reads) for d in laws]
 
 
 def es_eval(d: Dist, p: float) -> float:

@@ -374,7 +374,7 @@ def test_plan_infeasible_reversed_pair():
     # the matching alone, without the plan's order check first
     levels = _plan_levels(100, 0.0)
     with pytest.raises(PlanInfeasibleError):
-        _match(_grid_points(Uniform(0, 2), levels), _grid_points(Uniform(0, 1), levels))
+        _match(*_grid_points((Uniform(0, 2), Uniform(0, 1)), levels))
 
 
 def test_plan_validation():
@@ -413,7 +413,7 @@ def test_plan_feasibility_tracks_order(n):
     ordered = bool(np.all(ys >= xs))
     violation = float(np.max(np.searchsorted(ys, xs, side="left") - np.arange(n))) / n
     levels = _plan_levels(n, 0.0)
-    px, py = _grid_points(f, levels), _grid_points(g, levels)
+    px, py = _grid_points((f, g), levels)
     try:
         y_idx = _match(px, py)  # the plan's matching, without its order check first
         assert np.all(px <= py[y_idx])
@@ -455,11 +455,11 @@ def test_plan_matching_matches_stack_loop(xv, yv, n, window):
         expected = _stack_match(xs, ys)
     except PlanInfeasibleError as exc:
         with pytest.raises(PlanInfeasibleError, match=re.escape(str(exc))):
-            _match(_grid_points(f, levels), _grid_points(g, levels))
+            _match(*_grid_points((f, g), levels))
         return
     # the plan's matching on its grid points, without its order check first
-    gy = _grid_points(g, levels)
-    y_idx = _match(_grid_points(f, levels), gy)
+    fx, gy = _grid_points((f, g), levels)
+    y_idx = _match(fx, gy)
     np.testing.assert_array_equal(y_idx, expected)
     np.testing.assert_array_equal(gy[y_idx], ys[expected])
 
@@ -503,7 +503,7 @@ def test_plan_matching_matches_stack_loop_continuous(f, g, p, n, deepest_first, 
     # either group order of the depth sorts gives the stack loop's matching;
     # ``_match`` sorts the deepest group first by negating both depth arrays
     levels = _plan_levels(n, p)
-    ys = _grid_points(g, levels)
+    (ys,) = _grid_points((g,), levels)
     keys = _spy_argsort(monkeypatch)
     plan = dl_plan_discrete(f, g, n, p)
     assert len(keys) == 2
@@ -537,7 +537,7 @@ def test_plan_holds_a_clipped_bottom_point_to_the_next_level(monkeypatch):
     monkeypatch.setattr(ordrisk.dist, "DEFAULT_TRUNC", 1.0 - 1e-2)
     f, g, n = Normal(0, 1), Normal(0.5, 1), 3000
     levels = _plan_levels(n, 0.0)
-    xs = _grid_points(f, levels)
+    (xs,) = _grid_points((f,), levels)
     assert xs[-1] > xs[-2]  # the stand-in, out of order as read
     plan = dl_plan_discrete(f, g, n)
     x, ys = plan.x, plan.y[np.argsort(plan.y_index)]  # the y points by level
@@ -561,6 +561,28 @@ def test_window_means_are_shared_and_read_only():
     assert again[0] is fm and again[1] is gm
     with pytest.raises(ValueError, match="read-only"):
         fm[0] = 0.0
+
+
+@pytest.mark.parametrize("f, g", [(Uniform(0, 100), Uniform(0, 120)), (Pareto(1, 1.5), Pareto(2, 1.5))])
+def test_plan_builds_one_edge_table(monkeypatch, f, g):
+    # a plan hands its edge table to its points and, on a memo miss, to its
+    # window means, so it builds one table whether the memo is cold or warm
+    built = []
+    original = ordrisk.coupling._cell_edges
+
+    def edges(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ordrisk.coupling, "_cell_edges", edges)
+    ordrisk.dist._per_pair.cache_clear()
+    cold = dl_plan_discrete(f, g, 300, 0.9)
+    assert built == [(300, 0.9, 1.0)]
+    warm = dl_plan_discrete(f, g, 300, 0.9)
+    assert built == 2 * [(300, 0.9, 1.0)]
+    fm, gm = ordrisk.coupling._window_means(f, g, 300, 0.9, 1.0)  # its own table
+    np.testing.assert_array_equal(cold.mean_sums, fm[::-1] + gm[::-1][cold.y_index])
+    np.testing.assert_array_equal(warm.mean_sums, cold.mean_sums)
 
 
 def _stop_loss(sums, ts):
@@ -593,7 +615,7 @@ def test_plan_sum_between_counter_and_comonotone(f, g):
     cases = [(plan.x + plan.y, xs + ys, xs + ys[::-1])]
     if np.all(np.isfinite(plan.mean_sums)):  # Pareto shape 1 has an infinite top cell
         edges = _cell_edges(n)
-        mx, my = _cell_means(f, edges)[::-1], _cell_means(g, edges)[::-1]
+        mx, my = (m[::-1] for m in _cell_means((f, g), edges))
         cases.append((plan.mean_sums, mx + my, mx + my[::-1]))
     for dl, como, counter in cases:
         scale = np.abs(como).max()

@@ -17,6 +17,7 @@ from scipy.special import ndtri
 
 import ordrisk.dist
 from ordrisk import bound_report
+from ordrisk.coupling import dl_plan_discrete
 from ordrisk.dist import (
     DEFAULT_TRUNC,
     Empirical,
@@ -681,7 +682,7 @@ def test_cell_means_match_quadrature(name, window):
         pts = [u for u in breaks if a < u < b]
         val, _ = quad(lambda u: float(d.quantile_left(u)), a, b, points=pts or None, limit=200)
         ref.append(val / (b - a))
-    assert_allclose(_cell_means(d, _cell_edges(n, p, q)), ref, rtol=1e-9, atol=1e-12)
+    assert_allclose(_cell_means((d,), _cell_edges(n, p, q))[0], ref, rtol=1e-9, atol=1e-12)
 
 
 def _two_sided_integral(d, a, b):
@@ -735,7 +736,7 @@ def test_cell_means_equal_two_sided_evaluation(name, window, n):
     edges[-1] = q
     ref = _two_sided_integral(d, edges[:-1], edges[1:]) / np.diff(edges)
     np.testing.assert_array_equal(_cell_edges(n, p, q), edges)
-    np.testing.assert_array_equal(_cell_means(d, edges), ref)
+    np.testing.assert_array_equal(_cell_means((d,), edges)[0], ref)
 
 
 def _zero_slope_anti(breaks, v):
@@ -787,9 +788,9 @@ def test_step_law_cell_means_and_points_read_at_atom_cost(pair, window, n):
     for d in laws:
         pe = _zero_slope_anti(d._cumw0, d.values)(edges)
         ref = (pe[1:] - pe[:-1]) / np.diff(edges)
-        assert_array_equal(_cell_means(d, edges).view(np.int64), ref.view(np.int64))
-        pts = ordrisk.dist._cell_points(d, edges)
-        assert_array_equal(pts.view(np.int64), ordrisk.dist._grid_points(d, levels).view(np.int64))
+        assert_array_equal(_cell_means((d,), edges)[0].view(np.int64), ref.view(np.int64))
+        (pts,) = ordrisk.dist._cell_points((d,), edges)
+        assert_array_equal(pts.view(np.int64), ordrisk.dist._grid_points((d,), levels)[0].view(np.int64))
 
 
 def test_step_law_means_of_atoms_near_the_float_limit():
@@ -797,16 +798,150 @@ def test_step_law_means_of_atoms_near_the_float_limit():
     # float limit and read NaN cell means and a NaN ES; the atom-side read does not
     d = Empirical([1.0, 1e308], [1, 1])
     assert es_eval(d, 0.5) == 1e308 and rvar_eval(d, 0.0, 0.5) == 1.0
-    assert_array_equal(_cell_means(d, _cell_edges(4)), [1.0, 1.0, 1e308, 1e308])
+    assert_array_equal(_cell_means((d,), _cell_edges(4))[0], [1.0, 1.0, 1e308, 1e308])
 
 
 def test_cell_means_heavy_tail():
     # shape <= 1: only the top cell of the whole range has an infinite mean
     for d in (Pareto(1.0, 1.0), Pareto(2.0, 0.7)):
-        means = _cell_means(d, _cell_edges(1000))
+        (means,) = _cell_means((d,), _cell_edges(1000))
         assert means[-1] == math.inf
         assert np.all(np.isfinite(means[:-1])) and np.all(np.diff(means) > 0)
-        assert np.all(np.isfinite(_cell_means(d, _cell_edges(1000, 0.0, 0.999))))
+        assert np.all(np.isfinite(_cell_means((d,), _cell_edges(1000, 0.0, 0.999))[0]))
+
+
+def test_grid_law_means_above_half_the_float_limit():
+    # the trapezoids of a grid law halve their ends before adding them, so a
+    # node above half the float limit reads finite means, without a warning
+    d = QuantileGrid([0.25, 0.75], [1.0, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_allclose(es_eval(d, 0.5), 8.75e307, rtol=1e-15)
+        assert_allclose(_cell_means((d,), _cell_edges(4))[0], [1.0, 2.5e307, 7.5e307, 1e308], rtol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# kernels and pair reads
+
+
+def _pre_split_ql(d, u):
+    """The closed-form quantiles as they were written before the kernel split."""
+    if isinstance(d, Pareto):
+        with np.errstate(divide="ignore"):
+            return d.scale * (1.0 - u) ** (-1.0 / d.shape)
+    if isinstance(d, Uniform):
+        return d.lo + u * (d.hi - d.lo)
+    if isinstance(d, Normal):
+        return d.mean + d.sd * ndtri(u)
+    if isinstance(d, ordrisk.dist._Negated):
+        return -_pre_split_ql(d.d, 1.0 - u)
+    return d._ql(u)
+
+
+def _per_law_points(d, levels):
+    """``_grid_points`` of one law as it read before the pair read: the closed form, then the clip rule."""
+    pts = np.asarray(_pre_split_ql(d, levels), dtype=float)
+    bad = ~np.isfinite(pts)
+    if bad.any():
+        pts[bad] = _pre_split_ql(d, np.clip(levels[bad], 1.0 - DEFAULT_TRUNC, DEFAULT_TRUNC))
+    return pts
+
+
+_GRID_BESIDE = to_grid(Normal(0.0, 1.0), 300)
+_ATOMS_BESIDE = Empirical([1.0, 2.0, 4.0, 7.0], [0.1, 0.4, 0.2, 0.3])
+PAIR_READS = {
+    "pareto-one-shape": (Pareto(2.0, 2.5), Pareto(3.0, 2.5)),
+    "pareto-shape-1": (Pareto(1.0, 1.0), Pareto(2.0, 1.0)),
+    "pareto-two-shapes": (Pareto(1.0, 1.5), Pareto(2.0, 1.2)),
+    "pareto-shape-1-and-2": (Pareto(1.0, 1.0), Pareto(2.0, 2.0)),
+    "normal": (Normal(0.0, 1.0), Normal(0.5, 2.0)),
+    "uniform": (Uniform(0.0, 100.0), Uniform(-3.0, 120.0)),
+    "mixed": (Pareto(1.0, 2.0), Normal(3.0, 1.0)),
+    "mixed-uniform": (Uniform(0.0, 3.0), negate_dist(Pareto(1.0, 2.0))),
+    "atoms-beside": (_ATOMS_BESIDE, Pareto(1.0, 2.0)),
+    "grid-beside": (_GRID_BESIDE, Normal(0.0, 1.0)),
+}
+for _name, (_f, _g) in list(PAIR_READS.items()):
+    PAIR_READS[_name + "-reflected"] = (negate_dist(_g), negate_dist(_f))
+
+
+def _bits(arrays):
+    return [np.asarray(a, dtype=float).view(np.int64).tolist() for a in arrays]
+
+
+LEVELS = [np.array([0.0, 1e-300, 0.25, 0.5, 0.9, 1.0 - 1e-12, 1.0]), np.float64(0.3), np.array(0.7)]
+
+
+@pytest.mark.parametrize("u", LEVELS, ids=["array", "scalar", "0-d"])
+@pytest.mark.parametrize("name", sorted(PAIR_READS))
+def test_closed_form_quantile_is_its_affine_map_of_its_kernel(name, u):
+    # ``_ql`` keeps every bit of the closed forms, on arrays, numpy scalars and 0-d arrays alike
+    for d in PAIR_READS[name]:
+        assert _bits([d._ql(u)]) == _bits([_pre_split_ql(d, u)])
+        if d._key:
+            assert _bits([d._affine(d._kernel(u))]) == _bits([d._ql(u)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 10_000])
+@pytest.mark.parametrize("window", [(0.0, 1.0), (0.9, 1.0), (0.0, 0.99)], ids=["whole", "upper", "lower"])
+@pytest.mark.parametrize("name", sorted(PAIR_READS))
+def test_pair_reads_equal_per_law_reads(name, window, n):
+    # the pair read of points, plan points, cell means and node grids equals
+    # each law's own read to the bit, and the points the closed form of each law
+    laws, (p, q) = PAIR_READS[name], window
+    edges = _cell_edges(n, p, q)
+    levels = edges[-2::-1]  # a plan's levels, top cell first: the clip rule reads level 0
+    pts = ordrisk.dist._grid_points(laws, levels)
+    assert _bits(pts) == _bits([ordrisk.dist._grid_points((d,), levels)[0] for d in laws])
+    assert _bits(pts) == _bits([_per_law_points(d, levels) for d in laws])
+    cells = ordrisk.dist._cell_points(laws, edges)
+    assert _bits(cells) == _bits([ordrisk.dist._cell_points((d,), edges)[0] for d in laws])
+    means = _cell_means(laws, edges)
+    assert _bits(means) == _bits([_cell_means((d,), edges)[0] for d in laws])
+    grid = ordrisk.dist._merged_grid(laws, max(n, 2), p, True)
+    alone = [ordrisk.dist._merged_grid((d,), max(n, 2), p, True) for d in laws]
+    assert _bits([grid]) == _bits([np.unique(np.concatenate(alone))])
+
+
+def _counting(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("shapes, reads", [((2.5, 2.5), 1), ((2.5, 1.5), 2)], ids=["one-kernel", "two-kernels"])
+def test_pair_read_evaluates_each_kernel_once(monkeypatch, shapes, reads):
+    # one kernel read per level array for laws of one key, one per key otherwise;
+    # the cell means read each distinct piece once the same way
+    f, g = Pareto(2.0, shapes[0]), Pareto(3.0, shapes[1])
+    kernels = _counting(monkeypatch, Pareto, "_kernel")
+    pieces = []
+    original = ordrisk.dist._integral_parts
+
+    def parts(d):
+        piece, combine = original(d)
+        return (lambda u: pieces.append(d) or piece(u)), combine
+
+    monkeypatch.setattr(ordrisk.dist, "_integral_parts", parts)
+    edges = _cell_edges(1000, 0.9, 1.0)
+    ordrisk.dist._grid_points((f, g), edges[-2::-1])
+    assert len(kernels) == reads
+    ordrisk.dist._merged_grid((f, g), 2048, 0.9, True)
+    assert len(kernels) == 2 * reads
+    _cell_means((f, g), edges)
+    assert len(pieces) == reads
+    # a plan with a cold memo reads each kernel once for the order check's node
+    # grid and once for its points, and each piece once for its means
+    del kernels[:], pieces[:]
+    ordrisk.dist._per_pair.cache_clear()
+    dl_plan_discrete(f, g, 1000, 0.9)
+    assert len(kernels) == 2 * reads and len(pieces) == reads
 
 
 # ---------------------------------------------------------------------------
@@ -909,21 +1044,21 @@ def test_default_order_check_reads_the_pair_nodes():
     memo = ordrisk.dist._per_pair
     memo.cache_clear()
     rep = check_st(f, g)
-    assert memo.cache_info().misses == 1
+    assert memo.misses == 1
     nodes = memo(ordrisk.dist._merged_grid, (f, g), ordrisk.dist.DEFAULT_SCAN_N)
-    assert memo.cache_info().misses == 1 and rep.grid_size == nodes.size
+    assert memo.misses == 1 and rep.grid_size == nodes.size
     assert check_st(f, g, grid_size=512).grid_size < rep.grid_size
 
 
 def test_per_pair_memo_evicts_past_its_bound():
     memo, grid = ordrisk.dist._per_pair, ordrisk.dist._merged_grid
     memo.cache_clear()
-    bound = memo.cache_info().maxsize
+    bound = memo.maxsize
     assert bound == 16
     pairs = [(Uniform(0.0, 1.0), Uniform(0.0, 1.0 + k)) for k in range(bound + 1)]
     held = [memo(grid, pair, 64) for pair in pairs[:bound]]
     assert all(memo(grid, pair, 64) is arr for pair, arr in zip(pairs, held))
-    assert memo.cache_info().misses == bound
+    assert memo.misses == bound
     memo(grid, pairs[bound], 64)  # one past the bound: the least recently used goes
     assert memo(grid, pairs[0], 64) is not held[0]
     assert np.array_equal(memo(grid, pairs[0], 64), held[0])
