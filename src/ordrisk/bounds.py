@@ -640,7 +640,7 @@ def prob_lower(f: Dist, g: Dist, t: float) -> float:
     """
     _require_order(f, g)
     t = _check_real(t, "threshold t")
-    return max(float(g.cdf(0.5 * t)), _prob_row(f, g, t).mo)
+    return max(g.cdf(0.5 * t), _prob_row(f, g, t).mo)
 
 
 def prob_upper(f: Dist, g: Dist, t: float) -> float:
@@ -650,7 +650,7 @@ def prob_upper(f: Dist, g: Dist, t: float) -> float:
     """
     _require_order(f, g)
     t = _check_real(t, "threshold t")
-    return min(float(f.cdf(0.5 * t)), _prob_row(f, g, t).big_mo)
+    return min(f.cdf(0.5 * t), _prob_row(f, g, t).big_mo)
 
 
 def prob_lower_unconstrained(f: Dist, g: Dist, t: float) -> float:

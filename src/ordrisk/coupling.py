@@ -112,7 +112,7 @@ class TransportEvaluator:
 
     def diff(self, z):
         """F(z) - max(G(z), p): (1 - p) times the upper p-tails' F - G above F^{-1}(p)."""
-        return np.asarray(self.f.cdf(z), dtype=float) - np.maximum(self.g.cdf(z), self.p)
+        return self.f.cdf(z) - np.maximum(self.g.cdf(z), self.p)
 
     def upper_many(self, xs) -> np.ndarray:
         """Level-p transport map at each x, +inf where the constraint set is empty.
@@ -181,12 +181,12 @@ def dl_cdf(f: Dist, g: Dist, x: float, y: float) -> float:
     x, y = _check_real(x, "point x"), _check_real(y, "point y")
     _require_order(f, g)
     if y <= x:
-        return float(g.cdf(y))
+        return g.cdf(y)
     zs = _per_pair(_merged_grid, (f, g), DEFAULT_SCAN_N)
     i0, i1 = np.searchsorted(zs, x, side="left"), np.searchsorted(zs, y, side="right")
     ts = np.concatenate(([x], zs[i0:i1], [y]))
-    diff = lambda z: np.asarray(f.cdf(z), dtype=float) - np.asarray(g.cdf(z), dtype=float)
-    val = float(f.cdf(x)) - refine_min(diff, ts, diff(ts), tol=1e-12 * max(1.0, y - x))
+    diff = lambda z: f.cdf(z) - g.cdf(z)
+    val = f.cdf(x) - refine_min(diff, ts, diff(ts), tol=1e-12 * max(1.0, y - x))
     return min(1.0, max(0.0, val))
 
 

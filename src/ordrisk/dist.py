@@ -28,6 +28,9 @@ the bit; ``_key`` names the kernel: ``(1-u)**(-1/shape)`` (Pareto laws of one sh
 (uniforms), ``ndtri(u)`` (normals), a reflected law's kernel at ``1 - u``. The pair reads
 ``_grid_points``, ``_cell_means`` and ``_quantiles`` take a tuple of laws and read each distinct
 kernel and cell-mean piece once per level array, unvalidated: the library built the levels.
+The scan levels ascend, so each law's quantiles in a node grid (``_merged_grid``) are one
+ascending run, merged by a stable sort. Every ``cdf`` opens with one point entry, ``_points``:
+a float64 array passes as it is, and a point numpy does not read as real is a ``DomainError``.
 
 ``scipy.special`` (the normal CDF ``ndtr`` and quantile ``ndtri``) is bound
 once, by ``_special`` on first use by a normal law, not imported per call;
@@ -71,6 +74,14 @@ def _validate_levels(u):
     if arr.dtype.kind not in "iuf" or (arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0)):
         raise DomainError("quantile level must be a real number in [0, 1]")
     return arr.astype(float, copy=False)
+
+
+def _points(x):
+    """``(points, scalar)``, every ``cdf``'s entry: a float64 array of ndim >= 1 as it is, else ``_real_array``."""
+    if type(x) is np.ndarray and x.dtype == float and x.ndim:
+        return x, False
+    x = _real_array(x, "CDF points")
+    return x, x.ndim == 0
 
 
 def _as_output(arr, scalar):
@@ -123,14 +134,16 @@ class Pareto(Dist):
         return f"Pareto(scale={self.scale!r}, shape={self.shape!r})"
 
     def cdf(self, x):
-        scalar = np.ndim(x) == 0
-        x = np.asarray(x, dtype=float)
+        x, scalar = _points(x)
         out = 1.0 - (self.scale / np.maximum(x, self.scale)) ** self.shape
         return _as_output(out, scalar)
 
     def _kernel(self, u):
-        with np.errstate(divide="ignore"):
-            return (1.0 - u) ** (-1.0 / self.shape)
+        b = 1.0 - u
+        if np.count_nonzero(b) == np.size(b):  # no level 1: skip errstate, dearer than a short power
+            return b ** (-1.0 / self.shape)
+        with np.errstate(divide="ignore"):  # level 1 reads inf
+            return b ** (-1.0 / self.shape)
 
     def _affine(self, k):
         return self.scale * k
@@ -153,8 +166,7 @@ class Uniform(Dist):
         return f"Uniform(lo={self.lo!r}, hi={self.hi!r})"
 
     def cdf(self, x):
-        scalar = np.ndim(x) == 0
-        x = np.asarray(x, dtype=float)
+        x, scalar = _points(x)
         out = np.minimum(np.maximum(0.0, (x - self.lo) / (self.hi - self.lo)), 1.0)  # np.clip to the bit
         return _as_output(out, scalar)
 
@@ -182,8 +194,7 @@ class Normal(Dist):
         return f"Normal(mean={self.mean!r}, sd={self.sd!r})"
 
     def cdf(self, x):
-        scalar = np.ndim(x) == 0
-        x = np.asarray(x, dtype=float)
+        x, scalar = _points(x)
         return _as_output(_special().ndtr((x - self.mean) / self.sd), scalar)
 
     def _kernel(self, u):
@@ -236,8 +247,7 @@ class Empirical(Dist):
         return f"Empirical(n={self.values.size})"
 
     def cdf(self, x):
-        scalar = np.ndim(x) == 0
-        x = np.asarray(x, dtype=float)
+        x, scalar = _points(x)
         idx = np.searchsorted(self._nodes, x, side="right")  # past the NaN node only for NaN
         return _as_output(self._levels[idx], scalar)
 
@@ -285,8 +295,7 @@ class QuantileGrid(Dist):
         return f"QuantileGrid(n={self.us.size})"
 
     def cdf(self, x):
-        scalar = np.ndim(x) == 0
-        x = np.asarray(x, dtype=float)
+        x, scalar = _points(x)
         xs, us = self.xs, self.us
         r = np.searchsorted(self._nodes, x, side="right")
         out = np.asarray(self._ends[r])  # the nodes between are interpolated
@@ -451,7 +460,8 @@ class _Negated(Dist):
         return f"negate_dist({self.d!r})"
 
     def cdf(self, x):
-        return 1.0 - self.d.cdf(np.negative(x))
+        x, scalar = _points(x)
+        return _as_output(1.0 - self.d.cdf(np.negative(x)), scalar)
 
     def _kernel(self, u):
         return self.d._kernel(1.0 - u)
@@ -546,10 +556,10 @@ _TAIL_LEVELS = 1.0 - 0.5 ** np.arange(1, 61)
 
 @lru_cache(maxsize=8, typed=True)
 def _scan_levels(grid_size: int, tail: bool) -> np.ndarray:
-    """The levels u of ``_merged_grid``, built once per typed argument pair (read-only)."""
+    """Ascending levels u of ``_merged_grid`` (tail levels among the midpoints), read-only, built once per key."""
     us = _midpoints(_check_count(grid_size, "grid size", 2))
     if tail:
-        us = np.concatenate((us, _TAIL_LEVELS))
+        us = np.sort(np.concatenate((us, _TAIL_LEVELS)))
     us.flags.writeable = False
     return us
 
@@ -558,19 +568,24 @@ def _merged_grid(laws, grid_size: int, p: float = 0.0, tail: bool = False) -> np
     """Finite quantiles of each law at levels p and p + (1 - p) u, its atoms and upper end.
 
     ``u`` are the midpoints, which stay inside ``[1 - DEFAULT_TRUNC, DEFAULT_TRUNC]`` up to
-    500,000 nodes, and, with ``tail``, the levels 1 - 2^-k, k = 1..60, which reach
-    the tail's far end. The levels lie in [0, 1], so the quantiles are read without validation.
+    500,000 nodes, and, with ``tail``, the levels 1 - 2^-k, k = 1..60, which reach the
+    tail's far end. The levels lie in [0, 1], so the quantiles are read without validation.
     An ``Empirical`` law's quantiles are its atoms, so it adds only its atoms and upper
     end, and the grid of step laws is the same array for every p, size and tail flag.
-    The array is the one its reads would give, to the bit, with -0.0 read as 0.0: the
-    sign is cleared in place before ``np.unique``, which would keep either zero.
+    The array is ``np.unique`` of its reads, to the bit, with -0.0 read as 0.0: the sign is
+    cleared in place first, so equal nodes are equal bytes. The levels ascend, so the reads are
+    a few ascending runs, which a stable sort merges; a neighbour mask drops the repeats.
     """
     levels = _scan_levels(grid_size, tail)  # checks the grid size for every kind
     reads = [d for d in laws if not isinstance(d, Empirical)]
     us = np.concatenate(([p], p + (1.0 - p) * levels)) if reads else None
     ts = np.concatenate(_quantiles(reads, us) + [_atom_points(d) for d in laws] + [[d.support_hi for d in laws]])
     np.add(ts, 0.0, out=ts)  # -0.0 + 0.0 is 0.0; every other value stays
-    return np.unique(ts[np.isfinite(ts)])
+    ts.sort(kind="stable")  # infinities at the ends
+    ts = ts[np.searchsorted(ts, -np.inf, "right") : np.searchsorted(ts, np.inf, "left")]
+    keep = np.ones(ts.size, dtype=bool)
+    np.not_equal(ts[1:], ts[:-1], out=keep[1:])
+    return ts[keep]
 
 
 class _PairMemo(OrderedDict):
@@ -635,7 +650,7 @@ def check_st(
     """
     ts = _per_pair(_merged_grid, (f, g), grid_size)
     tol = _order_tol(tol)
-    d = np.asarray(f.cdf(ts)) - np.asarray(g.cdf(ts))
+    d = f.cdf(ts) - g.cdf(ts)
     i = int(np.argmin(d))
     mv = max(0.0, float(-d[i]))
     return OrderCheckReport(mv <= tol, mv, ts[i], ts.size)
@@ -656,7 +671,7 @@ def check_ss(f: Dist, g: Dist, grid_size: int = DEFAULT_SCAN_N, tol: float | Non
         ts = ts[ts >= lo]
         if ts.size == 0 or ts[0] > lo:
             ts = np.concatenate(([lo], ts))
-    d = np.asarray(f.cdf(ts)) - np.asarray(g.cdf(ts))
+    d = f.cdf(ts) - g.cdf(ts)
     inc = d - np.minimum.accumulate(d)
     j = int(np.argmax(inc))
     mv = max(0.0, float(inc[j]))
@@ -681,8 +696,7 @@ def isotonic_pair_projection(f_hat: Dist, g_hat: Dist, w_f: float = 1.0, w_g: fl
     if f_hat.kind not in ("empirical", "grid") or g_hat.kind not in ("empirical", "grid"):
         raise DomainError("projection expects empirical or grid inputs")
     ts = np.unique(np.concatenate([_atom_points(f_hat), _atom_points(g_hat)]) + 0.0)  # -0.0 reads 0.0
-    fv = np.asarray(f_hat.cdf(ts), dtype=float)
-    gv = np.asarray(g_hat.cdf(ts), dtype=float)
+    fv, gv = f_hat.cdf(ts), g_hat.cdf(ts)
     pooled = (w_f * fv + w_g * gv) / (w_f + w_g)
     cross = fv < gv
     fs = np.where(cross, pooled, fv)

@@ -1,5 +1,6 @@
 """Distribution kinds, tails, order checks and integral evaluators."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -309,6 +310,7 @@ CDF_KINDS = {
     "empirical": Empirical([0.0, 1.0, 3.0], [1.0, 2.0, 1.0]),
     "grid": QuantileGrid([0.2, 0.5, 0.8], [0.0, 1.0, 1.0]),
     "negated": negate_dist(Pareto(1.0, 2.0)),
+    "negated-uniform": negate_dist(Uniform(-1.0, 2.0)),
 }
 
 
@@ -322,6 +324,91 @@ def test_cdf_reads_a_nan_point_as_nan(name):
     assert_array_equal(np.isnan(got), np.isnan(pts))
     assert_array_equal(got, [d.cdf(float(x)) for x in pts])
     assert_array_equal(d.cdf(pts.reshape(2, 5)), got.reshape(2, 5))
+
+
+NON_REAL_POINTS = {
+    "none": None,
+    "bool": True,
+    "numpy-bool": np.True_,
+    "bool-array": np.array([True, False]),
+    "str": "x",
+    "numeric-str-array": np.array(["1"]),
+    "mixed-list": [1, "a"],
+    "object": object(),
+    "object-array": np.array([1.0, 2.0], dtype=object),
+    "complex": 1 + 2j,
+    "complex-array": np.array([1.0 + 0j]),
+}
+
+
+@pytest.mark.parametrize("point", sorted(NON_REAL_POINTS))
+@pytest.mark.parametrize("name", sorted(CDF_KINDS))
+def test_cdf_refuses_non_real_points(name, point):
+    # None read NaN, bools and numeric strings read values, other strings raised ValueError and
+    # objects TypeError; a reflected law raised UFuncTypeError, or read 1+2j as 1.0 with a warning
+    d = CDF_KINDS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="CDF points must be real numbers"):
+            d.cdf(NON_REAL_POINTS[point])
+
+
+@pytest.mark.parametrize("name", sorted(CDF_KINDS))
+def test_cdf_reads_ints_and_lists_as_floats(name):
+    d = CDF_KINDS[name]
+    floats = d.cdf(np.array([-1.0, 0.0, 1.0, 2.0, 3.0]))
+    reads = [d.cdf([-1, 0, 1, 2, 3]), d.cdf(np.arange(-1, 4)), d.cdf([-1.0, 0, 1, 2, 3])]
+    assert _bits(reads) == _bits([floats] * 3)
+    assert [d.cdf(k) for k in range(-1, 4)] == floats.tolist()
+    assert all(type(d.cdf(k)) is float for k in (0, np.int64(1), np.float32(2.0), np.array(3)))
+
+
+_ENDS = np.array([0.0, 1.0, -1.0, 2.0, 3.0])  # the support ends of CDF_KINDS
+CDF_POINTS = np.concatenate(
+    (
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308, 0.3, 1.7, 2.5],
+        _ENDS,
+        np.nextafter(_ENDS, np.inf),
+        np.nextafter(_ENDS, -np.inf),
+    )
+)
+# sha256 of every read of _cdf_reads before the CDFs shared one point entry
+CDF_DIGESTS = {
+    "pareto": "3edf36f91d99ff82",
+    "uniform": "61fd519090fe2f7d",
+    "normal": "7b19f4134540a24d",
+    "empirical": "c4244b7bc6cedae7",
+    "grid": "b49eb44eaecde067",
+    "negated": "ad9acb36a885056a",
+    "negated-uniform": "f4a26ab1cef99e17",
+}
+
+
+def _cdf_reads(d):
+    """Reads of arrays, 0-d arrays, Python and numpy floats and ints; each with its type."""
+    yield d.cdf(CDF_POINTS)
+    yield d.cdf(CDF_POINTS.reshape(3, -1))
+    for x in CDF_POINTS:
+        yield from (d.cdf(float(x)), d.cdf(np.array(x)), d.cdf(np.float64(x)))
+    for k in (-1, 0, 1, 2, 3):
+        yield d.cdf(k)
+    yield d.cdf([-1, 0, 1, 2, 3])
+
+
+@pytest.mark.parametrize("name", sorted(CDF_KINDS))
+def test_cdf_keeps_its_bytes_and_types(name):
+    h = hashlib.sha256()
+    for read in _cdf_reads(CDF_KINDS[name]):
+        h.update(type(read).__name__.encode() + np.asarray(read).tobytes())
+    assert h.hexdigest()[:16] == CDF_DIGESTS[name]
+
+
+def test_cdf_passes_a_float_array_as_it_is():
+    pts = np.linspace(-1.0, 4.0, 9)
+    assert ordrisk.dist._points(pts)[0] is pts
+    for x in (pts[:1].reshape(()), np.float32([1.0]), pts.astype(">f8"), [1.0], 1.0, 1):
+        got, scalar = ordrisk.dist._points(x)
+        assert got.dtype == np.float64 and got.dtype.isnative and scalar == (np.ndim(x) == 0)
 
 
 NON_REAL_PARAMETERS = {
@@ -1037,6 +1124,92 @@ def test_merged_grid_zero_is_positive_in_either_order(name, order):
         zero = grid[grid == 0.0]
         assert zero.size == 1 and not np.signbit(zero[0])
         assert grid.tobytes() == ordrisk.dist._merged_grid(laws[::-1], 64, p, tail).tobytes()
+
+
+def _unique_of_reads(laws, n, p, tail):
+    """The node grid as it was built before the sorted merge: every law's quantiles at the midpoints,
+    then at the tail levels, with its atoms and upper end, through ``np.unique``; -0.0 read as 0.0."""
+    us = (np.arange(n) + 0.5) / n
+    if tail:
+        us = np.concatenate((us, 1.0 - 0.5 ** np.arange(1, 61)))
+    us = np.concatenate(([p], p + (1.0 - p) * us))
+    ts = np.concatenate(
+        [_pre_split_ql(d, us) for d in laws]
+        + [ordrisk.dist._atom_points(d) for d in laws]
+        + [[d.support_hi for d in laws]]
+    )
+    return np.unique(ts[np.isfinite(ts)] + 0.0)
+
+
+_ZERO_ATOMS = (Empirical([-0.0, 1.0], [1.0, 1.0]), Empirical([0.0, 2.0], [1.0, 1.0]))
+MERGE_LAWS = {
+    "pareto": (Pareto(25.0, 2.0), Pareto(30.0, 2.0)),
+    "pareto-shape-1": (Pareto(1.0, 1.0), Pareto(2.0, 1.0)),
+    "uniform": (Uniform(0.0, 100.0), Uniform(0.0, 140.0)),
+    "normal": (Normal(0.0, 1.0), Normal(0.5, 2.0)),
+    "atoms": (_TIES, _SHARED),
+    "grid": (to_grid(Normal(0.0, 1.0), 300), QuantileGrid([0.2, 0.5, 0.8], [0.0, 1.0, 1.0])),
+    "mixed": (_TOTALS, Pareto(1.0, 2.0), to_grid(Uniform(0.0, 9.0), 300)),
+    "zero-atoms": _ZERO_ATOMS,
+    "zero-atoms-and-uniform": (*_ZERO_ATOMS, Uniform(-1.0, 1.0)),
+    "one-law": (Pareto(2.0, 3.0),),
+}
+for _name, _laws in list(MERGE_LAWS.items()):
+    MERGE_LAWS[_name + "-reflected"] = tuple(negate_dist(d) for d in _laws[::-1])
+
+
+@pytest.mark.parametrize("n", [2, 7, 2048])
+@pytest.mark.parametrize("name", sorted(MERGE_LAWS))
+def test_merged_grid_equals_unique_of_its_reads(name, n):
+    # sorted levels and a stable sort with a neighbour mask give np.unique's array to the bit
+    laws = MERGE_LAWS[name]
+    for p in (0.0, 0.5, 1.0 - 1e-12):
+        for tail in (False, True):
+            got = ordrisk.dist._merged_grid(laws, n, p, tail)
+            assert got.tobytes() == _unique_of_reads(laws, n, p, tail).tobytes(), (p, tail)
+
+
+@pytest.mark.parametrize("n", [2, 7, 2048])
+def test_scan_levels_ascend(n):
+    # the tail levels sit among the midpoints, so each law's quantiles are one ascending run
+    for tail in (False, True):
+        levels = ordrisk.dist._scan_levels(n, tail)
+        assert np.all(levels[1:] >= levels[:-1]) and levels.size == n + 60 * tail
+        assert not levels.flags.writeable
+    laws = MERGE_LAWS["pareto"] + MERGE_LAWS["pareto-reflected"] + MERGE_LAWS["normal"]
+    for x in ordrisk.dist._quantiles(laws, 0.9 + 0.1 * levels):
+        assert np.all(x[1:] >= x[:-1])
+
+
+def test_pareto_kernel_keeps_its_bits_without_a_warning():
+    # 200k levels from 0 to 1, the smallest subnormal and the last level below 1
+    u = np.linspace(0.0, 1.0, 199_996, endpoint=False)
+    u = np.concatenate((u, [5e-324, np.nextafter(1.0, 0.0), 0.0, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for shape in (0.3, 1.0, 2.0, 2.5):
+            d = Pareto(1.0, shape)
+            with np.errstate(divide="ignore"):
+                want = [(1.0 - x) ** (-1.0 / shape) for x in (u, u[:-1], u[:0], np.array(1.0), np.float64(0.5))]
+            got = [d._kernel(x) for x in (u, u[:-1], u[:0], np.array(1.0), np.float64(0.5))]
+            assert _bits(got) == _bits(want)
+            assert [type(x) for x in got] == [type(x) for x in want]
+            assert got[0][-1] == got[3] == math.inf and math.isfinite(got[1].max())
+
+
+def test_pareto_kernel_enters_no_errstate_without_level_one(monkeypatch):
+    # errstate costs more than the power of a 33-point refinement round; only a level of 1 needs it
+    entered = []
+    errstate = np.errstate
+    monkeypatch.setattr(np, "errstate", lambda **kw: entered.append(kw) or errstate(**kw))
+    d = Pareto(1.0, 2.0)
+    d._kernel(np.linspace(0.0, 0.99, 33))
+    d._kernel(np.array(0.5))
+    d.quantile_left(np.linspace(0.9, 0.999, 33))
+    negate_dist(d).quantile_left(np.linspace(0.001, 1.0, 33))  # its kernel reads 1 - u
+    assert entered == []
+    assert d._kernel(np.array([0.5, 1.0]))[-1] == math.inf
+    assert entered == [{"divide": "ignore"}]
 
 
 def test_default_order_check_reads_the_pair_nodes():
